@@ -1,20 +1,20 @@
 /// \file bench_pipeline_throughput.cc
 /// \brief Control-loop throughput: full RunOnce() cycles over a synthetic
-/// fleet across collector modes (rescan, cache, incremental stats index,
-/// index+cache) and pool sizes, verifying every configuration produces
+/// fleet across collector modes (the rescan oracle and the incremental
+/// stats index) and pool sizes, verifying every configuration produces
 /// the sequential ranking byte for byte (NFR2).
 ///
 /// The paper projects observe/decide cycles over ~100K tables (§2); this
 /// bench measures how fast the framework itself can turn the OODA loop as
-/// workers, caching, and the IncrementalStatsIndex are added. Pool sizes
+/// workers and the IncrementalStatsIndex are added. Pool sizes
 /// above hardware_concurrency are skipped and annotated as invalid:
 /// oversubscribed pools on a starved host measure scheduler noise, not
 /// speedup. Results land in BENCH_pipeline.json:
 ///   {"fleet_tables": N, "hardware_concurrency": H, "runs": [
-///      {"name": "...", "pool_size": P, "cache": true, "indexed": false,
+///      {"name": "...", "pool_size": P, "indexed": false,
 ///       "cold_ms": ..., "best_ms": ..., "tables_per_sec": ...,
 ///       "speedup_vs_seq": ..., "speedup_vs_cold_seq": ...,
-///       "cache_hit_rate": ..., "index_hit_rate": ...}, ...]}
+///       "index_hit_rate": ...}, ...]}
 ///
 /// speedup_vs_seq compares steady-state best runs; speedup_vs_cold_seq
 /// compares against the cold seq rescan (run 0, no warm allocator or
@@ -127,15 +127,13 @@ std::string RankingFingerprint(const core::PipelineRunReport& report) {
 struct RunResult {
   std::string name;
   int pool_size = 0;  // 0 = sequential (no pool)
-  bool cache = false;
   bool indexed = false;
   bool skipped = false;
   std::string skip_reason;
-  double cold_ms = 0;  // first run: cache empty, index entries unbuilt
+  double cold_ms = 0;  // first run: index entries unbuilt
   double best_ms = 0;
   core::PipelinePhaseTimings best_timings;
   double tables_per_sec = 0;
-  double cache_hit_rate = 0;
   double index_hit_rate = 0;
   std::string fingerprint;
 };
@@ -143,7 +141,6 @@ struct RunResult {
 struct RunSpec {
   std::string name;
   int pool_size = 0;
-  bool cache = false;
   bool indexed = false;
 };
 
@@ -161,12 +158,7 @@ RunResult RunConfig(const RunSpec& spec, catalog::Catalog* catalog,
     index = std::make_shared<core::IncrementalStatsIndex>(catalog);
     collector = std::make_shared<core::IndexedStatsCollector>(
         catalog, control_plane, clock, index);
-  }
-  if (spec.cache) {
-    collector = std::make_shared<core::CachingStatsCollector>(
-        catalog, control_plane, clock, collector,
-        core::CachingStatsCollector::kDefaultCapacity);
-  } else if (collector == nullptr) {
+  } else {
     collector = std::make_shared<core::StatsCollector>(catalog, control_plane,
                                                        clock);
   }
@@ -176,15 +168,11 @@ RunResult RunConfig(const RunSpec& spec, catalog::Catalog* catalog,
   RunResult result;
   result.name = spec.name;
   result.pool_size = spec.pool_size;
-  result.cache = spec.cache;
   result.indexed = spec.indexed;
-  int64_t hits = 0;
-  int64_t total = 0;
   int64_t index_hits = 0;
   int64_t index_total = 0;
-  // The catalog never mutates (null scheduler), so with caching on, run 1
-  // is the cold fill and later runs hit steady-state. Likewise the index
-  // lazily builds per table on the first run and serves O(1) afterwards.
+  // The catalog never mutates (null scheduler), so the index lazily
+  // builds per table on the first run and serves O(1) afterwards.
   for (int run = 0; run < kRunsPerConfig; ++run) {
     auto report = pipeline.RunOnce();
     AUTOCOMP_CHECK(report.ok()) << report.status();
@@ -195,17 +183,13 @@ RunResult RunConfig(const RunSpec& spec, catalog::Catalog* catalog,
       result.best_timings = report->timings;
     }
     result.fingerprint = RankingFingerprint(*report);
-    if (run > 0) {  // steady-state cache/index traffic only
-      hits += report->stats_cache_hits;
-      total += report->stats_cache_hits + report->stats_cache_misses;
+    if (run > 0) {  // steady-state index traffic only
       index_hits += report->stats_index_hits;
       index_total += report->stats_index_hits + report->stats_index_fallbacks;
     }
   }
   result.tables_per_sec =
       result.best_ms > 0 ? kFleetTables / (result.best_ms / 1000.0) : 0;
-  result.cache_hit_rate =
-      total > 0 ? static_cast<double>(hits) / static_cast<double>(total) : 0;
   result.index_hit_rate =
       index_total > 0
           ? static_cast<double>(index_hits) / static_cast<double>(index_total)
@@ -249,14 +233,11 @@ int main() {
                    pool_sizes.end());
 
   std::vector<RunSpec> specs;
-  specs.push_back({"seq", 0, false, false});
+  specs.push_back({"seq", 0, false});
   for (int workers : pool_sizes) {
-    specs.push_back({"pool" + std::to_string(workers), workers, false, false});
+    specs.push_back({"pool" + std::to_string(workers), workers, false});
   }
-  specs.push_back({"seq+cache", 0, true, false});
-  specs.push_back({"pool" + std::to_string(hw) + "+cache", hw, true, false});
-  specs.push_back({"indexed", 0, false, true});
-  specs.push_back({"indexed+cache", 0, true, true});
+  specs.push_back({"indexed", 0, true});
 
   std::vector<RunResult> runs;
   for (const RunSpec& spec : specs) {
@@ -264,7 +245,6 @@ int main() {
       RunResult skipped;
       skipped.name = spec.name;
       skipped.pool_size = spec.pool_size;
-      skipped.cache = spec.cache;
       skipped.indexed = spec.indexed;
       skipped.skipped = true;
       skipped.skip_reason = "pool_size > hardware_concurrency (" +
@@ -284,16 +264,16 @@ int main() {
   const double seq_cold_ms = runs[0].cold_ms;
 
   // NFR2: every executed configuration must produce the sequential
-  // ranking, byte for byte — including both index-backed modes.
+  // ranking, byte for byte — including the index-backed one.
   for (const RunResult& r : runs) {
     if (r.skipped) continue;
     AUTOCOMP_CHECK(r.fingerprint == runs[0].fingerprint)
         << "ranking diverged in config " << r.name;
   }
 
-  sim::TablePrinter table({"config", "pool", "cache", "index", "cold ms",
-                           "best ms", "gen", "obs", "orient", "decide",
-                           "tables/s", "speedup", "vs cold", "hit%", "idx%"});
+  sim::TablePrinter table({"config", "pool", "index", "cold ms", "best ms",
+                           "gen", "obs", "orient", "decide", "tables/s",
+                           "speedup", "vs cold", "idx%"});
   JsonValue json_runs = JsonValue::Array();
   for (const RunResult& r : runs) {
     const double speedup =
@@ -301,26 +281,24 @@ int main() {
     const double speedup_vs_cold =
         !r.skipped && r.best_ms > 0 ? seq_cold_ms / r.best_ms : 0;
     if (r.skipped) {
-      table.AddRow({r.name, std::to_string(r.pool_size), r.cache ? "on" : "off",
+      table.AddRow({r.name, std::to_string(r.pool_size),
                     r.indexed ? "on" : "off", "skipped", "-", "-", "-", "-",
-                    "-", "-", "-", "-", "-", "-"});
+                    "-", "-", "-", "-", "-"});
     } else {
       table.AddRow({r.name, std::to_string(r.pool_size),
-                    r.cache ? "on" : "off", r.indexed ? "on" : "off",
-                    sim::Fmt(r.cold_ms, 2), sim::Fmt(r.best_ms, 2),
+                    r.indexed ? "on" : "off", sim::Fmt(r.cold_ms, 2),
+                    sim::Fmt(r.best_ms, 2),
                     sim::Fmt(r.best_timings.generate_ms, 1),
                     sim::Fmt(r.best_timings.observe_ms, 1),
                     sim::Fmt(r.best_timings.orient_ms, 1),
                     sim::Fmt(r.best_timings.decide_ms, 1),
                     sim::Fmt(r.tables_per_sec, 0),
                     sim::Fmt(speedup, 2), sim::Fmt(speedup_vs_cold, 2),
-                    sim::Fmt(100.0 * r.cache_hit_rate, 1),
                     sim::Fmt(100.0 * r.index_hit_rate, 1)});
     }
     JsonValue entry = JsonValue::Object();
     entry.Set("name", r.name);
     entry.Set("pool_size", r.pool_size);
-    entry.Set("cache", r.cache);
     entry.Set("indexed", r.indexed);
     if (r.skipped) {
       entry.Set("skipped", true);
@@ -331,7 +309,6 @@ int main() {
       entry.Set("tables_per_sec", r.tables_per_sec);
       entry.Set("speedup_vs_seq", speedup);
       entry.Set("speedup_vs_cold_seq", speedup_vs_cold);
-      entry.Set("cache_hit_rate", r.cache_hit_rate);
       entry.Set("index_hit_rate", r.index_hit_rate);
     }
     json_runs.Append(std::move(entry));

@@ -43,9 +43,9 @@
 /// the 2000-table tier, and must be bit-identical to seq.
 ///
 /// The **scheduler tier** reruns the fleet with a deferred compaction
-/// preset (the only path the maintenance scheduler exists on):
-/// "seq-sched" (engaged-but-inert fifo — bit-identical to the
-/// pre-scheduler deferred path, dispatch-indirection cost budgeted at
+/// preset (the only path the maintenance scheduler dispatches on):
+/// "seq-sched" (preemption-armed but inert fifo — bit-identical to the
+/// default-knob fifo baseline "sched-fifo", arming cost budgeted at
 /// <2% against its own interleaved baseline) and "seq-drr"
 /// (deficit-round-robin + per-tenant budget, SLO recording on — its
 /// overhead vs the fifo leg carries the same budget, and its per-tenant
@@ -368,26 +368,26 @@ RunOutcome SkippedConfig(const std::string& name, int shards,
 }
 
 // ---- scheduler tier --------------------------------------------------
-// The maintenance scheduler only exists on the deferred-execution path
-// (it sits between decide and the deferred executor, DESIGN.md §12),
-// which the base matrix never takes — BaseOptions has no preset, so
-// those replays never compact. The scheduler tier therefore runs its
+// The maintenance scheduler only dispatches on the deferred-execution
+// path (it sits between decide and the deferred executor, DESIGN.md
+// §12), which the base matrix never takes — BaseOptions has no preset,
+// so those replays never compact. The scheduler tier therefore runs its
 // own preset-enabled fleet: every config plans top-5 table compactions
 // each hour and executes them on the timeline. Three configurations:
-//   sched-legacy  the pre-scheduler deferred path (baseline);
-//   seq-sched     engaged-but-inert fifo (preemption armed, no faults,
-//                 SLO recording off) — every unit routes through the
-//                 scheduler but no dispatch decision changes, so it
-//                 must stay bit-identical to sched-legacy and its
-//                 wall-clock delta is the pure dispatch-indirection
-//                 cost, budgeted at <2%;
+//   sched-fifo    the default knobs: plain fifo (baseline);
+//   seq-sched     preemption-armed but inert fifo (no faults, no spike
+//                 threshold, SLO recording off) — the preemption fault
+//                 site is armed per started unit but no dispatch
+//                 decision changes, so it must stay bit-identical to
+//                 sched-fifo and its wall-clock delta is the pure
+//                 arming cost, budgeted at <2%;
 //   seq-drr       deficit-round-robin with a (loose) per-tenant GBHr
 //                 budget — admission control and SLO recording on;
 //                 per-tenant p99 query latency / time-to-compact /
 //                 budget-debt rows land in BENCH_sim.json. Its
 //                 overhead vs the fifo leg prices the DRR queue walk
 //                 and the SLO series appends, same <2% budget.
-enum class SchedMode { kLegacy, kFifo, kDrr };
+enum class SchedMode { kPlainFifo, kArmedFifo, kDrr };
 
 sim::FleetSimOptions SchedOptions(SchedMode mode) {
   sim::FleetSimOptions options = BaseOptions();
@@ -400,10 +400,10 @@ sim::FleetSimOptions SchedOptions(SchedMode mode) {
   preset.scope = sim::ScopeStrategy::kTable;
   preset.k = 5;
   preset.deferred_act = true;
-  if (mode == SchedMode::kFifo) {
-    // preemption=true engages the scheduler without changing a single
-    // dispatch decision (fifo order, no budget, no traffic threshold,
-    // no fault schedule): the parity configuration.
+  if (mode == SchedMode::kArmedFifo) {
+    // preemption=true arms the preemption machinery without changing a
+    // single dispatch decision (fifo order, no budget, no traffic
+    // threshold, no fault schedule): the parity configuration.
     preset.scheduler.preemption = true;
     preset.scheduler.record_slo = false;
   } else if (mode == SchedMode::kDrr) {
@@ -1032,28 +1032,28 @@ int main() {
     trace_runs.Append(std::move(entry));
   }
 
-  // --- Scheduler tier: engaged-but-inert fifo must be bit-identical to
-  // the pre-scheduler deferred path with <2% wall-clock cost; the DRR
+  // --- Scheduler tier: preemption-armed but inert fifo must be
+  // bit-identical to default-knob fifo with <2% wall-clock cost; the DRR
   // config prices fair-share dispatch + SLO recording against the fifo
   // leg under the same budget and emits the per-tenant SLO rows.
   std::printf(
       "scheduler tier: top-5 deferred compactions per cycle, %d day(s)...\n",
       kDays);
   double sched_fifo_overhead_pct = 0;
-  RunOutcome sched_legacy;
-  sched_legacy.name = "sched-legacy";
-  RunOutcome sched_fifo =
-      RunSchedInterleaved("seq-sched", SchedMode::kLegacy, SchedMode::kFifo,
-                          &sched_fifo_overhead_pct, &sched_legacy);
+  RunOutcome sched_plain;
+  sched_plain.name = "sched-fifo";
+  RunOutcome sched_fifo = RunSchedInterleaved(
+      "seq-sched", SchedMode::kPlainFifo, SchedMode::kArmedFifo,
+      &sched_fifo_overhead_pct, &sched_plain);
   {
     std::string why;
     sched_fifo.metrics_equal =
-        sched_legacy.metrics.Equals(sched_fifo.metrics, &why) &&
-        sched_fifo.events == sched_legacy.events &&
-        sched_fifo.total_files == sched_legacy.total_files &&
-        sched_fifo.open_calls == sched_legacy.open_calls;
+        sched_plain.metrics.Equals(sched_fifo.metrics, &why) &&
+        sched_fifo.events == sched_plain.events &&
+        sched_fifo.total_files == sched_plain.total_files &&
+        sched_fifo.open_calls == sched_plain.open_calls;
     AUTOCOMP_CHECK(sched_fifo.metrics_equal)
-        << "engaged fifo scheduler perturbed the deferred path: "
+        << "arming preemption perturbed the fifo deferred path: "
         << (why.empty() ? "aggregate totals differ" : why);
     AUTOCOMP_CHECK(sched_fifo.metrics.TotalCount("compaction_commits") > 0)
         << "scheduler tier never committed a compaction — the parity "
@@ -1061,7 +1061,7 @@ int main() {
   }
   double sched_drr_overhead_pct = 0;
   RunOutcome sched_drr =
-      RunSchedInterleaved("seq-drr", SchedMode::kFifo, SchedMode::kDrr,
+      RunSchedInterleaved("seq-drr", SchedMode::kArmedFifo, SchedMode::kDrr,
                           &sched_drr_overhead_pct, nullptr);
   AUTOCOMP_CHECK(sched_drr.metrics.TotalCount("sched.admitted") > 0)
       << "DRR config admitted nothing through the scheduler";
@@ -1071,9 +1071,9 @@ int main() {
   sim::TablePrinter sched_table(
       {"config", "wall ms", "events", "commits", "overhead %", "identical"});
   sched_table.AddRow(
-      {sched_legacy.name, sim::Fmt(sched_legacy.wall_ms, 1),
-       std::to_string(sched_legacy.events),
-       std::to_string(sched_legacy.metrics.TotalCount("compaction_commits")),
+      {sched_plain.name, sim::Fmt(sched_plain.wall_ms, 1),
+       std::to_string(sched_plain.events),
+       std::to_string(sched_plain.metrics.TotalCount("compaction_commits")),
        "-", "baseline"});
   sched_table.AddRow(
       {sched_fifo.name, sim::Fmt(sched_fifo.wall_ms, 1),
@@ -1142,11 +1142,11 @@ int main() {
   JsonValue sched_runs = JsonValue::Array();
   {
     JsonValue entry = JsonValue::Object();
-    entry.Set("name", sched_legacy.name);
-    entry.Set("wall_ms", sched_legacy.wall_ms);
-    entry.Set("events", sched_legacy.events);
+    entry.Set("name", sched_plain.name);
+    entry.Set("wall_ms", sched_plain.wall_ms);
+    entry.Set("events", sched_plain.events);
     entry.Set("compaction_commits",
-              sched_legacy.metrics.TotalCount("compaction_commits"));
+              sched_plain.metrics.TotalCount("compaction_commits"));
     sched_runs.Append(std::move(entry));
   }
   {
@@ -1157,7 +1157,7 @@ int main() {
     entry.Set("compaction_commits",
               sched_fifo.metrics.TotalCount("compaction_commits"));
     entry.Set("overhead_pct", sched_fifo_overhead_pct);
-    entry.Set("metrics_equal_to_legacy", sched_fifo.metrics_equal);
+    entry.Set("metrics_equal_to_plain_fifo", sched_fifo.metrics_equal);
     sched_runs.Append(std::move(entry));
   }
   {

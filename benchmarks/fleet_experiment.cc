@@ -91,7 +91,6 @@ std::vector<FleetDayStats> RunFleetExperiment(
       preset.trigger_interval = kDay;   // daily, like the deployment
       preset.first_trigger = 0;         // RunNow is called explicitly
       preset.pool = run_options.pool;
-      preset.cache_stats = run_options.cache_stats;
       service = sim::MakeMoopService(&env, preset);
     }
 

@@ -52,13 +52,11 @@ struct FleetDayStats {
 };
 
 /// \brief Control-loop execution knobs shared by every figure bench.
-/// Defaults run the AutoComp pipeline on the process-wide thread pool
-/// with the snapshot-keyed stats cache — identical results (NFR2),
-/// faster wall-clock — so existing call sites speed up unchanged.
+/// Defaults run the AutoComp pipeline on the process-wide thread pool —
+/// identical results (NFR2), faster wall-clock.
 struct FleetRunOptions {
   /// Pool for the observe/orient fan-out; nullptr = sequential.
   ThreadPool* pool = ThreadPool::Default();
-  bool cache_stats = true;
 };
 
 /// \brief Runs the fleet through `phases`, returning one record per day.

@@ -312,22 +312,22 @@ Status Catalog::RestoreState(common::BlobReader* r) {
   databases_.clear();
   tables_.clear();
   access_.clear();
-  const uint64_t db_count = r->ReadU64();
-  for (uint64_t i = 0; i < db_count; ++i) {
+  const uint64_t db_count = r->ReadCount();
+  for (uint64_t i = 0; i < db_count && r->ok(); ++i) {
     std::string db = r->ReadString();
-    std::vector<std::string> tables(r->ReadU64());
+    std::vector<std::string> tables(r->ReadCount());
     for (std::string& t : tables) t = r->ReadString();
     databases_.emplace(std::move(db), std::move(tables));
   }
-  const uint64_t table_count = r->ReadU64();
-  for (uint64_t i = 0; i < table_count; ++i) {
+  const uint64_t table_count = r->ReadCount();
+  for (uint64_t i = 0; i < table_count && r->ok(); ++i) {
     std::string qualified = r->ReadString();
     AUTOCOMP_ASSIGN_OR_RETURN(lst::TableMetadataPtr meta,
                               lst::TableMetadataFromBlob(r));
     tables_.emplace(std::move(qualified), std::move(meta));
   }
-  const uint64_t access_count = r->ReadU64();
-  for (uint64_t i = 0; i < access_count; ++i) {
+  const uint64_t access_count = r->ReadCount();
+  for (uint64_t i = 0; i < access_count && r->ok(); ++i) {
     std::string qualified = r->ReadString();
     TableAccessStats stats;
     stats.read_count = r->ReadI64();

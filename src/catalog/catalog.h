@@ -125,8 +125,7 @@ class Catalog final : public lst::MetadataStore {
   /// mutations. Listeners run OUTSIDE the catalog lock (so they may not
   /// assume LoadTable still returns event.metadata) and may therefore be
   /// invoked out of commit order under concurrent writers — consumers
-  /// must order by event.metadata->version(). Consumers:
-  /// core::CachingStatsCollector (eviction) and
+  /// must order by event.metadata->version(). Consumer:
   /// core::IncrementalStatsIndex (O(delta) aggregate maintenance).
   /// Listeners must not commit re-entrantly.
   /// @{

@@ -101,8 +101,8 @@ class ControlPlane {
   }
   void RestoreState(common::BlobReader* r) {
     policies_.clear();
-    const uint64_t n = r->ReadU64();
-    for (uint64_t i = 0; i < n; ++i) {
+    const uint64_t n = r->ReadCount();
+    for (uint64_t i = 0; i < n && r->ok(); ++i) {
       std::string name = r->ReadString();
       TablePolicy p;
       p.target_file_size_bytes = r->ReadI64();

@@ -17,7 +17,6 @@
 
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -97,9 +96,12 @@ class BlobWriter {
 
 /// \brief Sequential reader over a blob produced by BlobWriter.
 ///
-/// Reads past the end are a checkpoint-format bug, not an input-data
-/// condition: they assert in debug builds and return zero values in
-/// release builds (`ok()` turns false so callers can surface Internal).
+/// Fails closed: a read past the end, a corrupt varint or a dangling
+/// string back-reference turns `ok()` false in every build type, and
+/// from then on every read returns a zero value, so decoders surface
+/// malformed input as a Status. Decode loops over a decoded count also
+/// stop once `ok()` turns false, and counts that size an allocation come
+/// from ReadCount().
 class BlobReader {
  public:
   explicit BlobReader(std::string_view data) : data_(data) {}
@@ -114,6 +116,19 @@ class BlobReader {
   int32_t ReadI32() { return static_cast<int32_t>(UnZigZag(ReadVarint())); }
   uint64_t ReadU64() { return ReadVarint(); }
   int64_t ReadI64() { return UnZigZag(ReadVarint()); }
+
+  /// An element count written with WriteU64. Every encoded element takes
+  /// at least one byte, so a count above remaining() can only come from
+  /// a corrupt blob: it fails the reader and returns 0, which keeps a
+  /// flipped length byte from sizing a huge allocation.
+  uint64_t ReadCount() {
+    const uint64_t n = ReadVarint();
+    if (n > remaining()) {
+      Fail();
+      return 0;
+    }
+    return n;
+  }
 
   double ReadF64() {
     if (!Require(8)) return 0;
@@ -145,7 +160,7 @@ class BlobReader {
     return std::string(s);
   }
 
-  /// False after any out-of-bounds read.
+  /// False after any failed read.
   bool ok() const { return ok_; }
   /// True when every byte has been consumed (format sanity check).
   bool exhausted() const { return ok_ && pos_ == data_.size(); }
@@ -168,18 +183,18 @@ class BlobReader {
     return 0;
   }
 
+  // Failure is sticky: once a read failed, every later read returns a
+  // zero value, so decoded counts after it are 0. The bound is written
+  // as a subtraction: `pos_ + n` wraps for a corrupt length.
   bool Require(uint64_t n) {
-    if (pos_ + n > data_.size()) {
+    if (!ok_ || n > data_.size() - pos_) {
       Fail();
       return false;
     }
     return true;
   }
 
-  void Fail() {
-    assert(false && "BlobReader: malformed checkpoint");
-    ok_ = false;
-  }
+  void Fail() { ok_ = false; }
 
   std::string_view data_;
   size_t pos_ = 0;

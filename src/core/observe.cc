@@ -255,8 +255,8 @@ Result<CandidateStats> StatsCollector::CollectFromMetadata(
   stats.file_count = static_cast<int64_t>(stats.file_sizes.size());
 
   // Canonical ordering (see class comment): size vectors are sorted so
-  // rescans, cached entries, and the incremental index agree byte for
-  // byte — including the float-summation order of the entropy traits.
+  // rescans and the incremental index agree byte for byte — including
+  // the float-summation order of the entropy traits.
   std::sort(stats.file_sizes.begin(), stats.file_sizes.end());
   for (auto& [_, sizes] : stats.file_sizes_by_partition) {
     std::sort(sizes.begin(), sizes.end());
@@ -271,8 +271,8 @@ void StatsCollector::RefreshVolatile(const Candidate& candidate,
                                      CandidateStats* stats) const {
   // The control-plane target size (policy edits), the database quota
   // (commits to sibling tables), and access telemetry all change without
-  // the table's snapshot moving; deriving them here keeps cache-hit and
-  // index-hit output byte-identical to a fresh collection.
+  // the table's snapshot moving; deriving them here keeps index-hit
+  // output byte-identical to a fresh collection.
   stats->target_file_size_bytes = meta.target_file_size_bytes();
   if (control_plane_ != nullptr) {
     stats->target_file_size_bytes =
@@ -324,140 +324,6 @@ Result<std::vector<ObservedCandidate>> StatsCollector::CollectAll(
     out.push_back(ObservedCandidate{c, std::move(stats)});
   }
   return out;
-}
-
-CachingStatsCollector::CachingStatsCollector(
-    catalog::Catalog* catalog, const catalog::ControlPlane* control_plane,
-    const Clock* clock, int64_t capacity)
-    : CachingStatsCollector(catalog, control_plane, clock, nullptr,
-                            capacity) {}
-
-CachingStatsCollector::CachingStatsCollector(
-    catalog::Catalog* catalog, const catalog::ControlPlane* control_plane,
-    const Clock* clock, std::shared_ptr<const StatsCollector> base,
-    int64_t capacity)
-    : StatsCollector(catalog, control_plane, clock),
-      listener_catalog_(catalog),
-      base_(std::move(base)),
-      capacity_(capacity) {
-  listener_id_ = listener_catalog_->AddCommitListener(
-      [this](const catalog::CommitEvent& event) {
-        InvalidateTable(event.table);
-      });
-}
-
-CachingStatsCollector::~CachingStatsCollector() {
-  listener_catalog_->RemoveCommitListener(listener_id_);
-}
-
-void CachingStatsCollector::TouchLocked(Entry& entry,
-                                        const std::string& key) const {
-  (void)key;
-  lru_.splice(lru_.begin(), lru_, entry.lru_it);
-}
-
-Result<CandidateStats> CachingStatsCollector::Collect(
-    const Candidate& candidate) const {
-  AUTOCOMP_ASSIGN_OR_RETURN(lst::TableMetadataPtr meta,
-                            catalog_->LoadTable(candidate.table));
-  const std::string key = candidate.id();
-  std::optional<CandidateStats> hit;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = cache_.find(key);
-    if (it != cache_.end() &&
-        it->second.snapshot_id == meta->current_snapshot_id()) {
-      ++hits_;
-      TouchLocked(it->second, key);
-      hit = it->second.stats;
-    } else {
-      ++misses_;
-    }
-  }
-  if (hit.has_value()) {
-    // Volatile inputs are re-read outside the lock (catalog reads only).
-    RefreshVolatile(candidate, *meta, &*hit);
-    return std::move(*hit);
-  }
-
-  // Miss: collect without holding the lock so concurrent misses on other
-  // candidates overlap — through the base collector (index path) when
-  // layered, the plain rescan otherwise. Commits never race collection
-  // in this codebase (the pipeline observes, then acts), so the entry we
-  // store below still describes `meta`'s snapshot.
-  AUTOCOMP_ASSIGN_OR_RETURN(CandidateStats stats,
-                            base_ != nullptr
-                                ? base_->Collect(candidate)
-                                : StatsCollector::Collect(candidate));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      it->second.snapshot_id = meta->current_snapshot_id();
-      it->second.stats = stats;
-      TouchLocked(it->second, key);
-    } else {
-      lru_.push_front(key);
-      Entry entry;
-      entry.snapshot_id = meta->current_snapshot_id();
-      entry.stats = stats;
-      entry.lru_it = lru_.begin();
-      cache_.emplace(key, std::move(entry));
-      if (capacity_ > 0 && static_cast<int64_t>(cache_.size()) > capacity_) {
-        cache_.erase(lru_.back());
-        lru_.pop_back();
-      }
-    }
-  }
-  return stats;
-}
-
-int64_t CachingStatsCollector::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-int64_t CachingStatsCollector::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
-}
-
-int64_t CachingStatsCollector::index_hits() const {
-  return base_ != nullptr ? base_->index_hits() : 0;
-}
-
-int64_t CachingStatsCollector::index_fallbacks() const {
-  return base_ != nullptr ? base_->index_fallbacks() : 0;
-}
-
-int64_t CachingStatsCollector::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int64_t>(cache_.size());
-}
-
-void CachingStatsCollector::Invalidate() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  cache_.clear();
-  lru_.clear();
-}
-
-void CachingStatsCollector::InvalidateTable(const std::string& table) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.lower_bound(table);
-  while (it != cache_.end() &&
-         it->first.compare(0, table.size(), table) == 0) {
-    // Candidate ids for a table are "t", "t/<partition>", or "t@><snap>";
-    // require one of those boundaries so "db.t" does not evict "db.t2".
-    const std::string& key = it->first;
-    const bool boundary = key.size() == table.size() ||
-                          key[table.size()] == '/' || key[table.size()] == '@';
-    if (boundary) {
-      lru_.erase(it->second.lru_it);
-      it = cache_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 }  // namespace autocomp::core

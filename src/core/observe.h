@@ -3,10 +3,7 @@
 
 #pragma once
 
-#include <list>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -102,15 +99,20 @@ class SnapshotScopeGenerator final : public CandidateGenerator {
 /// \brief Collects the standardized statistics for a candidate from LST
 /// metadata tables and catalog quota state.
 ///
+/// This plain collector rescans the candidate's live files. Pipelines
+/// observe through its subclass IndexedStatsCollector
+/// (core/stats_index.h), which falls back to this rescan when the index
+/// cannot serve a pinned version; tests use the rescan as the oracle.
+///
 /// `Collect` must be safe to call concurrently from multiple threads:
 /// it only reads catalog/control-plane state. Subclasses adding mutable
-/// state (e.g. caches) must synchronize internally.
+/// state must synchronize internally.
 ///
 /// Canonical ordering (NFR2): `file_sizes` and every vector in
 /// `file_sizes_by_partition` come out sorted ascending. Every collector
-/// implementation must honor this — it is what makes rescans, cached
-/// entries, and incrementally indexed aggregates bit-identical even
-/// through order-sensitive float reductions (the entropy traits).
+/// implementation must honor this — it is what makes rescans and
+/// incrementally indexed aggregates bit-identical even through
+/// order-sensitive float reductions (the entropy traits).
 class StatsCollector {
  public:
   StatsCollector(catalog::Catalog* catalog,
@@ -129,10 +131,6 @@ class StatsCollector {
       const std::vector<Candidate>& candidates,
       ThreadPool* pool = nullptr) const;
 
-  /// Cache telemetry; the plain collector has no cache so both are 0.
-  virtual int64_t hits() const { return 0; }
-  virtual int64_t misses() const { return 0; }
-
   /// Stats-index telemetry; non-indexed collectors report 0.
   virtual int64_t index_hits() const { return 0; }
   virtual int64_t index_fallbacks() const { return 0; }
@@ -146,7 +144,7 @@ class StatsCollector {
 
   /// Re-derives the fields that change *without* the table's snapshot
   /// moving (control-plane target size, database quota, access
-  /// telemetry). Cached/indexed hit paths call this so their output is
+  /// telemetry). The index hit path calls this so its output is
   /// byte-identical to a fresh collection.
   void RefreshVolatile(const Candidate& candidate,
                        const lst::TableMetadata& meta,
@@ -155,86 +153,6 @@ class StatsCollector {
   catalog::Catalog* catalog_;
   const catalog::ControlPlane* control_plane_;
   const Clock* clock_;
-};
-
-/// \brief Snapshot-keyed LRU caching wrapper around StatsCollector.
-///
-/// Observing a 100K-table fleet (the paper's projected scale, §2) every
-/// cycle re-walks every table's live files. The metadata-derived portion
-/// of a candidate's stats depends only on the table's current snapshot,
-/// so entries are keyed by (candidate id, current snapshot id) and
-/// reused until the snapshot moves — the common case in a fleet where
-/// most tables are idle between compaction cycles.
-///
-/// Two safeguards keep cached output byte-identical to a cold run:
-///  - Volatile inputs that change *without* a snapshot move — database
-///    quota utilization (commits to sibling tables), access telemetry,
-///    and the control-plane target file size — are re-read on every hit.
-///  - The collector registers a commit listener with the catalog; any
-///    commit or drop of a table eagerly evicts that table's entries
-///    (all scopes/partitions), bounding memory for churned tables.
-///
-/// Thread-safe: a mutex guards the cache and counters so CollectAll can
-/// fan Collect out across a ThreadPool.
-class CachingStatsCollector final : public StatsCollector {
- public:
-  /// `capacity` bounds the number of cached candidate entries (LRU
-  /// eviction); <= 0 means unbounded.
-  CachingStatsCollector(catalog::Catalog* catalog,
-                        const catalog::ControlPlane* control_plane,
-                        const Clock* clock, int64_t capacity = kDefaultCapacity);
-
-  /// Layered form: cache misses collect through `base` (e.g. an
-  /// IndexedStatsCollector) instead of the plain rescan, composing the
-  /// cache with the incremental index. `base` must produce canonical
-  /// (sorted) stats; index telemetry is forwarded from it.
-  CachingStatsCollector(catalog::Catalog* catalog,
-                        const catalog::ControlPlane* control_plane,
-                        const Clock* clock,
-                        std::shared_ptr<const StatsCollector> base,
-                        int64_t capacity = kDefaultCapacity);
-  ~CachingStatsCollector() override;
-
-  CachingStatsCollector(const CachingStatsCollector&) = delete;
-  CachingStatsCollector& operator=(const CachingStatsCollector&) = delete;
-
-  static constexpr int64_t kDefaultCapacity = 1 << 20;
-
-  Result<CandidateStats> Collect(const Candidate& candidate) const override;
-
-  int64_t hits() const override;
-  int64_t misses() const override;
-  int64_t index_hits() const override;
-  int64_t index_fallbacks() const override;
-  int64_t size() const;
-  /// Drops all cached entries (e.g. after policy changes, which affect
-  /// target sizes without moving table versions).
-  void Invalidate() const;
-  /// Drops every entry belonging to `table` (any scope or partition);
-  /// wired to catalog commits via the commit listener.
-  void InvalidateTable(const std::string& table) const;
-
- private:
-  struct Entry {
-    int64_t snapshot_id = 0;
-    CandidateStats stats;
-    std::list<std::string>::iterator lru_it;
-  };
-
-  void TouchLocked(Entry& entry, const std::string& key) const;
-
-  catalog::Catalog* listener_catalog_ = nullptr;
-  int64_t listener_id_ = 0;
-  /// Optional miss-path delegate (nullptr = plain rescan).
-  std::shared_ptr<const StatsCollector> base_;
-  const int64_t capacity_;
-  mutable std::mutex mu_;
-  // Ordered map so InvalidateTable can prefix-scan a table's entries
-  // ("db.t", "db.t/part", "db.t@>42" are contiguous).
-  mutable std::map<std::string, Entry> cache_;
-  mutable std::list<std::string> lru_;  // front = most recent
-  mutable int64_t hits_ = 0;
-  mutable int64_t misses_ = 0;
 };
 
 }  // namespace autocomp::core

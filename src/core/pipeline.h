@@ -59,13 +59,10 @@ struct PipelineRunReport {
   std::vector<ScheduledCompaction> executed;
   /// Feedback loop output.
   std::vector<FeedbackEntry> feedback;
-  /// Control-loop profiling: wall-clock per phase and the stats-cache
-  /// traffic this run generated (0/0 for non-caching collectors).
+  /// Control-loop profiling: wall-clock per phase.
   PipelinePhaseTimings timings;
-  int64_t stats_cache_hits = 0;
-  int64_t stats_cache_misses = 0;
-  /// Incremental stats-index traffic this run generated (0/0 for
-  /// non-indexed collectors). A fallback is a candidate the index could
+  /// Incremental stats-index traffic this run generated (0/0 for the
+  /// plain rescan collector). A fallback is a candidate the index could
   /// not serve at the pinned metadata version (rescan path taken).
   int64_t stats_index_hits = 0;
   int64_t stats_index_fallbacks = 0;

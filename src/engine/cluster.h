@@ -105,7 +105,7 @@ class Cluster {
     w->WriteF64(total_busy_seconds_);
   }
   void RestoreState(common::BlobReader* r) {
-    const uint64_t slots = r->ReadU64();
+    const uint64_t slots = r->ReadCount();
     slot_free_at_.assign(slots, 0.0);
     for (double& t : slot_free_at_) t = r->ReadF64();
     total_gb_hours_ = r->ReadF64();

@@ -54,8 +54,8 @@ Result<FaultProfile> FaultProfileByName(std::string_view name) {
     profile.sites[kSiteEngineRunner] = {{0.02, FaultKind::kRunnerCrash}};
     profile.sites[kSiteCatalogCommitEvent] = {
         {0.01, FaultKind::kDropEvent}, {0.01, FaultKind::kDuplicateEvent}};
-    // Only drawn when a scheduler with preemption is engaged — the site
-    // is never armed otherwise, so legacy chaos runs are unchanged.
+    // Only drawn when the scheduler has preemption on — the site is
+    // never armed otherwise, so chaos runs without it are unchanged.
     profile.sites[kSiteEnginePreempt] = {{0.05, FaultKind::kPreempt}};
     return profile;
   }
@@ -193,6 +193,7 @@ Status FaultInjector::ToStatus(FaultKind kind, std::string_view site,
       return Status::Unavailable(detail);
     case FaultKind::kDropEvent:
     case FaultKind::kDuplicateEvent:
+    case FaultKind::kPreempt:
       return Status::Internal(detail);  // never surfaced as a Status
   }
   return Status::Internal(detail);
@@ -237,14 +238,14 @@ void FaultInjector::SaveState(common::BlobWriter* w) const {
 void FaultInjector::RestoreState(common::BlobReader* r) {
   std::lock_guard<std::mutex> lock(mu_);
   sites_.clear();
-  const uint64_t site_count = r->ReadU64();
-  for (uint64_t i = 0; i < site_count; ++i) {
+  const uint64_t site_count = r->ReadCount();
+  for (uint64_t i = 0; i < site_count && r->ok(); ++i) {
     std::string site = r->ReadString();
     SiteState state;
     state.counters.hits = r->ReadI64();
     state.counters.injected = r->ReadI64();
-    const uint64_t filters = r->ReadU64();
-    for (uint64_t j = 0; j < filters; ++j) {
+    const uint64_t filters = r->ReadCount();
+    for (uint64_t j = 0; j < filters && r->ok(); ++j) {
       std::string filter = r->ReadString();
       state.filtered_hits[std::move(filter)] = r->ReadI64();
     }

@@ -128,7 +128,7 @@ Result<TableMetadataPtr> TableMetadataFromBlob(common::BlobReader* r) {
   const int64_t next_sequence_number = r->ReadI64();
 
   const int32_t schema_id = r->ReadI32();
-  std::vector<Field> fields(r->ReadU64());
+  std::vector<Field> fields(r->ReadCount());
   for (Field& f : fields) {
     f.id = r->ReadI32();
     f.name = r->ReadString();
@@ -138,7 +138,7 @@ Result<TableMetadataPtr> TableMetadataFromBlob(common::BlobReader* r) {
   Schema schema(schema_id, std::move(fields));
 
   const int32_t spec_id = r->ReadI32();
-  std::vector<PartitionField> spec_fields(r->ReadU64());
+  std::vector<PartitionField> spec_fields(r->ReadCount());
   for (PartitionField& pf : spec_fields) {
     pf.source_field_id = r->ReadI32();
     pf.transform = static_cast<Transform>(r->ReadI32());
@@ -151,8 +151,8 @@ Result<TableMetadataPtr> TableMetadataFromBlob(common::BlobReader* r) {
                                  std::move(schema), std::move(spec));
 
   Config properties;
-  const uint64_t property_count = r->ReadU64();
-  for (uint64_t i = 0; i < property_count; ++i) {
+  const uint64_t property_count = r->ReadCount();
+  for (uint64_t i = 0; i < property_count && r->ok(); ++i) {
     std::string key = r->ReadString();
     properties.Set(key, r->ReadString());
   }
@@ -165,16 +165,17 @@ Result<TableMetadataPtr> TableMetadataFromBlob(common::BlobReader* r) {
   auto factory = std::make_shared<ManifestFactory>();
   builder.RestoreManifestFactory(factory);
   std::map<int64_t, ManifestPtr> pool;
-  const uint64_t manifest_count = r->ReadU64();
-  for (uint64_t i = 0; i < manifest_count; ++i) {
+  const uint64_t manifest_count = r->ReadCount();
+  for (uint64_t i = 0; i < manifest_count && r->ok(); ++i) {
     const int64_t id = r->ReadI64();
-    std::vector<DataFile> files(r->ReadU64());
+    std::vector<DataFile> files(r->ReadCount());
     for (DataFile& f : files) f = FileFromBlob(r);
     pool.emplace(id, factory->Make(id, std::move(files)));
   }
 
-  std::vector<Snapshot> snapshots(r->ReadU64());
+  std::vector<Snapshot> snapshots(r->ReadCount());
   for (Snapshot& s : snapshots) {
+    if (!r->ok()) break;
     s.snapshot_id = r->ReadI64();
     s.parent_snapshot_id = r->ReadI64();
     s.sequence_number = r->ReadI64();
@@ -185,22 +186,22 @@ Result<TableMetadataPtr> TableMetadataFromBlob(common::BlobReader* r) {
     s.added_bytes = r->ReadI64();
     s.deleted_bytes = r->ReadI64();
     s.added_records = r->ReadI64();
-    const uint64_t manifest_ids = r->ReadU64();
-    for (uint64_t i = 0; i < manifest_ids; ++i) {
+    const uint64_t manifest_ids = r->ReadCount();
+    for (uint64_t i = 0; i < manifest_ids && r->ok(); ++i) {
       const auto it = pool.find(r->ReadI64());
       if (it == pool.end()) {
         return Status::Internal("checkpoint references unknown manifest");
       }
       s.manifests.push_back(it->second);
     }
-    const uint64_t touched = r->ReadU64();
-    for (uint64_t i = 0; i < touched; ++i) {
+    const uint64_t touched = r->ReadCount();
+    for (uint64_t i = 0; i < touched && r->ok(); ++i) {
       s.touched_partitions.insert(r->ReadString());
     }
-    const uint64_t removed_count = r->ReadU64();
+    const uint64_t removed_count = r->ReadCount();
     if (removed_count > 0) {
       auto removed = std::make_shared<std::set<std::string>>();
-      for (uint64_t i = 0; i < removed_count; ++i) {
+      for (uint64_t i = 0; i < removed_count && r->ok(); ++i) {
         removed->insert(r->ReadString());
       }
       s.removed_paths = std::move(removed);

@@ -83,10 +83,9 @@ AdmitOutcome MaintenanceScheduler::Admit(
     unit.seq = next_seq_++;
     if (options_.policy == SchedulerPolicy::kFifo &&
         running_.count(candidate.table) == 0) {
-      // Kick each table once per plan, at its first occurrence — the
-      // legacy ScheduleCompactions kicks per plan item, but after the
-      // first kick a table is either running or drained, so duplicate
-      // kicks were always no-ops.
+      // Kick each table once per plan, at its first occurrence: after
+      // the first kick a table is either running or drained, so a
+      // duplicate kick would be a no-op.
       if (std::find(kicks_.begin(), kicks_.end(), candidate.table) ==
           kicks_.end()) {
         kicks_.push_back(candidate.table);
@@ -142,11 +141,11 @@ std::optional<QueuedUnit> MaintenanceScheduler::NextFifo(SimTime now) {
           return unit.candidate.table == table && Ripe(unit, now);
         });
     if (it == tenant.queue.end()) {
-      kicks_.pop_front();  // drained without a start — legacy queue erase
+      kicks_.pop_front();  // drained without a start
       continue;
     }
     // The kick stays front until OnStarted pops it: a failed prepare
-    // retries the same table's next unit, exactly the legacy loop.
+    // retries the same table's next unit.
     return Take(&tenant, it);
   }
   return PopRipeRequeued(now);
@@ -271,8 +270,8 @@ void MaintenanceScheduler::OnFinished(const std::string& table,
   Tenant& tenant = tenants_[TenantOf(table)];
   tenant.usage_gb_hours += gb_hours;
   if (options_.policy == SchedulerPolicy::kFifo) {
-    // Legacy FinalizeDueCompactions restarts the finalized table
-    // immediately if it still has queued units.
+    // A finalized table restarts immediately if it still has queued
+    // units.
     const auto it = std::find_if(
         tenant.queue.begin(), tenant.queue.end(),
         [&](const QueuedUnit& unit) {
@@ -388,7 +387,7 @@ Status MaintenanceScheduler::RestoreState(common::BlobReader* r) {
   drr_rounds_ = static_cast<uint64_t>(r->ReadI64());
   drr_turn_ = r->ReadString();
   const int64_t count = r->ReadI64();
-  for (int64_t i = 0; i < count; ++i) {
+  for (int64_t i = 0; i < count && r->ok(); ++i) {
     Tenant& tenant = tenants_[r->ReadString()];
     tenant.usage_gb_hours = r->ReadF64();
     tenant.deficit = r->ReadF64();

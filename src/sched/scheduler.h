@@ -2,18 +2,19 @@
 /// \brief Fleet-level maintenance scheduler: the arbitration layer
 /// between the OODA decide phase and the executor clusters.
 ///
-/// The legacy deferred-compaction path starts every decided unit as soon
-/// as its table is free — first-come-first-served with no notion of who
-/// the work belongs to. At fleet scale (paper §2, §7) compaction is a
-/// shared-resource problem: tenants compete for cluster GBHr, a noisy
-/// tenant's backlog can starve everyone else's time-to-compact, and
-/// maintenance I/O fights foreground query traffic. This scheduler adds
-/// the missing arbitration:
+/// Every deferred compaction unit the EventDriver runs is dispatched
+/// through one of these. The default discipline (fifo) starts each
+/// decided unit as soon as its table is free — first-come-first-served
+/// with no notion of who the work belongs to. At fleet scale (paper §2,
+/// §7) compaction is a shared-resource problem: tenants compete for
+/// cluster GBHr, a noisy tenant's backlog can starve everyone else's
+/// time-to-compact, and maintenance I/O fights foreground query traffic.
+/// The other knobs add that arbitration:
 ///
 ///  * **Per-tenant queues** — decided units are bucketed by tenant (the
 ///    database prefix of "db.table") in admission order.
-///  * **Disciplines** — kFifo reproduces the legacy start order exactly
-///    (the differential tests assert hash identity); kDrr serves tenants
+///  * **Disciplines** — kFifo starts units in per-table plan order (its
+///    metric hashes are pinned in tests/scheduler_test.cc); kDrr serves tenants
 ///    deficit-round-robin weighted by `tenant_weights`, so long-run GBHr
 ///    shares converge to the configured ratios; kPriority serves the
 ///    highest effective priority first, with optional aging so starved
@@ -54,8 +55,8 @@ namespace autocomp::sched {
 
 /// \brief Dispatch discipline over the per-tenant queues.
 enum class SchedulerPolicy : int {
-  /// Legacy start order: per-table FIFO kicks in plan order. With the
-  /// default options this is byte-identical to the un-scheduled path.
+  /// Per-table FIFO kicks in plan order: a table's next unit starts when
+  /// its previous one finalizes. The default.
   kFifo = 0,
   /// Deficit round-robin over tenants, weighted by `tenant_weights`.
   kDrr = 1,
@@ -118,9 +119,9 @@ struct SchedulerOptions {
   /// Tenant -> priority class (default 0; higher runs first).
   std::map<std::string, int> tenant_priorities;
 
-  /// True when any knob departs from the plain legacy path. The driver
-  /// only constructs a scheduler when engaged, so default runs keep the
-  /// untouched legacy code path (golden-trace safety is structural).
+  /// True when any knob departs from plain fifo. The CLI uses it to
+  /// reject scheduler knobs outside deferred mode, and the fleet driver
+  /// to let a preset's knobs override the driver's.
   bool Engaged() const {
     return policy != SchedulerPolicy::kFifo || preemption ||
            tenant_budget_gb_hours > 0;
@@ -179,8 +180,7 @@ class MaintenanceScheduler {
 
   /// Pops the next dispatchable unit under the configured discipline, or
   /// nullopt when nothing can start now. The unit is removed from its
-  /// queue — a dropped unit (failed prepare) is simply gone, matching
-  /// the legacy pop-then-try loop.
+  /// queue — a dropped unit (failed prepare) is simply gone.
   std::optional<QueuedUnit> NextUnit(SimTime now);
 
   /// The unit returned by NextUnit() actually started running.
@@ -222,7 +222,7 @@ class MaintenanceScheduler {
   std::vector<std::string> Tenants() const;
 
   /// Drops all queued work and bookkeeping except the per-tenant usage
-  /// ledger (FinishRun semantics, mirroring table_queues_.clear()).
+  /// ledger (EventDriver::FinishRun semantics).
   void Clear();
 
   /// \name Lane checkpoint (DESIGN.md §10/§12)
@@ -265,8 +265,7 @@ class MaintenanceScheduler {
   std::map<std::string, Tenant> tenants_;      // name-sorted
   std::map<std::string, QueuedUnit> running_;  // by table name
   /// kFifo only: pending per-table start kicks in plan order (one per
-  /// table with no running unit at admission; re-kicked at finalize) —
-  /// the exact legacy StartNextUnit trigger points.
+  /// table with no running unit at admission; re-kicked at finalize).
   std::deque<std::string> kicks_;
   int64_t next_seq_ = 0;
   uint64_t drr_rounds_ = 0;

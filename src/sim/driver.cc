@@ -14,6 +14,11 @@ EventDriver::EventDriver(SimEnvironment* env, MetricsRecorder* metrics,
     : env_(env),
       metrics_(metrics),
       options_(options),
+      scheduler_(options_.scheduler),
+      slo_active_(options_.deferred_compaction &&
+                  options_.scheduler.record_slo &&
+                  (options_.scheduler.policy != sched::SchedulerPolicy::kFifo ||
+                   options_.scheduler.tenant_budget_gb_hours > 0)),
       calendar_([this](int32_t a, int32_t b) {
         return table_ids_.NameLess(a, b);
       }) {
@@ -39,28 +44,16 @@ EventDriver::EventDriver(SimEnvironment* env, MetricsRecorder* metrics,
   ids_.pipeline_orient_ms = metrics_->Intern("pipeline_orient_ms");
   ids_.pipeline_decide_ms = metrics_->Intern("pipeline_decide_ms");
   ids_.pipeline_act_ms = metrics_->Intern("pipeline_act_ms");
-  ids_.stats_cache_hits = metrics_->Intern("stats_cache_hits");
-  ids_.stats_cache_misses = metrics_->Intern("stats_cache_misses");
   ids_.stats_index_hits = metrics_->Intern("stats_index_hits");
   ids_.stats_index_fallbacks = metrics_->Intern("stats_index_fallbacks");
   ids_.compaction_retries = metrics_->Intern("compaction_retries");
   ids_.compaction_abandoned = metrics_->Intern("compaction_abandoned");
   ids_.compaction_backoff_s = metrics_->Intern("compaction_backoff_s");
   // Interned unconditionally (Equals/ContentHash skip empty slots, so
-  // legacy runs hash identically); recorded only with a scheduler
-  // engaged.
+  // runs that never record them hash identically).
   ids_.sched_admitted = metrics_->Intern("sched.admitted");
   ids_.sched_rejected = metrics_->Intern("sched.rejected");
   ids_.compaction_preempted = metrics_->Intern("compaction_preempted");
-  if (options_.deferred_compaction && options_.scheduler.Engaged()) {
-    scheduler_ =
-        std::make_unique<sched::MaintenanceScheduler>(options_.scheduler);
-    // Plain-fifo engagements (the differential parity configuration)
-    // must not record anything the legacy path would not.
-    slo_active_ = options_.scheduler.record_slo &&
-                  (options_.scheduler.policy != sched::SchedulerPolicy::kFifo ||
-                   options_.scheduler.tenant_budget_gb_hours > 0);
-  }
 }
 
 void EventDriver::SampleNow() {
@@ -70,49 +63,17 @@ void EventDriver::SampleNow() {
 
 void EventDriver::ScheduleCompactions(
     const std::vector<core::ScoredCandidate>& plan) {
-  if (scheduler_ != nullptr) {
-    const SimTime now = env_->clock().Now();
-    const sched::AdmitOutcome outcome = scheduler_->Admit(plan, now);
-    if (slo_active_) {
-      if (outcome.admitted > 0) {
-        metrics_->Increment(ids_.sched_admitted, now, outcome.admitted);
-      }
-      if (outcome.rejected > 0) {
-        metrics_->Increment(ids_.sched_rejected, now, outcome.rejected);
-      }
+  const SimTime now = env_->clock().Now();
+  const sched::AdmitOutcome outcome = scheduler_.Admit(plan, now);
+  if (slo_active_) {
+    if (outcome.admitted > 0) {
+      metrics_->Increment(ids_.sched_admitted, now, outcome.admitted);
     }
-    DispatchScheduled();
-    return;
-  }
-  for (const core::ScoredCandidate& item : plan) {
-    core::Candidate unit = item.candidate();
-    unit.table_id = table_ids_.Intern(unit.table);
-    table_queues_[unit.table_id].push_back(std::move(unit));
-  }
-  // Kick off the first unit of every table that has no inflight rewrite
-  // (within-table sequencing mirrors TableParallelScheduler).
-  for (const core::ScoredCandidate& item : plan) {
-    const common::TableId table = table_ids_.Lookup(item.candidate().table);
-    const auto queue_it = table_queues_.find(table);
-    if (inflight_.count(table) == 0 && queue_it != table_queues_.end() &&
-        !queue_it->second.empty()) {
-      StartNextUnit(table);
+    if (outcome.rejected > 0) {
+      metrics_->Increment(ids_.sched_rejected, now, outcome.rejected);
     }
   }
-}
-
-void EventDriver::StartNextUnit(common::TableId table) {
-  auto queue_it = table_queues_.find(table);
-  if (queue_it == table_queues_.end()) return;
-  bool started = false;
-  while (!started && !queue_it->second.empty()) {
-    const core::Candidate candidate = std::move(queue_it->second.front());
-    queue_it->second.pop_front();
-    started = TryStartUnit(table, candidate);
-  }
-  // Drained queues are erased eagerly — a week-long replay would
-  // otherwise leak one map node per table that ever compacted.
-  if (queue_it->second.empty()) table_queues_.erase(queue_it);
+  DispatchScheduled();
 }
 
 bool EventDriver::TryStartUnit(common::TableId table,
@@ -138,7 +99,7 @@ bool EventDriver::TryStartUnit(common::TableId table,
   if (!pending.ok()) {
     LOG_WARN << "compaction prepare failed for " << candidate.id() << ": "
              << pending.status();
-    return false;  // the caller tries the next queued unit
+    return false;  // the scheduler offers the next queued unit
   }
   if (!pending->result.attempted) {
     // Either nothing to rewrite, or the write phase gave the unit up
@@ -161,10 +122,10 @@ bool EventDriver::TryStartUnit(common::TableId table,
 
 void EventDriver::DispatchScheduled() {
   const SimTime now = env_->clock().Now();
-  while (auto unit = scheduler_->NextUnit(now)) {
+  while (auto unit = scheduler_.NextUnit(now)) {
     const common::TableId table = table_ids_.Intern(unit->candidate.table);
     if (!TryStartUnit(table, unit->candidate)) continue;  // unit consumed
-    scheduler_->OnStarted(*unit, now);
+    scheduler_.OnStarted(*unit, now);
     if (options_.scheduler.preemption &&
         env_->fault_injector().Arm(fault::kSiteEnginePreempt,
                                    unit->candidate.table) ==
@@ -188,7 +149,7 @@ void EventDriver::PreemptTable(common::TableId table, SimTime now) {
   metrics_->Increment(ids_.compaction_preempted, now);
   // The burned GBHr is charged to the tenant's budget ledger; the unit
   // re-enters its queue with deterministic exponential backoff.
-  scheduler_->Preempt(table_ids_.NameOf(table), result.gb_hours, now);
+  scheduler_.Preempt(table_ids_.NameOf(table), result.gb_hours, now);
 }
 
 void EventDriver::ObserveTraffic(const workload::QueryEvent& event,
@@ -216,8 +177,8 @@ void EventDriver::ObserveTraffic(const workload::QueryEvent& event,
 void EventDriver::PreemptLowestValue(const std::string& tenant, SimTime now) {
   std::string victim;
   double victim_score = 0;
-  for (const std::string& table : scheduler_->RunningTablesOf(tenant)) {
-    const auto unit = scheduler_->RunningUnit(table);
+  for (const std::string& table : scheduler_.RunningTablesOf(tenant)) {
+    const auto unit = scheduler_.RunningUnit(table);
     if (!unit) continue;
     if (victim.empty() || unit->score < victim_score) {
       victim = table;
@@ -239,14 +200,19 @@ void EventDriver::RecordSchedulerSlo(
   }
   if (options_.scheduler.tenant_budget_gb_hours > 0) {
     metrics_->Record("sched.budget_debt_gbhr." + tenant, at,
-                     scheduler_->DebtGbHours(tenant, at));
+                     scheduler_.DebtGbHours(tenant, at));
   }
 }
 
-engine::CompactionResult EventDriver::FinalizeUnit(
-    common::TableId table, engine::PendingCompaction&& pending) {
+void EventDriver::FinalizeUnit(common::TableId table,
+                               engine::PendingCompaction&& pending) {
+  const std::string& name = table_ids_.NameOf(table);
+  // The unit copy only feeds SLO bookkeeping — skip it (per finalize,
+  // several strings) when SLO recording is off.
+  std::optional<sched::QueuedUnit> unit;
+  if (slo_active_) unit = scheduler_.RunningUnit(name);
   const SimTime at = pending.result.end_time;
-  engine::CompactionResult result =
+  const engine::CompactionResult result =
       env_->compaction_runner().Finalize(std::move(pending));
   if (result.committed) {
     metrics_->Increment(ids_.compaction_commits, at);
@@ -254,12 +220,11 @@ engine::CompactionResult EventDriver::FinalizeUnit(
     metrics_->Record(
         ids_.compaction_files_reduced, at,
         static_cast<double>(result.files_rewritten - result.files_produced));
-    const std::string& table_name = table_ids_.NameOf(table);
     auto retention = env_->control_plane().RunRetentionFor(
-        table_name, options_.post_commit_retention);
+        name, options_.post_commit_retention);
     if (!retention.ok()) {
-      LOG_WARN << "post-compaction retention failed for " << table_name
-               << ": " << retention.status();
+      LOG_WARN << "post-compaction retention failed for " << name << ": "
+               << retention.status();
     }
   } else if (result.conflict) {
     metrics_->Increment(ids_.cluster_conflicts, at);
@@ -276,10 +241,11 @@ engine::CompactionResult EventDriver::FinalizeUnit(
   if (result.backoff_seconds > 0) {
     metrics_->Observe(ids_.compaction_backoff_s, at, result.backoff_seconds);
   }
-  return result;
+  scheduler_.OnFinished(name, result.gb_hours, result.end_time);
+  RecordSchedulerSlo(name, unit, result, result.end_time);
 }
 
-void EventDriver::FinalizeDueCompactions(SimTime t) {
+void EventDriver::FinalizeDueCompactions(SimTime t, bool dispatch) {
   // Earliest-finishing units first; ties finalize in table-name order
   // (the calendar queue's comparator), matching the min-heap this
   // replaces and the seed's linear scan over the name-sorted map.
@@ -288,23 +254,8 @@ void EventDriver::FinalizeDueCompactions(SimTime t) {
     assert(it != inflight_.end());
     engine::PendingCompaction pending = std::move(it->second);
     inflight_.erase(it);
-    if (scheduler_ != nullptr) {
-      // Copy: DispatchScheduled below may intern new tables and move the
-      // interner's storage.
-      const std::string name = table_ids_.NameOf(due->table);
-      // The unit copy only feeds SLO bookkeeping — skip it (per
-      // finalize, several strings) when SLO recording is off.
-      std::optional<sched::QueuedUnit> unit;
-      if (slo_active_) unit = scheduler_->RunningUnit(name);
-      const engine::CompactionResult result =
-          FinalizeUnit(due->table, std::move(pending));
-      scheduler_->OnFinished(name, result.gb_hours, result.end_time);
-      RecordSchedulerSlo(name, unit, result, result.end_time);
-      DispatchScheduled();
-    } else {
-      FinalizeUnit(due->table, std::move(pending));
-      StartNextUnit(due->table);
-    }
+    FinalizeUnit(due->table, std::move(pending));
+    if (dispatch) DispatchScheduled();
   }
 }
 
@@ -316,12 +267,10 @@ std::optional<SimTime> EventDriver::NextActivityBound() const {
   if (next_retention_ >= 0) fold(next_retention_);
   if (service_ != nullptr) fold(service_->trigger().next_due());
   if (const auto end = calendar_.PeekNextCompaction()) fold(*end);
-  if (scheduler_ != nullptr) {
-    // A queued unit backing off re-dispatches at its not_before; units
-    // ripe-but-blocked dispatch at a compaction end already folded above.
-    if (const auto ready = scheduler_->NextReadyTime(env_->clock().Now())) {
-      fold(*ready);
-    }
+  // A queued unit backing off re-dispatches at its not_before; units
+  // ripe-but-blocked dispatch at a compaction end already folded above.
+  if (const auto ready = scheduler_.NextReadyTime(env_->clock().Now())) {
+    fold(*ready);
   }
   return next;
 }
@@ -342,14 +291,12 @@ void EventDriver::ArmTimers(SimTime now) {
   } else {
     calendar_.DisarmTimer(CalendarQueue::Kind::kService);
   }
-  if (scheduler_ != nullptr) {
-    // Wake exactly when the earliest preemption backoff expires, so the
-    // advance loop below re-dispatches at that instant.
-    if (const auto ready = scheduler_->NextReadyTime(now)) {
-      calendar_.ArmTimer(CalendarQueue::Kind::kSchedulerReady, *ready);
-    } else {
-      calendar_.DisarmTimer(CalendarQueue::Kind::kSchedulerReady);
-    }
+  // Wake exactly when the earliest preemption backoff expires, so the
+  // advance loop below re-dispatches at that instant.
+  if (const auto ready = scheduler_.NextReadyTime(now)) {
+    calendar_.ArmTimer(CalendarQueue::Kind::kSchedulerReady, *ready);
+  } else {
+    calendar_.DisarmTimer(CalendarQueue::Kind::kSchedulerReady);
   }
 }
 
@@ -384,7 +331,7 @@ Status EventDriver::AdvanceTo(SimTime t) {
       } else if (ran->has_value()) {
         const core::PipelineRunReport& report = **ran;
         // Control-loop profiling: how long each OODA phase of this run
-        // took in host wall-clock, plus stats-cache traffic. These feed
+        // took in host wall-clock, plus stats-index traffic. These feed
         // the pipeline-throughput benchmarks and the CLI summary.
         if (options_.record_host_timings) {
           metrics_->Record(ids_.pipeline_generate_ms, clock.Now(),
@@ -397,14 +344,6 @@ Status EventDriver::AdvanceTo(SimTime t) {
                            report.timings.decide_ms);
           metrics_->Record(ids_.pipeline_act_ms, clock.Now(),
                            report.timings.act_ms);
-        }
-        if (report.stats_cache_hits > 0) {
-          metrics_->Increment(ids_.stats_cache_hits, clock.Now(),
-                              report.stats_cache_hits);
-        }
-        if (report.stats_cache_misses > 0) {
-          metrics_->Increment(ids_.stats_cache_misses, clock.Now(),
-                              report.stats_cache_misses);
         }
         if (report.stats_index_hits > 0) {
           metrics_->Increment(ids_.stats_index_hits, clock.Now(),
@@ -419,7 +358,7 @@ Status EventDriver::AdvanceTo(SimTime t) {
         }
       }
     }
-    if (scheduler_ != nullptr && scheduler_->queued() > 0) {
+    if (scheduler_.queued() > 0) {
       // Backoff expiries (the kSchedulerReady timer) land here; ripe
       // units with free tables start at this stop.
       DispatchScheduled();
@@ -431,7 +370,7 @@ Status EventDriver::AdvanceTo(SimTime t) {
 
 Status EventDriver::Execute(const workload::QueryEvent& event) {
   const SimTime now = env_->clock().Now();
-  if (scheduler_ != nullptr) ObserveTraffic(event, now);
+  ObserveTraffic(event, now);
   if (event.is_write) {
     metrics_->Increment(ids_.write_queries, now);
     auto result = env_->query_engine().ExecuteWrite(event.write, now);
@@ -495,32 +434,13 @@ void EventDriver::FinishRun() {
   // Flush inflight rewrites so their output files do not linger as
   // orphans; they commit at their natural end times (past the clock).
   // Pop order (end time, then table name) keeps the finalize sequence —
-  // and the metric series appended by it — deterministic.
-  while (auto due = calendar_.PopCompactionDue(
-             std::numeric_limits<SimTime>::max())) {
-    auto it = inflight_.find(due->table);
-    assert(it != inflight_.end());
-    engine::PendingCompaction pending = std::move(it->second);
-    inflight_.erase(it);
-    if (scheduler_ != nullptr) {
-      const std::string name = table_ids_.NameOf(due->table);
-      // The unit copy only feeds SLO bookkeeping — skip it (per
-      // finalize, several strings) when SLO recording is off.
-      std::optional<sched::QueuedUnit> unit;
-      if (slo_active_) unit = scheduler_->RunningUnit(name);
-      const engine::CompactionResult result =
-          FinalizeUnit(due->table, std::move(pending));
-      scheduler_->OnFinished(name, result.gb_hours, result.end_time);
-      RecordSchedulerSlo(name, unit, result, result.end_time);
-    } else {
-      FinalizeUnit(due->table, std::move(pending));
-    }
-    // Do not start further queued units past the end of the experiment.
-  }
-  table_queues_.clear();
-  // Queued-but-undispatched units are dropped, like the legacy queues;
-  // the usage ledger survives (it is part of the checkpointed state).
-  if (scheduler_ != nullptr) scheduler_->Clear();
+  // and the metric series appended by it — deterministic. No further
+  // queued units start past the end of the experiment.
+  FinalizeDueCompactions(std::numeric_limits<SimTime>::max(),
+                         /*dispatch=*/false);
+  // Queued-but-undispatched units are dropped; the usage ledger survives
+  // (it is part of the checkpointed state).
+  scheduler_.Clear();
   // Surface per-site fault-injection counters as hourly counters. The
   // injector's counter map is sorted by site name and every count is a
   // pure function of the lane's serial execution, so the recorded values
@@ -562,9 +482,7 @@ void EventDriver::SaveState(common::BlobWriter* w) const {
   for (int64_t id = 0; id < tables; ++id) {
     w->WriteString(table_ids_.NameOf(static_cast<common::TableId>(id)));
   }
-  // Engagement is an options property, so save and restore sides agree
-  // structurally on whether this section exists.
-  if (scheduler_ != nullptr) scheduler_->SaveState(w);
+  scheduler_.SaveState(w);
 }
 
 Status EventDriver::SaveStateOrFail(common::BlobWriter* w) const {
@@ -584,16 +502,14 @@ Status EventDriver::RestoreState(common::BlobReader* r) {
   total_read_seconds_ = r->ReadF64();
   total_write_seconds_ = r->ReadF64();
   const int64_t tables = r->ReadI64();
-  for (int64_t id = 0; id < tables; ++id) {
+  for (int64_t id = 0; id < tables && r->ok(); ++id) {
     const common::TableId got = table_ids_.Intern(r->ReadString());
     if (got != static_cast<common::TableId>(id)) {
       return Status::Internal("driver checkpoint: interner id mismatch");
     }
   }
-  if (scheduler_ != nullptr) {
-    AUTOCOMP_RETURN_NOT_OK(scheduler_->RestoreState(r));
-  }
   if (!r->ok()) return Status::Internal("truncated driver checkpoint");
+  return scheduler_.RestoreState(r);
   return Status::OK();
 }
 

@@ -8,16 +8,15 @@
 ///    inside the tick (commit happens instantly; no cluster-side
 ///    conflicts can occur);
 ///  * deferred — the service only decides (its scheduler is null) and the
-///    driver executes the plan on the timeline: Prepare at the unit's
-///    start, Finalize (the commit) at its end. User writes that land in
-///    between cause exactly the cluster-side conflicts of Table 1.
+///    driver executes the plan on the timeline: decided units pass
+///    through the driver's sched::MaintenanceScheduler, Prepare at the
+///    unit's start, Finalize (the commit) at its end. User writes that
+///    land in between cause exactly the cluster-side conflicts of Table 1.
 
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -59,11 +58,9 @@ struct DriverOptions {
   /// the driver produces; bit-identity comparisons (policy_diff_test,
   /// the policy sweep's NFR2 gate) turn them off.
   bool record_host_timings = true;
-  /// Fleet-level maintenance scheduler (DESIGN.md §12). Only consulted
-  /// in deferred mode, and only when a knob departs from the plain
-  /// defaults (SchedulerOptions::Engaged()) — otherwise the driver keeps
-  /// the untouched legacy dispatch path, so default runs stay bit- and
-  /// golden-trace-identical by construction.
+  /// Fleet-level maintenance scheduler (DESIGN.md §12). Every deferred
+  /// unit dispatches through it; the default knobs give fifo: each
+  /// table's units start in plan order, one at a time.
   sched::SchedulerOptions scheduler;
 };
 
@@ -125,8 +122,7 @@ class EventDriver {
   /// precondition for lane eviction (a PendingCompaction holds an open
   /// lst::Transaction, which is not checkpointable).
   bool Quiescent() const {
-    return table_queues_.empty() && inflight_.empty() &&
-           (scheduler_ == nullptr || scheduler_->Quiescent());
+    return inflight_.empty() && scheduler_.Quiescent();
   }
 
   /// Next scheduled retention tick (-1 = retention disabled). The fleet
@@ -135,12 +131,12 @@ class EventDriver {
   SimTime next_retention() const { return next_retention_; }
 
   /// \name Lane checkpoint (DESIGN.md §10)
-  /// Serializes the timer scalars, latency accumulators and the table-id
-  /// interner of a *quiescent* driver. RestoreState expects a freshly
-  /// constructed driver over the restored environment: the calendar
-  /// queue needs no state (ArmTimers re-derives every timer entry from
-  /// the scalars on the next advance; a quiescent driver has no
-  /// compaction entries).
+  /// Serializes the timer scalars, latency accumulators, the table-id
+  /// interner and the scheduler's ledgers of a *quiescent* driver.
+  /// RestoreState expects a freshly constructed driver over the restored
+  /// environment: the calendar queue needs no state (ArmTimers re-derives
+  /// every timer entry from the scalars on the next advance; a quiescent
+  /// driver has no compaction entries).
   /// @{
   void SaveState(common::BlobWriter* w) const;
   Status SaveStateOrFail(common::BlobWriter* w) const;
@@ -149,18 +145,15 @@ class EventDriver {
 
  private:
   void SampleNow();
-  /// Deferred mode: queue a decided plan and start the first unit of each
-  /// table group (or, with a scheduler engaged, admit it and dispatch).
+  /// Deferred mode: admits a decided plan into the scheduler and
+  /// dispatches whatever can start now.
   void ScheduleCompactions(const std::vector<core::ScoredCandidate>& plan);
-  /// Starts the next queued unit for `table` (Prepare at the current
-  /// time). No-op units finalize instantly and pull the next one.
-  void StartNextUnit(common::TableId table);
-  /// Shared Prepare-and-register body: builds the request for
-  /// `candidate`, Prepares it now, and on success registers the inflight
-  /// unit and its calendar boundary. Returns true when a rewrite started.
+  /// Prepare-and-register body: builds the request for `candidate`,
+  /// Prepares it now, and on success registers the inflight unit and its
+  /// calendar boundary. Returns true when a rewrite started.
   bool TryStartUnit(common::TableId table, const core::Candidate& candidate);
-  /// Scheduler mode: pops dispatchable units until the discipline yields
-  /// nothing, arming the preemption fault site per started unit.
+  /// Pops dispatchable units until the discipline yields nothing, arming
+  /// the preemption fault site per started unit.
   void DispatchScheduled();
   /// Cancels the inflight unit of `table` (injected or traffic-spike
   /// preemption): calendar entry removed, outputs abandoned via the
@@ -176,10 +169,12 @@ class EventDriver {
   void RecordSchedulerSlo(const std::string& table,
                           const std::optional<sched::QueuedUnit>& unit,
                           const engine::CompactionResult& result, SimTime at);
-  /// Finalizes every inflight unit whose rewrite finished by `t`.
-  void FinalizeDueCompactions(SimTime t);
-  engine::CompactionResult FinalizeUnit(common::TableId table,
-                                        engine::PendingCompaction&& pending);
+  /// Finalizes every inflight unit whose rewrite finished by `t`; with
+  /// `dispatch`, each finalize lets the scheduler start the next unit.
+  void FinalizeDueCompactions(SimTime t, bool dispatch = true);
+  /// Commits (or loses) one finished rewrite and reports it to the
+  /// scheduler.
+  void FinalizeUnit(common::TableId table, engine::PendingCompaction&& pending);
   /// Re-syncs the calendar queue's timer entries with the scalar
   /// schedules (sample/retention/service) before each boundary peek.
   void ArmTimers(SimTime now);
@@ -202,19 +197,18 @@ class EventDriver {
         write_failures, write_latency_s, client_conflicts, read_failures,
         read_latency_s, open_timeouts, pipeline_generate_ms,
         pipeline_observe_ms, pipeline_orient_ms, pipeline_decide_ms,
-        pipeline_act_ms, stats_cache_hits, stats_cache_misses,
-        stats_index_hits, stats_index_fallbacks, compaction_retries,
-        compaction_abandoned, compaction_backoff_s, sched_admitted,
-        sched_rejected, compaction_preempted;
+        pipeline_act_ms, stats_index_hits, stats_index_fallbacks,
+        compaction_retries, compaction_abandoned, compaction_backoff_s,
+        sched_admitted, sched_rejected, compaction_preempted;
   };
   Ids ids_;
 
-  /// Engaged maintenance scheduler (null on the legacy path — see
-  /// DriverOptions::scheduler).
-  std::unique_ptr<sched::MaintenanceScheduler> scheduler_;
-  /// True when the engaged configuration records the per-tenant sched.*
-  /// SLO series (never in plain-fifo parity configurations, which must
-  /// stay hash-identical to the legacy path).
+  /// Dispatch arbiter for deferred units (idle in synchronous mode).
+  sched::MaintenanceScheduler scheduler_;
+  /// True when the configuration records the per-tenant sched.* SLO
+  /// series: deferred mode with a non-fifo discipline or a tenant budget.
+  /// Plain fifo, preemption-armed or not, records nothing extra, which
+  /// keeps default runs at their pinned hashes.
   bool slo_active_ = false;
   /// Per-tenant query counts for the current hour (spike preemption
   /// fires at most once per tenant-hour).
@@ -227,16 +221,13 @@ class EventDriver {
 
   /// Table names interned to dense ids: the per-table hot-path maps key
   /// by int32 instead of std::string, and the name is only touched at
-  /// construction (ScheduleCompactions) and reporting (Finalize/retention)
+  /// dispatch (DispatchScheduled) and reporting (Finalize/retention)
   /// edges. The driver is single-threaded per lane, so its interner is
   /// private and uncontended.
   common::StringInterner table_ids_;
 
-  /// Deferred-compaction state: per-table FIFO of decided candidates and
-  /// at most one inflight unit per table (§4.4 sequencing). Drained
-  /// queues are erased so week-long replays don't leak one map node per
-  /// table that ever compacted.
-  std::map<common::TableId, std::deque<core::Candidate>> table_queues_;
+  /// At most one inflight unit per table (§4.4 sequencing; the scheduler
+  /// never dispatches a unit whose table is running).
   std::map<common::TableId, engine::PendingCompaction> inflight_;
 
   /// Time boundaries (sample/retention/service timers and inflight

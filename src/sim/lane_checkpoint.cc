@@ -10,7 +10,9 @@ namespace {
 // checkpoint after a format change) before component decoders start
 // mis-reading fields.
 constexpr uint32_t kLaneBlobMagic = 0x4C414E45;  // "LANE"
-constexpr uint32_t kLaneBlobVersion = 2;  // v2: varint ints + interned strings
+// v2: varint ints + interned strings; v3: the driver section always
+// carries the maintenance scheduler's ledgers.
+constexpr uint32_t kLaneBlobVersion = 3;
 
 }  // namespace
 

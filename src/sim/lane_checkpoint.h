@@ -7,7 +7,8 @@
 /// piece of resumable state — clock time, per-shard NameNode namespace
 /// and tallies, catalog metadata/lineage, retention policies, cluster
 /// accumulators, engine/runner counters and RNG cursors, fault-injector
-/// hit streams, and the driver's timer scalars — into one compact blob.
+/// hit streams, and the driver's timer scalars and scheduler ledgers —
+/// into one compact blob.
 /// RestoreLaneState replays the blob into a *freshly constructed*
 /// environment/driver pair built with the lane's original options, in
 /// O(state) instead of O(replay). Restores are bit-exact: a lane that
@@ -36,8 +37,8 @@ Result<std::string> SaveLaneState(SimEnvironment* env, EventDriver* driver);
 /// \brief Restores a blob produced by SaveLaneState into a freshly
 /// constructed environment/driver pair (same options the evicted lane
 /// was built with; the caller re-wires the epoch-load view and fault
-/// arming afterwards). Fails with Internal on a malformed or
-/// length-mismatched blob.
+/// arming afterwards). Fails with Internal on a malformed, truncated or
+/// length-mismatched blob, in every build type — never by crashing.
 Status RestoreLaneState(const std::string& blob, SimEnvironment* env,
                         EventDriver* driver);
 

@@ -37,11 +37,9 @@ std::unique_ptr<core::AutoCompService> MakeMoopService(
 
   // One index shared by the generator (partition lists, replace
   // watermarks) and the collector (candidate stats); commit listeners
-  // keep it current for the service's lifetime.
-  std::shared_ptr<core::IncrementalStatsIndex> index;
-  if (preset.use_stats_index) {
-    index = std::make_shared<core::IncrementalStatsIndex>(&env->catalog());
-  }
+  // keep it current for the service's lifetime. Observation is O(delta)
+  // per cycle and bit-identical to a manifest rescan (NFR2).
+  auto index = std::make_shared<core::IncrementalStatsIndex>(&env->catalog());
 
   switch (scope) {
     case ScopeStrategy::kTable:
@@ -59,22 +57,9 @@ std::unique_ptr<core::AutoCompService> MakeMoopService(
       break;
   }
 
-  std::shared_ptr<core::StatsCollector> base;
-  if (index != nullptr) {
-    base = std::make_shared<core::IndexedStatsCollector>(
-        &env->catalog(), &env->control_plane(), &env->clock(), index,
-        preset.cross_check_stats_index);
-  }
-  if (preset.cache_stats) {
-    stages.collector = std::make_shared<core::CachingStatsCollector>(
-        &env->catalog(), &env->control_plane(), &env->clock(), base,
-        preset.stats_cache_capacity);
-  } else if (base != nullptr) {
-    stages.collector = std::move(base);
-  } else {
-    stages.collector = std::make_shared<core::StatsCollector>(
-        &env->catalog(), &env->control_plane(), &env->clock());
-  }
+  stages.collector = std::make_shared<core::IndexedStatsCollector>(
+      &env->catalog(), &env->control_plane(), &env->clock(), index,
+      preset.cross_check_stats_index);
   stages.pool = preset.pool;
   stages.trace = preset.trace;
 

@@ -49,18 +49,8 @@ struct StrategyPreset {
   /// Thread pool for the observe/orient fan-out; nullptr runs the
   /// pipeline sequentially. Not owned; must outlive the service.
   ThreadPool* pool = nullptr;
-  /// Use the snapshot-keyed CachingStatsCollector instead of the plain
-  /// one (commit-invalidated; identical output, cheaper idle cycles).
-  bool cache_stats = false;
-  /// LRU entry bound for the stats cache (<= 0 = unbounded).
-  int64_t stats_cache_capacity = core::CachingStatsCollector::kDefaultCapacity;
-  /// Maintain an IncrementalStatsIndex from commit deltas and serve
-  /// observation stats / partition lists / replace watermarks from it
-  /// (O(delta) per cycle instead of rescanning manifests). Output is
-  /// bit-identical to the rescan path (NFR2). Off = the `--no-stats-index`
-  /// ablation. Composes with `cache_stats` (index feeds cache misses).
-  bool use_stats_index = true;
-  /// Debug mode: on every index hit, also rescan and fail loudly on any
+  /// Debug mode for the IncrementalStatsIndex the service observes
+  /// through: on every index hit, also rescan and fail loudly on any
   /// divergence. Expensive; for tests and ablation studies.
   bool cross_check_stats_index = false;
   /// Trace recorder for the pipeline's OODA phase spans and decision

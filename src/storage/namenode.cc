@@ -415,8 +415,8 @@ Status NameNode::RestoreState(common::BlobReader* r) {
   rng.cached_normal = r->ReadF64();
   rng_.RestoreState(rng);
 
-  const uint64_t file_count = r->ReadU64();
-  for (uint64_t i = 0; i < file_count; ++i) {
+  const uint64_t file_count = r->ReadCount();
+  for (uint64_t i = 0; i < file_count && r->ok(); ++i) {
     FileInfo info;
     info.path = r->ReadString();
     info.size_bytes = r->ReadI64();
@@ -427,13 +427,13 @@ Status NameNode::RestoreState(common::BlobReader* r) {
   }
 
   const int64_t dir_count = r->ReadI64();
-  for (int64_t id = 0; id < dir_count; ++id) {
+  for (int64_t id = 0; id < dir_count && r->ok(); ++id) {
     const common::StringInterner::Id got = dir_ids_.Intern(r->ReadString());
     if (got != static_cast<common::StringInterner::Id>(id)) {
       return Status::Internal("NameNode checkpoint: interner id mismatch");
     }
   }
-  dir_meta_.resize(r->ReadU64());
+  dir_meta_.resize(r->ReadCount());
   for (DirEntry& e : dir_meta_) {
     e.parent = r->ReadI32();
     e.exists = r->ReadBool();
@@ -452,13 +452,13 @@ Status NameNode::RestoreState(common::BlobReader* r) {
   stats_.list_calls = r->ReadI64();
   stats_.timeouts = r->ReadI64();
 
-  const uint64_t open_hours = r->ReadU64();
-  for (uint64_t i = 0; i < open_hours; ++i) {
+  const uint64_t open_hours = r->ReadCount();
+  for (uint64_t i = 0; i < open_hours && r->ok(); ++i) {
     const SimTime hour = r->ReadI64();
     open_calls_by_hour_[hour] = r->ReadI64();
   }
-  const uint64_t rpc_hours = r->ReadU64();
-  for (uint64_t i = 0; i < rpc_hours; ++i) {
+  const uint64_t rpc_hours = r->ReadCount();
+  for (uint64_t i = 0; i < rpc_hours && r->ok(); ++i) {
     const SimTime hour = r->ReadI64();
     rpcs_by_hour_[hour] = r->ReadI64();
   }

@@ -133,7 +133,9 @@ TEST_F(AdvisorTest, OrderedBySeverityAndDeterministic) {
   for (size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].table, second[i].table);
     EXPECT_EQ(first[i].kind, second[i].kind);
-    if (i > 0) EXPECT_GE(first[i - 1].severity, first[i].severity);
+    if (i > 0) {
+      EXPECT_GE(first[i - 1].severity, first[i].severity);
+    }
   }
 }
 

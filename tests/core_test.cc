@@ -12,6 +12,7 @@
 #include "core/pipeline.h"
 #include "core/ranking.h"
 #include "core/scheduler.h"
+#include "core/stats_index.h"
 #include "core/traits.h"
 #include "core/triggers.h"
 #include "engine/query_engine.h"
@@ -801,72 +802,8 @@ TEST_F(CoreFixture, ServiceTicksOnSchedule) {
 }
 
 
-// ------------------------------------------------- CachingStatsCollector
-
-TEST_F(CoreFixture, CachingCollectorHitsUntilVersionMoves) {
-  MakePartitionedTable("p");
-  FragmentTable("db.p", {"m=2024-01"});
-  CachingStatsCollector collector(&catalog_, &control_plane_, &clock_);
-  Candidate candidate;
-  candidate.table = "db.p";
-
-  auto first = collector.Collect(candidate);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(collector.misses(), 1);
-  EXPECT_EQ(collector.hits(), 0);
-
-  auto second = collector.Collect(candidate);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(collector.hits(), 1);
-  EXPECT_EQ(second->file_count, first->file_count);
-
-  // A commit moves the version: the cache misses and sees the new state.
-  FragmentTable("db.p", {"m=2024-02"});
-  auto third = collector.Collect(candidate);
-  ASSERT_TRUE(third.ok());
-  EXPECT_EQ(collector.misses(), 2);
-  EXPECT_GT(third->file_count, first->file_count);
-}
-
-TEST_F(CoreFixture, CachingCollectorMatchesPlainCollector) {
-  MakePartitionedTable("p");
-  MakeUnpartitionedTable("u");
-  FragmentTable("db.p", {"m=2024-01", "m=2024-02"});
-  FragmentTable("db.u", {});
-  StatsCollector plain(&catalog_, &control_plane_, &clock_);
-  CachingStatsCollector cached(&catalog_, &control_plane_, &clock_);
-  HybridScopeGenerator gen;
-  auto pool = gen.Generate(&catalog_);
-  ASSERT_TRUE(pool.ok());
-  // Two rounds through the cache: second round is all hits and must
-  // still agree with the plain collector.
-  for (int round = 0; round < 2; ++round) {
-    for (const Candidate& c : *pool) {
-      auto a = plain.Collect(c);
-      auto b = cached.Collect(c);
-      ASSERT_TRUE(a.ok() && b.ok());
-      EXPECT_EQ(a->file_count, b->file_count) << c.id();
-      EXPECT_EQ(a->total_bytes, b->total_bytes) << c.id();
-      EXPECT_EQ(a->small_file_count(), b->small_file_count()) << c.id();
-    }
-  }
-  EXPECT_GT(cached.hits(), 0);
-}
-
-TEST_F(CoreFixture, CachingCollectorInvalidate) {
-  MakePartitionedTable("p");
-  FragmentTable("db.p", {"m=2024-01"});
-  CachingStatsCollector collector(&catalog_, &control_plane_, &clock_);
-  Candidate candidate;
-  candidate.table = "db.p";
-  ASSERT_TRUE(collector.Collect(candidate).ok());
-  collector.Invalidate();
-  ASSERT_TRUE(collector.Collect(candidate).ok());
-  EXPECT_EQ(collector.misses(), 2);
-}
-
 // Field-wise equality of two observed stats; byte-identical is the
-// contract between the sequential, parallel, and cached paths (NFR2).
+// contract between the sequential and parallel paths (NFR2).
 void ExpectStatsEq(const CandidateStats& a, const CandidateStats& b,
                    const std::string& context) {
   EXPECT_EQ(a.file_count, b.file_count) << context;
@@ -993,76 +930,14 @@ TEST_F(CoreFixture, ParallelCollectAllPropagatesFirstError) {
   EXPECT_EQ(sequential.status().ToString(), parallel.status().ToString());
 }
 
-TEST_F(CoreFixture, CachingCollectorParallelMatchesSequential) {
-  MakePartitionedTable("p1");
-  MakeUnpartitionedTable("u1");
-  FragmentTable("db.p1", {"m=2024-01", "m=2024-02"});
-  FragmentTable("db.u1", {});
-  HybridScopeGenerator gen;
-  auto pool = gen.Generate(&catalog_);
-  ASSERT_TRUE(pool.ok());
-  StatsCollector plain(&catalog_, &control_plane_, &clock_);
-  CachingStatsCollector cached(&catalog_, &control_plane_, &clock_);
-  ThreadPool threads(4);
-  for (int round = 0; round < 2; ++round) {
-    auto a = plain.CollectAll(*pool);
-    auto b = cached.CollectAll(*pool, &threads);
-    ASSERT_TRUE(a.ok() && b.ok());
-    ASSERT_EQ(a->size(), b->size());
-    for (size_t i = 0; i < a->size(); ++i) {
-      ExpectStatsEq((*a)[i].stats, (*b)[i].stats, (*a)[i].candidate.id());
-    }
-  }
-  EXPECT_GT(cached.hits(), 0);
-}
+// ------------------------------------------------- Indexed observation
 
-// -------------------------------------- Commit-scoped cache invalidation
-
-TEST_F(CoreFixture, CachingCollectorInvalidatesOnlyCommittedTable) {
-  MakePartitionedTable("p1");
-  MakePartitionedTable("p2");
-  MakeUnpartitionedTable("u1");
-  FragmentTable("db.p1", {"m=2024-01"});
-  FragmentTable("db.p2", {"m=2024-01"});
-  FragmentTable("db.u1", {});
-
-  CachingStatsCollector cached(&catalog_, &control_plane_, &clock_);
-  TableScopeGenerator gen;
-  auto pool = gen.Generate(&catalog_);
-  ASSERT_TRUE(pool.ok());
-  ASSERT_EQ(pool->size(), 3u);
-
-  // Cycle 1: cold.
-  ASSERT_TRUE(cached.CollectAll(*pool).ok());
-  EXPECT_EQ(cached.misses(), 3);
-  EXPECT_EQ(cached.hits(), 0);
-
-  // A commit lands on db.p1 only; its cache entry must be evicted via the
-  // catalog commit listener, everything else stays cached.
-  FragmentTable("db.p1", {"m=2024-02"});
-
-  // Cycle 2: exactly one miss (the committed table), two hits.
-  auto warm = cached.CollectAll(*pool);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(cached.misses(), 4);
-  EXPECT_EQ(cached.hits(), 2);
-
-  // Every candidate — cached or recomputed — matches a cold collector,
-  // including db-level quota utilization, which the p1 commit changed for
-  // the *cached* p2/u1 entries (volatile fields refresh on every hit).
-  StatsCollector cold(&catalog_, &control_plane_, &clock_);
-  for (const ObservedCandidate& oc : *warm) {
-    auto fresh = cold.Collect(oc.candidate);
-    ASSERT_TRUE(fresh.ok());
-    ExpectStatsEq(*fresh, oc.stats, oc.candidate.id());
-  }
-}
-
-TEST_F(CoreFixture, CachingCollectorRefreshesQuotaOnHit) {
-  // A database with a namespace quota: commits to one table change the
+TEST_F(CoreFixture, IndexedCollectorRefreshesQuotaAndTargetOnHit) {
+  // A database with a namespace quota: a commit to one table changes the
   // quota utilization observed by every *other* table in the database,
-  // without touching their snapshots. Cached entries must still serve
-  // the fresh quota value.
+  // and a control-plane policy edit changes the target file size —
+  // neither moves tenant.b's snapshot. An index hit must still serve
+  // both fresh values.
   ASSERT_TRUE(catalog_.CreateDatabase("tenant", 10'000).ok());
   auto t1 = catalog_.CreateTable(
       "tenant", "a", lst::Schema(0, {{1, "v", lst::FieldType::kInt64, true}}),
@@ -1074,97 +949,32 @@ TEST_F(CoreFixture, CachingCollectorRefreshesQuotaOnHit) {
   FragmentTable("tenant.a", {});
   FragmentTable("tenant.b", {});
 
-  CachingStatsCollector cached(&catalog_, &control_plane_, &clock_);
+  auto index = std::make_shared<IncrementalStatsIndex>(&catalog_);
+  IndexedStatsCollector indexed(&catalog_, &control_plane_, &clock_, index);
   Candidate b_candidate;
   b_candidate.table = "tenant.b";
-  auto cold = cached.Collect(b_candidate);
+  auto cold = indexed.Collect(b_candidate);  // builds tenant.b's entry
   ASSERT_TRUE(cold.ok());
+  const int64_t hits_before = indexed.index_hits();
 
-  // Commit to tenant.a: tenant.b's snapshot is untouched (cache hit) but
-  // the shared database quota moved.
   FragmentTable("tenant.a", {});
-  auto warm = cached.Collect(b_candidate);
+  catalog::TablePolicy policy = control_plane_.GetPolicy("tenant.b");
+  policy.target_file_size_bytes *= 2;
+  control_plane_.SetPolicy("tenant.b", policy);
+
+  auto warm = indexed.Collect(b_candidate);
   ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(cached.hits(), 1);
+  EXPECT_EQ(indexed.index_hits(), hits_before + 1);
+  EXPECT_EQ(indexed.index_fallbacks(), 0);
+  EXPECT_EQ(index->rebuilds(), 0) << "tenant.b's entry was rebuilt";
   EXPECT_GT(warm->quota_utilization, cold->quota_utilization);
+  EXPECT_EQ(warm->target_file_size_bytes, 2 * cold->target_file_size_bytes);
 
-  StatsCollector plain(&catalog_, &control_plane_, &clock_);
-  auto fresh = plain.Collect(b_candidate);
+  StatsCollector rescan(&catalog_, &control_plane_, &clock_);
+  auto fresh = rescan.Collect(b_candidate);
   ASSERT_TRUE(fresh.ok());
-  ExpectStatsEq(*fresh, *warm, "tenant.b");
-}
-
-TEST_F(CoreFixture, CachingCollectorDropTableEvictsEntries) {
-  MakePartitionedTable("p1");
-  FragmentTable("db.p1", {"m=2024-01"});
-  CachingStatsCollector cached(&catalog_, &control_plane_, &clock_);
-  Candidate c;
-  c.table = "db.p1";
-  ASSERT_TRUE(cached.Collect(c).ok());
-  EXPECT_EQ(cached.size(), 1);
-  ASSERT_TRUE(catalog_.DropTable("db.p1").ok());
-  EXPECT_EQ(cached.size(), 0);
-}
-
-TEST_F(CoreFixture, CachingCollectorPrefixEvictionRespectsBoundaries) {
-  // "db.p" and "db.p2" share a name prefix; invalidating "db.p" must not
-  // evict "db.p2" (and vice versa).
-  MakePartitionedTable("p");
-  MakePartitionedTable("p2");
-  FragmentTable("db.p", {"m=2024-01"});
-  FragmentTable("db.p2", {"m=2024-01"});
-  CachingStatsCollector cached(&catalog_, &control_plane_, &clock_);
-  HybridScopeGenerator gen;
-  auto pool = gen.Generate(&catalog_);
-  ASSERT_TRUE(pool.ok());
-  ASSERT_TRUE(cached.CollectAll(*pool).ok());
-  const int64_t entries = cached.size();
-  ASSERT_GE(entries, 2);
-  cached.InvalidateTable("db.p");
-  EXPECT_EQ(cached.size(), entries - 1);  // only db.p's partition entry
-  cached.InvalidateTable("db.p2");
-  EXPECT_EQ(cached.size(), entries - 2);
-}
-
-TEST_F(CoreFixture, CachingCollectorLruEviction) {
-  MakePartitionedTable("p1");
-  MakePartitionedTable("p2");
-  MakePartitionedTable("p3");
-  FragmentTable("db.p1", {"m=2024-01"});
-  FragmentTable("db.p2", {"m=2024-01"});
-  FragmentTable("db.p3", {"m=2024-01"});
-  CachingStatsCollector cached(&catalog_, &control_plane_, &clock_,
-                               /*capacity=*/2);
-  Candidate c1, c2, c3;
-  c1.table = "db.p1";
-  c2.table = "db.p2";
-  c3.table = "db.p3";
-  ASSERT_TRUE(cached.Collect(c1).ok());
-  ASSERT_TRUE(cached.Collect(c2).ok());
-  ASSERT_TRUE(cached.Collect(c3).ok());  // evicts c1 (least recent)
-  EXPECT_EQ(cached.size(), 2);
-  ASSERT_TRUE(cached.Collect(c2).ok());  // still cached
-  EXPECT_EQ(cached.hits(), 1);
-  ASSERT_TRUE(cached.Collect(c1).ok());  // was evicted: a miss again
-  EXPECT_EQ(cached.misses(), 4);
-}
-
-TEST_F(CoreFixture, CachingCollectorPlugsIntoPipeline) {
-  MakePartitionedTable("p");
-  FragmentTable("db.p", {"m=2024-01"});
-  auto caching = std::make_shared<CachingStatsCollector>(
-      &catalog_, &control_plane_, &clock_);
-  AutoCompPipeline::Stages stages;
-  stages.generator = std::make_shared<TableScopeGenerator>();
-  stages.collector = caching;  // polymorphic slot-in (NFR1)
-  stages.traits = {std::make_shared<FileCountReductionTrait>()};
-  stages.ranker = std::make_shared<SingleTraitRanker>("file_count_reduction");
-  stages.selector = std::make_shared<FixedKSelector>(5);
-  stages.scheduler = nullptr;
-  AutoCompPipeline pipeline(std::move(stages), &catalog_, &clock_);
-  ASSERT_TRUE(pipeline.RunOnce().ok());
-  ASSERT_TRUE(pipeline.RunOnce().ok());  // idle fleet: second run all hits
-  EXPECT_GT(caching->hits(), 0);
+  std::string why;
+  EXPECT_TRUE(StatsEquivalent(*fresh, *warm, &why)) << why;
 }
 
 }  // namespace

@@ -45,7 +45,9 @@ TEST_P(MoopPropertyTest, ScoresBoundedAndOrderDeterministic) {
     // Weighted normalized scores live in [-w_cost, +w_benefit].
     EXPECT_GE(ranked[i].score, -0.3 - 1e-9);
     EXPECT_LE(ranked[i].score, 0.7 + 1e-9);
-    if (i > 0) EXPECT_GE(ranked[i - 1].score, ranked[i].score);
+    if (i > 0) {
+      EXPECT_GE(ranked[i - 1].score, ranked[i].score);
+    }
   }
   // Re-ranking the same pool yields the same order (NFR2).
   const auto again = ranker.Rank(pool);

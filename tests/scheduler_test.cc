@@ -4,16 +4,16 @@
 //    under extreme weight skew, priority order respects classes and
 //    aging, budget admission control accrues correctly, preemption
 //    requeues with deterministic backoff;
-//  * single-environment differential runs — an *engaged* fifo scheduler
-//    must reproduce the legacy deferred dispatch path metric-for-metric,
-//    and scripted `engine.preempt` injections must hold the safety
-//    invariants (no live-file loss, no orphan outputs) while replaying
-//    bit-identically;
-//  * fleet differential runs — every non-default discipline must be
-//    bit-identical between the sequential reference and any shard/pool
-//    geometry (NFR2 extends to the scheduler), and a non-default
-//    configuration must actually change behaviour (knobs are wired,
-//    not decorative).
+//  * single-environment differential runs — default fifo dispatch is
+//    pinned to a metric hash, arming preemption without any spike or
+//    fault must reproduce it metric-for-metric, and scripted
+//    `engine.preempt` injections must hold the safety invariants (no
+//    live-file loss, no orphan outputs) while replaying bit-identically;
+//  * fleet differential runs — default fifo is pinned to a metric hash,
+//    every discipline must be bit-identical between the sequential
+//    reference and any shard/pool geometry (NFR2 extends to the
+//    scheduler), and a non-default configuration must actually change
+//    behaviour (knobs are wired, not decorative).
 
 #include <gtest/gtest.h>
 
@@ -286,6 +286,14 @@ TEST(SchedulerTest, CheckpointRoundTripsLedgersAndRejectsTruncation) {
 
 // ------------------------------------- single-env differential (CAB)
 
+// Metric hashes of default-knob fifo dispatch, recorded at commit
+// f54bd52 — the last one whose EventDriver ran these default-knob runs
+// through its own per-table deferred queue instead of the scheduler.
+// They pin the deferred dispatch order; the golden trace runs
+// synchronous act and does not.
+constexpr uint64_t kCabDefaultFifoHash = 0x77c614ed75af594dull;
+constexpr uint64_t kFleetDefaultFifoHash = 0xb953f46724ee4f07ull;
+
 struct CabOutcome {
   sim::MetricsRecorder metrics;
   std::map<std::string, std::string> end_state;
@@ -346,22 +354,23 @@ CabOutcome RunCab(const SchedulerOptions& scheduler,
   return out;
 }
 
-TEST(SchedulerDiffTest, EngagedFifoMatchesLegacyDeferredPath) {
-  // preemption=true engages the scheduler (it is constructed and every
-  // dispatch routes through it) but with no fault schedule and no spike
-  // threshold nothing ever preempts — the run must be metric-for-metric
-  // identical to the legacy un-scheduled dispatch path.
-  const CabOutcome legacy = RunCab(SchedulerOptions{});
-  SchedulerOptions engaged;
-  engaged.preemption = true;
-  const CabOutcome scheduled = RunCab(engaged);
+TEST(SchedulerDiffTest, PreemptionArmedFifoMatchesDefaultFifo) {
+  // preemption=true arms the engine.preempt fault site for every started
+  // unit, but with no fault schedule and no spike threshold nothing ever
+  // preempts — the run must be metric-for-metric identical to default
+  // fifo, whose hash is pinned.
+  const CabOutcome plain = RunCab(SchedulerOptions{});
+  ASSERT_GT(plain.committed, 0) << "no compactions ran; vacuous diff";
+  EXPECT_EQ(plain.metrics.ContentHash(), kCabDefaultFifoHash);
 
-  ASSERT_GT(legacy.committed, 0) << "no compactions ran; vacuous diff";
-  EXPECT_EQ(legacy.committed, scheduled.committed);
-  EXPECT_EQ(legacy.end_state, scheduled.end_state);
+  SchedulerOptions armed;
+  armed.preemption = true;
+  const CabOutcome scheduled = RunCab(armed);
+  EXPECT_EQ(plain.committed, scheduled.committed);
+  EXPECT_EQ(plain.end_state, scheduled.end_state);
   std::string why;
-  EXPECT_TRUE(legacy.metrics.Equals(scheduled.metrics, &why)) << why;
-  EXPECT_EQ(legacy.metrics.ContentHash(), scheduled.metrics.ContentHash());
+  EXPECT_TRUE(plain.metrics.Equals(scheduled.metrics, &why)) << why;
+  EXPECT_EQ(plain.metrics.ContentHash(), scheduled.metrics.ContentHash());
 }
 
 TEST(SchedulerDiffTest, ScriptedPreemptionsHoldInvariantsAndReplay) {
@@ -433,38 +442,39 @@ sim::FleetSimResult RunFleet(sim::FleetSimOptions options) {
   return result.ok() ? std::move(*result) : sim::FleetSimResult{};
 }
 
-TEST(SchedulerDiffTest, EngagedFifoBitIdenticalToLegacyAcrossGeometries) {
-  // The engaged-fifo scheduler must be hash-identical to the legacy
-  // path at every shard/pool geometry — the fleet-scale version of the
-  // single-env parity above, and the golden-trace safety argument.
-  sim::FleetSimOptions legacy_options = SchedFleet(7);
-  legacy_options.sharded = false;
-  const sim::FleetSimResult legacy = RunFleet(std::move(legacy_options));
-  ASSERT_GT(legacy.events_executed, 0);
-  const uint64_t legacy_hash = legacy.metrics.ContentHash();
+TEST(SchedulerDiffTest, PreemptionArmedFifoBitIdenticalAcrossGeometries) {
+  // Preemption-armed fifo must be hash-identical to the pinned default
+  // fifo at every shard/pool geometry — the fleet-scale version of the
+  // single-env parity above.
+  sim::FleetSimOptions plain_options = SchedFleet(7);
+  plain_options.sharded = false;
+  const sim::FleetSimResult plain = RunFleet(std::move(plain_options));
+  ASSERT_GT(plain.events_executed, 0);
+  const uint64_t plain_hash = plain.metrics.ContentHash();
+  EXPECT_EQ(plain_hash, kFleetDefaultFifoHash);
 
   for (const int shards : {1, 4, 8}) {
     for (const int workers : {0, 2, 4}) {
       std::unique_ptr<ThreadPool> pool;
       if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
       sim::FleetSimOptions options = SchedFleet(7);
-      options.preset->scheduler.preemption = true;  // engages, inert
+      options.preset->scheduler.preemption = true;  // armed, inert
       options.sharded = true;
       options.shards = shards;
       options.pool = pool.get();
       const sim::FleetSimResult scheduled = RunFleet(std::move(options));
       std::string why;
-      EXPECT_TRUE(legacy.metrics.Equals(scheduled.metrics, &why))
+      EXPECT_TRUE(plain.metrics.Equals(scheduled.metrics, &why))
           << "shards=" << shards << " workers=" << workers << ": " << why;
-      EXPECT_EQ(legacy_hash, scheduled.metrics.ContentHash());
-      EXPECT_EQ(legacy.total_files, scheduled.total_files);
+      EXPECT_EQ(plain_hash, scheduled.metrics.ContentHash());
+      EXPECT_EQ(plain.total_files, scheduled.total_files);
     }
   }
 }
 
 TEST(SchedulerDiffTest, NonDefaultDisciplinesDeterministicAcrossGeometries) {
   // drr and priority change dispatch order, so they cannot be compared
-  // to the legacy path — instead each must agree with ITSELF between
+  // to fifo — instead each must agree with ITSELF between
   // the sequential reference and every shard/pool geometry, SLO series
   // included (record_slo stays on).
   for (const SchedulerPolicy policy :
@@ -506,10 +516,10 @@ TEST(SchedulerDiffTest, NonDefaultDisciplinesDeterministicAcrossGeometries) {
 
 TEST(SchedulerDiffTest, TightBudgetActuallyChangesBehavior) {
   // Guard against a decorative scheduler: a tight tenant budget must
-  // reject admissions and diverge from the un-scheduled run.
-  sim::FleetSimOptions legacy_options = SchedFleet(7);
-  legacy_options.sharded = false;
-  const sim::FleetSimResult legacy = RunFleet(std::move(legacy_options));
+  // reject admissions and diverge from the default-knob run.
+  sim::FleetSimOptions plain_options = SchedFleet(7);
+  plain_options.sharded = false;
+  const sim::FleetSimResult plain = RunFleet(std::move(plain_options));
 
   sim::FleetSimOptions tight_options = SchedFleet(7);
   tight_options.preset->scheduler.tenant_budget_gb_hours = 1e-6;
@@ -519,7 +529,7 @@ TEST(SchedulerDiffTest, TightBudgetActuallyChangesBehavior) {
   EXPECT_GT(tight.metrics.TotalCount("sched.rejected"), 0)
       << "a near-zero budget admitted everything — admission control is "
          "not reaching the dispatch path";
-  EXPECT_NE(legacy.metrics.ContentHash(), tight.metrics.ContentHash());
+  EXPECT_NE(plain.metrics.ContentHash(), tight.metrics.ContentHash());
 }
 
 }  // namespace

@@ -398,9 +398,8 @@ void ExpectSimulatedMetricsEqual(const MetricsRecorder& a,
   for (const char* counter :
        {"compaction_commits", "cluster_conflicts", "write_queries",
         "write_failures", "client_conflicts", "read_failures",
-        "open_timeouts", "stats_cache_hits", "stats_cache_misses",
-        "stats_index_hits", "stats_index_fallbacks", "compaction_retries",
-        "compaction_abandoned"}) {
+        "open_timeouts", "stats_index_hits", "stats_index_fallbacks",
+        "compaction_retries", "compaction_abandoned"}) {
     EXPECT_EQ(a.HourlyCounts(counter), b.HourlyCounts(counter))
         << label << ": " << counter;
   }

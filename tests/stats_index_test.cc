@@ -3,7 +3,7 @@
 // operation sequences, histogram queries vs brute force, rebuild
 // triggers (expiry, drops, stale pins), a randomized multi-threaded
 // property suite with per-commit index-vs-rescan cross-checks, and an
-// end-to-end determinism test over all four generators × three
+// end-to-end determinism test over all four generators × both
 // collector modes.
 
 #include <gtest/gtest.h>
@@ -573,26 +573,20 @@ TEST(StatsIndexDeterminismTest, AllGeneratorsBitIdenticalAcrossCollectors) {
   Rng rng(11);
   BuildSmallFleet(&catalog, &rng);
 
-  enum class Mode { kRescan, kIndexed, kIndexedCache };
+  enum class Mode { kRescan, kIndexed };
   struct Baseline {
     std::vector<core::ScoredCandidate> ranked;
   };
 
   for (int g = 0; g < 4; ++g) {
     std::optional<Baseline> baseline;
-    for (const Mode mode :
-         {Mode::kRescan, Mode::kIndexed, Mode::kIndexedCache}) {
+    for (const Mode mode : {Mode::kRescan, Mode::kIndexed}) {
       std::shared_ptr<core::IncrementalStatsIndex> index;
       std::shared_ptr<core::StatsCollector> collector;
-      if (mode != Mode::kRescan) {
+      if (mode == Mode::kIndexed) {
         index = std::make_shared<core::IncrementalStatsIndex>(&catalog);
         collector = std::make_shared<core::IndexedStatsCollector>(
             &catalog, &control_plane, &clock, index);
-        if (mode == Mode::kIndexedCache) {
-          collector = std::make_shared<core::CachingStatsCollector>(
-              &catalog, &control_plane, &clock, collector,
-              core::CachingStatsCollector::kDefaultCapacity);
-        }
       } else {
         collector = std::make_shared<core::StatsCollector>(
             &catalog, &control_plane, &clock);
@@ -614,7 +608,7 @@ TEST(StatsIndexDeterminismTest, AllGeneratorsBitIdenticalAcrossCollectors) {
       }
       core::AutoCompPipeline pipeline =
           MakeDecidePipeline(&catalog, &clock, generator, collector);
-      // Two runs: the second exercises warm index/cache paths.
+      // Two runs: the second exercises the warm index path.
       for (int run = 0; run < 2; ++run) {
         auto report = pipeline.RunOnce();
         ASSERT_TRUE(report.ok()) << report.status();

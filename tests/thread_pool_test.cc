@@ -5,6 +5,9 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -91,10 +94,22 @@ TEST(ThreadPoolTest, ParallelForUsesMultipleWorkers) {
   }
   ThreadPool pool(4);
   std::mutex mu;
+  std::condition_variable entered;
   std::set<std::thread::id> threads;
+  bool gave_up = false;
   pool.ParallelFor(256, [&](int64_t) {
-    std::lock_guard<std::mutex> lock(mu);
+    std::unique_lock<std::mutex> lock(mu);
     threads.insert(std::this_thread::get_id());
+    entered.notify_all();
+    // Rendezvous: hold every call until a second thread has entered, so
+    // the first worker to wake cannot drain all chunks before its peers
+    // are scheduled. The timeout (taken once) bounds a pool that really
+    // runs serially; the assertion below then fails.
+    if (!gave_up && !entered.wait_for(lock, std::chrono::seconds(1), [&] {
+          return threads.size() >= 2;
+        })) {
+      gave_up = true;
+    }
   });
   EXPECT_GE(threads.size(), 2u);
 }

@@ -60,9 +60,6 @@ struct Flags {
   bool deferred = true;
   /// Observe/orient fan-out: 0 = hardware concurrency, 1 = sequential.
   int pool_size = 0;
-  bool stats_cache = true;
-  int64_t stats_cache_capacity = core::CachingStatsCollector::kDefaultCapacity;
-  bool stats_index = true;
   bool cross_check_stats_index = false;
   /// fleetsim: shard count for the parallel replay driver.
   int sim_shards = 4;
@@ -83,9 +80,10 @@ struct Flags {
   /// picker=online-merge". Empty = the legacy preset path (equivalent to
   /// the Default() spec).
   std::string policy;
-  /// Fleet maintenance scheduler discipline (DESIGN.md §12): "fifo" is
-  /// bit-identical to the legacy dispatch path; "drr" is deficit-round-
-  /// robin fair share over tenants; "priority" is aged priority order.
+  /// Fleet maintenance scheduler discipline (DESIGN.md §12): "fifo" (the
+  /// default) starts units in per-table plan order; "drr" is deficit-
+  /// round-robin fair share over tenants; "priority" is aged priority
+  /// order.
   std::string scheduler = "fifo";
   /// Per-tenant GBHr/day budget for scheduler admission control
   /// (0 = unlimited).
@@ -122,9 +120,7 @@ void PrintUsage() {
       "                    [--policy=SPEC]\n"
       "                    [--k=N] [--budget=GBHR] [--hours=N] [--days=N]\n"
       "                    [--databases=N] [--seed=N] [--no-deferred]\n"
-      "                    [--pool-size=N] [--no-stats-cache]\n"
-      "                    [--stats-cache-capacity=N] [--no-stats-index]\n"
-      "                    [--cross-check-stats-index]\n"
+      "                    [--pool-size=N] [--cross-check-stats-index]\n"
       "                    [--sim-shards=K] [--no-sharded-sim]\n"
       "                    [--lane-mode=active|eager]\n"
       "                    [--max-resident-lanes=N]\n"
@@ -173,17 +169,12 @@ void PrintUsage() {
       "  --pool-size=N            pipeline worker threads (0 = all cores,\n"
       "                           1 = sequential); results are identical\n"
       "                           at any setting, only wall-clock changes\n"
-      "  --no-stats-cache         disable the snapshot-keyed stats cache\n"
-      "  --stats-cache-capacity=N LRU entry bound for the stats cache\n"
-      "  --no-stats-index         disable the incremental stats index\n"
-      "                           (ablation: observe rescans manifests;\n"
-      "                           output is identical, only slower)\n"
       "  --cross-check-stats-index  debug: rescan on every index hit and\n"
       "                           abort the run on any divergence\n"
       "  --scheduler=NAME         fleet maintenance scheduler between\n"
       "                           decide and the deferred executor\n"
-      "                           (DESIGN.md §12): fifo (default; bit-\n"
-      "                           identical to the legacy path), drr\n"
+      "                           (DESIGN.md §12): fifo (default;\n"
+      "                           per-table plan order), drr\n"
       "                           (deficit-round-robin fair share across\n"
       "                           tenant databases), priority (aged\n"
       "                           priority order). Requires deferred mode\n"
@@ -254,8 +245,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->seed = std::strtoull(v, nullptr, 10);
     } else if (const char* v = value_of("--pool-size")) {
       flags->pool_size = std::atoi(v);
-    } else if (const char* v = value_of("--stats-cache-capacity")) {
-      flags->stats_cache_capacity = std::atoll(v);
     } else if (const char* v = value_of("--sim-shards")) {
       flags->sim_shards = std::atoi(v);
     } else if (const char* v = value_of("--lane-mode")) {
@@ -290,10 +279,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->sharded_sim = false;
     } else if (arg == "--no-deferred") {
       flags->deferred = false;
-    } else if (arg == "--no-stats-cache") {
-      flags->stats_cache = false;
-    } else if (arg == "--no-stats-index") {
-      flags->stats_index = false;
     } else if (arg == "--cross-check-stats-index") {
       flags->cross_check_stats_index = true;
     } else {
@@ -433,9 +418,6 @@ std::unique_ptr<core::AutoCompService> MakeService(sim::SimEnvironment* env,
   preset.first_trigger = interval;
   preset.deferred_act = flags.deferred;
   preset.pool = pool;
-  preset.cache_stats = flags.stats_cache;
-  preset.stats_cache_capacity = flags.stats_cache_capacity;
-  preset.use_stats_index = flags.stats_index;
   preset.cross_check_stats_index = flags.cross_check_stats_index;
   preset.trace = trace;
   return sim::MakeMoopService(env, preset);
@@ -466,8 +448,6 @@ void PrintSummary(sim::SimEnvironment& env,
   if (service != nullptr) {
     int64_t selected = 0;
     core::PipelinePhaseTimings wall;
-    int64_t cache_hits = 0;
-    int64_t cache_misses = 0;
     int64_t index_hits = 0;
     int64_t index_fallbacks = 0;
     for (const core::PipelineRunReport& r : service->history()) {
@@ -477,8 +457,6 @@ void PrintSummary(sim::SimEnvironment& env,
       wall.orient_ms += r.timings.orient_ms;
       wall.decide_ms += r.timings.decide_ms;
       wall.act_ms += r.timings.act_ms;
-      cache_hits += r.stats_cache_hits;
-      cache_misses += r.stats_cache_misses;
       index_hits += r.stats_index_hits;
       index_fallbacks += r.stats_index_fallbacks;
     }
@@ -491,16 +469,6 @@ void PrintSummary(sim::SimEnvironment& env,
     table.AddRow({"  orient (ms)", sim::Fmt(wall.orient_ms, 1)});
     table.AddRow({"  decide (ms)", sim::Fmt(wall.decide_ms, 1)});
     table.AddRow({"  act (ms)", sim::Fmt(wall.act_ms, 1)});
-    if (cache_hits + cache_misses > 0) {
-      table.AddRow({"stats cache hits", std::to_string(cache_hits)});
-      table.AddRow({"stats cache misses", std::to_string(cache_misses)});
-      table.AddRow(
-          {"stats cache hit rate",
-           sim::Fmt(100.0 * static_cast<double>(cache_hits) /
-                        static_cast<double>(cache_hits + cache_misses),
-                    1) +
-               "%"});
-    }
     if (index_hits + index_fallbacks > 0) {
       table.AddRow({"stats index hits", std::to_string(index_hits)});
       table.AddRow(
@@ -768,9 +736,6 @@ int RunFleetSim(const Flags& flags) {
     preset.trigger_interval = kDay;
     preset.first_trigger = kDay;
     preset.deferred_act = flags.deferred;
-    preset.cache_stats = flags.stats_cache;
-    preset.stats_cache_capacity = flags.stats_cache_capacity;
-    preset.use_stats_index = flags.stats_index;
     preset.cross_check_stats_index = flags.cross_check_stats_index;
     preset.scheduler = *sched_options;
     options.driver.deferred_compaction = flags.deferred;
