@@ -65,11 +65,14 @@
 /// documents the sublinear-footprint claim: lanes_hydrated and peak RSS
 /// track activity, not fleet size.
 ///
-/// The **eviction tier** (AUTOCOMP_BENCH_SCALE_EVICT_LANES, default 256;
-/// 0 skips) reruns the scale fleet under a hard resident-lane budget +
-/// idle rule (DESIGN.md §10): cold lanes dehydrate into checkpoints and
-/// restore on their next due event. Both a sequential and a
-/// shard4-pool2 eviction config must hash-equal the unbounded seq run;
+/// The **eviction tier** (AUTOCOMP_BENCH_SCALE_EVICT_LANES; 0 skips)
+/// reruns the scale fleet under a hard resident-lane budget + idle rule
+/// (DESIGN.md §10): cold lanes dehydrate into checkpoints and restore on
+/// their next due event. Unset, the budget is half the peak residency of
+/// a sequential probe that runs the idle rule alone (the rule's early
+/// retirement already holds residency far below the unbounded run's).
+/// Both a sequential and a shard4-pool2 eviction config must evict and
+/// must hash-equal the unbounded seq run;
 /// the JSON records peak RSS vs unbounded, the wall-clock penalty, and
 /// the eviction/restore/checkpoint-bytes accounting. CI gates the
 /// evicting footprint under AUTOCOMP_BENCH_SCALE_EVICT_MAX_RSS_MB.
@@ -101,6 +104,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -503,8 +507,9 @@ const int kScaleDays = EnvInt("AUTOCOMP_BENCH_SCALE_DAYS", 7, 1);
 // under FleetSimOptions::max_resident_lanes / evict_after_idle_hours
 // (DESIGN.md §10) and must stay bit-identical to the unbounded seq run
 // while holding peak RSS to a fraction of it. EVICT_LANES=0 skips the
-// eviction configs.
-const int kScaleEvictLanes = EnvInt("AUTOCOMP_BENCH_SCALE_EVICT_LANES", 4096, 0);
+// eviction configs; unset (-1) derives the budget from an idle-rule-only
+// probe run.
+const int kScaleEvictLanes = EnvInt("AUTOCOMP_BENCH_SCALE_EVICT_LANES", -1, 0);
 const int kScaleEvictIdleHours =
     EnvInt("AUTOCOMP_BENCH_SCALE_EVICT_IDLE_HOURS", 36, 0);
 // MATRIX=0 drops the shard{1,2,4,8} x pool{0,2,4} identity sweep and
@@ -760,9 +765,11 @@ int main() {
   // half-fleet seq run with the same absolute activity documents the
   // sublinear wall/footprint claim.
   const bool scale_enabled = kScaleTables > 0;
-  const bool evict_enabled = scale_enabled && kScaleEvictLanes > 0;
+  const bool evict_enabled = scale_enabled && kScaleEvictLanes != 0;
   std::vector<ScaleOutcome> scale_runs;
   std::vector<ScaleOutcome> evict_runs;
+  std::optional<ScaleOutcome> evict_probe;
+  int64_t evict_budget = kScaleEvictLanes;
   ScaleOutcome scale_half;
   bool scale_identical = true;
   if (scale_enabled) {
@@ -783,22 +790,6 @@ int main() {
     } else {
       std::printf("scale matrix: skipped (AUTOCOMP_BENCH_SCALE_MATRIX=0)\n");
     }
-    // Bounded-residency configs: the evictor dehydrates cold lanes into
-    // checkpoints under a hard budget + idle rule; metrics must still
-    // hash-equal the unbounded seq run while peak RSS drops. One
-    // sequential and one sharded+pooled config, so the cross-process
-    // identity check covers eviction interleaved with shard parallelism.
-    if (evict_enabled) {
-      std::printf(
-          "eviction tier: budget %d resident lanes, idle rule %d h...\n",
-          kScaleEvictLanes, kScaleEvictIdleHours);
-      evict_runs.push_back(RunScaleConfig("seq-evict", kScaleTables, 0, 0,
-                                          kScaleEvictLanes,
-                                          kScaleEvictIdleHours));
-      evict_runs.push_back(RunScaleConfig("shard4-pool2-evict", kScaleTables,
-                                          4, 2, kScaleEvictLanes,
-                                          kScaleEvictIdleHours));
-    }
     const ScaleOutcome& sseq = scale_runs.front();
     const auto check_identical = [&](ScaleOutcome& r) {
       r.identical = r.metrics_hash == sseq.metrics_hash &&
@@ -811,6 +802,34 @@ int main() {
           << " diverged from scale seq: hash " << r.metrics_hash << " vs "
           << sseq.metrics_hash;
     };
+    // Bounded-residency configs: the evictor dehydrates cold lanes into
+    // checkpoints under a hard budget + idle rule; metrics must still
+    // hash-equal the unbounded seq run while peak RSS drops. One
+    // sequential and one sharded+pooled config, so the cross-process
+    // identity check covers eviction interleaved with shard parallelism.
+    if (evict_enabled) {
+      if (evict_budget < 0) {
+        // Early retirement only runs with the evictor on, so the unbounded
+        // seq peak says nothing about the residency the evict configs
+        // reach: probe it with the idle rule alone, then halve it so the
+        // hard budget really binds.
+        std::printf("eviction tier: probing idle rule %d h alone...\n",
+                    kScaleEvictIdleHours);
+        evict_probe = RunScaleConfig("seq-idle", kScaleTables, 0, 0, 0,
+                                     kScaleEvictIdleHours);
+        check_identical(*evict_probe);
+        evict_budget =
+            std::max<int64_t>(1, evict_probe->peak_resident_lanes / 2);
+      }
+      std::printf(
+          "eviction tier: budget %lld resident lanes, idle rule %d h...\n",
+          static_cast<long long>(evict_budget), kScaleEvictIdleHours);
+      evict_runs.push_back(RunScaleConfig("seq-evict", kScaleTables, 0, 0,
+                                          evict_budget, kScaleEvictIdleHours));
+      evict_runs.push_back(RunScaleConfig("shard4-pool2-evict", kScaleTables,
+                                          4, 2, evict_budget,
+                                          kScaleEvictIdleHours));
+    }
     for (ScaleOutcome& r : scale_runs) {
       if (&r == &sseq) continue;
       check_identical(r);
@@ -1207,6 +1226,7 @@ int main() {
     for (const ScaleOutcome& r : scale_runs) {
       add_scale_row(r, &r == &sseq ? "ref" : (r.identical ? "yes" : "NO"));
     }
+    if (evict_probe) add_scale_row(*evict_probe, "yes");
     for (const ScaleOutcome& r : evict_runs) {
       add_scale_row(r, r.identical ? "yes" : "NO");
     }
@@ -1298,8 +1318,11 @@ int main() {
           static_cast<double>(sevict.checkpoint_bytes) / (1024.0 * 1024.0),
           sevict.restore_ms);
       JsonValue evict_json = JsonValue::Object();
-      evict_json.Set("max_resident_lanes", kScaleEvictLanes);
+      evict_json.Set("max_resident_lanes", evict_budget);
       evict_json.Set("evict_after_idle_hours", kScaleEvictIdleHours);
+      if (evict_probe) {
+        evict_json.Set("budget_probe", scale_entry(*evict_probe, false));
+      }
       JsonValue evict_configs = JsonValue::Array();
       for (const ScaleOutcome& r : evict_runs) {
         evict_configs.Append(scale_entry(r, false));

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -55,6 +56,9 @@ struct Candidate {
   }
 };
 
+/// \brief Sorted live file sizes per partition key.
+using PartitionSizes = std::map<std::string, std::vector<int64_t>>;
+
 /// \brief Standardized statistics layout produced by the observe phase
 /// (§4.1): generic metrics all platforms can provide, plus a custom bag
 /// for platform-specific metrics.
@@ -68,8 +72,10 @@ struct CandidateStats {
   SimTime last_modified_at = 0;
   /// Distinct partitions covered by the candidate's files (1 for
   /// partition scope; >=1 for table scope). Partition-aware estimators
-  /// need the per-partition breakdown.
-  std::map<std::string, std::vector<int64_t>> file_sizes_by_partition;
+  /// need the per-partition breakdown. Immutable and shared: the stats
+  /// index hands one map to every observation of an unchanged table
+  /// version. Read it through partition_sizes(); null reads as empty.
+  std::shared_ptr<const PartitionSizes> file_sizes_by_partition;
 
   /// MoR delta files pending merge (Hive-style delta-count triggers key
   /// off this; compaction folds them away).
@@ -83,6 +89,12 @@ struct CandidateStats {
 
   /// Custom, platform-specific metrics (access frequency, usage, ...).
   Config custom;
+
+  const PartitionSizes& partition_sizes() const {
+    static const PartitionSizes kEmpty;
+    return file_sizes_by_partition != nullptr ? *file_sizes_by_partition
+                                              : kEmpty;
+  }
 
   int64_t small_file_count() const {
     int64_t n = 0;

@@ -227,10 +227,11 @@ Result<CandidateStats> StatsCollector::CollectFromMetadata(
   stats.table_created_at = meta->created_at();
   stats.last_modified_at = meta->last_updated_at();
 
-  const auto accumulate = [&stats](const lst::DataFile& f) {
+  PartitionSizes by_partition;
+  const auto accumulate = [&stats, &by_partition](const lst::DataFile& f) {
     stats.file_sizes.push_back(f.file_size_bytes);
     stats.total_bytes += f.file_size_bytes;
-    stats.file_sizes_by_partition[f.partition].push_back(f.file_size_bytes);
+    by_partition[f.partition].push_back(f.file_size_bytes);
     if (f.content == lst::FileContent::kPositionDeletes) {
       ++stats.delete_file_count;
     }
@@ -258,9 +259,11 @@ Result<CandidateStats> StatsCollector::CollectFromMetadata(
   // rescans and the incremental index agree byte for byte — including
   // the float-summation order of the entropy traits.
   std::sort(stats.file_sizes.begin(), stats.file_sizes.end());
-  for (auto& [_, sizes] : stats.file_sizes_by_partition) {
+  for (auto& [_, sizes] : by_partition) {
     std::sort(sizes.begin(), sizes.end());
   }
+  stats.file_sizes_by_partition =
+      std::make_shared<const PartitionSizes>(std::move(by_partition));
 
   RefreshVolatile(candidate, *meta, &stats);
   return stats;

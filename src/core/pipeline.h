@@ -51,7 +51,9 @@ struct PipelineRunReport {
   int64_t candidates_generated = 0;
   int64_t dropped_pre_orient = 0;
   int64_t dropped_post_orient = 0;
-  /// Decide output (full ranking, before selection).
+  /// Decide output (full ranking, before selection). Only the report a
+  /// run returns carries it; AutoCompService::history() entries leave it
+  /// empty.
   std::vector<ScoredCandidate> ranked;
   /// The selected work list handed to the act phase.
   std::vector<ScoredCandidate> selected;

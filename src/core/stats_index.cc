@@ -162,6 +162,7 @@ void IncrementalStatsIndex::RebuildLocked(
   }
 
   entry->version = meta.version();
+  entry->shared = {};
 }
 
 void IncrementalStatsIndex::ApplyDeltaLocked(
@@ -210,6 +211,7 @@ void IncrementalStatsIndex::ApplyDeltaLocked(
   }
 
   entry->version = meta.version();
+  entry->shared = {};
   deltas_applied_.fetch_add(1);
 }
 
@@ -272,7 +274,7 @@ std::optional<CandidateStats> IncrementalStatsIndex::TryCollect(
   const common::TableId table_id = table_ids_.Intern(candidate.table);
   Shard& shard = ShardFor(table_id);
   std::lock_guard<std::mutex> lock(shard.mu);
-  const TableEntry* entry = EnsureLocked(shard, table_id, *meta);
+  TableEntry* entry = EnsureLocked(shard, table_id, *meta);
   if (entry == nullptr) return std::nullopt;
 
   const ScopeView* view = nullptr;
@@ -313,19 +315,31 @@ std::optional<CandidateStats> IncrementalStatsIndex::TryCollect(
       stats.total_bytes = agg.total_bytes;
       stats.delete_file_count = agg.delete_file_count;
       stats.unclustered_bytes = agg.unclustered_bytes;
-      stats.file_sizes_by_partition.emplace(*candidate.partition, agg.sizes);
+      std::shared_ptr<const PartitionSizes>& shared =
+          entry->shared.partitions[pid];
+      if (shared == nullptr) {
+        shared = std::make_shared<const PartitionSizes>(
+            PartitionSizes{{*candidate.partition, agg.sizes}});
+      }
+      stats.file_sizes_by_partition = shared;
     }
   } else {
     stats.file_sizes = view->total.sizes;
     stats.total_bytes = view->total.total_bytes;
     stats.delete_file_count = view->total.delete_file_count;
     stats.unclustered_bytes = view->total.unclustered_bytes;
-    // The id-keyed map iterates in id (arrival) order; inserting into
-    // the name-keyed output map restores lexicographic order (NFR2).
-    for (const auto& [pid, agg] : view->partitions) {
-      stats.file_sizes_by_partition.emplace(entry->partition_names.NameOf(pid),
-                                            agg.sizes);
+    std::shared_ptr<const PartitionSizes>& shared =
+        view == &entry->live ? entry->shared.live : entry->shared.fresh;
+    if (shared == nullptr) {
+      // The id-keyed map iterates in id (arrival) order; inserting into
+      // the name-keyed output map restores lexicographic order (NFR2).
+      PartitionSizes by_name;
+      for (const auto& [pid, agg] : view->partitions) {
+        by_name.emplace(entry->partition_names.NameOf(pid), agg.sizes);
+      }
+      shared = std::make_shared<const PartitionSizes>(std::move(by_name));
     }
+    stats.file_sizes_by_partition = shared;
   }
   stats.file_count = static_cast<int64_t>(stats.file_sizes.size());
   return stats;
@@ -455,7 +469,7 @@ bool StatsEquivalent(const CandidateStats& a, const CandidateStats& b,
   if (a.file_count != b.file_count) return fail("file_count");
   if (a.total_bytes != b.total_bytes) return fail("total_bytes");
   if (a.file_sizes != b.file_sizes) return fail("file_sizes");
-  if (a.file_sizes_by_partition != b.file_sizes_by_partition) {
+  if (a.partition_sizes() != b.partition_sizes()) {
     return fail("file_sizes_by_partition");
   }
   if (a.target_file_size_bytes != b.target_file_size_bytes) {

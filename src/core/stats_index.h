@@ -80,7 +80,9 @@ class IncrementalStatsIndex {
 
   /// Metadata-derived candidate stats (canonical sorted order). Volatile
   /// fields (target size, quota, access telemetry) are NOT filled; the
-  /// collector layers them on via RefreshVolatile.
+  /// collector layers them on via RefreshVolatile. The returned
+  /// file_sizes_by_partition is the same pointer for every call on the
+  /// same table version and scope (and partition, for partition scope).
   std::optional<CandidateStats> TryCollect(
       const Candidate& candidate, const lst::TableMetadataPtr& meta) const;
 
@@ -168,6 +170,17 @@ class IncrementalStatsIndex {
     /// bit_width(size) - 1 == b, i.e. sizes in [2^b, 2^(b+1)).
     std::array<int64_t, kHistogramBuckets> histogram_count{};
     std::array<int64_t, kHistogramBuckets> histogram_bytes{};
+    /// Name-keyed partition-size maps TryCollect hands out: each is built
+    /// on first use at `version` and shared by every caller until the
+    /// version moves. Immutable, so callers keep them past the lock.
+    struct SharedMaps {
+      std::shared_ptr<const PartitionSizes> live;
+      std::shared_ptr<const PartitionSizes> fresh;
+      /// Partition-scope candidates, one single-key map per partition.
+      std::map<common::PartitionId, std::shared_ptr<const PartitionSizes>>
+          partitions;
+    };
+    SharedMaps shared;
   };
 
   struct Shard {

@@ -15,7 +15,7 @@ double PartitionAwareFileCountReductionTrait::Compute(
   const CandidateStats& stats = candidate.stats;
   const int64_t target = std::max<int64_t>(1, stats.target_file_size_bytes);
   double reduction = 0;
-  for (const auto& [partition, sizes] : stats.file_sizes_by_partition) {
+  for (const auto& [partition, sizes] : stats.partition_sizes()) {
     int64_t small_count = 0;
     int64_t small_bytes = 0;
     for (int64_t s : sizes) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
+#include <vector>
 
 namespace autocomp::core {
 
@@ -86,7 +88,13 @@ Result<PipelineRunReport> AutoCompService::RunNow() {
        hook_->mode() == OptimizeAfterWriteHook::Mode::kNotify)
           ? pipeline_->RunForCandidates(hook_->DrainNotifications())
           : pipeline_->RunOnce();
-  if (report.ok()) history_.push_back(*report);
+  if (report.ok()) {
+    // History keeps everything but the full ranking, so it grows by O(k)
+    // per run instead of O(catalog); the caller still gets the ranking.
+    std::vector<ScoredCandidate> ranked = std::move(report->ranked);
+    history_.push_back(*report);
+    report->ranked = std::move(ranked);
+  }
   return report;
 }
 

@@ -196,7 +196,9 @@ class AutoCompService {
   AutoCompPipeline* pipeline() { return pipeline_.get(); }
   const PeriodicTrigger& trigger() const { return trigger_; }
 
-  /// History of all runs, for reporting.
+  /// History of all runs, for reporting. Entries carry no ranking
+  /// (`ranked` is empty); every other field matches the report Tick or
+  /// RunNow returned for that run.
   const std::vector<PipelineRunReport>& history() const { return history_; }
 
  private:

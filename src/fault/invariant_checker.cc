@@ -96,12 +96,12 @@ std::vector<InvariantViolation> InvariantChecker::Check(
     for (const std::string& db : catalog.ListDatabases()) {
       const std::string root = catalog::Catalog::DatabaseLocation(db);
       for (int s = 0; s < dfs->num_shards(); ++s) {
-        dfs->shard(s).ForEachFile([&](const storage::FileInfo& info) {
-          if (info.path.rfind(root + "/", 0) != 0) return;
+        dfs->shard(s).ForEachFile([&](const std::string& path) {
+          if (path.rfind(root + "/", 0) != 0) return;
           // Metadata objects are catalog-owned, not table-live.
-          if (info.path.find("/metadata/") != std::string::npos) return;
-          if (live_owner.find(info.path) == live_owner.end()) {
-            out.push_back({"", "orphan data file in storage: " + info.path});
+          if (path.find("/metadata/") != std::string::npos) return;
+          if (live_owner.find(path) == live_owner.end()) {
+            out.push_back({"", "orphan data file in storage: " + path});
           }
         });
       }

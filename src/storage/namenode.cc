@@ -15,6 +15,12 @@ NameNode::NameNode(const Clock* clock, NameNodeOptions options)
   assert(clock_ != nullptr);
 }
 
+FileInfo NameNode::ToInfo(const FileMap::value_type& file) {
+  const auto& [path, record] = file;
+  return FileInfo{path, record.size_bytes, record.record_count,
+                  record.created_at};
+}
+
 std::vector<std::string> NameNode::ParentDirs(const std::string& path) {
   std::vector<std::string> dirs;
   size_t pos = 0;
@@ -127,7 +133,7 @@ Status NameNode::CreateFile(const std::string& path, int64_t size_bytes,
     ++entry.file_count;
   }
   files_.emplace_hint(hint, path,
-                      FileInfo{path, size_bytes, record_count, clock_->Now()});
+                      FileRecord{size_bytes, record_count, clock_->Now()});
   ++stats_.total_objects;
   ++stats_.file_count;
   ++stats_.create_calls;
@@ -202,7 +208,7 @@ Result<FileInfo> NameNode::Open(const std::string& path) {
   if (it == files_.end()) {
     return Status::NotFound("no such file: " + path);
   }
-  return it->second;
+  return ToInfo(*it);
 }
 
 Result<FileInfo> NameNode::Stat(const std::string& path) const {
@@ -210,7 +216,7 @@ Result<FileInfo> NameNode::Stat(const std::string& path) const {
   if (it == files_.end()) {
     return Status::NotFound("no such file: " + path);
   }
-  return it->second;
+  return ToInfo(*it);
 }
 
 bool NameNode::Exists(const std::string& path) const {
@@ -218,8 +224,8 @@ bool NameNode::Exists(const std::string& path) const {
 }
 
 void NameNode::ForEachFile(
-    const std::function<void(const FileInfo&)>& fn) const {
-  for (const auto& [path, info] : files_) fn(info);
+    const std::function<void(const std::string&)>& fn) const {
+  for (const auto& [path, _] : files_) fn(path);
 }
 
 Status NameNode::AuditAccounting() const {
@@ -242,7 +248,7 @@ Status NameNode::AuditAccounting() const {
   // contained dirs via the parent links of every existing directory.
   std::vector<int64_t> file_recount(dir_meta_.size(), 0);
   std::vector<int64_t> dir_recount(dir_meta_.size(), 0);
-  for (const auto& [path, info] : files_) {
+  for (const auto& [path, _] : files_) {
     for (const auto& dir : ParentDirs(path)) {
       const auto id = dir_ids_.Lookup(dir);
       if (id == common::StringInterner::kInvalidId ||
@@ -292,7 +298,7 @@ std::vector<FileInfo> NameNode::ListFiles(const std::string& dir_prefix) {
   for (auto it = files_.lower_bound(prefix);
        it != files_.end() && it->first.compare(0, prefix.size(), prefix) == 0;
        ++it) {
-    out.push_back(it->second);
+    out.push_back(ToInfo(*it));
   }
   ++stats_.list_calls;
   CountRpc(1 + static_cast<int64_t>(out.size()) / 1000);
@@ -357,12 +363,11 @@ void NameNode::SaveState(common::BlobWriter* w) const {
   w->WriteF64(rng.cached_normal);
 
   w->WriteU64(files_.size());
-  for (const auto& [path, info] : files_) {
-    // info.path == map key; stored once.
+  for (const auto& [path, record] : files_) {
     w->WriteString(path);
-    w->WriteI64(info.size_bytes);
-    w->WriteI64(info.record_count);
-    w->WriteI64(info.created_at);
+    w->WriteI64(record.size_bytes);
+    w->WriteI64(record.record_count);
+    w->WriteI64(record.created_at);
   }
 
   // Directory interner + per-directory accounting, in id order so the
@@ -417,13 +422,12 @@ Status NameNode::RestoreState(common::BlobReader* r) {
 
   const uint64_t file_count = r->ReadCount();
   for (uint64_t i = 0; i < file_count && r->ok(); ++i) {
-    FileInfo info;
-    info.path = r->ReadString();
-    info.size_bytes = r->ReadI64();
-    info.record_count = r->ReadI64();
-    info.created_at = r->ReadI64();
-    std::string key = info.path;
-    files_.emplace(std::move(key), std::move(info));
+    std::string path = r->ReadString();
+    FileRecord record;
+    record.size_bytes = r->ReadI64();
+    record.record_count = r->ReadI64();
+    record.created_at = r->ReadI64();
+    files_.emplace_hint(files_.end(), std::move(path), record);
   }
 
   const int64_t dir_count = r->ReadI64();

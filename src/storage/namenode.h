@@ -111,9 +111,10 @@ class NameNode {
 
   bool Exists(const std::string& path) const;
 
-  /// Visits every file in the namespace without RPC accounting (the
-  /// invariant checker's audit path must not perturb the load model).
-  void ForEachFile(const std::function<void(const FileInfo&)>& fn) const;
+  /// Visits every file path in the namespace, in path order, without RPC
+  /// accounting (the invariant checker's audit path must not perturb the
+  /// load model).
+  void ForEachFile(const std::function<void(const std::string&)>& fn) const;
 
   /// All files whose path starts with `dir_prefix` + '/'. Counts one list
   /// RPC per 1000 entries returned (directory listing is paged in HDFS).
@@ -197,6 +198,16 @@ class NameNode {
     int64_t quota = 0;       // max objects for the subtree, 0 = none
   };
 
+  /// What the namespace keeps per file; the path lives only in the
+  /// files_ key, and FileInfo is built where a call returns one.
+  struct FileRecord {
+    int64_t size_bytes = 0;
+    int64_t record_count = 0;
+    SimTime created_at = 0;
+  };
+  using FileMap = std::map<std::string, FileRecord>;
+  static FileInfo ToInfo(const FileMap::value_type& file);
+
   void CountRpc(int64_t n = 1);
   /// Interns `dir` and every ancestor (no accounting side effects) and
   /// returns its id. Parent links are populated on first intern.
@@ -213,7 +224,7 @@ class NameNode {
   const EpochLoadView* epoch_load_ = nullptr;
   fault::FaultInjector* fault_ = nullptr;
   obs::TraceRecorder* trace_ = nullptr;
-  std::map<std::string, FileInfo> files_;
+  FileMap files_;
   common::StringInterner dir_ids_;
   std::vector<DirEntry> dir_meta_;   // indexed by interned dir id
   int64_t existing_dir_count_ = 0;   // dirs with exists == true

@@ -54,7 +54,9 @@ ObservedCandidate MakeObserved(const std::string& table,
   oc.stats.file_sizes = sizes;
   oc.stats.file_count = static_cast<int64_t>(sizes.size());
   for (int64_t s : sizes) oc.stats.total_bytes += s;
-  oc.stats.file_sizes_by_partition[""] = std::move(sizes);
+  oc.stats.file_sizes_by_partition =
+      std::make_shared<const PartitionSizes>(
+          PartitionSizes{{"", std::move(sizes)}});
   return oc;
 }
 
@@ -75,7 +77,8 @@ TEST(TraitsTest, PartitionAwareReductionSubtractsOutputs) {
   oc.stats.target_file_size_bytes = 100;
   oc.stats.file_sizes = {30, 30, 30, 30};
   oc.stats.file_count = 4;
-  oc.stats.file_sizes_by_partition["p=1"] = {30, 30, 30, 30};
+  oc.stats.file_sizes_by_partition = std::make_shared<const PartitionSizes>(
+      PartitionSizes{{"p=1", {30, 30, 30, 30}}});
   PartitionAwareFileCountReductionTrait trait;
   EXPECT_DOUBLE_EQ(trait.Compute(oc), 2.0);
 
@@ -84,8 +87,9 @@ TEST(TraitsTest, PartitionAwareReductionSubtractsOutputs) {
   ObservedCandidate split;
   split.stats.target_file_size_bytes = 100;
   split.stats.file_sizes = {30, 30, 30, 30};
-  split.stats.file_sizes_by_partition["p=1"] = {30, 30};
-  split.stats.file_sizes_by_partition["p=2"] = {30, 30};
+  split.stats.file_sizes_by_partition =
+      std::make_shared<const PartitionSizes>(
+          PartitionSizes{{"p=1", {30, 30}}, {"p=2", {30, 30}}});
   EXPECT_DOUBLE_EQ(trait.Compute(split), 2.0);
 
   // The naive estimator overestimates vs the partition-aware one (§7).
@@ -505,7 +509,7 @@ TEST_F(CoreFixture, StatsCollectorFillsGenericStats) {
   EXPECT_EQ(static_cast<int64_t>(stats->file_sizes.size()),
             stats->file_count);
   EXPECT_GT(stats->total_bytes, 0);
-  EXPECT_EQ(stats->file_sizes_by_partition.size(), 2u);
+  EXPECT_EQ(stats->partition_sizes().size(), 2u);
   EXPECT_EQ(stats->table_created_at, 0);
   EXPECT_EQ(stats->last_modified_at, kHour);
   EXPECT_EQ(stats->target_file_size_bytes, 512 * kMiB);
@@ -520,7 +524,7 @@ TEST_F(CoreFixture, StatsCollectorPartitionScope) {
   candidate.partition = "m=2024-01";
   auto stats = MakeCollector().Collect(candidate);
   ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->file_sizes_by_partition.size(), 1u);
+  EXPECT_EQ(stats->partition_sizes().size(), 1u);
   Candidate full = candidate;
   full.scope = CandidateScope::kTable;
   full.partition.reset();
@@ -812,7 +816,7 @@ void ExpectStatsEq(const CandidateStats& a, const CandidateStats& b,
   EXPECT_EQ(a.target_file_size_bytes, b.target_file_size_bytes) << context;
   EXPECT_EQ(a.table_created_at, b.table_created_at) << context;
   EXPECT_EQ(a.last_modified_at, b.last_modified_at) << context;
-  EXPECT_EQ(a.file_sizes_by_partition, b.file_sizes_by_partition) << context;
+  EXPECT_EQ(a.partition_sizes(), b.partition_sizes()) << context;
   EXPECT_EQ(a.delete_file_count, b.delete_file_count) << context;
   EXPECT_EQ(a.unclustered_bytes, b.unclustered_bytes) << context;
   EXPECT_EQ(a.quota_utilization, b.quota_utilization) << context;

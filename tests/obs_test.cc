@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,7 +16,6 @@
 #include "obs/metrics_export.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
-#include "sim/driver.h"
 #include "sim/environment.h"
 #include "sim/metrics.h"
 #include "sim/presets.h"
@@ -356,32 +356,52 @@ std::string FmtTrait(double value) {
   return buf;
 }
 
-/// The audit (ISSUE satellite): the decide-phase instants recorded by
-/// the pipeline must name exactly the candidate set, order, scores, and
-/// winners that its own PipelineRunReport carries — the trace is a
-/// faithful audit log of the decision, not a parallel reimplementation.
-TEST(DecisionAuditTest, RankingSpansMatchPipelineReport) {
-  if (TracingCompiledOut()) GTEST_SKIP() << "tracing compiled out";
-  TraceRecorder trace = MakeRecorder(TraceLevel::kDecisions);
-
-  sim::SimEnvironment env;
-  ASSERT_TRUE(workload::SetupTpchDatabase(
-                  &env.catalog(), &env.query_engine(), "db", kGiB,
-                  engine::UntunedUserJobProfile(), 0)
+/// One TPC-H database and a TABLE-3 service that triggers hourly from
+/// 1 h on, tracing into `trace` when it is non-null.
+std::unique_ptr<core::AutoCompService> MakeAuditService(
+    sim::SimEnvironment* env, TraceRecorder* trace) {
+  EXPECT_TRUE(workload::SetupTpchDatabase(&env->catalog(), &env->query_engine(),
+                                          "db", kGiB,
+                                          engine::UntunedUserJobProfile(), 0)
                   .ok());
   sim::StrategyPreset preset;
   preset.scope = sim::ScopeStrategy::kTable;
   preset.k = 3;
   preset.trigger_interval = kHour;
   preset.first_trigger = kHour;
-  preset.trace = &trace;
-  auto service = sim::MakeMoopService(&env, preset);
+  preset.trace = trace;
+  return sim::MakeMoopService(env, preset);
+}
 
-  sim::MetricsRecorder metrics;
-  sim::EventDriver driver(&env, &metrics);
-  driver.AttachService(service.get());
-  ASSERT_TRUE(driver.Run({}, 3 * kHour).ok());
-  ASSERT_GE(service->history().size(), 2u);
+/// Hourly cycles at 1 h, 2 h and 3 h driven through Tick; returns the
+/// reports those calls returned.
+std::vector<core::PipelineRunReport> RunHourlyCycles(
+    sim::SimEnvironment* env, core::AutoCompService* service) {
+  std::vector<core::PipelineRunReport> reports;
+  for (SimTime now = kHour; now <= 3 * kHour; now += kHour) {
+    env->clock().AdvanceTo(now);
+    auto ran = service->Tick(now);
+    EXPECT_TRUE(ran.ok()) << ran.status();
+    if (ran.ok() && ran->has_value()) reports.push_back(std::move(**ran));
+  }
+  return reports;
+}
+
+/// The audit: the decide-phase instants recorded by the pipeline must
+/// name exactly the candidate set, order, scores, and winners that its
+/// own PipelineRunReport carries — the trace is a faithful audit log of
+/// the decision, not a parallel reimplementation. The ranking rides only
+/// on the report a run returns (history() drops it), so the audit reads
+/// the reports Tick returned.
+TEST(DecisionAuditTest, RankingSpansMatchPipelineReport) {
+  if (TracingCompiledOut()) GTEST_SKIP() << "tracing compiled out";
+  TraceRecorder trace = MakeRecorder(TraceLevel::kDecisions);
+
+  sim::SimEnvironment env;
+  auto service = MakeAuditService(&env, &trace);
+  const std::vector<core::PipelineRunReport> reports =
+      RunHourlyCycles(&env, service.get());
+  ASSERT_GE(reports.size(), 2u);
 
   std::vector<TraceEvent> ranked_events;
   std::vector<TraceEvent> winner_events;
@@ -394,7 +414,7 @@ TEST(DecisionAuditTest, RankingSpansMatchPipelineReport) {
   // run the pipeline emits ranked instants in rank order, then winners
   // in selection order — so both streams concatenate run by run.
   size_t ri = 0, wi = 0;
-  for (const core::PipelineRunReport& report : service->history()) {
+  for (const core::PipelineRunReport& report : reports) {
     for (size_t rank = 0; rank < report.ranked.size(); ++rank, ++ri) {
       ASSERT_LT(ri, ranked_events.size());
       const auto kv = ParseDetail(ranked_events[ri].detail);
@@ -422,6 +442,86 @@ TEST(DecisionAuditTest, RankingSpansMatchPipelineReport) {
   // vacuous.
   EXPECT_GT(ranked_events.size(), 0u);
   EXPECT_GT(winner_events.size(), 0u);
+}
+
+/// history() keeps every run's report minus its ranking, so it grows by
+/// O(k) per run rather than O(catalog); every other field is the one the
+/// Tick or RunNow call returned.
+TEST(DecisionAuditTest, HistoryEntriesDropOnlyTheRanking) {
+  sim::SimEnvironment env;
+  auto service = MakeAuditService(&env, nullptr);
+  std::vector<core::PipelineRunReport> reports =
+      RunHourlyCycles(&env, service.get());
+  auto forced = service->RunNow();
+  ASSERT_TRUE(forced.ok()) << forced.status();
+  reports.push_back(std::move(*forced));
+
+  const std::vector<core::PipelineRunReport>& history = service->history();
+  ASSERT_EQ(history.size(), reports.size());
+  size_t ranked = 0, executed = 0, feedback = 0;
+  for (size_t run = 0; run < reports.size(); ++run) {
+    const core::PipelineRunReport& kept = history[run];
+    const core::PipelineRunReport& returned = reports[run];
+    const std::string where = "run " + std::to_string(run);
+    EXPECT_TRUE(kept.ranked.empty()) << where;
+    ranked += returned.ranked.size();
+
+    EXPECT_EQ(kept.started_at, returned.started_at) << where;
+    EXPECT_EQ(kept.candidates_generated, returned.candidates_generated)
+        << where;
+    EXPECT_EQ(kept.dropped_pre_orient, returned.dropped_pre_orient) << where;
+    EXPECT_EQ(kept.dropped_post_orient, returned.dropped_post_orient)
+        << where;
+    ASSERT_EQ(kept.selected.size(), returned.selected.size()) << where;
+    for (size_t i = 0; i < kept.selected.size(); ++i) {
+      EXPECT_EQ(kept.selected[i].candidate().id(),
+                returned.selected[i].candidate().id())
+          << where;
+      EXPECT_EQ(kept.selected[i].score, returned.selected[i].score) << where;
+    }
+    ASSERT_EQ(kept.executed.size(), returned.executed.size()) << where;
+    executed += kept.executed.size();
+    for (size_t i = 0; i < kept.executed.size(); ++i) {
+      const engine::CompactionResult& a = kept.executed[i].result;
+      const engine::CompactionResult& b = returned.executed[i].result;
+      EXPECT_EQ(kept.executed[i].candidate.id(),
+                returned.executed[i].candidate.id())
+          << where;
+      EXPECT_EQ(a.committed, b.committed) << where;
+      EXPECT_EQ(a.conflict, b.conflict) << where;
+      EXPECT_EQ(a.files_rewritten, b.files_rewritten) << where;
+      EXPECT_EQ(a.files_produced, b.files_produced) << where;
+      EXPECT_EQ(a.bytes_rewritten, b.bytes_rewritten) << where;
+      EXPECT_EQ(a.gb_hours, b.gb_hours) << where;
+      EXPECT_EQ(a.snapshot_id, b.snapshot_id) << where;
+      EXPECT_EQ(a.end_time, b.end_time) << where;
+    }
+    ASSERT_EQ(kept.feedback.size(), returned.feedback.size()) << where;
+    feedback += kept.feedback.size();
+    for (size_t i = 0; i < kept.feedback.size(); ++i) {
+      const core::FeedbackEntry& a = kept.feedback[i];
+      const core::FeedbackEntry& b = returned.feedback[i];
+      EXPECT_EQ(a.candidate_id, b.candidate_id) << where;
+      EXPECT_EQ(a.estimated_file_reduction, b.estimated_file_reduction)
+          << where;
+      EXPECT_EQ(a.actual_file_reduction, b.actual_file_reduction) << where;
+      EXPECT_EQ(a.estimated_gb_hours, b.estimated_gb_hours) << where;
+      EXPECT_EQ(a.actual_gb_hours, b.actual_gb_hours) << where;
+    }
+    EXPECT_EQ(kept.timings.generate_ms, returned.timings.generate_ms)
+        << where;
+    EXPECT_EQ(kept.timings.observe_ms, returned.timings.observe_ms) << where;
+    EXPECT_EQ(kept.timings.orient_ms, returned.timings.orient_ms) << where;
+    EXPECT_EQ(kept.timings.decide_ms, returned.timings.decide_ms) << where;
+    EXPECT_EQ(kept.timings.act_ms, returned.timings.act_ms) << where;
+    EXPECT_EQ(kept.stats_index_hits, returned.stats_index_hits) << where;
+    EXPECT_EQ(kept.stats_index_fallbacks, returned.stats_index_fallbacks)
+        << where;
+  }
+  // Non-vacuous: the returned reports ranked, and the runs acted.
+  EXPECT_GT(ranked, 0u);
+  EXPECT_GT(executed, 0u);
+  EXPECT_GT(feedback, 0u);
 }
 
 }  // namespace

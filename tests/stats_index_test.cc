@@ -362,6 +362,122 @@ TEST(StatsIndexTest, DropTableEvictsEntry) {
   EXPECT_EQ(h.index->FleetTotals().tables, 0);
 }
 
+// ------------------------------------- Shared per-version partition maps
+
+TEST(StatsIndexTest, PartitionMapsAreSharedUntilTheTableVersionMoves) {
+  IndexHarness h;
+  ASSERT_TRUE(h.catalog.CreateDatabase("db").ok());
+  auto table = h.catalog.CreateTable("db", "t", TestSchema(), TestSpec());
+  ASSERT_TRUE(table.ok());
+  auto sibling = h.catalog.CreateTable("db", "u", TestSchema(), TestSpec());
+  ASSERT_TRUE(sibling.ok());
+  int64_t counter = 0;
+  const auto commit_append = [&counter](lst::Table* target,
+                                        const std::string& location,
+                                        const std::string& partition,
+                                        int64_t size) {
+    auto txn = target->NewTransaction();
+    ASSERT_TRUE(txn.ok());
+    ASSERT_TRUE(
+        txn->Append({MakeFile(location, &counter, partition, size)}).ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  };
+  // Collects through the index; every result must match a rescan.
+  const auto collect = [&h](const core::Candidate& candidate) {
+    auto indexed = h.indexed->Collect(candidate);
+    auto rescanned = h.rescan->Collect(candidate);
+    EXPECT_TRUE(indexed.ok() && rescanned.ok()) << candidate.id();
+    if (!indexed.ok() || !rescanned.ok()) return core::CandidateStats{};
+    std::string why;
+    EXPECT_TRUE(core::StatsEquivalent(*indexed, *rescanned, &why))
+        << candidate.id() << ": " << why;
+    return std::move(*indexed);
+  };
+
+  commit_append(&*table, "/data/db/t", "m=2024-01", 5);
+  commit_append(&*table, "/data/db/t", "m=2024-01", 9);
+  commit_append(&*table, "/data/db/t", "m=2024-02", 64);
+  commit_append(&*sibling, "/data/db/u", "m=2024-01", 3);
+
+  core::Candidate whole;
+  whole.table = "db.t";
+  core::Candidate part = whole;
+  part.scope = core::CandidateScope::kPartition;
+  part.partition = "m=2024-01";
+  core::Candidate fresh = whole;
+  fresh.scope = core::CandidateScope::kSnapshot;
+  fresh.after_snapshot_id = 0;
+
+  // An unchanged table hands every caller the same map.
+  const core::CandidateStats whole1 = collect(whole);
+  const core::CandidateStats part1 = collect(part);
+  const core::CandidateStats fresh1 = collect(fresh);
+  ASSERT_NE(whole1.file_sizes_by_partition, nullptr);
+  ASSERT_NE(part1.file_sizes_by_partition, nullptr);
+  ASSERT_NE(fresh1.file_sizes_by_partition, nullptr);
+  EXPECT_EQ(whole1.partition_sizes().size(), 2u);
+  EXPECT_EQ(part1.partition_sizes().size(), 1u);
+  EXPECT_EQ(collect(whole).file_sizes_by_partition,
+            whole1.file_sizes_by_partition);
+  EXPECT_EQ(collect(part).file_sizes_by_partition,
+            part1.file_sizes_by_partition);
+  EXPECT_EQ(collect(fresh).file_sizes_by_partition,
+            fresh1.file_sizes_by_partition);
+
+  // A commit to a sibling table leaves this table's maps alone.
+  commit_append(&*sibling, "/data/db/u", "m=2024-02", 4);
+  EXPECT_EQ(collect(whole).file_sizes_by_partition,
+            whole1.file_sizes_by_partition);
+  EXPECT_EQ(collect(part).file_sizes_by_partition,
+            part1.file_sizes_by_partition);
+
+  // A commit to the table itself moves its version: new maps.
+  commit_append(&*table, "/data/db/t", "m=2024-01", 7);
+  const core::CandidateStats whole2 = collect(whole);
+  const core::CandidateStats part2 = collect(part);
+  EXPECT_NE(whole2.file_sizes_by_partition, whole1.file_sizes_by_partition);
+  EXPECT_NE(part2.file_sizes_by_partition, part1.file_sizes_by_partition);
+  EXPECT_EQ(part2.partition_sizes().at("m=2024-01"),
+            (std::vector<int64_t>{5, 7, 9}));
+  // The maps handed out earlier are immutable: still the old version.
+  EXPECT_EQ(part1.partition_sizes().at("m=2024-01"),
+            (std::vector<int64_t>{5, 9}));
+
+  // A replace commit moves the watermark; the snapshot-scope candidate
+  // at the new watermark sees the new (empty, then refilled) fresh map.
+  int64_t watermark = 0;
+  {
+    auto meta = h.catalog.LoadTable("db.t");
+    ASSERT_TRUE(meta.ok());
+    std::vector<std::string> inputs;
+    for (const lst::DataFile& f :
+         (*meta)->LiveFiles(std::string("m=2024-01"))) {
+      inputs.push_back(f.path);
+    }
+    auto txn = table->NewTransaction();
+    ASSERT_TRUE(txn.ok());
+    ASSERT_TRUE(
+        txn->RewriteFiles(inputs,
+                          {MakeFile("/data/db/t", &counter, "m=2024-01", 21)})
+            .ok());
+    auto committed = txn->Commit();
+    ASSERT_TRUE(committed.ok());
+    watermark = committed->snapshot_id;
+  }
+  fresh.after_snapshot_id = watermark;
+  const core::CandidateStats fresh2 = collect(fresh);
+  EXPECT_NE(fresh2.file_sizes_by_partition, fresh1.file_sizes_by_partition);
+  EXPECT_TRUE(fresh2.partition_sizes().empty());
+  commit_append(&*table, "/data/db/t", "m=2024-03", 2);
+  const core::CandidateStats fresh3 = collect(fresh);
+  EXPECT_NE(fresh3.file_sizes_by_partition, fresh2.file_sizes_by_partition);
+  EXPECT_EQ(fresh3.partition_sizes(),
+            (core::PartitionSizes{{"m=2024-03", {2}}}));
+  EXPECT_EQ(collect(fresh).file_sizes_by_partition,
+            fresh3.file_sizes_by_partition);
+  EXPECT_EQ(fresh1.partition_sizes().size(), 2u);
+}
+
 // ------------------------------------------- Randomized concurrent suite
 
 class StatsIndexPropertyTest : public ::testing::TestWithParam<uint64_t> {};

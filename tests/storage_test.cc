@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "common/blob.h"
 #include "common/clock.h"
 #include "storage/filesystem.h"
 #include "storage/namenode.h"
@@ -265,6 +270,80 @@ TEST(NameNodeTimeoutTest, ObserverNameNodesAbsorbReadTraffic) {
   }
   EXPECT_GT(without.CurrentTimeoutProbability(), 0.0);
   EXPECT_DOUBLE_EQ(with.CurrentTimeoutProbability(), 0.0);
+}
+
+TEST(NameNodeCheckpointTest, SaveRestoreSaveIsByteIdentical) {
+  struct FileSpec {
+    std::string path;
+    int64_t size_bytes;
+    int64_t record_count;
+    SimTime created_at;
+  };
+  SimulatedClock clock(0);
+  NameNode original(&clock);
+  original.SetNamespaceQuota("/data/db1", 50);
+  const std::vector<std::string> paths = {
+      "/data/db1/t1/m=2024-01/a.parquet", "/data/db1/t1/m=2024-02/b.parquet",
+      "/data/db1/t2/c.parquet",           "/data/db2/t3/d/e/f.parquet",
+      "/data/db2/t3/g.parquet",           "/data/db1/t1/m=2024-01/gone"};
+  // Creates and opens spread over two hours; one file is deleted again.
+  std::vector<FileSpec> live;
+  for (size_t i = 0; i < paths.size(); ++i) {
+    clock.AdvanceTo(static_cast<SimTime>(i) * kHour / 3);
+    const int64_t size = 1000 * static_cast<int64_t>(i + 1);
+    const int64_t records = 10 * static_cast<int64_t>(i + 1);
+    ASSERT_TRUE(original.CreateFile(paths[i], size, records).ok());
+    ASSERT_TRUE(original.Open(paths[i / 2]).ok());
+    live.push_back({paths[i], size, records, clock.Now()});
+  }
+  clock.AdvanceTo(2 * kHour - 1);
+  ASSERT_TRUE(original.DeleteFile(paths.back()).ok());
+  live.pop_back();
+  ASSERT_TRUE(original.Open(paths[0]).ok());
+  ASSERT_GT(original.OpenCallsInHour(0), 0);
+  ASSERT_GT(original.OpenCallsInHour(kHour), 0);
+
+  common::BlobWriter first;
+  original.SaveState(&first);
+  const std::string blob = first.Take();
+
+  NameNode restored(&clock);
+  common::BlobReader reader(blob);
+  ASSERT_TRUE(restored.RestoreState(&reader).ok());
+  common::BlobWriter second;
+  restored.SaveState(&second);
+  EXPECT_EQ(second.Take(), blob);
+
+  EXPECT_TRUE(restored.AuditAccounting().ok());
+  EXPECT_EQ(restored.stats().file_count, original.stats().file_count);
+  EXPECT_EQ(restored.stats().total_objects, original.stats().total_objects);
+  EXPECT_EQ(restored.GetQuota("/data/db1").total_objects, 50);
+  EXPECT_EQ(restored.GetQuota("/data/db1").used_objects,
+            original.GetQuota("/data/db1").used_objects);
+  EXPECT_EQ(restored.OpenCallsInHour(0), original.OpenCallsInHour(0));
+  EXPECT_EQ(restored.OpenCallsInHour(kHour), original.OpenCallsInHour(kHour));
+  EXPECT_FALSE(restored.Exists(paths.back()));
+
+  const auto expect_file = [](const FileInfo& got, const FileSpec& want) {
+    EXPECT_EQ(got.path, want.path);
+    EXPECT_EQ(got.size_bytes, want.size_bytes) << want.path;
+    EXPECT_EQ(got.record_count, want.record_count) << want.path;
+    EXPECT_EQ(got.created_at, want.created_at) << want.path;
+  };
+  for (const FileSpec& want : live) {
+    const Result<FileInfo> stat = restored.Stat(want.path);
+    ASSERT_TRUE(stat.ok()) << want.path;
+    expect_file(*stat, want);
+    const Result<FileInfo> open = restored.Open(want.path);
+    ASSERT_TRUE(open.ok()) << want.path;
+    expect_file(*open, want);
+  }
+  std::vector<FileSpec> by_path = live;
+  std::sort(by_path.begin(), by_path.end(),
+            [](const FileSpec& a, const FileSpec& b) { return a.path < b.path; });
+  const std::vector<FileInfo> listed = restored.ListFiles("/data");
+  ASSERT_EQ(listed.size(), by_path.size());
+  for (size_t i = 0; i < listed.size(); ++i) expect_file(listed[i], by_path[i]);
 }
 
 }  // namespace
