@@ -1,17 +1,15 @@
 /// \file bench_pipeline_throughput.cc
 /// \brief Control-loop throughput: full RunOnce() cycles over a synthetic
-/// fleet across collector modes (the rescan oracle and the incremental
-/// stats index) and pool sizes, verifying every configuration produces
-/// the sequential ranking byte for byte (NFR2).
+/// fleet with the rescan oracle (`seq`) and the incremental stats index
+/// (`indexed`), verifying both produce the same ranking byte for byte
+/// (NFR2).
 ///
 /// The paper projects observe/decide cycles over ~100K tables (§2); this
-/// bench measures how fast the framework itself can turn the OODA loop as
-/// workers and the IncrementalStatsIndex are added. Pool sizes
-/// above hardware_concurrency are skipped and annotated as invalid:
-/// oversubscribed pools on a starved host measure scheduler noise, not
-/// speedup. Results land in BENCH_pipeline.json:
+/// bench measures how fast the framework itself can turn the OODA loop
+/// and what the IncrementalStatsIndex buys. Each cycle runs sequentially.
+/// Results land in BENCH_pipeline.json:
 ///   {"fleet_tables": N, "hardware_concurrency": H, "runs": [
-///      {"name": "...", "pool_size": P, "indexed": false,
+///      {"name": "...", "indexed": false,
 ///       "cold_ms": ..., "best_ms": ..., "tables_per_sec": ...,
 ///       "speedup_vs_seq": ..., "speedup_vs_cold_seq": ...,
 ///       "index_hit_rate": ...}, ...]}
@@ -20,10 +18,7 @@
 /// compares against the cold seq rescan (run 0, no warm allocator or
 /// metadata residency) — the state an advisor actually wakes up in.
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -35,7 +30,6 @@
 #include "common/json.h"
 #include "common/logging.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/observe.h"
 #include "core/pipeline.h"
 #include "core/ranking.h"
@@ -94,8 +88,7 @@ void BuildFleet(catalog::Catalog* catalog, Rng* rng) {
 core::AutoCompPipeline MakePipeline(catalog::Catalog* catalog,
                                     const catalog::ControlPlane* control_plane,
                                     const Clock* clock,
-                                    std::shared_ptr<core::StatsCollector> collector,
-                                    ThreadPool* pool) {
+                                    std::shared_ptr<core::StatsCollector> collector) {
   core::AutoCompPipeline::Stages stages;
   stages.generator = std::make_shared<core::TableScopeGenerator>();
   stages.collector = std::move(collector);
@@ -108,7 +101,6 @@ core::AutoCompPipeline MakePipeline(catalog::Catalog* catalog,
           {"compute_cost_gbhr", 0.3, true}});
   stages.selector = std::make_shared<core::FixedKSelector>(100);
   stages.scheduler = nullptr;  // decide-only: catalog state stays fixed
-  stages.pool = pool;
   (void)control_plane;
   return core::AutoCompPipeline(std::move(stages), catalog, clock);
 }
@@ -126,10 +118,7 @@ std::string RankingFingerprint(const core::PipelineRunReport& report) {
 
 struct RunResult {
   std::string name;
-  int pool_size = 0;  // 0 = sequential (no pool)
   bool indexed = false;
-  bool skipped = false;
-  std::string skip_reason;
   double cold_ms = 0;  // first run: index entries unbuilt
   double best_ms = 0;
   core::PipelinePhaseTimings best_timings;
@@ -138,23 +127,15 @@ struct RunResult {
   std::string fingerprint;
 };
 
-struct RunSpec {
-  std::string name;
-  int pool_size = 0;
-  bool indexed = false;
-};
-
-RunResult RunConfig(const RunSpec& spec, catalog::Catalog* catalog,
+RunResult RunConfig(const std::string& name, bool indexed,
+                    catalog::Catalog* catalog,
                     const catalog::ControlPlane* control_plane,
                     const Clock* clock) {
-  std::unique_ptr<ThreadPool> pool;
-  if (spec.pool_size > 0) pool = std::make_unique<ThreadPool>(spec.pool_size);
-
   // The index registers a catalog commit listener; it must outlive the
   // pipeline runs but not the bench, so scope it to this config.
   std::shared_ptr<core::IncrementalStatsIndex> index;
   std::shared_ptr<core::StatsCollector> collector;
-  if (spec.indexed) {
+  if (indexed) {
     index = std::make_shared<core::IncrementalStatsIndex>(catalog);
     collector = std::make_shared<core::IndexedStatsCollector>(
         catalog, control_plane, clock, index);
@@ -163,12 +144,11 @@ RunResult RunConfig(const RunSpec& spec, catalog::Catalog* catalog,
                                                        clock);
   }
   core::AutoCompPipeline pipeline =
-      MakePipeline(catalog, control_plane, clock, collector, pool.get());
+      MakePipeline(catalog, control_plane, clock, collector);
 
   RunResult result;
-  result.name = spec.name;
-  result.pool_size = spec.pool_size;
-  result.indexed = spec.indexed;
+  result.name = name;
+  result.indexed = indexed;
   int64_t index_hits = 0;
   int64_t index_total = 0;
   // The catalog never mutates (null scheduler), so the index lazily
@@ -206,56 +186,13 @@ int main() {
   catalog::ControlPlane control_plane(&catalog);
   Rng rng(7);
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  // CI boxes often report 1-2 cores; with AUTOCOMP_BENCH_FORCE_POOLS=1
-  // the oversubscribed pool configs still *run* (exercising the parallel
-  // code paths and the NFR2 fingerprint check) even though their timings
-  // measure scheduler noise rather than speedup.
-  const char* force_env = std::getenv("AUTOCOMP_BENCH_FORCE_POOLS");
-  const bool force_pools =
-      force_env != nullptr && std::strcmp(force_env, "0") != 0 &&
-      force_env[0] != '\0';
-  std::printf("hardware_concurrency = %d%s\n", hw,
-              force_pools ? " (AUTOCOMP_BENCH_FORCE_POOLS set)" : "");
-  if (hw <= 1 && !force_pools) {
-    std::printf(
-        "NOTE: single-core host — multi-worker pool runs would measure "
-        "oversubscription noise, not speedup; skipping them. Set "
-        "AUTOCOMP_BENCH_FORCE_POOLS=1 to run them anyway.\n");
-  }
+  std::printf("hardware_concurrency = %d\n", hw);
   std::printf("building %d-table synthetic fleet...\n", kFleetTables);
   BuildFleet(&catalog, &rng);
 
-  // Pool sizes to attempt; anything above hardware_concurrency is
-  // recorded as skipped/invalid rather than benchmarked.
-  std::vector<int> pool_sizes = {1, 2, 4, hw};
-  std::sort(pool_sizes.begin(), pool_sizes.end());
-  pool_sizes.erase(std::unique(pool_sizes.begin(), pool_sizes.end()),
-                   pool_sizes.end());
-
-  std::vector<RunSpec> specs;
-  specs.push_back({"seq", 0, false});
-  for (int workers : pool_sizes) {
-    specs.push_back({"pool" + std::to_string(workers), workers, false});
-  }
-  specs.push_back({"indexed", 0, true});
-
   std::vector<RunResult> runs;
-  for (const RunSpec& spec : specs) {
-    if (spec.pool_size > hw && !force_pools) {
-      RunResult skipped;
-      skipped.name = spec.name;
-      skipped.pool_size = spec.pool_size;
-      skipped.indexed = spec.indexed;
-      skipped.skipped = true;
-      skipped.skip_reason = "pool_size > hardware_concurrency (" +
-                            std::to_string(hw) + "): oversubscribed";
-      std::printf("skipping %s: %s\n", spec.name.c_str(),
-                  skipped.skip_reason.c_str());
-      runs.push_back(std::move(skipped));
-      continue;
-    }
-    runs.push_back(RunConfig(spec, &catalog, &control_plane, &clock));
-  }
+  runs.push_back(RunConfig("seq", false, &catalog, &control_plane, &clock));
+  runs.push_back(RunConfig("indexed", true, &catalog, &control_plane, &clock));
   const double seq_best_ms = runs[0].best_ms;
   // The paper's comparison point is a *cold* rescan: an advisor waking up
   // with no warm state re-reads every manifest. Steady-state indexed runs
@@ -263,54 +200,36 @@ int main() {
   // reported alongside for transparency.
   const double seq_cold_ms = runs[0].cold_ms;
 
-  // NFR2: every executed configuration must produce the sequential
-  // ranking, byte for byte — including the index-backed one.
-  for (const RunResult& r : runs) {
-    if (r.skipped) continue;
-    AUTOCOMP_CHECK(r.fingerprint == runs[0].fingerprint)
-        << "ranking diverged in config " << r.name;
-  }
+  // NFR2: the index-backed configuration must produce the rescan
+  // oracle's ranking, byte for byte.
+  AUTOCOMP_CHECK(runs[1].fingerprint == runs[0].fingerprint)
+      << "indexed ranking diverged from the seq rescan";
 
-  sim::TablePrinter table({"config", "pool", "index", "cold ms", "best ms",
-                           "gen", "obs", "orient", "decide", "tables/s",
-                           "speedup", "vs cold", "idx%"});
+  sim::TablePrinter table({"config", "index", "cold ms", "best ms", "gen",
+                           "obs", "orient", "decide", "tables/s", "speedup",
+                           "vs cold", "idx%"});
   JsonValue json_runs = JsonValue::Array();
   for (const RunResult& r : runs) {
-    const double speedup =
-        !r.skipped && r.best_ms > 0 ? seq_best_ms / r.best_ms : 0;
-    const double speedup_vs_cold =
-        !r.skipped && r.best_ms > 0 ? seq_cold_ms / r.best_ms : 0;
-    if (r.skipped) {
-      table.AddRow({r.name, std::to_string(r.pool_size),
-                    r.indexed ? "on" : "off", "skipped", "-", "-", "-", "-",
-                    "-", "-", "-", "-", "-"});
-    } else {
-      table.AddRow({r.name, std::to_string(r.pool_size),
-                    r.indexed ? "on" : "off", sim::Fmt(r.cold_ms, 2),
-                    sim::Fmt(r.best_ms, 2),
-                    sim::Fmt(r.best_timings.generate_ms, 1),
-                    sim::Fmt(r.best_timings.observe_ms, 1),
-                    sim::Fmt(r.best_timings.orient_ms, 1),
-                    sim::Fmt(r.best_timings.decide_ms, 1),
-                    sim::Fmt(r.tables_per_sec, 0),
-                    sim::Fmt(speedup, 2), sim::Fmt(speedup_vs_cold, 2),
-                    sim::Fmt(100.0 * r.index_hit_rate, 1)});
-    }
+    const double speedup = r.best_ms > 0 ? seq_best_ms / r.best_ms : 0;
+    const double speedup_vs_cold = r.best_ms > 0 ? seq_cold_ms / r.best_ms : 0;
+    table.AddRow({r.name, r.indexed ? "on" : "off", sim::Fmt(r.cold_ms, 2),
+                  sim::Fmt(r.best_ms, 2),
+                  sim::Fmt(r.best_timings.generate_ms, 1),
+                  sim::Fmt(r.best_timings.observe_ms, 1),
+                  sim::Fmt(r.best_timings.orient_ms, 1),
+                  sim::Fmt(r.best_timings.decide_ms, 1),
+                  sim::Fmt(r.tables_per_sec, 0), sim::Fmt(speedup, 2),
+                  sim::Fmt(speedup_vs_cold, 2),
+                  sim::Fmt(100.0 * r.index_hit_rate, 1)});
     JsonValue entry = JsonValue::Object();
     entry.Set("name", r.name);
-    entry.Set("pool_size", r.pool_size);
     entry.Set("indexed", r.indexed);
-    if (r.skipped) {
-      entry.Set("skipped", true);
-      entry.Set("skip_reason", r.skip_reason);
-    } else {
-      entry.Set("cold_ms", r.cold_ms);
-      entry.Set("best_ms", r.best_ms);
-      entry.Set("tables_per_sec", r.tables_per_sec);
-      entry.Set("speedup_vs_seq", speedup);
-      entry.Set("speedup_vs_cold_seq", speedup_vs_cold);
-      entry.Set("index_hit_rate", r.index_hit_rate);
-    }
+    entry.Set("cold_ms", r.cold_ms);
+    entry.Set("best_ms", r.best_ms);
+    entry.Set("tables_per_sec", r.tables_per_sec);
+    entry.Set("speedup_vs_seq", speedup);
+    entry.Set("speedup_vs_cold_seq", speedup_vs_cold);
+    entry.Set("index_hit_rate", r.index_hit_rate);
     json_runs.Append(std::move(entry));
   }
   std::printf("%s", table.ToString().c_str());
@@ -318,7 +237,6 @@ int main() {
   JsonValue doc = JsonValue::Object();
   doc.Set("fleet_tables", kFleetTables);
   doc.Set("hardware_concurrency", hw);
-  doc.Set("force_pools", force_pools);
   doc.Set("runs", std::move(json_runs));
   std::FILE* out = std::fopen("BENCH_pipeline.json", "w");
   AUTOCOMP_CHECK(out != nullptr);

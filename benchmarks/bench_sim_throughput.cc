@@ -35,8 +35,7 @@
 /// producing *negative* overhead percentages for later configs). Pool
 /// configs wider than hardware_concurrency are skipped (their "speedup"
 /// measures oversubscription, not parallelism) unless
-/// AUTOCOMP_BENCH_FORCE_POOLS=1 — the same discipline as
-/// bench_pipeline_throughput.
+/// AUTOCOMP_BENCH_FORCE_POOLS=1.
 ///
 /// A "seq-eager" run (LaneMode::kAdvanceAll) prices the lazy driver
 /// against the historical hydrate-everything/advance-everything path at

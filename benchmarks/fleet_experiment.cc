@@ -28,17 +28,15 @@ SizeHistogram FleetHistogram(catalog::Catalog* catalog) {
 /// fixed manual set was picked, §7: "chosen because of their
 /// susceptibility to high fragmentation").
 std::vector<std::string> PickManualSet(catalog::Catalog* catalog,
-                                       const Clock* clock, int64_t k,
-                                       ThreadPool* thread_pool) {
+                                       const Clock* clock, int64_t k) {
   core::TableScopeGenerator generator;
   core::StatsCollector collector(catalog, nullptr, clock);
-  auto pool = generator.Generate(catalog, thread_pool);
+  auto pool = generator.Generate(catalog);
   AUTOCOMP_CHECK(pool.ok());
-  auto observed = collector.CollectAll(*pool, thread_pool);
+  auto observed = collector.CollectAll(*pool);
   AUTOCOMP_CHECK(observed.ok());
   auto traited = core::ComputeTraits(
-      *observed, {std::make_shared<core::FileCountReductionTrait>()},
-      thread_pool);
+      *observed, {std::make_shared<core::FileCountReductionTrait>()});
   auto ranked = core::SingleTraitRanker("file_count_reduction").Rank(traited);
   std::vector<std::string> out;
   for (const auto& sc : ranked) {
@@ -53,7 +51,7 @@ std::vector<std::string> PickManualSet(catalog::Catalog* catalog,
 std::vector<FleetDayStats> RunFleetExperiment(
     const std::vector<FleetPhase>& phases,
     std::vector<std::pair<std::string, SizeHistogram>>* histograms_out,
-    workload::FleetOptions fleet_options, FleetRunOptions run_options) {
+    workload::FleetOptions fleet_options) {
   sim::SimEnvironment env;
   workload::FleetWorkload fleet(fleet_options);
   AUTOCOMP_CHECK(fleet
@@ -75,8 +73,7 @@ std::vector<FleetDayStats> RunFleetExperiment(
     // Manual phase: fix the table set once, at phase start.
     std::vector<std::string> manual_set;
     if (phase.mode == FleetPhase::Mode::kManualFixed) {
-      manual_set = PickManualSet(&env.catalog(), &env.clock(), phase.k,
-                                 run_options.pool);
+      manual_set = PickManualSet(&env.catalog(), &env.clock(), phase.k);
     }
     // Auto phases: one MOOP service per phase.
     std::unique_ptr<core::AutoCompService> service;
@@ -90,7 +87,6 @@ std::vector<FleetDayStats> RunFleetExperiment(
       }
       preset.trigger_interval = kDay;   // daily, like the deployment
       preset.first_trigger = 0;         // RunNow is called explicitly
-      preset.pool = run_options.pool;
       service = sim::MakeMoopService(&env, preset);
     }
 

@@ -51,14 +51,6 @@ struct FleetDayStats {
   double pct_small = 0;
 };
 
-/// \brief Control-loop execution knobs shared by every figure bench.
-/// Defaults run the AutoComp pipeline on the process-wide thread pool —
-/// identical results (NFR2), faster wall-clock.
-struct FleetRunOptions {
-  /// Pool for the observe/orient fan-out; nullptr = sequential.
-  ThreadPool* pool = ThreadPool::Default();
-};
-
 /// \brief Runs the fleet through `phases`, returning one record per day.
 /// `histograms_out`, when given, receives the end-of-phase file-size
 /// histograms (Figure 2's distribution snapshots).
@@ -66,7 +58,6 @@ std::vector<FleetDayStats> RunFleetExperiment(
     const std::vector<FleetPhase>& phases,
     std::vector<std::pair<std::string, SizeHistogram>>* histograms_out =
         nullptr,
-    workload::FleetOptions fleet_options = {},
-    FleetRunOptions run_options = {});
+    workload::FleetOptions fleet_options = {});
 
 }  // namespace autocomp::bench

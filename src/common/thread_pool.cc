@@ -2,147 +2,66 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
+#include <memory>
 
 namespace autocomp {
 
 namespace {
 
-/// Worker identity for nested-ParallelFor detection: the pool (if any)
-/// whose worker loop is running on this thread.
+/// The pool (if any) whose worker loop runs on this thread; a
+/// ParallelFor from one of its own workers runs inline.
 thread_local ThreadPool* tls_pool = nullptr;
-thread_local int tls_worker_index = -1;
-
-std::atomic<int> g_default_workers_hint{0};
-std::atomic<bool> g_default_constructed{false};
 
 }  // namespace
-
-ThreadPoolOptions ThreadPoolOptions::FromConfig(const Config& config) {
-  ThreadPoolOptions options;
-  options.workers =
-      static_cast<int>(config.GetInt("threadpool.workers", 0));
-  return options;
-}
 
 ThreadPool::ThreadPool(int workers) {
   if (workers <= 0) {
     workers = static_cast<int>(std::thread::hardware_concurrency());
     if (workers <= 0) workers = 1;
   }
-  shards_.reserve(static_cast<size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
   workers_.reserve(static_cast<size_t>(workers));
   for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(wake_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
   wake_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
 }
 
-void ThreadPool::Submit(Task task) {
-  assert(task != nullptr);
-  int shard;
-  {
-    std::lock_guard<std::mutex> lock(wake_mu_);
-    assert(!stop_ && "Submit after shutdown");
-    ++pending_;
-    // A worker pushes to its own deque (LIFO locality); external callers
-    // spread round-robin.
-    shard = (tls_pool == this) ? tls_worker_index
-                               : static_cast<int>(next_shard_++ %
-                                                  shards_.size());
-  }
-  {
-    std::lock_guard<std::mutex> lock(shards_[shard]->mu);
-    shards_[shard]->tasks.push_back(std::move(task));
-  }
-  wake_cv_.notify_one();
-}
-
-bool ThreadPool::TryAcquire(int self, Task* out) {
-  {
-    Shard& own = *shards_[self];
-    std::lock_guard<std::mutex> lock(own.mu);
-    if (!own.tasks.empty()) {
-      *out = std::move(own.tasks.back());
-      own.tasks.pop_back();
-      return true;
-    }
-  }
-  // Steal oldest-first from the other shards, starting just after self so
-  // victims are spread evenly.
-  const int n = static_cast<int>(shards_.size());
-  for (int k = 1; k < n; ++k) {
-    Shard& victim = *shards_[(self + k) % n];
-    std::lock_guard<std::mutex> lock(victim.mu);
-    if (!victim.tasks.empty()) {
-      *out = std::move(victim.tasks.front());
-      victim.tasks.pop_front();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::WorkerLoop(int self) {
+void ThreadPool::WorkerLoop() {
   tls_pool = this;
-  tls_worker_index = self;
   while (true) {
-    Task task;
-    if (TryAcquire(self, &task)) {
-      task();
-      std::lock_guard<std::mutex> lock(wake_mu_);
-      if (--pending_ == 0) idle_cv_.notify_all();
-      continue;
+    std::function<void()> task;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      wake_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+      // Drain before exiting: a runner still queued when its ParallelFor
+      // returned finds no chunk left and returns at once.
+      if (queue_.empty()) return;
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    std::unique_lock<std::mutex> lock(wake_mu_);
-    // Re-check under the wake lock: a Submit may have raced the scan.
-    wake_cv_.wait(lock, [this, self] {
-      if (stop_) return true;
-      for (const auto& shard : shards_) {
-        std::lock_guard<std::mutex> inner(shard->mu);
-        if (!shard->tasks.empty()) return true;
-      }
-      return false;
-    });
-    if (stop_) {
-      // Drain remaining work before exiting so queued tasks still run.
-      lock.unlock();
-      while (TryAcquire(self, &task)) {
-        task();
-        std::lock_guard<std::mutex> drain_lock(wake_mu_);
-        if (--pending_ == 0) idle_cv_.notify_all();
-      }
-      return;
-    }
+    task();
   }
-}
-
-void ThreadPool::WaitIdle() {
-  std::unique_lock<std::mutex> lock(wake_mu_);
-  idle_cv_.wait(lock, [this] { return pending_ == 0; });
 }
 
 void ThreadPool::ParallelFor(int64_t n,
                              const std::function<void(int64_t)>& body) {
   if (n <= 0) return;
-  // Inline when fan-out cannot help: tiny ranges, single-worker pools, or
-  // re-entrant calls from a worker of this pool (avoids deadlock).
   if (n == 1 || worker_count() <= 1 || tls_pool == this) {
     for (int64_t i = 0; i < n; ++i) body(i);
     return;
   }
 
+  // Shared with the runners, which may outlive this call: a runner still
+  // queued after the last chunk finished claims nothing and never
+  // touches `body`.
   struct State {
     std::atomic<int64_t> next_chunk{0};
     std::atomic<int64_t> chunks_done{0};
@@ -154,45 +73,35 @@ void ThreadPool::ParallelFor(int64_t n,
       std::min<int64_t>(n, static_cast<int64_t>(worker_count()) * 8);
   const int64_t per_chunk = (n + chunks - 1) / chunks;
   auto state = std::make_shared<State>();
-
-  // One runner per worker; each drains chunks off a shared counter, so a
-  // worker stuck on a slow chunk simply contributes fewer chunks.
-  const int runners = static_cast<int>(std::min<int64_t>(
-      static_cast<int64_t>(worker_count()), chunks));
-  for (int r = 0; r < runners; ++r) {
-    Submit([state, chunks, per_chunk, n, &body] {
-      while (true) {
-        const int64_t c =
-            state->next_chunk.fetch_add(1, std::memory_order_relaxed);
-        if (c >= chunks) return;
-        const int64_t begin = c * per_chunk;
-        const int64_t end = std::min(n, begin + per_chunk);
-        for (int64_t i = begin; i < end; ++i) body(i);
-        if (state->chunks_done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-            chunks) {
-          std::lock_guard<std::mutex> lock(state->mu);
-          state->done_cv.notify_all();
+  const int64_t runners =
+      std::min<int64_t>(static_cast<int64_t>(worker_count()), chunks);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (int64_t r = 0; r < runners; ++r) {
+      queue_.push_back([state, chunks, per_chunk, n, &body] {
+        while (true) {
+          const int64_t c =
+              state->next_chunk.fetch_add(1, std::memory_order_relaxed);
+          if (c >= chunks) return;
+          const int64_t begin = c * per_chunk;
+          const int64_t end = std::min(n, begin + per_chunk);
+          for (int64_t i = begin; i < end; ++i) body(i);
+          if (state->chunks_done.fetch_add(1, std::memory_order_acq_rel) +
+                  1 ==
+              chunks) {
+            std::lock_guard<std::mutex> done_lock(state->mu);
+            state->done_cv.notify_all();
+          }
         }
-      }
-    });
+      });
+    }
   }
+  for (int64_t r = 0; r < runners; ++r) wake_cv_.notify_one();
 
   std::unique_lock<std::mutex> lock(state->mu);
   state->done_cv.wait(lock, [&] {
     return state->chunks_done.load(std::memory_order_acquire) == chunks;
   });
-}
-
-ThreadPool* ThreadPool::Default() {
-  g_default_constructed.store(true, std::memory_order_release);
-  static ThreadPool pool(g_default_workers_hint.load());
-  return &pool;
-}
-
-bool ThreadPool::SetDefaultWorkers(int workers) {
-  if (g_default_constructed.load(std::memory_order_acquire)) return false;
-  g_default_workers_hint.store(workers);
-  return true;
 }
 
 }  // namespace autocomp

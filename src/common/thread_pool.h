@@ -1,19 +1,14 @@
 /// \file thread_pool.h
-/// \brief Work-stealing thread pool for the fleet-scale OODA hot path.
+/// \brief Fixed-size worker pool for shard advancement in
+/// sim::FleetSimulation.
 ///
-/// The paper's production deployment evaluates thousands of tables per
-/// pipeline cycle (§7); candidate generation, stats collection and trait
-/// evaluation are embarrassingly parallel per table / per candidate. The
-/// pool provides fire-and-forget task submission plus a blocking
-/// ParallelFor used by those phases. Determinism (NFR2) is preserved by
-/// construction: parallel callers write results into per-index slots and
-/// merge them in index order, so outputs are bit-identical to the
-/// sequential path regardless of worker count or interleaving.
-///
-/// Scheduling is work-stealing: each worker owns a deque and pops from
-/// its back (LIFO, cache-friendly); idle workers steal from the front of
-/// other workers' deques (FIFO, oldest-first). External submissions are
-/// distributed round-robin.
+/// The fleet replay is the repo's one parallelism level: lanes are hashed
+/// onto K shards, and every epoch advances the shards concurrently
+/// through ParallelFor. Determinism (NFR2) is the caller's job and holds
+/// by construction there: each index owns disjoint state and the
+/// coordinator merges in index order, so results are bit-identical at any
+/// worker count or interleaving. The OODA pipeline runs each cycle
+/// sequentially and never touches a pool.
 
 #pragma once
 
@@ -21,36 +16,23 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "common/config.h"
-
 namespace autocomp {
 
-/// \brief Pool sizing knobs, loadable from a component Config.
-struct ThreadPoolOptions {
-  /// Worker thread count; 0 picks std::thread::hardware_concurrency().
-  int workers = 0;
-
-  /// Reads "threadpool.workers" (default 0 = hardware concurrency).
-  static ThreadPoolOptions FromConfig(const Config& config);
-};
-
-/// \brief Fixed-size work-stealing thread pool.
+/// \brief Fixed-size pool whose only entry point is a blocking
+/// ParallelFor.
 ///
-/// Tasks must not throw. A ParallelFor issued from inside a worker runs
-/// inline on that worker (no nested fan-out), which makes nesting safe
-/// and deadlock-free. Pools with fewer than two workers execute
-/// ParallelFor inline as well — a single worker cannot beat the caller's
-/// own thread, so the handoff would be pure overhead.
+/// ParallelFor runs inline on the caller when fan-out cannot help: a
+/// single index, a pool of at most one worker, or a call from one of the
+/// pool's own workers (which also makes nesting deadlock-free).
+/// Concurrent calls from several external threads are allowed.
 class ThreadPool {
  public:
-  using Task = std::function<void()>;
-
-  /// Creates `ThreadPoolOptions{workers}.workers` worker threads.
+  /// Starts `workers` threads; 0 (or less) picks
+  /// std::thread::hardware_concurrency().
   explicit ThreadPool(int workers = 0);
   ~ThreadPool();
 
@@ -59,48 +41,24 @@ class ThreadPool {
 
   int worker_count() const { return static_cast<int>(workers_.size()); }
 
-  /// Enqueues a task for asynchronous execution.
-  void Submit(Task task);
-
-  /// Invokes `body(i)` exactly once for every i in [0, n), distributing
-  /// contiguous chunks across workers, and blocks until all calls
-  /// returned. `body` must be safe to run concurrently with itself for
-  /// distinct indices.
+  /// Invokes `body(i)` exactly once for every i in [0, n) and blocks
+  /// until all calls returned. The range is cut into `workers × 8`
+  /// contiguous chunks (at most n) that the workers claim from one shared
+  /// counter, so a worker stuck on a slow chunk simply claims fewer.
+  /// `body` must be safe to run concurrently with itself for distinct
+  /// indices.
   void ParallelFor(int64_t n, const std::function<void(int64_t)>& body);
 
-  /// Blocks until every submitted task has finished (used by tests).
-  void WaitIdle();
-
-  /// Process-wide shared pool, created on first use with
-  /// `default_workers` threads (see SetDefaultWorkers).
-  static ThreadPool* Default();
-
-  /// Sets the worker count used when Default() first constructs the
-  /// shared pool. Calls after that pool exists have no effect; returns
-  /// whether the hint was applied.
-  static bool SetDefaultWorkers(int workers);
-
  private:
-  /// One worker's deque; `mu` guards `tasks`.
-  struct Shard {
-    std::mutex mu;
-    std::deque<Task> tasks;
-  };
+  void WorkerLoop();
 
-  void WorkerLoop(int self);
-  /// Pops own work (back) or steals (front of another shard).
-  bool TryAcquire(int self, Task* out);
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::thread> workers_;
-
-  /// Guards wakeups and the idle handshake.
-  std::mutex wake_mu_;
+  /// Guards `queue_` and `stop_`.
+  std::mutex mu_;
   std::condition_variable wake_cv_;
-  std::condition_variable idle_cv_;
-  int64_t pending_ = 0;  // queued + running tasks
-  int64_t next_shard_ = 0;  // round-robin cursor for external Submit
+  std::deque<std::function<void()>> queue_;
   bool stop_ = false;
+  /// Declared last: the workers use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace autocomp

@@ -33,36 +33,13 @@ using PerTableFn = std::function<Status(
     catalog::Catalog*, const std::string&, std::vector<Candidate>*)>;
 
 /// Shared generator skeleton: runs `per_table` over every table in the
-/// fleet — fanned out across `pool` when one is supplied — and merges the
-/// per-table shards in table order before the final sort. Each table
-/// writes only its own index's slot, so the merged list (and the first
-/// error surfaced, in table order) is bit-for-bit identical to the
-/// sequential path regardless of worker count or scheduling (NFR2).
+/// fleet, in table order, and sorts the result. The first failing table
+/// aborts generation with its status.
 Result<std::vector<Candidate>> GeneratePerTable(catalog::Catalog* catalog,
-                                                ThreadPool* pool,
                                                 const PerTableFn& per_table) {
-  const std::vector<std::string> names = catalog->ListAllTables();
-  const int64_t n = static_cast<int64_t>(names.size());
-  std::vector<std::vector<Candidate>> shards(names.size());
-  std::vector<Status> statuses(names.size(), Status::OK());
-  if (pool != nullptr && pool->worker_count() > 1 && n > 1) {
-    pool->ParallelFor(n, [&](int64_t i) {
-      statuses[i] = per_table(catalog, names[i], &shards[i]);
-    });
-  } else {
-    for (int64_t i = 0; i < n; ++i) {
-      statuses[i] = per_table(catalog, names[i], &shards[i]);
-    }
-  }
-  size_t total = 0;
-  for (size_t i = 0; i < shards.size(); ++i) {
-    AUTOCOMP_RETURN_NOT_OK(statuses[i]);
-    total += shards[i].size();
-  }
   std::vector<Candidate> out;
-  out.reserve(total);
-  for (std::vector<Candidate>& shard : shards) {
-    for (Candidate& c : shard) out.push_back(std::move(c));
+  for (const std::string& name : catalog->ListAllTables()) {
+    AUTOCOMP_RETURN_NOT_OK(per_table(catalog, name, &out));
   }
   return Sorted(std::move(out));
 }
@@ -86,9 +63,9 @@ TableScopeGenerator::TableScopeGenerator(
     : index_(std::move(index)) {}
 
 Result<std::vector<Candidate>> TableScopeGenerator::Generate(
-    catalog::Catalog* catalog, ThreadPool* pool) const {
+    catalog::Catalog* catalog) const {
   return GeneratePerTable(
-      catalog, pool,
+      catalog,
       [](catalog::Catalog*, const std::string& name,
          std::vector<Candidate>* out) {
         Candidate c;
@@ -121,9 +98,9 @@ PartitionScopeGenerator::PartitionScopeGenerator(
     : index_(std::move(index)) {}
 
 Result<std::vector<Candidate>> PartitionScopeGenerator::Generate(
-    catalog::Catalog* catalog, ThreadPool* pool) const {
+    catalog::Catalog* catalog) const {
   return GeneratePerTable(
-      catalog, pool,
+      catalog,
       [this](catalog::Catalog* cat, const std::string& name,
              std::vector<Candidate>* out) {
         AUTOCOMP_ASSIGN_OR_RETURN(lst::TableMetadataPtr meta,
@@ -146,9 +123,9 @@ HybridScopeGenerator::HybridScopeGenerator(
     : index_(std::move(index)) {}
 
 Result<std::vector<Candidate>> HybridScopeGenerator::Generate(
-    catalog::Catalog* catalog, ThreadPool* pool) const {
+    catalog::Catalog* catalog) const {
   return GeneratePerTable(
-      catalog, pool,
+      catalog,
       [this](catalog::Catalog* cat, const std::string& name,
              std::vector<Candidate>* out) {
         AUTOCOMP_ASSIGN_OR_RETURN(lst::TableMetadataPtr meta,
@@ -177,9 +154,9 @@ SnapshotScopeGenerator::SnapshotScopeGenerator(
     : index_(std::move(index)) {}
 
 Result<std::vector<Candidate>> SnapshotScopeGenerator::Generate(
-    catalog::Catalog* catalog, ThreadPool* pool) const {
+    catalog::Catalog* catalog) const {
   return GeneratePerTable(
-      catalog, pool,
+      catalog,
       [this](catalog::Catalog* cat, const std::string& name,
              std::vector<Candidate>* out) {
         AUTOCOMP_ASSIGN_OR_RETURN(lst::TableMetadataPtr meta,
@@ -297,31 +274,9 @@ void StatsCollector::RefreshVolatile(const Candidate& candidate,
 }
 
 Result<std::vector<ObservedCandidate>> StatsCollector::CollectAll(
-    const std::vector<Candidate>& candidates, ThreadPool* pool) const {
-  const int64_t n = static_cast<int64_t>(candidates.size());
+    const std::vector<Candidate>& candidates) const {
   std::vector<ObservedCandidate> out;
   out.reserve(candidates.size());
-  if (pool != nullptr && pool->worker_count() > 1 && n > 1) {
-    // Per-index slots + index-ordered merge: same output (and same first
-    // error) as the sequential loop below, whatever the interleaving.
-    std::vector<std::optional<CandidateStats>> slots(candidates.size());
-    std::vector<Status> statuses(candidates.size(), Status::OK());
-    pool->ParallelFor(n, [&](int64_t i) {
-      auto collected = Collect(candidates[i]);
-      if (collected.ok()) {
-        slots[i] = std::move(*collected);
-      } else {
-        statuses[i] = collected.status();
-      }
-    });
-    for (int64_t i = 0; i < n; ++i) {
-      AUTOCOMP_RETURN_NOT_OK(statuses[i]);
-    }
-    for (int64_t i = 0; i < n; ++i) {
-      out.push_back(ObservedCandidate{candidates[i], std::move(*slots[i])});
-    }
-    return out;
-  }
   for (const Candidate& c : candidates) {
     AUTOCOMP_ASSIGN_OR_RETURN(CandidateStats stats, Collect(c));
     out.push_back(ObservedCandidate{c, std::move(stats)});

@@ -10,7 +10,6 @@
 #include "catalog/catalog.h"
 #include "catalog/control_plane.h"
 #include "common/clock.h"
-#include "common/thread_pool.h"
 #include "core/candidate.h"
 
 namespace autocomp::core {
@@ -20,10 +19,7 @@ class IncrementalStatsIndex;
 /// \brief Produces the raw candidate pool from the catalog (§4.1).
 ///
 /// Implementations must be deterministic for a given catalog state (NFR2):
-/// candidates come out sorted by id, and the parallel path (a non-null
-/// `pool` with more than one worker) is required to produce output
-/// bit-for-bit identical to the sequential path — generators shard the
-/// fleet per table into index-ordered slots and merge deterministically.
+/// candidates come out sorted by id.
 ///
 /// Generators that derive candidates from table contents (partition
 /// lists, replace watermarks) optionally consult an IncrementalStatsIndex
@@ -35,7 +31,7 @@ class CandidateGenerator {
   virtual ~CandidateGenerator() = default;
   virtual std::string name() const = 0;
   virtual Result<std::vector<Candidate>> Generate(
-      catalog::Catalog* catalog, ThreadPool* pool = nullptr) const = 0;
+      catalog::Catalog* catalog) const = 0;
 };
 
 /// \brief One candidate per table (LinkedIn's initial deployment scope,
@@ -48,7 +44,7 @@ class TableScopeGenerator final : public CandidateGenerator {
       std::shared_ptr<const IncrementalStatsIndex> index = nullptr);
   std::string name() const override { return "table-scope"; }
   Result<std::vector<Candidate>> Generate(
-      catalog::Catalog* catalog, ThreadPool* pool = nullptr) const override;
+      catalog::Catalog* catalog) const override;
 
  private:
   std::shared_ptr<const IncrementalStatsIndex> index_;
@@ -62,7 +58,7 @@ class PartitionScopeGenerator final : public CandidateGenerator {
       std::shared_ptr<const IncrementalStatsIndex> index = nullptr);
   std::string name() const override { return "partition-scope"; }
   Result<std::vector<Candidate>> Generate(
-      catalog::Catalog* catalog, ThreadPool* pool = nullptr) const override;
+      catalog::Catalog* catalog) const override;
 
  private:
   std::shared_ptr<const IncrementalStatsIndex> index_;
@@ -76,7 +72,7 @@ class HybridScopeGenerator final : public CandidateGenerator {
       std::shared_ptr<const IncrementalStatsIndex> index = nullptr);
   std::string name() const override { return "hybrid-scope"; }
   Result<std::vector<Candidate>> Generate(
-      catalog::Catalog* catalog, ThreadPool* pool = nullptr) const override;
+      catalog::Catalog* catalog) const override;
 
  private:
   std::shared_ptr<const IncrementalStatsIndex> index_;
@@ -90,7 +86,7 @@ class SnapshotScopeGenerator final : public CandidateGenerator {
       std::shared_ptr<const IncrementalStatsIndex> index = nullptr);
   std::string name() const override { return "snapshot-scope"; }
   Result<std::vector<Candidate>> Generate(
-      catalog::Catalog* catalog, ThreadPool* pool = nullptr) const override;
+      catalog::Catalog* catalog) const override;
 
  private:
   std::shared_ptr<const IncrementalStatsIndex> index_;
@@ -123,13 +119,10 @@ class StatsCollector {
   /// Fills a CandidateStats for `candidate` from the current table state.
   virtual Result<CandidateStats> Collect(const Candidate& candidate) const;
 
-  /// Convenience: observe a whole pool. With a non-null `pool` (of >1
-  /// workers) candidates fan out across the pool; output order and
-  /// content are identical to the sequential path, and on error the
-  /// first failing candidate in pool order is reported (NFR2).
+  /// Convenience: observe a whole candidate pool, in order; the first
+  /// failing candidate aborts the call with its status.
   Result<std::vector<ObservedCandidate>> CollectAll(
-      const std::vector<Candidate>& candidates,
-      ThreadPool* pool = nullptr) const;
+      const std::vector<Candidate>& candidates) const;
 
   /// Stats-index telemetry; non-indexed collectors report 0.
   virtual int64_t index_hits() const { return 0; }

@@ -87,9 +87,8 @@ Result<PipelineRunReport> AutoCompPipeline::RunOnce() {
                                 obs::SpanCategory::kPhase, "phase.generate",
                                 clock_->Now());
   }
-  AUTOCOMP_ASSIGN_OR_RETURN(
-      std::vector<Candidate> pool,
-      stages_.generator->Generate(catalog_, stages_.pool));
+  AUTOCOMP_ASSIGN_OR_RETURN(std::vector<Candidate> pool,
+                            stages_.generator->Generate(catalog_));
   if (trace != nullptr) {
     trace->EndSpan(gen_span, clock_->Now(),
                    static_cast<double>(pool.size()),
@@ -131,9 +130,8 @@ Result<PipelineRunReport> AutoCompPipeline::Run(std::vector<Candidate> pool,
                                   obs::SpanCategory::kPhase, "phase.observe",
                                   report.started_at);
   }
-  AUTOCOMP_ASSIGN_OR_RETURN(
-      std::vector<ObservedCandidate> observed,
-      stages_.collector->CollectAll(pool, stages_.pool));
+  AUTOCOMP_ASSIGN_OR_RETURN(std::vector<ObservedCandidate> observed,
+                            stages_.collector->CollectAll(pool));
   report.timings.observe_ms = MsSince(phase_start);
   report.stats_index_hits = stages_.collector->index_hits() - index_hits_before;
   report.stats_index_fallbacks =
@@ -159,7 +157,7 @@ Result<PipelineRunReport> AutoCompPipeline::Run(std::vector<Candidate> pool,
                                   report.started_at);
   }
   std::vector<TraitedCandidate> traited =
-      ComputeTraits(std::move(observed), stages_.traits, stages_.pool);
+      ComputeTraits(std::move(observed), stages_.traits);
 
   // --- Optional filters between orient and decide.
   if (!stages_.post_orient_filters.empty()) {

@@ -92,10 +92,6 @@ class AutoCompPipeline {
     std::shared_ptr<const Ranker> ranker;
     std::shared_ptr<const Selector> selector;
     std::shared_ptr<CompactionScheduler> scheduler;
-    /// When non-null, generation, stats collection, and trait evaluation
-    /// fan out across this pool; results stay bit-identical to the
-    /// sequential path (NFR2). Not owned; must outlive the pipeline.
-    ThreadPool* pool = nullptr;
     /// When non-null, every run records an "ooda.run" envelope span with
     /// nested phase spans (kPhases) and per-candidate ranking / winner
     /// decision instants (kDecisions). Not owned; must outlive the

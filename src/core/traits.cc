@@ -97,8 +97,7 @@ double ComputeCostTrait::Compute(const ObservedCandidate& candidate) const {
 
 std::vector<TraitedCandidate> ComputeTraits(
     std::vector<ObservedCandidate> candidates,
-    const std::vector<std::shared_ptr<const Trait>>& traits,
-    ThreadPool* pool) {
+    const std::vector<std::shared_ptr<const Trait>>& traits) {
   std::vector<TraitedCandidate> out(candidates.size());
   // name() builds a fresh string per call; materialize each once instead
   // of once per candidate (the virtual call + heap alloc showed up at
@@ -109,22 +108,14 @@ std::vector<TraitedCandidate> ComputeTraits(
   // The pool is consumed: each candidate's stats (size vectors, partition
   // map, custom bag) move into their slot instead of being deep-copied —
   // at fleet scale the copies dominated the orient phase.
-  const auto compute_one = [&](int64_t i) {
-    TraitedCandidate& tc = out[static_cast<size_t>(i)];
-    tc.observed = std::move(candidates[static_cast<size_t>(i)]);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    TraitedCandidate& tc = out[i];
+    tc.observed = std::move(candidates[i]);
     auto hint = tc.traits.end();
     for (size_t j = 0; j < traits.size(); ++j) {
       hint = tc.traits.emplace_hint(hint, names[j],
                                     traits[j]->Compute(tc.observed));
     }
-  };
-  const int64_t n = static_cast<int64_t>(candidates.size());
-  if (pool != nullptr && pool->worker_count() > 1 && n > 1) {
-    // Each index writes only its own slot; traits are pure, so the
-    // result is identical to the sequential loop (NFR2).
-    pool->ParallelFor(n, compute_one);
-  } else {
-    for (int64_t i = 0; i < n; ++i) compute_one(i);
   }
   return out;
 }

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "common/units.h"
 #include "core/candidate.h"
 
@@ -146,14 +145,11 @@ class ComputeCostTrait final : public Trait {
 
 /// \brief Computes all traits for a candidate pool (orient phase).
 ///
-/// Traits are pure functions of the observed stats, so with a non-null
-/// `pool` candidates fan out across workers into per-index slots; output
-/// is identical to the sequential path (NFR2). Takes the pool by value:
-/// each candidate's stats move into the traited output rather than being
-/// deep-copied (pass std::move when the caller is done with them).
+/// Takes the pool by value: each candidate's stats move into the traited
+/// output rather than being deep-copied (pass std::move when the caller
+/// is done with them).
 std::vector<TraitedCandidate> ComputeTraits(
     std::vector<ObservedCandidate> candidates,
-    const std::vector<std::shared_ptr<const Trait>>& traits,
-    ThreadPool* pool = nullptr);
+    const std::vector<std::shared_ptr<const Trait>>& traits);
 
 }  // namespace autocomp::core

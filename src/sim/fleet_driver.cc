@@ -212,12 +212,9 @@ void FleetSimulation::HydrateLane(Lane* lane) {
                                                &lane->metrics,
                                                LaneDriverOptions());
   if (options_.preset) {
-    // Per-lane AutoComp control loop. The lane advances serially (the
-    // fleet pool parallelizes shards, never the inside of a lane), so
-    // the pipeline runs without its own pool; the lane recorder takes
-    // the OODA/decision spans.
+    // Per-lane AutoComp control loop; the lane recorder takes the
+    // OODA/decision spans.
     StrategyPreset preset = *options_.preset;
-    preset.pool = nullptr;
     preset.trace = lane->trace.get();
     lane->service = MakeMoopService(lane->env.get(), preset);
     lane->driver->AttachService(lane->service.get());

@@ -117,8 +117,8 @@ struct FleetSimOptions {
   /// full-metadata audit per lane per epoch is far too slow for
   /// benchmarking.
   bool check_invariants = false;
-  /// Per-lane AutoComp service built from this preset (the preset's pool
-  /// and trace are overridden per lane). nullopt replays the workload
+  /// Per-lane AutoComp service built from this preset (the preset's
+  /// trace is overridden per lane). nullopt replays the workload
   /// with no compaction control loop — the pre-tracing behaviour. With a
   /// preset, every lane wakes at the trigger cadence (the control loop
   /// must observe every lane), so kActive degrades gracefully to
@@ -153,8 +153,11 @@ struct FleetSimOptions {
   /// until at most this many lanes are resident. 0 = unbounded (the
   /// historical monotone ramp). Results are bit-identical at any
   /// budget: an evicted lane restores in O(state) on its next due
-  /// event and replays its deferred no-op ticks exactly. kActive only;
-  /// ignored with a preset (the control loop keeps every lane hot).
+  /// event and replays its deferred no-op ticks exactly. kActive only.
+  /// No eviction happens with a `preset`: its service wakes every lane
+  /// at the trigger cadence and is not checkpointable, so this budget and
+  /// `evict_after_idle_hours` are ignored there (`autocomp_cli fleetsim`
+  /// rejects the combination).
   int64_t max_resident_lanes = 0;
   /// Idle-based eviction: a quiescent lane untouched for this many
   /// simulated hours is dehydrated regardless of the budget (0 = off).

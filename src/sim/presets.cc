@@ -60,7 +60,6 @@ std::unique_ptr<core::AutoCompService> MakeMoopService(
   stages.collector = std::make_shared<core::IndexedStatsCollector>(
       &env->catalog(), &env->control_plane(), &env->clock(), index,
       preset.cross_check_stats_index);
-  stages.pool = preset.pool;
   stages.trace = preset.trace;
 
   if (preset.min_table_age > 0) {

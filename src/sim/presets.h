@@ -6,6 +6,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <optional>
 
@@ -46,9 +47,10 @@ struct StrategyPreset {
   /// start, commit at unit end — so rewrites genuinely overlap user
   /// writes. Requires DriverOptions::deferred_compaction.
   bool deferred_act = false;
-  /// Thread pool for the observe/orient fan-out; nullptr runs the
-  /// pipeline sequentially. Not owned; must outlive the service.
-  ThreadPool* pool = nullptr;
+  /// Always null: the pipeline runs each cycle sequentially. The field
+  /// exists only for perfbench/perf_runner.cc's `preset.pool = nullptr`
+  /// and goes with that line in the next change to the benchmark.
+  std::nullptr_t pool = nullptr;
   /// Debug mode for the IncrementalStatsIndex the service observes
   /// through: on every index hit, also rescan and fail loudly on any
   /// divergence. Expensive; for tests and ablation studies.

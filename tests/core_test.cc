@@ -6,7 +6,6 @@
 #include "catalog/catalog.h"
 #include "catalog/control_plane.h"
 #include "common/clock.h"
-#include "common/thread_pool.h"
 #include "core/filters.h"
 #include "core/observe.h"
 #include "core/pipeline.h"
@@ -805,133 +804,22 @@ TEST_F(CoreFixture, ServiceTicksOnSchedule) {
   EXPECT_FALSE(not_due->has_value());
 }
 
+// ------------------------------------------------------ Observe errors
 
-// Field-wise equality of two observed stats; byte-identical is the
-// contract between the sequential and parallel paths (NFR2).
-void ExpectStatsEq(const CandidateStats& a, const CandidateStats& b,
-                   const std::string& context) {
-  EXPECT_EQ(a.file_count, b.file_count) << context;
-  EXPECT_EQ(a.total_bytes, b.total_bytes) << context;
-  EXPECT_EQ(a.file_sizes, b.file_sizes) << context;
-  EXPECT_EQ(a.target_file_size_bytes, b.target_file_size_bytes) << context;
-  EXPECT_EQ(a.table_created_at, b.table_created_at) << context;
-  EXPECT_EQ(a.last_modified_at, b.last_modified_at) << context;
-  EXPECT_EQ(a.partition_sizes(), b.partition_sizes()) << context;
-  EXPECT_EQ(a.delete_file_count, b.delete_file_count) << context;
-  EXPECT_EQ(a.unclustered_bytes, b.unclustered_bytes) << context;
-  EXPECT_EQ(a.quota_utilization, b.quota_utilization) << context;
-  EXPECT_EQ(a.custom.entries(), b.custom.entries()) << context;
-}
-
-// ------------------------------------------- Parallel pipeline determinism
-
-TEST_F(CoreFixture, ParallelGeneratorsMatchSequential) {
-  MakePartitionedTable("p1");
-  MakePartitionedTable("p2");
-  MakeUnpartitionedTable("u1");
-  MakeUnpartitionedTable("u2");
-  FragmentTable("db.p1", {"m=2024-01", "m=2024-02", "m=2024-03"});
-  FragmentTable("db.p2", {"m=2024-01"});
-  FragmentTable("db.u1", {});
-
-  ThreadPool pool1(1);
-  ThreadPool pool4(4);
-  const std::vector<std::shared_ptr<const CandidateGenerator>> generators = {
-      std::make_shared<TableScopeGenerator>(),
-      std::make_shared<PartitionScopeGenerator>(),
-      std::make_shared<HybridScopeGenerator>(),
-      std::make_shared<SnapshotScopeGenerator>(),
-  };
-  for (const auto& gen : generators) {
-    auto sequential = gen->Generate(&catalog_);
-    auto parallel1 = gen->Generate(&catalog_, &pool1);
-    auto parallel4 = gen->Generate(&catalog_, &pool4);
-    ASSERT_TRUE(sequential.ok() && parallel1.ok() && parallel4.ok());
-    ASSERT_EQ(sequential->size(), parallel4->size()) << gen->name();
-    for (size_t i = 0; i < sequential->size(); ++i) {
-      EXPECT_EQ((*sequential)[i].id(), (*parallel1)[i].id()) << gen->name();
-      EXPECT_EQ((*sequential)[i].id(), (*parallel4)[i].id()) << gen->name();
-      EXPECT_TRUE((*sequential)[i] == (*parallel4)[i]) << gen->name();
-    }
-  }
-}
-
-TEST_F(CoreFixture, ParallelPipelineReportMatchesSequential) {
-  MakePartitionedTable("p1");
-  MakePartitionedTable("p2");
-  MakeUnpartitionedTable("u1");
-  MakeUnpartitionedTable("u2");
-  FragmentTable("db.p1", {"m=2024-01", "m=2024-02"});
-  FragmentTable("db.p2", {"m=2024-01", "m=2024-03"});
-  FragmentTable("db.u1", {});
-  FragmentTable("db.u2", {});
-
-  ThreadPool pool1(1);
-  ThreadPool pool4(4);
-  // Decide-only pipeline (no scheduler) so repeated runs see identical
-  // catalog state; candidate ids, ranking order, scores, and selection
-  // must be byte-identical across pool sizes.
-  const auto run_with = [&](ThreadPool* pool) {
-    AutoCompPipeline::Stages stages;
-    stages.generator = std::make_shared<HybridScopeGenerator>();
-    stages.collector = std::make_shared<StatsCollector>(
-        &catalog_, &control_plane_, &clock_);
-    stages.traits = {std::make_shared<FileCountReductionTrait>(),
-                     std::make_shared<FileEntropyTrait>(),
-                     std::make_shared<ComputeCostTrait>(24.0, 1e9)};
-    stages.ranker = std::make_shared<MoopRanker>(
-        std::vector<MoopRanker::Objective>{
-            {"file_count_reduction", 0.7, false},
-            {"compute_cost_gbhr", 0.3, true}});
-    stages.selector = std::make_shared<FixedKSelector>(3);
-    stages.scheduler = nullptr;
-    stages.pool = pool;
-    AutoCompPipeline pipeline(std::move(stages), &catalog_, &clock_);
-    auto report = pipeline.RunOnce();
-    EXPECT_TRUE(report.ok());
-    return std::move(*report);
-  };
-
-  const PipelineRunReport sequential = run_with(nullptr);
-  const PipelineRunReport parallel1 = run_with(&pool1);
-  const PipelineRunReport parallel4 = run_with(&pool4);
-
-  for (const PipelineRunReport* parallel : {&parallel1, &parallel4}) {
-    EXPECT_EQ(sequential.candidates_generated, parallel->candidates_generated);
-    ASSERT_EQ(sequential.ranked.size(), parallel->ranked.size());
-    for (size_t i = 0; i < sequential.ranked.size(); ++i) {
-      const ScoredCandidate& a = sequential.ranked[i];
-      const ScoredCandidate& b = parallel->ranked[i];
-      EXPECT_EQ(a.candidate().id(), b.candidate().id()) << "rank " << i;
-      EXPECT_EQ(a.score, b.score) << "rank " << i;  // exact, not approx
-      EXPECT_EQ(a.traited.traits, b.traited.traits) << "rank " << i;
-      ExpectStatsEq(a.traited.observed.stats, b.traited.observed.stats,
-                    "rank " + std::to_string(i));
-    }
-    ASSERT_EQ(sequential.selected.size(), parallel->selected.size());
-    for (size_t i = 0; i < sequential.selected.size(); ++i) {
-      EXPECT_EQ(sequential.selected[i].candidate().id(),
-                parallel->selected[i].candidate().id());
-    }
-  }
-}
-
-TEST_F(CoreFixture, ParallelCollectAllPropagatesFirstError) {
+TEST_F(CoreFixture, CollectAllReportsFirstFailingCandidate) {
   MakePartitionedTable("p1");
   FragmentTable("db.p1", {"m=2024-01"});
   StatsCollector collector(&catalog_, &control_plane_, &clock_);
-  std::vector<Candidate> pool;
   Candidate good;
   good.table = "db.p1";
-  Candidate bad;
-  bad.table = "db.does_not_exist";
-  pool = {good, bad, good};
-  ThreadPool threads(4);
-  auto sequential = collector.CollectAll(pool);
-  auto parallel = collector.CollectAll(pool, &threads);
-  ASSERT_FALSE(sequential.ok());
-  ASSERT_FALSE(parallel.ok());
-  EXPECT_EQ(sequential.status().ToString(), parallel.status().ToString());
+  Candidate first_bad;
+  first_bad.table = "db.missing_a";
+  Candidate second_bad;
+  second_bad.table = "db.missing_b";
+  auto observed = collector.CollectAll({good, first_bad, good, second_bad});
+  ASSERT_FALSE(observed.ok());
+  EXPECT_EQ(observed.status().ToString(),
+            Status::NotFound("no such table: db.missing_a").ToString());
 }
 
 // ------------------------------------------------- Indexed observation

@@ -8,22 +8,28 @@
 // digest must also be identical across shard counts and pool sizes,
 // which pins the shard-parallel driver to the sequential reference.
 //
-// When a change *intentionally* alters behaviour, regenerate the golden
+// A second pin covers the north-star scenario: bench_sim_throughput's
+// 2000-table traced tier, the repository's headline "same behaviour"
+// check for performance work.
+//
+// When a change *intentionally* alters behaviour, regenerate the goldens
 // (see CONTRIBUTING.md):
 //
 //   ./trace_golden_test --update-golden
 //
-// and commit the updated tests/golden/trace_digest.txt with the change
-// that explains it.
+// and commit the updated tests/golden/trace_digest.txt and
+// tests/golden/north_star_digest.txt with the change that explains it.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
 
 #include "common/thread_pool.h"
+#include "common/units.h"
 #include "obs/trace.h"
 #include "sim/fleet_driver.h"
 #include "sim/presets.h"
@@ -57,12 +63,34 @@ FleetSimOptions GoldenOptions() {
   return options;
 }
 
-obs::TraceDigest RunFleet(int shards, int pool_workers) {
+/// The north-star scenario: bench_sim_throughput's BaseOptions() traced
+/// at kFull, spelled out knob by knob so a bench edit cannot move the pin.
+FleetSimOptions NorthStarOptions() {
+  FleetSimOptions options;
+  options.days = 1;
+  options.seed = 7;
+  options.fleet.num_databases = 40;
+  options.fleet.tables_per_db = 50;
+  options.fleet.seed = 77;
+  options.fleet.size_mu = std::log(128.0 * kMiB);
+  options.fleet.size_sigma = 1.2;
+  options.env.namenode.rpc_capacity_per_hour = 2'000;
+  options.driver.sample_interval = 4 * kHour;
+  options.driver.retention_interval = kDay;
+  options.preset.reset();  // the data plane alone, no control loop
+  options.trace_level = obs::TraceLevel::kFull;
+  return options;
+}
+
+/// Replays `options` as `shards` shards on a pool of `pool_workers`
+/// threads (0 = no pool, shards advance inline). shards == 0 is the
+/// sequential reference: one unsharded lane set on the calling thread.
+obs::TraceDigest Replay(FleetSimOptions options, int shards,
+                        int pool_workers) {
   std::unique_ptr<ThreadPool> pool;
   if (pool_workers > 0) pool = std::make_unique<ThreadPool>(pool_workers);
-  FleetSimOptions options = GoldenOptions();
-  options.sharded = true;
-  options.shards = shards;
+  options.sharded = shards > 0;
+  options.shards = shards > 0 ? shards : 1;
   options.pool = pool.get();
   FleetSimulation simulation(std::move(options));
   auto result = simulation.Run();
@@ -72,8 +100,8 @@ obs::TraceDigest RunFleet(int shards, int pool_workers) {
 
 /// Sequential-reference digest, computed once per process.
 const obs::TraceDigest& SeqDigest() {
-  static const obs::TraceDigest digest = RunFleet(/*shards=*/1,
-                                                  /*pool_workers=*/0);
+  static const obs::TraceDigest digest =
+      Replay(GoldenOptions(), /*shards=*/1, /*pool_workers=*/0);
   return digest;
 }
 
@@ -91,36 +119,66 @@ std::string ReadGolden(const std::string& path) {
   return "";
 }
 
-void WriteGolden(const std::string& path, const std::string& digest_line) {
-  std::ofstream out(path, std::ios::trunc);
-  ASSERT_TRUE(out.good()) << "cannot write " << path;
-  out << "# Golden trace digest for the fixed-seed two-day fleet replay\n"
-         "# pinned in tests/trace_golden_test.cc (GoldenOptions).\n"
+/// A checked-in golden digest: its file, and for the file's comment
+/// header the scenario it pins and the options function that builds it.
+struct Golden {
+  std::string path;
+  std::string scenario;
+  std::string options_fn;
+};
+
+const Golden kTraceGolden = {AUTOCOMP_GOLDEN_FILE,
+                             "the fixed-seed two-day fleet replay",
+                             "GoldenOptions"};
+const Golden kNorthStarGolden = {AUTOCOMP_NORTH_STAR_GOLDEN_FILE,
+                                 "the 2000-table one-day north-star replay",
+                                 "NorthStarOptions"};
+
+void WriteGolden(const Golden& golden, const std::string& digest_line) {
+  std::ofstream out(golden.path, std::ios::trunc);
+  ASSERT_TRUE(out.good()) << "cannot write " << golden.path;
+  out << "# Golden trace digest for " << golden.scenario << "\n"
+      << "# pinned in tests/trace_golden_test.cc (" << golden.options_fn
+      << ").\n"
          "# Regenerate after an INTENTIONAL behaviour change with:\n"
          "#   ./trace_golden_test --update-golden\n"
       << digest_line << "\n";
 }
 
-TEST(TraceGoldenTest, DigestMatchesCheckedInGolden) {
-  if (TracingCompiledOut()) GTEST_SKIP() << "tracing compiled out";
-  const obs::TraceDigest& digest = SeqDigest();
+/// Compares `digest` with `golden`, or rewrites it under --update-golden.
+void ExpectGolden(const obs::TraceDigest& digest, const Golden& golden) {
   ASSERT_GT(digest.events, 0) << "golden run recorded no events";
   const std::string actual = digest.ToString();
-  const std::string golden_path = AUTOCOMP_GOLDEN_FILE;
   if (g_update_golden) {
-    WriteGolden(golden_path, actual);
-    std::printf("updated %s to %s\n", golden_path.c_str(), actual.c_str());
+    WriteGolden(golden, actual);
+    std::printf("updated %s to %s\n", golden.path.c_str(), actual.c_str());
     return;
   }
-  const std::string expected = ReadGolden(golden_path);
+  const std::string expected = ReadGolden(golden.path);
   ASSERT_FALSE(expected.empty())
-      << "missing golden at " << golden_path
+      << "missing golden at " << golden.path
       << " — run ./trace_golden_test --update-golden to create it";
   EXPECT_EQ(actual, expected)
       << "the fixed-seed replay's trace drifted from the checked-in "
          "golden. If the behaviour change is intentional, regenerate "
          "with ./trace_golden_test --update-golden and commit the new "
          "digest alongside the change that explains it.";
+}
+
+TEST(TraceGoldenTest, DigestMatchesCheckedInGolden) {
+  if (TracingCompiledOut()) GTEST_SKIP() << "tracing compiled out";
+  ExpectGolden(SeqDigest(), kTraceGolden);
+}
+
+/// The north-star digest, pinned sequentially and as four shards on a
+/// two-worker pool.
+TEST(TraceGoldenTest, NorthStarDigestMatchesCheckedInGolden) {
+  if (TracingCompiledOut()) GTEST_SKIP() << "tracing compiled out";
+  ExpectGolden(Replay(NorthStarOptions(), /*shards=*/0, /*pool_workers=*/0),
+               kNorthStarGolden);
+  if (g_update_golden) return;
+  ExpectGolden(Replay(NorthStarOptions(), /*shards=*/4, /*pool_workers=*/2),
+               kNorthStarGolden);
 }
 
 /// NFR2 lock-down: the digest is a pure function of the scenario, never
@@ -135,7 +193,7 @@ TEST(TraceGoldenTest, DigestInvariantAcrossShardsAndPools) {
   } configs[] = {{1, 2}, {4, 0}, {4, 2}, {8, 4}};
   for (const auto& config : configs) {
     const obs::TraceDigest digest =
-        RunFleet(config.shards, config.pool_workers);
+        Replay(GoldenOptions(), config.shards, config.pool_workers);
     EXPECT_EQ(digest, seq)
         << "digest diverged at shards=" << config.shards
         << " pool=" << config.pool_workers << ": " << digest.ToString()

@@ -8,7 +8,7 @@
 ///   autocomp_cli cab --strategy=none --databases=8
 ///   autocomp_cli fleet --days=14 --strategy=table --budget=600
 ///   autocomp_cli fleet --days=7 --k=10 --seed=3
-///   autocomp_cli fleetsim --days=7 --sim-shards=8 --pool-size=4
+///   autocomp_cli fleetsim --days=7 --sim-shards=8
 ///
 /// Scenarios:
 ///   cab      — the §6 CAB experiment (TPC-H-like databases + query
@@ -17,13 +17,18 @@
 ///   fleetsim — shard-parallel data-plane replay of the fleet workload
 ///              (sim::FleetSimulation; bit-identical at any shard count)
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
+#include <thread>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -58,17 +63,12 @@ struct Flags {
   int databases = 20;
   uint64_t seed = 99;
   bool deferred = true;
-  /// Observe/orient fan-out: 0 = hardware concurrency, 1 = sequential.
-  int pool_size = 0;
   bool cross_check_stats_index = false;
-  /// fleetsim: shard count for the parallel replay driver.
+  /// fleetsim: shard count for the parallel replay driver; the shard
+  /// pool gets min(sim_shards, hardware concurrency) workers.
   int sim_shards = 4;
   /// fleetsim: advance shards concurrently (off = sequential reference).
   bool sharded_sim = true;
-  /// fleetsim: lane lifecycle — "active" (lazy hydration + wake queue,
-  /// the default) or "eager" (hydrate/advance every lane every epoch).
-  /// Results are bit-identical; only wall-clock and footprint differ.
-  std::string lane_mode = "active";
   /// fleetsim: resident-lane budget — after each epoch, coldest lanes
   /// beyond this count dehydrate into checkpoints (0 = unbounded).
   int64_t max_resident_lanes = 0;
@@ -120,9 +120,8 @@ void PrintUsage() {
       "                    [--policy=SPEC]\n"
       "                    [--k=N] [--budget=GBHR] [--hours=N] [--days=N]\n"
       "                    [--databases=N] [--seed=N] [--no-deferred]\n"
-      "                    [--pool-size=N] [--cross-check-stats-index]\n"
+      "                    [--cross-check-stats-index]\n"
       "                    [--sim-shards=K] [--no-sharded-sim]\n"
-      "                    [--lane-mode=active|eager]\n"
       "                    [--max-resident-lanes=N]\n"
       "                    [--evict-after-idle-hours=N]\n"
       "                    [--scheduler=fifo|drr|priority]\n"
@@ -146,29 +145,27 @@ void PrintUsage() {
       "                           online-merge[:K]. Omitted = the legacy\n"
       "                           default pipeline (bit-identical to\n"
       "                           \"trigger=periodic;granularity=table;\"\n"
-      "                           \"movement=partial;picker=moop\")\n"
+      "                           \"movement=partial;picker=moop\").\n"
+      "                           Requires a --strategy other than none\n"
       "  --sim-shards=K           fleetsim: partition the fleet's tenant\n"
       "                           databases into K deterministic shards\n"
-      "                           advanced concurrently; results are\n"
-      "                           bit-identical at any K\n"
+      "                           advanced concurrently on min(K, cores)\n"
+      "                           threads; results are bit-identical at\n"
+      "                           any K (default 4)\n"
       "  --no-sharded-sim         fleetsim: advance shards one after\n"
-      "                           another (the sequential reference)\n"
-      "  --lane-mode=MODE         fleetsim: \"active\" hydrates lanes on\n"
-      "                           first due work and wakes only due lanes\n"
-      "                           each epoch; \"eager\" is the historical\n"
-      "                           advance-everything reference. Results\n"
-      "                           are bit-identical either way\n"
+      "                           another on the calling thread (the\n"
+      "                           sequential reference)\n"
       "  --max-resident-lanes=N   fleetsim: hard resident-lane budget —\n"
       "                           after each epoch the coldest lanes over\n"
       "                           the budget dehydrate into in-memory\n"
       "                           checkpoints and restore on their next\n"
       "                           due event (0 = unbounded). Results are\n"
-      "                           bit-identical at any budget\n"
+      "                           bit-identical at any budget. Requires\n"
+      "                           --strategy=none: a control loop keeps\n"
+      "                           every lane resident\n"
       "  --evict-after-idle-hours=N  fleetsim: also dehydrate any lane\n"
-      "                           idle for N simulated hours (0 = off)\n"
-      "  --pool-size=N            pipeline worker threads (0 = all cores,\n"
-      "                           1 = sequential); results are identical\n"
-      "                           at any setting, only wall-clock changes\n"
+      "                           idle for N simulated hours (0 = off);\n"
+      "                           requires --strategy=none\n"
       "  --cross-check-stats-index  debug: rescan on every index hit and\n"
       "                           abort the run on any divergence\n"
       "  --scheduler=NAME         fleet maintenance scheduler between\n"
@@ -191,7 +188,7 @@ void PrintUsage() {
       "  --fault-profile=NAME     arm the fault injector with a preset\n"
       "                           (storage timeouts, commit conflicts,\n"
       "                           runner crashes...); deterministic for a\n"
-      "                           fixed --fault-seed at any shard/pool size\n"
+      "                           fixed --fault-seed at any shard count\n"
       "  --fault-seed=N           seed for the injector's counter-RNG\n"
       "  --fault-retries=N        bounded retry attempts (with exponential\n"
       "                           backoff) for commit conflicts and runner\n"
@@ -203,11 +200,31 @@ void PrintUsage() {
       "                           ranking/winner events, full adds runner\n"
       "                           retries, commit outcomes, fault hits and\n"
       "                           storage timeout draws; the printed digest\n"
-      "                           is bit-identical at any shard/pool size\n"
+      "                           is bit-identical at any shard count\n"
       "  --trace-out=PATH         write the trace as Chrome trace-event\n"
       "                           JSON (open in chrome://tracing)\n"
       "  --metrics-out=PATH       write run metrics in the Prometheus text\n"
       "                           exposition format\n");
+}
+
+/// Parses a numeric flag value: the whole of `text` must be one number
+/// of type T, finite, and at least `min`. Anything else prints an error
+/// naming the flag and returns false (a usage error).
+template <typename T>
+bool ParseNumber(const char* flag, const char* text, T min, T* out) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  bool ok = ec == std::errc() && ptr == end && value >= min;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    std::fprintf(stderr, "invalid %s=%s: want %s >= %g\n", flag, text,
+                 std::is_integral_v<T> ? "an integer" : "a number",
+                 static_cast<double>(min));
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 bool ParseFlags(int argc, char** argv, Flags* flags) {
@@ -227,44 +244,46 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       }
       return nullptr;
     };
+    // Numeric flags: --hours, --days, --databases and --sim-shards must
+    // be at least 1, every other numeric flag at least 0.
+    bool ok = true;
     if (const char* v = value_of("--strategy")) {
       flags->strategy = v;
     } else if (const char* v = value_of("--policy")) {
       flags->policy = v;
     } else if (const char* v = value_of("--k")) {
-      flags->k = std::atoll(v);
+      ok = ParseNumber("--k", v, int64_t{0}, &flags->k);
     } else if (const char* v = value_of("--budget")) {
-      flags->budget = std::atof(v);
+      ok = ParseNumber("--budget", v, 0.0, &flags->budget);
     } else if (const char* v = value_of("--hours")) {
-      flags->hours = std::atoi(v);
+      ok = ParseNumber("--hours", v, 1, &flags->hours);
     } else if (const char* v = value_of("--days")) {
-      flags->days = std::atoi(v);
+      ok = ParseNumber("--days", v, 1, &flags->days);
     } else if (const char* v = value_of("--databases")) {
-      flags->databases = std::atoi(v);
+      ok = ParseNumber("--databases", v, 1, &flags->databases);
     } else if (const char* v = value_of("--seed")) {
-      flags->seed = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value_of("--pool-size")) {
-      flags->pool_size = std::atoi(v);
+      ok = ParseNumber("--seed", v, uint64_t{0}, &flags->seed);
     } else if (const char* v = value_of("--sim-shards")) {
-      flags->sim_shards = std::atoi(v);
-    } else if (const char* v = value_of("--lane-mode")) {
-      flags->lane_mode = v;
+      ok = ParseNumber("--sim-shards", v, 1, &flags->sim_shards);
     } else if (const char* v = value_of("--max-resident-lanes")) {
-      flags->max_resident_lanes = std::atoll(v);
+      ok = ParseNumber("--max-resident-lanes", v, int64_t{0},
+                       &flags->max_resident_lanes);
     } else if (const char* v = value_of("--evict-after-idle-hours")) {
-      flags->evict_after_idle_hours = std::atoi(v);
+      ok = ParseNumber("--evict-after-idle-hours", v, 0,
+                       &flags->evict_after_idle_hours);
     } else if (const char* v = value_of("--scheduler")) {
       flags->scheduler = v;
     } else if (const char* v = value_of("--tenant-budget")) {
-      flags->tenant_budget = std::atof(v);
+      ok = ParseNumber("--tenant-budget", v, 0.0, &flags->tenant_budget);
     } else if (const char* v = value_of("--spike-queries-per-hour")) {
-      flags->spike_queries_per_hour = std::atoll(v);
+      ok = ParseNumber("--spike-queries-per-hour", v, int64_t{0},
+                       &flags->spike_queries_per_hour);
     } else if (const char* v = value_of("--fault-profile")) {
       flags->fault_profile = v;
     } else if (const char* v = value_of("--fault-seed")) {
-      flags->fault_seed = std::strtoull(v, nullptr, 10);
+      ok = ParseNumber("--fault-seed", v, uint64_t{0}, &flags->fault_seed);
     } else if (const char* v = value_of("--fault-retries")) {
-      flags->fault_retries = std::atoi(v);
+      ok = ParseNumber("--fault-retries", v, 0, &flags->fault_retries);
     } else if (const char* v = value_of("--trace-level")) {
       flags->trace_level = v;
     } else if (const char* v = value_of("--trace-out")) {
@@ -285,6 +304,7 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return false;
     }
+    if (!ok) return false;
   }
   return true;
 }
@@ -402,7 +422,6 @@ int AuditInvariants(sim::SimEnvironment& env) {
 std::unique_ptr<core::AutoCompService> MakeService(sim::SimEnvironment* env,
                                                    const Flags& flags,
                                                    SimTime interval,
-                                                   ThreadPool* pool,
                                                    obs::TraceRecorder* trace) {
   if (flags.strategy == "none") return nullptr;
   auto scope = ScopeFor(flags.strategy);
@@ -417,7 +436,6 @@ std::unique_ptr<core::AutoCompService> MakeService(sim::SimEnvironment* env,
   preset.trigger_interval = interval;
   preset.first_trigger = interval;
   preset.deferred_act = flags.deferred;
-  preset.pool = pool;
   preset.cross_check_stats_index = flags.cross_check_stats_index;
   preset.trace = trace;
   return sim::MakeMoopService(env, preset);
@@ -539,8 +557,7 @@ int RunCab(const Flags& flags) {
   env.fault_injector().set_armed(true);
   const int64_t initial = env.TotalFileCount();
 
-  ThreadPool pool(flags.pool_size);
-  auto service = MakeService(&env, flags, kHour, &pool, trace.get());
+  auto service = MakeService(&env, flags, kHour, trace.get());
   sim::MetricsRecorder metrics;
   sim::DriverOptions driver_options;
   driver_options.deferred_compaction = flags.deferred;
@@ -615,8 +632,7 @@ int RunFleet(const Flags& flags) {
   env.fault_injector().set_armed(true);
   const int64_t initial = env.TotalFileCount();
 
-  ThreadPool pool(flags.pool_size);
-  auto service = MakeService(&env, flags, kDay, &pool, trace.get());
+  auto service = MakeService(&env, flags, kDay, trace.get());
   sim::MetricsRecorder metrics;
   sim::DriverOptions driver_options;
   driver_options.deferred_compaction = flags.deferred;
@@ -681,13 +697,20 @@ int RunFleet(const Flags& flags) {
 }
 
 int RunFleetSim(const Flags& flags) {
-  ThreadPool pool(flags.pool_size);
+  // One shard pool worker per shard, capped at the host's cores; the
+  // sequential reference advances shards on this thread.
+  std::unique_ptr<ThreadPool> pool;
+  if (flags.sharded_sim) {
+    const int cores =
+        std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+    pool = std::make_unique<ThreadPool>(std::min(flags.sim_shards, cores));
+  }
   sim::FleetSimOptions options;
   options.days = flags.days;
   options.seed = flags.seed;
   options.shards = flags.sim_shards;
   options.sharded = flags.sharded_sim;
-  options.pool = flags.sharded_sim ? &pool : nullptr;
+  options.pool = pool.get();
   options.fleet.num_databases = flags.databases;
   options.fleet.seed = flags.seed;
   options.driver.sample_interval = 4 * kHour;
@@ -695,13 +718,6 @@ int RunFleetSim(const Flags& flags) {
   options.check_invariants = flags.check_invariants;
   options.max_resident_lanes = flags.max_resident_lanes;
   options.evict_after_idle_hours = flags.evict_after_idle_hours;
-  if (flags.lane_mode == "eager") {
-    options.lane_mode = sim::LaneMode::kAdvanceAll;
-  } else if (flags.lane_mode != "active") {
-    std::fprintf(stderr, "unknown --lane-mode: %s (want active|eager)\n",
-                 flags.lane_mode.c_str());
-    return 2;
-  }
   auto env_options = EnvOptionsFor(flags);
   if (!env_options.ok()) {
     std::fprintf(stderr, "%s\n", env_options.status().ToString().c_str());
@@ -743,11 +759,10 @@ int RunFleetSim(const Flags& flags) {
   }
 
   std::printf("replaying %d fleet days across %d tenant databases "
-              "(%s, shards=%d, pool=%d, lanes %s)...\n",
+              "(%s, shards=%d, pool=%d)...\n",
               flags.days, flags.databases,
               flags.sharded_sim ? "sharded" : "sequential",
-              flags.sim_shards, pool.worker_count(),
-              flags.lane_mode.c_str());
+              flags.sim_shards, pool != nullptr ? pool->worker_count() : 0);
   sim::FleetSimulation simulation(std::move(options));
   const auto start = std::chrono::steady_clock::now();
   auto result = simulation.Run();
@@ -849,6 +864,22 @@ int main(int argc, char** argv) {
   }
   if (auto policy = PolicyFor(flags); !policy.ok()) {
     std::fprintf(stderr, "%s\n", policy.status().ToString().c_str());
+    return 2;
+  }
+  // Knob combinations a run would silently ignore are usage errors.
+  if (!flags.policy.empty() && flags.strategy == "none") {
+    std::fprintf(stderr,
+                 "--policy has no effect with --strategy=none (no control "
+                 "loop runs); pick a strategy\n");
+    return 2;
+  }
+  if (flags.scenario == "fleetsim" && flags.strategy != "none" &&
+      (flags.max_resident_lanes > 0 || flags.evict_after_idle_hours > 0)) {
+    std::fprintf(stderr,
+                 "--max-resident-lanes/--evict-after-idle-hours have no "
+                 "effect with a control loop (--strategy=%s keeps every "
+                 "lane resident); use --strategy=none\n",
+                 flags.strategy.c_str());
     return 2;
   }
   Logger::set_threshold(LogLevel::kWarn);
