@@ -69,10 +69,14 @@ class BlobWriter {
 
   size_t size() const { return buffer_.size(); }
 
-  /// Moves the accumulated bytes out; the writer is empty afterwards
-  /// (the intern table too — a reused writer starts a fresh blob).
+  /// Moves the accumulated bytes out in an exact-capacity buffer: the
+  /// buffer grew by doubling, and a held checkpoint would otherwise carry
+  /// up to its own size again in unused capacity. The writer is empty
+  /// afterwards (the intern table too — a reused writer starts a fresh
+  /// blob).
   std::string Take() {
     interned_.clear();
+    buffer_.shrink_to_fit();
     return std::move(buffer_);
   }
 

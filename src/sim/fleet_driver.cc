@@ -56,6 +56,9 @@ struct FleetSimulation::Lane {
   /// Active-lane scheduling: the authoritative wake-up time (-1 =
   /// unarmed). Wake-queue entries at any other time are stale tombstones.
   SimTime next_wake = -1;
+  /// Popped for the current epoch but not yet advanced: the pre-wave
+  /// budget pass must not evict a lane that a later wave is about to run.
+  bool awaiting_advance = false;
   bool hydrated = false;
   bool finalized = false;
   /// Eviction state (DESIGN.md §10): a dehydrated lane keeps `hydrated`
@@ -101,12 +104,6 @@ namespace {
 workload::LaneTargets TargetsOf(SimEnvironment* env) {
   return {&env->catalog(), &env->query_engine(), &env->control_plane()};
 }
-
-/// Due lanes advanced per wave when the evictor is on. Retention ticks
-/// cluster at day boundaries (a fleet loaded together expires together),
-/// so a single epoch can wake hundreds of dozing lanes at once; waves
-/// bound how many of those restores are resident simultaneously.
-constexpr size_t kEvictWaveSize = 256;
 
 }  // namespace
 
@@ -285,8 +282,7 @@ void FleetSimulation::MaybeArm(Lane* lane, SimTime at) {
   wake_queue_.ScheduleCompaction(at, lane->index);
 }
 
-void FleetSimulation::FinalizeLane(Lane* lane, SimTime end_time,
-                                   bool keep_env) {
+void FleetSimulation::FinalizeLane(Lane* lane, SimTime end_time) {
   if (lane->finalized || !lane->status.ok()) return;
   AdvanceLane(lane, end_time);
   if (!lane->status.ok()) return;
@@ -303,13 +299,17 @@ void FleetSimulation::FinalizeLane(Lane* lane, SimTime end_time,
     }
   }
   lane->finalized = true;
-  if (!keep_env) {
-    // Transient finalization: keep the recorder and trace for the merge,
-    // drop the heavy environment so peak residency stays bounded.
-    lane->service.reset();
-    lane->driver.reset();
-    lane->env.reset();
-  }
+  // Keep only what the merge reads — the recorder and the trace. The
+  // environment goes so peak residency stays bounded; the recorder's
+  // interned-but-empty slots go after the driver, which holds MetricIds
+  // into it; the drained event buffer goes too.
+  lane->service.reset();
+  lane->driver.reset();
+  lane->env.reset();
+  lane->metrics.DropEmptySlots();
+  lane->day_events.clear();
+  lane->day_events.shrink_to_fit();
+  lane->next_event = 0;
 }
 
 SimTime FleetSimulation::EffectiveRetentionBound(Lane* lane) const {
@@ -379,7 +379,7 @@ bool FleetSimulation::TryRetireLane(Lane* lane, SimTime now, SimTime end_time,
   if (!((next < 0 || next >= end_time) && lane->last_event_time < now)) {
     return false;
   }
-  FinalizeLane(lane, end_time, /*keep_env=*/false);
+  FinalizeLane(lane, end_time);
   // On a finalization error the env survives FinalizeLane; drop it
   // anyway so residency accounting stays truthful (the lane's status
   // carries the failure to collection).
@@ -429,20 +429,16 @@ Status FleetSimulation::EvictLane(Lane* lane, SimTime now,
   return Status::OK();
 }
 
-Status FleetSimulation::EvictColdLanes(SimTime now, SimTime end_time) {
+Status FleetSimulation::EvictColdLanes(SimTime now, SimTime end_time,
+                                       bool idle_rule) {
   // Eviction requires a quiescent driver (a PendingCompaction holds an
-  // open lst::Transaction — not checkpointable) and no per-lane service
-  // (a preset wakes every lane at the trigger cadence anyway, so
-  // dehydration would thrash).
-  if (options_.preset) return Status::OK();
-  if (options_.max_resident_lanes <= 0 && options_.evict_after_idle_hours <= 0) {
-    return Status::OK();
-  }
+  // open lst::Transaction — not checkpointable) and skips lanes still
+  // awaiting their wave this epoch (they would restore at once).
   std::vector<Lane*> candidates;
   for (const auto& lane : lanes_) {
     if (!lane->hydrated || lane->evicted || lane->finalized ||
         lane->env == nullptr || !lane->status.ok() ||
-        !lane->driver->Quiescent()) {
+        lane->awaiting_advance || !lane->driver->Quiescent()) {
       continue;
     }
     // Idle rule, with a near-wake guard: a lane that has been idle past
@@ -453,7 +449,7 @@ Status FleetSimulation::EvictColdLanes(SimTime now, SimTime end_time) {
     // guard every hot lane thrashes once per simulated day.
     const SimTime idle_window =
         static_cast<SimTime>(options_.evict_after_idle_hours) * kHour;
-    if (options_.evict_after_idle_hours > 0 &&
+    if (idle_rule && options_.evict_after_idle_hours > 0 &&
         now - lane->last_active >= idle_window &&
         (lane->next_wake < 0 || lane->next_wake - now >= idle_window)) {
       AUTOCOMP_RETURN_NOT_OK(EvictLane(lane.get(), now, end_time));
@@ -530,6 +526,12 @@ Result<FleetSimResult> FleetSimulation::Run() {
   // A Chrome export needs one track per lane, so every lane hydrates up
   // front; active scheduling (and its delta barriers) still applies.
   const bool hydrate_all = !active || !options_.trace_out.empty();
+  // Eviction needs active scheduling and no per-lane service: a preset
+  // wakes every lane at the trigger cadence anyway, so dehydration would
+  // thrash.
+  const bool evictor_on = active && !options_.preset &&
+                          (options_.max_resident_lanes > 0 ||
+                           options_.evict_after_idle_hours > 0);
 
   // --- Lane descriptors (one per tenant database, in database order). ---
   std::map<std::string, int> lane_by_db;
@@ -575,9 +577,7 @@ Result<FleetSimResult> FleetSimulation::Run() {
   // workload instance that replays the exact PlanSetup → per-day
   // PlanOnboard → EventsForDay sequence of the day loop below; the live
   // `fleet` draws nothing here.
-  if (active && !options_.preset &&
-      (options_.max_resident_lanes > 0 ||
-       options_.evict_after_idle_hours > 0)) {
+  if (evictor_on) {
     workload::FleetWorkload horizon(options_.fleet);
     horizon.PlanSetup(0);
     const auto touch = [&](const std::string& db, SimTime at) {
@@ -634,6 +634,10 @@ Result<FleetSimResult> FleetSimulation::Run() {
 
   // --- Lockstep hour epochs. ---
   const SimTime end_time = static_cast<SimTime>(options_.days) * kDay;
+  const size_t evict_wave_size = static_cast<size_t>(
+      options_.max_resident_lanes > 0
+          ? std::min(kEvictWaveSize, options_.max_resident_lanes)
+          : kEvictWaveSize);
   std::vector<int> due;  // lanes advancing this epoch, by lane index
   std::vector<std::vector<int>> due_by_shard(
       static_cast<size_t>(options_.shards));
@@ -712,6 +716,7 @@ Result<FleetSimResult> FleetSimulation::Run() {
         Lane* lane = lanes_[static_cast<size_t>(entry->table)].get();
         if (lane->next_wake != entry->time) continue;  // superseded
         lane->next_wake = -1;
+        lane->awaiting_advance = true;
         due.push_back(lane->index);
       }
       // Same-instant wakes pop off the wheel in bucket-insertion order,
@@ -737,20 +742,24 @@ Result<FleetSimResult> FleetSimulation::Run() {
     // so the set can be processed in bounded *waves*. With the evictor
     // on, mass wakes (retention ticks cluster at day boundaries, so
     // hundreds of dozing lanes can restore in one epoch) would otherwise
-    // all be resident simultaneously before the post-epoch sweep; each
-    // wave instead retires its own done lanes before the next wave
-    // hydrates, capping the transient above the steady residency at the
-    // wave size. Serial bookkeeping (Prepare*, barrier deltas, retire)
-    // brackets the parallel advance of each wave.
-    const bool evictor_on =
-        active && !options_.preset &&
-        (options_.max_resident_lanes > 0 ||
-         options_.evict_after_idle_hours > 0);
-    const size_t wave_size =
-        evictor_on ? kEvictWaveSize : std::max<size_t>(due.size(), 1);
+    // all be resident simultaneously before the post-epoch sweep. So
+    // before each wave hydrates, the budget rule evicts quiescent lanes —
+    // earlier waves' done lanes and lanes not due this epoch — back down
+    // to the budget, and waves are no larger than the budget: residency
+    // stays within budget + one wave + the lanes the day's onboarding
+    // restored (due now, so not evictable before they run). Serial
+    // bookkeeping (eviction, Prepare*, barrier deltas, retire) brackets
+    // the parallel advance of each wave.
+    const size_t wave_size = evictor_on ? evict_wave_size
+                                        : std::max<size_t>(due.size(), 1);
     for (size_t wave_begin = 0; wave_begin < due.size();
          wave_begin += wave_size) {
       const size_t wave_end = std::min(due.size(), wave_begin + wave_size);
+      if (evictor_on && options_.max_resident_lanes > 0 &&
+          resident_lanes_ > options_.max_resident_lanes) {
+        AUTOCOMP_RETURN_NOT_OK(
+            EvictColdLanes(epoch_end, end_time, /*idle_rule=*/false));
+      }
       for (size_t i = wave_begin; i < wave_end; ++i) {
         Lane* lane = lanes_[static_cast<size_t>(due[i])].get();
         if (!lane->hydrated) {
@@ -793,6 +802,7 @@ Result<FleetSimResult> FleetSimulation::Run() {
       // to the sweep. O(touched), not O(lanes).
       for (size_t i = wave_begin; i < wave_end; ++i) {
         Lane* lane = lanes_[static_cast<size_t>(due[i])].get();
+        lane->awaiting_advance = false;
         AUTOCOMP_RETURN_NOT_OK(lane->status);
         const int64_t tally = PublishLaneDeltas(lane, epoch);
         // Activity signal for the idle evictor: RPCs issued or work
@@ -859,9 +869,12 @@ Result<FleetSimResult> FleetSimulation::Run() {
       }
     }
 
-    // Post-barrier eviction pass (the tentpole's bounded-residency
-    // budget): dehydrate idle lanes, then enforce the LRU budget.
-    if (active) AUTOCOMP_RETURN_NOT_OK(EvictColdLanes(epoch_end, end_time));
+    // Post-barrier eviction pass: dehydrate idle lanes, then enforce the
+    // LRU budget.
+    if (evictor_on) {
+      AUTOCOMP_RETURN_NOT_OK(
+          EvictColdLanes(epoch_end, end_time, /*idle_rule=*/true));
+    }
   }
 
   // --- Wrap up. Resident lanes catch up to end_time and finish; cold
@@ -947,11 +960,11 @@ Result<FleetSimResult> FleetSimulation::Run() {
           continue;  // served by the ghost
         }
         HydrateLane(lane);
-        FinalizeLane(lane, end_time, /*keep_env=*/false);
+        FinalizeLane(lane, end_time);
         continue;
       }
       if (lane->evicted) RestoreLane(lane);
-      FinalizeLane(lane, end_time, /*keep_env=*/false);
+      FinalizeLane(lane, end_time);
     }
   };
   for (size_t i = 0; i < lanes_.size(); ++i) {

@@ -147,12 +147,16 @@ struct FleetSimOptions {
   /// audit the sublinear-footprint claim without polling the OS.
   std::function<void(const std::string& db, int64_t resident, int64_t peak)>
       on_lane_residency;
-  /// Resident-lane budget (DESIGN.md §10): when > 0, after every epoch
-  /// the evictor dehydrates the coldest quiescent lanes — LRU by
-  /// next-due distance, unarmed lanes first — into compact checkpoints
-  /// until at most this many lanes are resident. 0 = unbounded (the
-  /// historical monotone ramp). Results are bit-identical at any
-  /// budget: an evicted lane restores in O(state) on its next due
+  /// Resident-lane budget (DESIGN.md §10): when > 0, before every wave
+  /// of due lanes and after every epoch the evictor dehydrates the
+  /// coldest quiescent lanes — LRU by next-due distance, unarmed lanes
+  /// first — into compact checkpoints until at most this many lanes are
+  /// resident, and waves hold at most this many lanes. Lanes due in the
+  /// current epoch are not evicted before they run, so residency peaks
+  /// at most at budget + one wave + the lanes the day's onboarding
+  /// restored (plus one transient lane per shard at wrap-up). 0 =
+  /// unbounded (the historical monotone ramp). Results are bit-identical
+  /// at any budget: an evicted lane restores in O(state) on its next due
   /// event and replays its deferred no-op ticks exactly. kActive only.
   /// No eviction happens with a `preset`: its service wakes every lane
   /// at the trigger cadence and is not checkpointable, so this budget and
@@ -233,6 +237,13 @@ class FleetSimulation {
   /// across processes and enumeration orders).
   static int ShardOf(const std::string& db, int shards);
 
+  /// Most due lanes advanced per wave when the evictor is on; a smaller
+  /// `max_resident_lanes` caps the wave at the budget. Retention ticks
+  /// cluster at day boundaries (a fleet loaded together expires
+  /// together), so one epoch can wake hundreds of dozing lanes; the
+  /// budget pass before every wave bounds how many are resident at once.
+  static constexpr int64_t kEvictWaveSize = 256;
+
  private:
   struct Lane;
 
@@ -267,11 +278,11 @@ class FleetSimulation {
   int64_t PublishLaneDeltas(Lane* lane, SimTime epoch);
   /// Arms (or tightens) the lane's wake-up in the fleet calendar.
   void MaybeArm(Lane* lane, SimTime at);
-  /// Catch-up to `end_time` + FinishRun + totals/digest accounting. When
-  /// `keep_env` is false the environment is destroyed afterwards
-  /// (transient finalization of cold lanes), bounding peak residency;
-  /// metrics and trace recorders are always retained for the merge.
-  void FinalizeLane(Lane* lane, SimTime end_time, bool keep_env);
+  /// Catch-up to `end_time` + FinishRun + totals/digest accounting, then
+  /// destroys the environment (bounding peak residency) and keeps only
+  /// what the merge reads: the trace recorder and the metrics recorder,
+  /// minus its interned-but-empty slots.
+  void FinalizeLane(Lane* lane, SimTime end_time);
 
   /// \name Lane eviction (DESIGN.md §10)
   /// @{
@@ -296,9 +307,12 @@ class FleetSimulation {
   /// environment; retires it instead when TryRetireLane applies. Serial
   /// coordinator sections only.
   Status EvictLane(Lane* lane, SimTime now, SimTime end_time);
-  /// Post-barrier eviction pass: idle rule first, then the LRU budget
-  /// rule (victims ordered by furthest next wake, unarmed lanes first).
-  Status EvictColdLanes(SimTime now, SimTime end_time);
+  /// Eviction pass over the quiescent resident lanes not awaiting a wave
+  /// of the current epoch: the idle rule first (when `idle_rule`), then
+  /// the LRU budget rule (victims unarmed first, then furthest next wake,
+  /// ties by lane index) until at most `max_resident_lanes` are resident.
+  /// Runs after every epoch barrier, and budget-only before every wave.
+  Status EvictColdLanes(SimTime now, SimTime end_time, bool idle_rule);
   /// Serial bookkeeping before a restore: residency/peak accounting,
   /// restore counters, checkpoint-byte release.
   void PrepareRestore(Lane* lane);

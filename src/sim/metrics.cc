@@ -271,10 +271,7 @@ uint64_t MetricsRecorder::ContentHash() const {
   };
   for (const auto& [name, id] : ids_) {
     const Slot& slot = slots_[static_cast<size_t>(id)];
-    if (slot.series.empty() && slot.hourly_samples.empty() &&
-        slot.hourly_counts.empty()) {
-      continue;
-    }
+    if (slot.empty()) continue;
     mix(static_cast<uint64_t>(name.size()));
     for (char c : name) mix(static_cast<unsigned char>(c));
     mix(static_cast<uint64_t>(slot.series.size()));
@@ -297,6 +294,19 @@ uint64_t MetricsRecorder::ContentHash() const {
     }
   }
   return h;
+}
+
+void MetricsRecorder::DropEmptySlots() {
+  std::map<std::string, int32_t> ids;
+  std::vector<Slot> slots;
+  for (auto& [name, id] : ids_) {
+    Slot& slot = slots_[static_cast<size_t>(id)];
+    if (slot.empty()) continue;
+    ids.emplace(name, static_cast<int32_t>(slots.size()));
+    slots.push_back(std::move(slot));
+  }
+  ids_ = std::move(ids);
+  slots_ = std::move(slots);
 }
 
 double SeriesSum(const MetricsRecorder& metrics, const std::string& series) {

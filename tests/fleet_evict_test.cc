@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <utility>
@@ -162,12 +164,13 @@ TEST(FleetEvictionTest, EvictionUnderFaultsIsBitIdentical) {
   ExpectSameReplay(reference, evicting, "faulty-evict");
 }
 
-// The budget is enforced between epochs: lanes due in the same hour are
-// all resident during that epoch, but the post-epoch eviction pass
-// drains the resident set back to the budget. The residency hook must
-// observe that drain (counting both restores and evictions — the
-// satellite fix: a restore re-enters the resident set exactly like a
-// first hydration, only the first hydration grows lanes_hydrated).
+// The budget is enforced before every wave and after every epoch: the
+// lanes of a running wave (and those the day's onboarding restored) may
+// push the resident set over the budget, and the next pass drains it
+// back. The residency hook must observe that drain (counting both
+// restores and evictions — a restore re-enters the resident set exactly
+// like a first hydration, only the first hydration grows
+// lanes_hydrated).
 TEST(FleetEvictionTest, ResidencyHookObservesDrainToBudget) {
   FleetSimOptions options = EvictableFleet(7);
   options.sharded = false;
@@ -184,6 +187,51 @@ TEST(FleetEvictionTest, ResidencyHookObservesDrainToBudget) {
   EXPECT_GT(result.lanes_restored, 0);
   EXPECT_TRUE(exceeded) << "budget never stressed; test is vacuous";
   EXPECT_TRUE(drained_after_exceeding);
+}
+
+// A fleet_cold-shaped fleet: one-table lanes, fixed fleet-wide activity,
+// daily retention ticks that wake dozing lanes together. A tiny budget
+// must hold inside the epoch, not only after it: residency stays within
+// budget + one wave (waves are capped at the budget) + the day's
+// onboarded lanes, and the replay stays identical to the unbounded one.
+FleetSimOptions ColdFleet() {
+  FleetSimOptions options;
+  options.days = 5;
+  options.seed = 7;
+  options.fleet.num_databases = 300;
+  options.fleet.tables_per_db = 1;
+  options.fleet.size_mu = std::log(128.0 * kMiB);
+  options.fleet.size_sigma = 1.2;
+  options.fleet.daily_write_fraction = 100.0 / 300;
+  options.fleet.daily_reads_per_table = 25.0 / 300;
+  options.fleet.new_tables_per_day = 20;
+  options.env.namenode.rpc_capacity_per_hour = 300;
+  options.driver.sample_interval = 12 * kHour;
+  options.driver.retention_interval = kDay;
+  return options;
+}
+
+TEST(FleetEvictionTest, BudgetHoldsInsideTheEpoch) {
+  FleetSimOptions baseline = ColdFleet();
+  baseline.sharded = false;
+  const FleetSimResult reference = RunOrDie(std::move(baseline));
+
+  constexpr int64_t kBudget = 4;
+  ThreadPool pool(2);
+  for (const int shards : {0, 4}) {
+    FleetSimOptions options = ColdFleet();
+    options.max_resident_lanes = kBudget;
+    options.evict_after_idle_hours = 12;
+    options.sharded = shards > 0;
+    options.shards = std::max(shards, 1);
+    options.pool = shards > 0 ? &pool : nullptr;
+    const int64_t onboarded = options.fleet.new_tables_per_day;
+    const FleetSimResult bounded = RunOrDie(std::move(options));
+    const std::string label = shards > 0 ? "shard4-pool2" : "seq";
+    EXPECT_GT(bounded.lanes_evicted, 0) << label;
+    EXPECT_LE(bounded.peak_resident_lanes, 2 * kBudget + onboarded) << label;
+    ExpectSameReplay(reference, bounded, label);
+  }
 }
 
 // ------------------------------------------------ checkpoint codec
@@ -237,6 +285,30 @@ TEST(MetadataBlobTest, RoundTripsLineageExactly) {
   EXPECT_TRUE(reader.exhausted());
   EXPECT_EQ(lst::TableMetadataToJson(**metadata),
             lst::TableMetadataToJson(**restored));
+}
+
+// A held checkpoint must not carry the writer's doubling slack: Take()
+// hands out an exact-capacity buffer holding the same bytes.
+TEST(BlobWriterTest, TakeReturnsExactCapacity) {
+  common::BlobWriter writer;
+  for (int i = 0; i < 2000; ++i) {
+    writer.WriteI64(int64_t{1} << (i % 60));
+    writer.WriteString("/data/db/t/f" + std::to_string(i % 300));
+  }
+  writer.WriteF64(0.1);
+  const size_t written = writer.size();
+  const std::string blob = writer.Take();
+  ASSERT_GT(blob.size(), 4096u);
+  EXPECT_EQ(blob.size(), written);
+  EXPECT_EQ(blob.capacity(), blob.size());
+
+  common::BlobReader reader(blob);
+  for (int i = 0; i < 2000; ++i) {
+    EXPECT_EQ(reader.ReadI64(), int64_t{1} << (i % 60));
+    EXPECT_EQ(reader.ReadString(), "/data/db/t/f" + std::to_string(i % 300));
+  }
+  EXPECT_EQ(reader.ReadF64(), 0.1);
+  EXPECT_TRUE(reader.exhausted());
 }
 
 }  // namespace

@@ -69,8 +69,9 @@ struct Flags {
   int sim_shards = 4;
   /// fleetsim: advance shards concurrently (off = sequential reference).
   bool sharded_sim = true;
-  /// fleetsim: resident-lane budget — after each epoch, coldest lanes
-  /// beyond this count dehydrate into checkpoints (0 = unbounded).
+  /// fleetsim: resident-lane budget — before each wave of due lanes and
+  /// after each epoch, coldest lanes beyond this count dehydrate into
+  /// checkpoints (0 = unbounded).
   int64_t max_resident_lanes = 0;
   /// fleetsim: idle rule — evict lanes with no real work for this many
   /// simulated hours, regardless of the budget (0 = off).
@@ -155,11 +156,15 @@ void PrintUsage() {
       "  --no-sharded-sim         fleetsim: advance shards one after\n"
       "                           another on the calling thread (the\n"
       "                           sequential reference)\n"
-      "  --max-resident-lanes=N   fleetsim: hard resident-lane budget —\n"
-      "                           after each epoch the coldest lanes over\n"
-      "                           the budget dehydrate into in-memory\n"
-      "                           checkpoints and restore on their next\n"
-      "                           due event (0 = unbounded). Results are\n"
+      "  --max-resident-lanes=N   fleetsim: resident-lane budget — before\n"
+      "                           each wave of due lanes and after each\n"
+      "                           epoch the coldest lanes over the budget\n"
+      "                           dehydrate into in-memory checkpoints and\n"
+      "                           restore on their next due event (0 =\n"
+      "                           unbounded). Lanes due this hour run\n"
+      "                           first, so residency can reach N + one\n"
+      "                           wave (N, at most 256) + the day's\n"
+      "                           onboarded lanes. Results are\n"
       "                           bit-identical at any budget. Requires\n"
       "                           --strategy=none: a control loop keeps\n"
       "                           every lane resident\n"
