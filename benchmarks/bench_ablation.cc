@@ -11,9 +11,9 @@
 #include "benchmarks/cab_experiment.h"
 #include "common/logging.h"
 #include "common/random.h"
+#include "core/act.h"
 #include "core/observe.h"
 #include "core/ranking.h"
-#include "core/scheduler.h"
 #include "core/traits.h"
 #include "sim/environment.h"
 #include "sim/metrics.h"
@@ -154,10 +154,10 @@ void AblateScheduler() {
         core::MoopRanker::PaperDefault());
     stages.selector = std::make_shared<core::FixedKSelector>(60);
     if (which == 0) {
-      stages.scheduler = std::make_shared<core::SerialScheduler>(
+      stages.executor = std::make_shared<core::SerialExecutor>(
           &env.compaction_runner(), &env.control_plane());
     } else {
-      stages.scheduler = std::make_shared<core::TableParallelScheduler>(
+      stages.executor = std::make_shared<core::TableParallelExecutor>(
           &env.compaction_runner(), &env.control_plane());
     }
     core::AutoCompPipeline pipeline(std::move(stages), &env.catalog(),

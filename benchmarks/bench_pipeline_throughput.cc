@@ -100,7 +100,7 @@ core::AutoCompPipeline MakePipeline(catalog::Catalog* catalog,
           {"file_count_reduction", 0.7, false},
           {"compute_cost_gbhr", 0.3, true}});
   stages.selector = std::make_shared<core::FixedKSelector>(100);
-  stages.scheduler = nullptr;  // decide-only: catalog state stays fixed
+  stages.executor = nullptr;  // decide-only: catalog state stays fixed
   (void)control_plane;
   return core::AutoCompPipeline(std::move(stages), catalog, clock);
 }

@@ -4,9 +4,9 @@
 #include <map>
 
 #include "common/logging.h"
+#include "core/act.h"
 #include "core/observe.h"
 #include "core/ranking.h"
-#include "core/scheduler.h"
 #include "core/traits.h"
 
 namespace autocomp::bench {

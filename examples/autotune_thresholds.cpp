@@ -11,9 +11,9 @@
 #include <cstdio>
 
 #include "common/logging.h"
+#include "core/act.h"
 #include "core/observe.h"
 #include "core/ranking.h"
-#include "core/scheduler.h"
 #include "core/traits.h"
 #include "core/triggers.h"
 #include "sim/environment.h"
@@ -38,7 +38,7 @@ Result<double> RunOnce(double threshold) {
                                              &env.clock()),
       {std::make_shared<core::FileCountReductionTrait>()},
       core::ThresholdPolicy("file_count_reduction", threshold),
-      std::make_shared<core::SerialScheduler>(&env.compaction_runner(),
+      std::make_shared<core::SerialExecutor>(&env.compaction_runner(),
                                               &env.control_plane())};
   core::OptimizeAfterWriteHook hook(std::move(stages));
 

@@ -14,10 +14,10 @@
 #include <cstdio>
 
 #include "common/logging.h"
+#include "core/act.h"
 #include "core/observe.h"
 #include "core/pipeline.h"
 #include "core/ranking.h"
-#include "core/scheduler.h"
 #include "core/traits.h"
 #include "sim/environment.h"
 #include "workload/tpch.h"
@@ -124,7 +124,7 @@ int main() {
   stages.ranker = std::make_shared<QuotaAwareRanker>();
   stages.selector = std::make_shared<core::BudgetedSelector>(
       /*budget GBHr=*/150.0, "compute_cost_gbhr");
-  stages.scheduler = std::make_shared<core::TableParallelScheduler>(
+  stages.executor = std::make_shared<core::TableParallelExecutor>(
       &env.compaction_runner(), &env.control_plane());
   core::AutoCompPipeline pipeline(std::move(stages), &env.catalog(),
                                   &env.clock());

@@ -13,9 +13,9 @@
 #include <cstdio>
 
 #include "common/logging.h"
+#include "core/act.h"
 #include "core/observe.h"
 #include "core/ranking.h"
-#include "core/scheduler.h"
 #include "core/traits.h"
 #include "core/triggers.h"
 #include "sim/environment.h"
@@ -47,7 +47,7 @@ int main() {
   stages.ranker =
       std::make_shared<core::SingleTraitRanker>("file_count_reduction");
   stages.selector = std::make_shared<core::FixedKSelector>(100);
-  stages.scheduler = std::make_shared<core::SerialScheduler>(
+  stages.executor = std::make_shared<core::SerialExecutor>(
       &env.compaction_runner(), &env.control_plane());
   core::AutoCompPipeline pipeline(std::move(stages), &env.catalog(),
                                   &env.clock());

@@ -1,4 +1,4 @@
-#include "core/scheduler.h"
+#include "core/act.h"
 
 #include <algorithm>
 #include <cassert>
@@ -82,14 +82,14 @@ SimTime RunUnit(engine::CompactionRunner* runner,
 
 }  // namespace
 
-SerialScheduler::SerialScheduler(engine::CompactionRunner* runner,
+SerialExecutor::SerialExecutor(engine::CompactionRunner* runner,
                                  catalog::ControlPlane* control_plane,
                                  SchedulerOptions options)
     : runner_(runner), control_plane_(control_plane), options_(options) {
   assert(runner_ != nullptr);
 }
 
-Result<std::vector<ScheduledCompaction>> SerialScheduler::Execute(
+Result<std::vector<ScheduledCompaction>> SerialExecutor::Execute(
     const std::vector<ScoredCandidate>& plan, SimTime now) {
   std::vector<ScheduledCompaction> out;
   out.reserve(plan.size());
@@ -102,14 +102,14 @@ Result<std::vector<ScheduledCompaction>> SerialScheduler::Execute(
   return out;
 }
 
-TableParallelScheduler::TableParallelScheduler(
+TableParallelExecutor::TableParallelExecutor(
     engine::CompactionRunner* runner, catalog::ControlPlane* control_plane,
     SchedulerOptions options)
     : runner_(runner), control_plane_(control_plane), options_(options) {
   assert(runner_ != nullptr);
 }
 
-Result<std::vector<ScheduledCompaction>> TableParallelScheduler::Execute(
+Result<std::vector<ScheduledCompaction>> TableParallelExecutor::Execute(
     const std::vector<ScoredCandidate>& plan, SimTime now) {
   // Group by table, preserving plan (priority) order within each group.
   std::map<std::string, std::vector<const ScoredCandidate*>> by_table;
@@ -135,7 +135,7 @@ Result<std::vector<ScheduledCompaction>> TableParallelScheduler::Execute(
   return out;
 }
 
-OffPeakScheduler::OffPeakScheduler(std::unique_ptr<CompactionScheduler> inner,
+OffPeakExecutor::OffPeakExecutor(std::unique_ptr<ActExecutor> inner,
                                    int window_start_hour, int window_end_hour)
     : inner_(std::move(inner)),
       window_start_hour_(window_start_hour),
@@ -145,7 +145,7 @@ OffPeakScheduler::OffPeakScheduler(std::unique_ptr<CompactionScheduler> inner,
   assert(window_end_hour_ >= 0 && window_end_hour_ < 24);
 }
 
-SimTime OffPeakScheduler::NextWindowStart(SimTime now) const {
+SimTime OffPeakExecutor::NextWindowStart(SimTime now) const {
   const int hour_of_day = static_cast<int>((now / kHour) % 24);
   const bool wraps = window_start_hour_ > window_end_hour_;
   const bool inside =
@@ -160,7 +160,7 @@ SimTime OffPeakScheduler::NextWindowStart(SimTime now) const {
   return next;
 }
 
-Result<std::vector<ScheduledCompaction>> OffPeakScheduler::Execute(
+Result<std::vector<ScheduledCompaction>> OffPeakExecutor::Execute(
     const std::vector<ScoredCandidate>& plan, SimTime now) {
   return inner_->Execute(plan, NextWindowStart(now));
 }

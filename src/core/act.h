@@ -1,4 +1,4 @@
-/// \file scheduler.h
+/// \file act.h
 /// \brief Act phase: executing the selected compaction plan (§4.4).
 ///
 /// Scheduling must respect LST conflict semantics: with Iceberg v1.2.0
@@ -45,9 +45,9 @@ struct SchedulerOptions {
 };
 
 /// \brief Executes a ranked, selected plan.
-class CompactionScheduler {
+class ActExecutor {
  public:
-  virtual ~CompactionScheduler() = default;
+  virtual ~ActExecutor() = default;
   virtual std::string name() const = 0;
   /// Runs the plan starting at `now`; returns per-unit outcomes in
   /// execution order. Individual conflicts/failures are reported in the
@@ -59,9 +59,9 @@ class CompactionScheduler {
 /// \brief Strictly sequential execution: each work unit starts when the
 /// previous one ends. Safest against intra-table conflicts; used when
 /// compaction shares the user cluster (§4.4).
-class SerialScheduler final : public CompactionScheduler {
+class SerialExecutor final : public ActExecutor {
  public:
-  SerialScheduler(engine::CompactionRunner* runner,
+  SerialExecutor(engine::CompactionRunner* runner,
                   catalog::ControlPlane* control_plane,
                   SchedulerOptions options = {});
 
@@ -79,9 +79,9 @@ class SerialScheduler final : public CompactionScheduler {
 /// for different tables all start at `now` (the cluster's slot model
 /// arbitrates), while units of the same table are chained to avoid the
 /// Iceberg v1.2.0 disjoint-partition rewrite conflict (§4.4, §6).
-class TableParallelScheduler final : public CompactionScheduler {
+class TableParallelExecutor final : public ActExecutor {
  public:
-  TableParallelScheduler(engine::CompactionRunner* runner,
+  TableParallelExecutor(engine::CompactionRunner* runner,
                          catalog::ControlPlane* control_plane,
                          SchedulerOptions options = {});
 
@@ -97,10 +97,10 @@ class TableParallelScheduler final : public CompactionScheduler {
 
 /// \brief Decorator deferring execution to an off-peak window ("deferred
 /// to off-peak hours if usage patterns are predictable", §4.4).
-class OffPeakScheduler final : public CompactionScheduler {
+class OffPeakExecutor final : public ActExecutor {
  public:
   /// Window in hours-of-day [start, end); wraps midnight when start > end.
-  OffPeakScheduler(std::unique_ptr<CompactionScheduler> inner,
+  OffPeakExecutor(std::unique_ptr<ActExecutor> inner,
                    int window_start_hour, int window_end_hour);
 
   std::string name() const override { return "off-peak"; }
@@ -111,13 +111,13 @@ class OffPeakScheduler final : public CompactionScheduler {
   SimTime NextWindowStart(SimTime now) const;
 
  private:
-  std::unique_ptr<CompactionScheduler> inner_;
+  std::unique_ptr<ActExecutor> inner_;
   int window_start_hour_;
   int window_end_hour_;
 };
 
 /// \brief Builds the engine request for a candidate (shared by all
-/// schedulers).
+/// executors).
 engine::CompactionRequest RequestFor(const Candidate& candidate,
                                      const SchedulerOptions& options,
                                      const catalog::ControlPlane* control_plane);

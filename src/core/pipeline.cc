@@ -244,10 +244,10 @@ Result<PipelineRunReport> AutoCompPipeline::Run(std::vector<Candidate> pool,
                                   obs::SpanCategory::kPhase, "phase.act",
                                   report.started_at);
   }
-  if (stages_.scheduler != nullptr && !report.selected.empty()) {
+  if (stages_.executor != nullptr && !report.selected.empty()) {
     AUTOCOMP_ASSIGN_OR_RETURN(
         report.executed,
-        stages_.scheduler->Execute(report.selected, report.started_at));
+        stages_.executor->Execute(report.selected, report.started_at));
   }
   report.timings.act_ms = MsSince(phase_start);
   if (trace != nullptr) {

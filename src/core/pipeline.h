@@ -10,11 +10,11 @@
 
 #include "catalog/catalog.h"
 #include "common/clock.h"
+#include "core/act.h"
 #include "core/candidate.h"
 #include "core/filters.h"
 #include "core/observe.h"
 #include "core/ranking.h"
-#include "core/scheduler.h"
 #include "core/traits.h"
 #include "obs/trace.h"
 
@@ -91,7 +91,7 @@ class AutoCompPipeline {
     std::vector<std::shared_ptr<const CandidateFilter>> post_orient_filters;
     std::shared_ptr<const Ranker> ranker;
     std::shared_ptr<const Selector> selector;
-    std::shared_ptr<CompactionScheduler> scheduler;
+    std::shared_ptr<ActExecutor> executor;
     /// When non-null, every run records an "ooda.run" envelope span with
     /// nested phase spans (kPhases) and per-candidate ranking / winner
     /// decision instants (kDecisions). Not owned; must outlive the
@@ -110,7 +110,7 @@ class AutoCompPipeline {
   AutoCompPipeline(Stages stages, catalog::Catalog* catalog,
                    const Clock* clock);
 
-  /// Runs one full OODA cycle at the current time. Dry runs (scheduler ==
+  /// Runs one full OODA cycle at the current time. Dry runs (executor ==
   /// nullptr) stop after decide and leave `executed` empty.
   Result<PipelineRunReport> RunOnce();
 

@@ -37,7 +37,7 @@ namespace autocomp::core {
 
 /// \brief Trigger axis: the per-candidate admission rule deciding *when*
 /// accumulated debt is worth acting on. Implemented as pre-orient
-/// filters, so every trigger composes with any scope/ranker/scheduler.
+/// filters, so every trigger composes with any scope/ranker/executor.
 enum class TriggerAxis : int {
   /// Every service cycle considers every candidate (the paper's hourly
   /// evaluation setting). The default; adds no filter.

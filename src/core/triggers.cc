@@ -12,7 +12,7 @@ OptimizeAfterWriteHook::OptimizeAfterWriteHook() : mode_(Mode::kNotify) {}
 OptimizeAfterWriteHook::OptimizeAfterWriteHook(ImmediateStages stages)
     : mode_(Mode::kImmediate), stages_(std::move(stages)) {
   assert(stages_->collector != nullptr);
-  assert(stages_->scheduler != nullptr);
+  assert(stages_->executor != nullptr);
 }
 
 Result<std::optional<ScheduledCompaction>> OptimizeAfterWriteHook::OnWrite(
@@ -52,7 +52,7 @@ Result<std::optional<ScheduledCompaction>> OptimizeAfterWriteHook::OnWrite(
   scored.traited = std::move(traited.front());
   scored.score = 1.0;
   AUTOCOMP_ASSIGN_OR_RETURN(std::vector<ScheduledCompaction> executed,
-                            stages_->scheduler->Execute({scored}, now));
+                            stages_->executor->Execute({scored}, now));
   if (executed.empty()) return std::optional<ScheduledCompaction>();
   return std::optional<ScheduledCompaction>(std::move(executed.front()));
 }

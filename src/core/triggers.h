@@ -146,7 +146,7 @@ class OptimizeAfterWriteHook {
     std::shared_ptr<const StatsCollector> collector;
     std::vector<std::shared_ptr<const Trait>> traits;
     ThresholdPolicy policy;
-    std::shared_ptr<CompactionScheduler> scheduler;
+    std::shared_ptr<ActExecutor> executor;
   };
 
   /// Notify-mode hook.

@@ -5,9 +5,9 @@
 
 #include "common/logging.h"
 #include "common/random.h"
+#include "core/act.h"
 #include "core/observe.h"
 #include "core/ranking.h"
-#include "core/scheduler.h"
 #include "core/traits.h"
 #include "core/triggers.h"
 #include "engine/compaction_runner.h"
@@ -81,7 +81,7 @@ Result<double> LstBenchRunner::Run(const std::string& trait_name,
             &env.catalog(), &env.control_plane(), &env.clock()),
         std::move(traits),
         core::ThresholdPolicy(trait_name, threshold),
-        std::make_shared<core::SerialScheduler>(runner,
+        std::make_shared<core::SerialExecutor>(runner,
                                                 &env.control_plane())};
     hook = std::make_unique<core::OptimizeAfterWriteHook>(std::move(stages));
   }

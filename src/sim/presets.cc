@@ -1,9 +1,9 @@
 #include "sim/presets.h"
 
+#include "core/act.h"
 #include "core/filters.h"
 #include "core/observe.h"
 #include "core/ranking.h"
-#include "core/scheduler.h"
 #include "core/stats_index.h"
 #include "core/traits.h"
 
@@ -120,7 +120,7 @@ std::unique_ptr<core::AutoCompService> MakeMoopService(
   }
 
   if (preset.deferred_act) {
-    stages.scheduler = nullptr;  // the EventDriver acts on the timeline
+    stages.executor = nullptr;  // the EventDriver acts on the timeline
   } else {
     core::SchedulerOptions sched;
     sched.validation_mode = preset.validation_mode;
@@ -129,7 +129,7 @@ std::unique_ptr<core::AutoCompService> MakeMoopService(
       // Movement axis: how much data each work unit rewrites.
       sched.movement = core::MovementFor(*preset.policy);
     }
-    stages.scheduler = std::make_shared<core::TableParallelScheduler>(
+    stages.executor = std::make_shared<core::TableParallelExecutor>(
         &env->compaction_runner(), &env->control_plane(), sched);
   }
   if (has_policy) {

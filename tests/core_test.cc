@@ -6,11 +6,11 @@
 #include "catalog/catalog.h"
 #include "catalog/control_plane.h"
 #include "common/clock.h"
+#include "core/act.h"
 #include "core/filters.h"
 #include "core/observe.h"
 #include "core/pipeline.h"
 #include "core/ranking.h"
-#include "core/scheduler.h"
 #include "core/stats_index.h"
 #include "core/traits.h"
 #include "core/triggers.h"
@@ -548,7 +548,7 @@ TEST_F(CoreFixture, StatsCollectorQuotaUtilization) {
 
 // ------------------------------------------------------------- Schedulers
 
-TEST_F(CoreFixture, SerialSchedulerRunsAllUnits) {
+TEST_F(CoreFixture, SerialExecutorRunsAllUnits) {
   MakePartitionedTable("p");
   FragmentTable("db.p", {"m=2024-01", "m=2024-02"});
   auto collector = MakeCollector();
@@ -559,7 +559,7 @@ TEST_F(CoreFixture, SerialSchedulerRunsAllUnits) {
   SingleTraitRanker ranker("file_count_reduction");
   auto ranked = ranker.Rank(traited);
 
-  SerialScheduler scheduler(&runner_, &control_plane_);
+  SerialExecutor scheduler(&runner_, &control_plane_);
   auto executed = scheduler.Execute(ranked, kHour);
   ASSERT_TRUE(executed.ok());
   ASSERT_EQ(executed->size(), 2u);
@@ -571,7 +571,7 @@ TEST_F(CoreFixture, SerialSchedulerRunsAllUnits) {
             (*executed)[0].result.end_time);
 }
 
-TEST_F(CoreFixture, TableParallelSchedulerSerializesWithinTable) {
+TEST_F(CoreFixture, TableParallelExecutorSerializesWithinTable) {
   MakePartitionedTable("p1");
   MakePartitionedTable("p2");
   FragmentTable("db.p1", {"m=2024-01", "m=2024-02"});
@@ -584,7 +584,7 @@ TEST_F(CoreFixture, TableParallelSchedulerSerializesWithinTable) {
       *observed, {std::make_shared<FileCountReductionTrait>()});
   auto ranked = SingleTraitRanker("file_count_reduction").Rank(traited);
 
-  TableParallelScheduler scheduler(&runner_, &control_plane_);
+  TableParallelExecutor scheduler(&runner_, &control_plane_);
   auto executed = scheduler.Execute(ranked, kHour);
   ASSERT_TRUE(executed.ok());
   ASSERT_EQ(executed->size(), 3u);
@@ -618,22 +618,22 @@ TEST_F(CoreFixture, RetentionAfterCommitRemovesReplacedFiles) {
                         *observed,
                         {std::make_shared<FileCountReductionTrait>()}));
   clock_.AdvanceTo(kHour);
-  SerialScheduler scheduler(&runner_, &control_plane_);
+  SerialExecutor scheduler(&runner_, &control_plane_);
   auto executed = scheduler.Execute(ranked, clock_.Now());
   ASSERT_TRUE(executed.ok());
   // Storage file count dropped (replaced files physically deleted).
   EXPECT_LT(dfs_.AggregateStats().file_count, storage_before);
 }
 
-TEST(OffPeakSchedulerTest, DefersIntoWindow) {
+TEST(OffPeakExecutorTest, DefersIntoWindow) {
   SimulatedClock clock(0);
   storage::DistributedFileSystem dfs(&clock, 1);
   catalog::Catalog cat(&clock, &dfs);
   catalog::ControlPlane plane(&cat);
   engine::Cluster cluster("c", {}, &clock);
   engine::CompactionRunner runner(&cluster, &cat, &clock);
-  OffPeakScheduler scheduler(
-      std::make_unique<SerialScheduler>(&runner, &plane), 22, 6);
+  OffPeakExecutor scheduler(
+      std::make_unique<SerialExecutor>(&runner, &plane), 22, 6);
   // 10:00 is outside [22,06): next window start is 22:00 today.
   EXPECT_EQ(scheduler.NextWindowStart(10 * kHour), 22 * kHour);
   // 23:00 is inside.
@@ -641,8 +641,8 @@ TEST(OffPeakSchedulerTest, DefersIntoWindow) {
   // 03:00 is inside (wrapped window).
   EXPECT_EQ(scheduler.NextWindowStart(27 * kHour), 27 * kHour);
   // Non-wrapping window [2,4): at 05:00, next start is tomorrow 02:00.
-  OffPeakScheduler narrow(
-      std::make_unique<SerialScheduler>(&runner, &plane), 2, 4);
+  OffPeakExecutor narrow(
+      std::make_unique<SerialExecutor>(&runner, &plane), 2, 4);
   EXPECT_EQ(narrow.NextWindowStart(5 * kHour), kDay + 2 * kHour);
 }
 
@@ -664,7 +664,7 @@ TEST_F(CoreFixture, PipelineEndToEnd) {
                    std::make_shared<ComputeCostTrait>(192, kTiB)};
   stages.ranker = std::make_shared<MoopRanker>(MoopRanker::PaperDefault());
   stages.selector = std::make_shared<FixedKSelector>(2);
-  stages.scheduler = std::make_shared<TableParallelScheduler>(
+  stages.executor = std::make_shared<TableParallelExecutor>(
       &runner_, &control_plane_);
   AutoCompPipeline pipeline(std::move(stages), &catalog_, &clock_);
 
@@ -692,7 +692,7 @@ TEST_F(CoreFixture, PipelineDryRunWithoutScheduler) {
   stages.traits = {std::make_shared<FileCountReductionTrait>()};
   stages.ranker = std::make_shared<SingleTraitRanker>("file_count_reduction");
   stages.selector = std::make_shared<FixedKSelector>(10);
-  stages.scheduler = nullptr;  // decide-only
+  stages.executor = nullptr;  // decide-only
   AutoCompPipeline pipeline(std::move(stages), &catalog_, &clock_);
   auto report = pipeline.RunOnce();
   ASSERT_TRUE(report.ok());
@@ -712,7 +712,7 @@ TEST_F(CoreFixture, PipelineDeterministicAcrossRuns) {
                      std::make_shared<ComputeCostTrait>(192, kTiB)};
     stages.ranker = std::make_shared<MoopRanker>(MoopRanker::PaperDefault());
     stages.selector = std::make_shared<FixedKSelector>(5);
-    stages.scheduler = nullptr;
+    stages.executor = nullptr;
     return AutoCompPipeline(std::move(stages), &catalog_, &clock_);
   };
   auto r1 = make_pipeline().RunOnce();
@@ -755,7 +755,7 @@ TEST_F(CoreFixture, ImmediateHookCompactsWhenThresholdExceeded) {
       std::make_shared<StatsCollector>(&catalog_, &control_plane_, &clock_),
       {std::make_shared<FileCountReductionTrait>()},
       ThresholdPolicy("file_count_reduction", 5),
-      std::make_shared<SerialScheduler>(&runner_, &control_plane_)};
+      std::make_shared<SerialExecutor>(&runner_, &control_plane_)};
   OptimizeAfterWriteHook hook(std::move(stages));
   auto result = hook.OnWrite("db.p", std::string("m=2024-01"), kHour);
   ASSERT_TRUE(result.ok()) << result.status();
@@ -780,7 +780,7 @@ TEST_F(CoreFixture, ServiceTicksOnSchedule) {
   stages.traits = {std::make_shared<FileCountReductionTrait>()};
   stages.ranker = std::make_shared<SingleTraitRanker>("file_count_reduction");
   stages.selector = std::make_shared<FixedKSelector>(10);
-  stages.scheduler = std::make_shared<SerialScheduler>(&runner_,
+  stages.executor = std::make_shared<SerialExecutor>(&runner_,
                                                        &control_plane_);
   auto pipeline = std::make_unique<AutoCompPipeline>(std::move(stages),
                                                      &catalog_, &clock_);

@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/act.h"
 #include "core/observe.h"
-#include "core/scheduler.h"
 #include "core/traits.h"
 #include "sim/environment.h"
 #include "workload/tpch.h"

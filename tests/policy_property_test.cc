@@ -22,8 +22,8 @@
 #include <vector>
 
 #include "catalog/control_plane.h"
+#include "core/act.h"
 #include "core/policy.h"
-#include "core/scheduler.h"
 #include "engine/compaction_runner.h"
 #include "engine/write_planner.h"
 #include "fault/fault_injector.h"

@@ -677,7 +677,7 @@ core::AutoCompPipeline MakeDecidePipeline(
           {"file_count_reduction", 0.7, false},
           {"compute_cost_gbhr", 0.3, true}});
   stages.selector = std::make_shared<core::FixedKSelector>(100);
-  stages.scheduler = nullptr;
+  stages.executor = nullptr;
   return core::AutoCompPipeline(std::move(stages), catalog, clock);
 }
 
