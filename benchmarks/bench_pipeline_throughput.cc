@@ -151,7 +151,7 @@ RunResult RunConfig(const std::string& name, bool indexed,
   result.indexed = indexed;
   int64_t index_hits = 0;
   int64_t index_total = 0;
-  // The catalog never mutates (null scheduler), so the index lazily
+  // The catalog never mutates (null executor), so the index lazily
   // builds per table on the first run and serves O(1) afterwards.
   for (int run = 0; run < kRunsPerConfig; ++run) {
     auto report = pipeline.RunOnce();

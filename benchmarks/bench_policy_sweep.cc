@@ -138,8 +138,8 @@ sim::FleetSimOptions ArchetypeOptions(const Archetype& archetype,
   options.driver.sample_interval = 4 * kHour;
   options.driver.retention_interval = kDay;
   // Deferred act: compaction executes on the simulated timeline, so its
-  // commits/GBHr are recorded as metrics and the movement axis flows
-  // through DriverOptions::compaction_movement. Host-wall-clock
+  // commits/GBHr are recorded as metrics; the driver builds each request
+  // with the movement axis of the lane service's pipeline. Host-wall-clock
   // profiling series stay off — the bit-identity assertion below
   // compares every recorded metric.
   options.driver.deferred_compaction = true;

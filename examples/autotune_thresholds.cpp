@@ -39,7 +39,7 @@ Result<double> RunOnce(double threshold) {
       {std::make_shared<core::FileCountReductionTrait>()},
       core::ThresholdPolicy("file_count_reduction", threshold),
       std::make_shared<core::SerialExecutor>(&env.compaction_runner(),
-                                              &env.control_plane())};
+                                             &env.control_plane())};
   core::OptimizeAfterWriteHook hook(std::move(stages));
 
   Rng rng(3);

@@ -10,52 +10,53 @@
 namespace autocomp::core {
 
 engine::CompactionRequest RequestFor(
-    const Candidate& candidate, const SchedulerOptions& options,
+    const Candidate& candidate, engine::RewriteMovement movement,
     const catalog::ControlPlane* control_plane) {
+  const catalog::TablePolicy policy = control_plane->GetPolicy(candidate.table);
   engine::CompactionRequest request;
   request.table = candidate.table;
   request.partition = candidate.partition;
   request.after_snapshot_id = candidate.after_snapshot_id;
-  request.validation_mode = options.validation_mode;
-  request.target_file_size_bytes = options.target_file_size_bytes;
-  request.movement = options.movement;
-  if (control_plane != nullptr) {
-    const catalog::TablePolicy policy =
-        control_plane->GetPolicy(candidate.table);
-    if (request.target_file_size_bytes == 0) {
-      request.target_file_size_bytes = policy.target_file_size_bytes;
-    }
-    request.cluster_output = policy.clustering_enabled;
-    if (!policy.compaction_policy.empty()) {
-      // Per-table policy override; a bad catalog entry must not crash
-      // the service, so parse failures fall back to the fleet default.
-      auto spec = PolicySpec::Parse(policy.compaction_policy);
-      if (spec.ok()) {
-        request.movement = MovementFor(*spec);
-      } else {
-        LOG_WARN << "ignoring unparsable compaction_policy for "
-                 << candidate.table << ": " << spec.status();
-      }
+  request.target_file_size_bytes = policy.target_file_size_bytes;
+  request.cluster_output = policy.clustering_enabled;
+  request.movement = movement;
+  if (!policy.compaction_policy.empty()) {
+    // Per-table policy override; a bad catalog entry must not crash
+    // the service, so parse failures fall back to the fleet default.
+    auto spec = PolicySpec::Parse(policy.compaction_policy);
+    if (spec.ok()) {
+      request.movement = MovementFor(*spec);
+    } else {
+      LOG_WARN << "ignoring unparsable compaction_policy for "
+               << candidate.table << ": " << spec.status();
     }
   }
   return request;
 }
 
+void ReapAfterCommit(catalog::ControlPlane* control_plane,
+                     const std::string& table) {
+  auto retention = control_plane->RunRetentionFor(table, SimTime{0});
+  if (!retention.ok()) {
+    LOG_WARN << "post-compaction retention failed for " << table << ": "
+             << retention.status();
+  }
+}
+
 namespace {
 
-/// Runs one unit and (optionally) retention afterwards. Returns the end
-/// time of the unit (>= submit).
+/// Runs one unit and reaps its replaced files after a commit. Returns the
+/// end time of the unit (>= submit).
 SimTime RunUnit(engine::CompactionRunner* runner,
                 catalog::ControlPlane* control_plane,
-                const SchedulerOptions& options, const Candidate& candidate,
+                engine::RewriteMovement movement, const Candidate& candidate,
                 SimTime submit, std::vector<ScheduledCompaction>* out) {
-  const engine::CompactionRequest request =
-      RequestFor(candidate, options, control_plane);
-  auto result = runner->Run(request, submit);
+  auto result =
+      runner->Run(RequestFor(candidate, movement, control_plane), submit);
+  ScheduledCompaction unit;
+  unit.candidate = candidate;
   if (!result.ok()) {
     // Infrastructure failure: record a failed unit and move on.
-    ScheduledCompaction unit;
-    unit.candidate = candidate;
     unit.result.attempted = true;
     unit.result.status = result.status();
     unit.result.start_time = submit;
@@ -63,19 +64,9 @@ SimTime RunUnit(engine::CompactionRunner* runner,
     out->push_back(std::move(unit));
     return submit;
   }
-  ScheduledCompaction unit;
-  unit.candidate = candidate;
   unit.result = std::move(result).value();
   const SimTime end = unit.result.end_time;
-  if (unit.result.committed && options.run_retention_after_commit &&
-      control_plane != nullptr) {
-    auto retention = control_plane->RunRetentionFor(
-        candidate.table, options.post_commit_retention);
-    if (!retention.ok()) {
-      LOG_WARN << "post-compaction retention failed for " << candidate.table
-               << ": " << retention.status();
-    }
-  }
+  if (unit.result.committed) ReapAfterCommit(control_plane, candidate.table);
   out->push_back(std::move(unit));
   return end;
 }
@@ -83,34 +74,33 @@ SimTime RunUnit(engine::CompactionRunner* runner,
 }  // namespace
 
 SerialExecutor::SerialExecutor(engine::CompactionRunner* runner,
-                                 catalog::ControlPlane* control_plane,
-                                 SchedulerOptions options)
-    : runner_(runner), control_plane_(control_plane), options_(options) {
-  assert(runner_ != nullptr);
+                               catalog::ControlPlane* control_plane)
+    : runner_(runner), control_plane_(control_plane) {
+  assert(runner_ != nullptr && control_plane_ != nullptr);
 }
 
 Result<std::vector<ScheduledCompaction>> SerialExecutor::Execute(
-    const std::vector<ScoredCandidate>& plan, SimTime now) {
+    const std::vector<ScoredCandidate>& plan, engine::RewriteMovement movement,
+    SimTime now) {
   std::vector<ScheduledCompaction> out;
   out.reserve(plan.size());
   SimTime cursor = now;
   for (const ScoredCandidate& item : plan) {
-    cursor = std::max(
-        cursor, RunUnit(runner_, control_plane_, options_, item.candidate(),
-                        cursor, &out));
+    cursor = std::max(cursor, RunUnit(runner_, control_plane_, movement,
+                                      item.candidate(), cursor, &out));
   }
   return out;
 }
 
 TableParallelExecutor::TableParallelExecutor(
-    engine::CompactionRunner* runner, catalog::ControlPlane* control_plane,
-    SchedulerOptions options)
-    : runner_(runner), control_plane_(control_plane), options_(options) {
-  assert(runner_ != nullptr);
+    engine::CompactionRunner* runner, catalog::ControlPlane* control_plane)
+    : runner_(runner), control_plane_(control_plane) {
+  assert(runner_ != nullptr && control_plane_ != nullptr);
 }
 
 Result<std::vector<ScheduledCompaction>> TableParallelExecutor::Execute(
-    const std::vector<ScoredCandidate>& plan, SimTime now) {
+    const std::vector<ScoredCandidate>& plan, engine::RewriteMovement movement,
+    SimTime now) {
   // Group by table, preserving plan (priority) order within each group.
   std::map<std::string, std::vector<const ScoredCandidate*>> by_table;
   std::vector<std::string> table_order;
@@ -127,16 +117,15 @@ Result<std::vector<ScheduledCompaction>> TableParallelExecutor::Execute(
     // chained sequentially.
     SimTime cursor = now;
     for (const ScoredCandidate* item : by_table[table]) {
-      cursor = std::max(
-          cursor, RunUnit(runner_, control_plane_, options_,
-                          item->candidate(), cursor, &out));
+      cursor = std::max(cursor, RunUnit(runner_, control_plane_, movement,
+                                        item->candidate(), cursor, &out));
     }
   }
   return out;
 }
 
 OffPeakExecutor::OffPeakExecutor(std::unique_ptr<ActExecutor> inner,
-                                   int window_start_hour, int window_end_hour)
+                                 int window_start_hour, int window_end_hour)
     : inner_(std::move(inner)),
       window_start_hour_(window_start_hour),
       window_end_hour_(window_end_hour) {
@@ -161,8 +150,9 @@ SimTime OffPeakExecutor::NextWindowStart(SimTime now) const {
 }
 
 Result<std::vector<ScheduledCompaction>> OffPeakExecutor::Execute(
-    const std::vector<ScoredCandidate>& plan, SimTime now) {
-  return inner_->Execute(plan, NextWindowStart(now));
+    const std::vector<ScoredCandidate>& plan, engine::RewriteMovement movement,
+    SimTime now) {
+  return inner_->Execute(plan, movement, NextWindowStart(now));
 }
 
 }  // namespace autocomp::core

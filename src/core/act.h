@@ -1,7 +1,7 @@
 /// \file act.h
 /// \brief Act phase: executing the selected compaction plan (§4.4).
 ///
-/// Scheduling must respect LST conflict semantics: with Iceberg v1.2.0
+/// Execution must respect LST conflict semantics: with Iceberg v1.2.0
 /// even rewrites of distinct partitions of one table conflict, so the
 /// evaluation runs "parallel on the table level but sequential on the
 /// partition level" (§6). Both policies are provided, plus an off-peak
@@ -26,34 +26,18 @@ struct ScheduledCompaction {
   engine::CompactionResult result;
 };
 
-/// \brief Common scheduler knobs.
-struct SchedulerOptions {
-  lst::ValidationMode validation_mode = lst::ValidationMode::kStrictTableLevel;
-  /// Run snapshot retention for a table right after a committed rewrite so
-  /// replaced files leave the storage layer (OpenHouse pairs compaction
-  /// with its retention data service).
-  bool run_retention_after_commit = true;
-  /// Retention window used by that post-commit sweep (0 = expire all
-  /// superseded snapshots immediately, reaping the rewritten files).
-  SimTime post_commit_retention = 0;
-  /// Override the per-table target size (0 = use table policy/property).
-  int64_t target_file_size_bytes = 0;
-  /// Data-movement axis for every request this scheduler builds
-  /// (core/policy.h). A non-empty TablePolicy::compaction_policy
-  /// overrides it per table.
-  engine::RewriteMovement movement = engine::RewriteMovement::kPartial;
-};
-
 /// \brief Executes a ranked, selected plan.
 class ActExecutor {
  public:
   virtual ~ActExecutor() = default;
   virtual std::string name() const = 0;
-  /// Runs the plan starting at `now`; returns per-unit outcomes in
+  /// Runs the plan starting at `now`, building every request with
+  /// RequestFor(candidate, movement, ...); returns per-unit outcomes in
   /// execution order. Individual conflicts/failures are reported in the
   /// results, not raised.
   virtual Result<std::vector<ScheduledCompaction>> Execute(
-      const std::vector<ScoredCandidate>& plan, SimTime now) = 0;
+      const std::vector<ScoredCandidate>& plan,
+      engine::RewriteMovement movement, SimTime now) = 0;
 };
 
 /// \brief Strictly sequential execution: each work unit starts when the
@@ -62,17 +46,16 @@ class ActExecutor {
 class SerialExecutor final : public ActExecutor {
  public:
   SerialExecutor(engine::CompactionRunner* runner,
-                  catalog::ControlPlane* control_plane,
-                  SchedulerOptions options = {});
+                 catalog::ControlPlane* control_plane);
 
   std::string name() const override { return "serial"; }
   Result<std::vector<ScheduledCompaction>> Execute(
-      const std::vector<ScoredCandidate>& plan, SimTime now) override;
+      const std::vector<ScoredCandidate>& plan,
+      engine::RewriteMovement movement, SimTime now) override;
 
  private:
   engine::CompactionRunner* runner_;
   catalog::ControlPlane* control_plane_;
-  SchedulerOptions options_;
 };
 
 /// \brief Parallel across tables, sequential within a table: work units
@@ -82,17 +65,16 @@ class SerialExecutor final : public ActExecutor {
 class TableParallelExecutor final : public ActExecutor {
  public:
   TableParallelExecutor(engine::CompactionRunner* runner,
-                         catalog::ControlPlane* control_plane,
-                         SchedulerOptions options = {});
+                        catalog::ControlPlane* control_plane);
 
   std::string name() const override { return "table-parallel"; }
   Result<std::vector<ScheduledCompaction>> Execute(
-      const std::vector<ScoredCandidate>& plan, SimTime now) override;
+      const std::vector<ScoredCandidate>& plan,
+      engine::RewriteMovement movement, SimTime now) override;
 
  private:
   engine::CompactionRunner* runner_;
   catalog::ControlPlane* control_plane_;
-  SchedulerOptions options_;
 };
 
 /// \brief Decorator deferring execution to an off-peak window ("deferred
@@ -100,12 +82,13 @@ class TableParallelExecutor final : public ActExecutor {
 class OffPeakExecutor final : public ActExecutor {
  public:
   /// Window in hours-of-day [start, end); wraps midnight when start > end.
-  OffPeakExecutor(std::unique_ptr<ActExecutor> inner,
-                   int window_start_hour, int window_end_hour);
+  OffPeakExecutor(std::unique_ptr<ActExecutor> inner, int window_start_hour,
+                  int window_end_hour);
 
   std::string name() const override { return "off-peak"; }
   Result<std::vector<ScheduledCompaction>> Execute(
-      const std::vector<ScoredCandidate>& plan, SimTime now) override;
+      const std::vector<ScoredCandidate>& plan,
+      engine::RewriteMovement movement, SimTime now) override;
 
   /// First time >= now inside the window (exposed for tests).
   SimTime NextWindowStart(SimTime now) const;
@@ -116,10 +99,21 @@ class OffPeakExecutor final : public ActExecutor {
   int window_end_hour_;
 };
 
-/// \brief Builds the engine request for a candidate (shared by all
-/// executors).
+/// \brief Builds the engine request for a candidate — the one request
+/// builder of both act modes (these executors and the deferred
+/// sim::EventDriver). Target size and clustering come from the table's
+/// TablePolicy; so does the movement when its `compaction_policy`
+/// parses, otherwise `movement` (the service-wide policy's axis) holds
+/// and an unparsable override is logged, never fatal.
 engine::CompactionRequest RequestFor(const Candidate& candidate,
-                                     const SchedulerOptions& options,
+                                     engine::RewriteMovement movement,
                                      const catalog::ControlPlane* control_plane);
+
+/// \brief Post-commit step of both act modes: a retention sweep of
+/// `table` with a zero window, so the files a committed rewrite replaced
+/// leave storage at once (OpenHouse pairs compaction with its retention
+/// data service). A failed sweep is logged, not raised.
+void ReapAfterCommit(catalog::ControlPlane* control_plane,
+                     const std::string& table);
 
 }  // namespace autocomp::core

@@ -247,7 +247,8 @@ Result<PipelineRunReport> AutoCompPipeline::Run(std::vector<Candidate> pool,
   if (stages_.executor != nullptr && !report.selected.empty()) {
     AUTOCOMP_ASSIGN_OR_RETURN(
         report.executed,
-        stages_.executor->Execute(report.selected, report.started_at));
+        stages_.executor->Execute(report.selected, stages_.movement,
+                                  report.started_at));
   }
   report.timings.act_ms = MsSince(phase_start);
   if (trace != nullptr) {

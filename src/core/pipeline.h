@@ -92,6 +92,12 @@ class AutoCompPipeline {
     std::shared_ptr<const Ranker> ranker;
     std::shared_ptr<const Selector> selector;
     std::shared_ptr<ActExecutor> executor;
+    /// Data-movement axis (core/policy.h) of every rewrite this service
+    /// decides — the one home both act modes read: the executor gets it
+    /// with each plan, and the deferred sim::EventDriver reads it here. A
+    /// parsable TablePolicy::compaction_policy overrides it per table
+    /// (RequestFor).
+    engine::RewriteMovement movement = engine::RewriteMovement::kPartial;
     /// When non-null, every run records an "ooda.run" envelope span with
     /// nested phase spans (kPhases) and per-candidate ranking / winner
     /// decision instants (kDecisions). Not owned; must outlive the

@@ -37,7 +37,7 @@ Result<std::optional<ScheduledCompaction>> OptimizeAfterWriteHook::OnWrite(
   }
 
   // Immediate mode: observe + orient this one candidate, check the
-  // threshold, and act right away.
+  // threshold, and act right away with the default partial movement.
   ++evaluated_;
   AUTOCOMP_ASSIGN_OR_RETURN(CandidateStats stats,
                             stages_->collector->Collect(candidate));
@@ -51,8 +51,10 @@ Result<std::optional<ScheduledCompaction>> OptimizeAfterWriteHook::OnWrite(
   ScoredCandidate scored;
   scored.traited = std::move(traited.front());
   scored.score = 1.0;
-  AUTOCOMP_ASSIGN_OR_RETURN(std::vector<ScheduledCompaction> executed,
-                            stages_->executor->Execute({scored}, now));
+  AUTOCOMP_ASSIGN_OR_RETURN(
+      std::vector<ScheduledCompaction> executed,
+      stages_->executor->Execute({scored}, engine::RewriteMovement::kPartial,
+                                 now));
   if (executed.empty()) return std::optional<ScheduledCompaction>();
   return std::optional<ScheduledCompaction>(std::move(executed.front()));
 }

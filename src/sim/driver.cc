@@ -5,7 +5,7 @@
 #include <limits>
 
 #include "common/logging.h"
-#include "core/policy.h"
+#include "core/act.h"
 
 namespace autocomp::sim {
 
@@ -78,22 +78,11 @@ void EventDriver::ScheduleCompactions(
 
 bool EventDriver::TryStartUnit(common::TableId table,
                                const core::Candidate& candidate) {
-  engine::CompactionRequest request;
-  request.table = candidate.table;
-  request.partition = candidate.partition;
-  request.after_snapshot_id = candidate.after_snapshot_id;
-  request.validation_mode = options_.compaction_validation;
-  request.movement = options_.compaction_movement;
-  const catalog::TablePolicy policy =
-      env_->control_plane().GetPolicy(candidate.table);
-  request.target_file_size_bytes = policy.target_file_size_bytes;
-  if (!policy.compaction_policy.empty()) {
-    // Per-table override, mirroring core::RequestFor: a bad catalog
-    // entry is ignored, never fatal.
-    auto spec = core::PolicySpec::Parse(policy.compaction_policy);
-    if (spec.ok()) request.movement = core::MovementFor(*spec);
-  }
-
+  // Only a service's plan queues units, so a service is attached.
+  assert(service_ != nullptr);
+  const engine::CompactionRequest request =
+      core::RequestFor(candidate, service_->pipeline()->stages().movement,
+                       &env_->control_plane());
   auto pending =
       env_->compaction_runner().Prepare(request, env_->clock().Now());
   if (!pending.ok()) {
@@ -220,12 +209,7 @@ void EventDriver::FinalizeUnit(common::TableId table,
     metrics_->Record(
         ids_.compaction_files_reduced, at,
         static_cast<double>(result.files_rewritten - result.files_produced));
-    auto retention = env_->control_plane().RunRetentionFor(
-        name, options_.post_commit_retention);
-    if (!retention.ok()) {
-      LOG_WARN << "post-compaction retention failed for " << name << ": "
-               << retention.status();
-    }
+    core::ReapAfterCommit(&env_->control_plane(), name);
   } else if (result.conflict) {
     metrics_->Increment(ids_.cluster_conflicts, at);
     metrics_->Record(ids_.compaction_gbhr, at, result.gb_hours);
@@ -510,7 +494,6 @@ Status EventDriver::RestoreState(common::BlobReader* r) {
   }
   if (!r->ok()) return Status::Internal("truncated driver checkpoint");
   return scheduler_.RestoreState(r);
-  return Status::OK();
 }
 
 }  // namespace autocomp::sim

@@ -4,14 +4,16 @@
 /// figures plot.
 ///
 /// Compaction can run in two modes:
-///  * synchronous — the service's own scheduler executes the act phase
-///    inside the tick (commit happens instantly; no cluster-side
+///  * synchronous — the service's own core::ActExecutor executes the act
+///    phase inside the tick (commit happens instantly; no cluster-side
 ///    conflicts can occur);
-///  * deferred — the service only decides (its scheduler is null) and the
+///  * deferred — the service only decides (its executor is null) and the
 ///    driver executes the plan on the timeline: decided units pass
 ///    through the driver's sched::MaintenanceScheduler, Prepare at the
 ///    unit's start, Finalize (the commit) at its end. User writes that
 ///    land in between cause exactly the cluster-side conflicts of Table 1.
+/// Both modes build requests with core::RequestFor, using the movement of
+/// the service's pipeline stages, and reap with core::ReapAfterCommit.
 
 #pragma once
 
@@ -40,19 +42,10 @@ struct DriverOptions {
   /// Run the retention data service at this interval so replaced files
   /// leave storage (0 = never).
   SimTime retention_interval = kHour;
-  /// Execute the service's selected plan on the timeline (requires the
-  /// service pipeline to have a null scheduler).
+  /// Execute the service's selected plan on the timeline (requires a
+  /// service that only decides: a null executor, as
+  /// StrategyPreset::deferred_act builds it).
   bool deferred_compaction = false;
-  /// Conflict validation for deferred compaction commits.
-  lst::ValidationMode compaction_validation =
-      lst::ValidationMode::kStrictTableLevel;
-  /// Retention window for the post-commit sweep (0 = reap immediately).
-  SimTime post_commit_retention = 0;
-  /// Data-movement axis for deferred compaction requests (core/policy.h).
-  /// A non-empty TablePolicy::compaction_policy overrides it per table,
-  /// mirroring core::RequestFor.
-  engine::RewriteMovement compaction_movement =
-      engine::RewriteMovement::kPartial;
   /// Record the pipeline_*_ms host wall-clock profiling series for
   /// attached-service runs. These are the only nondeterministic metrics
   /// the driver produces; bit-identity comparisons (policy_diff_test,
@@ -148,7 +141,8 @@ class EventDriver {
   /// Deferred mode: admits a decided plan into the scheduler and
   /// dispatches whatever can start now.
   void ScheduleCompactions(const std::vector<core::ScoredCandidate>& plan);
-  /// Prepare-and-register body: builds the request for `candidate`,
+  /// Prepare-and-register body: builds the request for `candidate`
+  /// (core::RequestFor with the attached service's movement),
   /// Prepares it now, and on success registers the inflight unit and its
   /// calendar boundary. Returns true when a rewrite started.
   bool TryStartUnit(common::TableId table, const core::Candidate& candidate);

@@ -178,13 +178,6 @@ DriverOptions FleetSimulation::LaneDriverOptions() const {
     // scheduler must not clobber knobs set directly on the driver.
     driver_options.scheduler = options_.preset->scheduler;
   }
-  if (options_.preset && options_.preset->policy &&
-      *options_.preset->policy != core::PolicySpec::Default()) {
-    // The preset policy's movement axis flows into deferred-mode
-    // requests (synchronous mode routes it through the scheduler).
-    driver_options.compaction_movement =
-        core::MovementFor(*options_.preset->policy);
-  }
   return driver_options;
 }
 

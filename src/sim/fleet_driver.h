@@ -253,9 +253,9 @@ class FleetSimulation {
   /// a checkpoint (restores must rebuild an *identical* deployment).
   EnvironmentOptions LaneEnvironmentOptions(Lane* lane) const;
 
-  /// Per-lane driver options: the configured options plus the preset
-  /// policy's movement axis for deferred-mode requests. Same at hydrate
-  /// and restore (restored lanes must rebuild an identical driver).
+  /// Per-lane driver options: the configured options, with an engaged
+  /// preset scheduler in place of the driver's. Same at hydrate and
+  /// restore (restored lanes must rebuild an identical driver).
   DriverOptions LaneDriverOptions() const;
 
   /// Hydrates `lane`: constructs its environment/driver/service, creates

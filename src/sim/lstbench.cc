@@ -82,7 +82,7 @@ Result<double> LstBenchRunner::Run(const std::string& trait_name,
         std::move(traits),
         core::ThresholdPolicy(trait_name, threshold),
         std::make_shared<core::SerialExecutor>(runner,
-                                                &env.control_plane())};
+                                               &env.control_plane())};
     hook = std::make_unique<core::OptimizeAfterWriteHook>(std::move(stages));
   }
 

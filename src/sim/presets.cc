@@ -119,20 +119,16 @@ std::unique_ptr<core::AutoCompService> MakeMoopService(
     stages.selector = std::make_shared<core::FixedKSelector>(preset.k);
   }
 
-  if (preset.deferred_act) {
-    stages.executor = nullptr;  // the EventDriver acts on the timeline
-  } else {
-    core::SchedulerOptions sched;
-    sched.validation_mode = preset.validation_mode;
-    sched.run_retention_after_commit = preset.run_retention_after_commit;
-    if (has_policy) {
-      // Movement axis: how much data each work unit rewrites.
-      sched.movement = core::MovementFor(*preset.policy);
-    }
+  // Deferred act leaves the executor null: the EventDriver acts on the
+  // timeline.
+  if (!preset.deferred_act) {
     stages.executor = std::make_shared<core::TableParallelExecutor>(
-        &env->compaction_runner(), &env->control_plane(), sched);
+        &env->compaction_runner(), &env->control_plane());
   }
   if (has_policy) {
+    // Movement axis: how much data each work unit rewrites, in either
+    // act mode.
+    stages.movement = core::MovementFor(*preset.policy);
     stages.policy_label = preset.policy->ToString();
   }
 

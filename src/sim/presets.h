@@ -40,9 +40,7 @@ struct StrategyPreset {
   /// Filters.
   SimTime min_table_age = 0;
   int64_t min_small_files = 2;
-  lst::ValidationMode validation_mode = lst::ValidationMode::kStrictTableLevel;
-  bool run_retention_after_commit = true;
-  /// When true, the pipeline stops after decide (null scheduler) and the
+  /// When true, the pipeline stops after decide (null executor) and the
   /// EventDriver executes the plan on the timeline — Prepare at unit
   /// start, commit at unit end — so rewrites genuinely overlap user
   /// writes. Requires DriverOptions::deferred_compaction.
@@ -63,7 +61,8 @@ struct StrategyPreset {
   /// than PolicySpec::Default(), the spec's axes override the stage
   /// choices above: granularity overrides `scope`, the trigger axis
   /// appends its admission filter, the picker axis replaces the ranker,
-  /// and the movement axis flows into every compaction request. Unset or
+  /// and the movement axis becomes the pipeline's Stages::movement, which
+  /// both act modes build every compaction request with. Unset or
   /// Default() leaves the preset byte-identical to the pre-decomposition
   /// pipeline (tests/policy_diff_test.cc pins this).
   std::optional<core::PolicySpec> policy;

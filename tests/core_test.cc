@@ -1,5 +1,5 @@
 // Unit tests for src/core: candidates, generators, filters, traits,
-// ranking/selection, schedulers, the OODA pipeline, and triggers.
+// ranking/selection, act executors, the OODA pipeline, and triggers.
 
 #include <gtest/gtest.h>
 
@@ -546,7 +546,7 @@ TEST_F(CoreFixture, StatsCollectorQuotaUtilization) {
   EXPECT_LT(stats->quota_utilization, 1.0);
 }
 
-// ------------------------------------------------------------- Schedulers
+// -------------------------------------------------------------- Executors
 
 TEST_F(CoreFixture, SerialExecutorRunsAllUnits) {
   MakePartitionedTable("p");
@@ -559,8 +559,9 @@ TEST_F(CoreFixture, SerialExecutorRunsAllUnits) {
   SingleTraitRanker ranker("file_count_reduction");
   auto ranked = ranker.Rank(traited);
 
-  SerialExecutor scheduler(&runner_, &control_plane_);
-  auto executed = scheduler.Execute(ranked, kHour);
+  SerialExecutor executor(&runner_, &control_plane_);
+  auto executed =
+      executor.Execute(ranked, engine::RewriteMovement::kPartial, kHour);
   ASSERT_TRUE(executed.ok());
   ASSERT_EQ(executed->size(), 2u);
   for (const auto& unit : *executed) {
@@ -584,8 +585,9 @@ TEST_F(CoreFixture, TableParallelExecutorSerializesWithinTable) {
       *observed, {std::make_shared<FileCountReductionTrait>()});
   auto ranked = SingleTraitRanker("file_count_reduction").Rank(traited);
 
-  TableParallelExecutor scheduler(&runner_, &control_plane_);
-  auto executed = scheduler.Execute(ranked, kHour);
+  TableParallelExecutor executor(&runner_, &control_plane_);
+  auto executed =
+      executor.Execute(ranked, engine::RewriteMovement::kPartial, kHour);
   ASSERT_TRUE(executed.ok());
   ASSERT_EQ(executed->size(), 3u);
   // All commit: within-table sequencing avoids the v1.2.0 conflict.
@@ -618,8 +620,9 @@ TEST_F(CoreFixture, RetentionAfterCommitRemovesReplacedFiles) {
                         *observed,
                         {std::make_shared<FileCountReductionTrait>()}));
   clock_.AdvanceTo(kHour);
-  SerialExecutor scheduler(&runner_, &control_plane_);
-  auto executed = scheduler.Execute(ranked, clock_.Now());
+  SerialExecutor executor(&runner_, &control_plane_);
+  auto executed = executor.Execute(ranked, engine::RewriteMovement::kPartial,
+                                   clock_.Now());
   ASSERT_TRUE(executed.ok());
   // Storage file count dropped (replaced files physically deleted).
   EXPECT_LT(dfs_.AggregateStats().file_count, storage_before);
@@ -632,14 +635,14 @@ TEST(OffPeakExecutorTest, DefersIntoWindow) {
   catalog::ControlPlane plane(&cat);
   engine::Cluster cluster("c", {}, &clock);
   engine::CompactionRunner runner(&cluster, &cat, &clock);
-  OffPeakExecutor scheduler(
+  OffPeakExecutor executor(
       std::make_unique<SerialExecutor>(&runner, &plane), 22, 6);
   // 10:00 is outside [22,06): next window start is 22:00 today.
-  EXPECT_EQ(scheduler.NextWindowStart(10 * kHour), 22 * kHour);
+  EXPECT_EQ(executor.NextWindowStart(10 * kHour), 22 * kHour);
   // 23:00 is inside.
-  EXPECT_EQ(scheduler.NextWindowStart(23 * kHour), 23 * kHour);
+  EXPECT_EQ(executor.NextWindowStart(23 * kHour), 23 * kHour);
   // 03:00 is inside (wrapped window).
-  EXPECT_EQ(scheduler.NextWindowStart(27 * kHour), 27 * kHour);
+  EXPECT_EQ(executor.NextWindowStart(27 * kHour), 27 * kHour);
   // Non-wrapping window [2,4): at 05:00, next start is tomorrow 02:00.
   OffPeakExecutor narrow(
       std::make_unique<SerialExecutor>(&runner, &plane), 2, 4);
@@ -781,7 +784,7 @@ TEST_F(CoreFixture, ServiceTicksOnSchedule) {
   stages.ranker = std::make_shared<SingleTraitRanker>("file_count_reduction");
   stages.selector = std::make_shared<FixedKSelector>(10);
   stages.executor = std::make_shared<SerialExecutor>(&runner_,
-                                                       &control_plane_);
+                                                      &control_plane_);
   auto pipeline = std::make_unique<AutoCompPipeline>(std::move(stages),
                                                      &catalog_, &clock_);
   AutoCompService service(std::move(pipeline), PeriodicTrigger(kHour, kHour));

@@ -7,7 +7,10 @@
 #include "core/act.h"
 #include "core/observe.h"
 #include "core/traits.h"
+#include "sim/driver.h"
 #include "sim/environment.h"
+#include "sim/metrics.h"
+#include "sim/presets.h"
 #include "workload/tpch.h"
 
 namespace autocomp {
@@ -40,6 +43,31 @@ class LayoutTest : public ::testing::Test {
     }
     env_.clock().Advance(kHour);
     return result.ok() ? *result : engine::CompactionResult{};
+  }
+
+  /// Two hours of the preset service over db.t, whose TablePolicy asks
+  /// for clustering, in one act mode. Returns the committed rewrites.
+  int64_t CompactWithClusteringPolicy(bool deferred) {
+    catalog::TablePolicy policy;
+    policy.clustering_enabled = true;
+    env_.control_plane().SetPolicy("db.t", policy);
+    sim::StrategyPreset preset;
+    preset.deferred_act = deferred;
+    auto service = sim::MakeMoopService(&env_, preset);
+    sim::DriverOptions options;
+    options.deferred_compaction = deferred;
+    sim::MetricsRecorder metrics;
+    sim::EventDriver driver(&env_, &metrics, options);
+    driver.AttachService(service.get());
+    EXPECT_TRUE(driver.Run({}, 2 * kHour).ok());
+    return env_.compaction_runner().total_committed();
+  }
+
+  void ExpectLiveFilesClustered() {
+    for (const lst::DataFile& f :
+         (*env_.catalog().LoadTable("db.t"))->LiveFiles()) {
+      EXPECT_TRUE(f.clustered) << f.path;
+    }
   }
 
   sim::SimEnvironment env_;
@@ -135,8 +163,21 @@ TEST_F(LayoutTest, PolicyDrivenClusteringViaScheduler) {
   core::Candidate candidate;
   candidate.table = "db.t";
   const engine::CompactionRequest request = core::RequestFor(
-      candidate, core::SchedulerOptions{}, &env_.control_plane());
+      candidate, engine::RewriteMovement::kPartial, &env_.control_plane());
   EXPECT_TRUE(request.cluster_output);
+}
+
+// Both act modes build their requests with core::RequestFor, so the
+// policy's clustering reaches the rewrite whether the service's executor
+// runs it inside the tick or the driver runs it on the timeline.
+TEST_F(LayoutTest, PolicyDrivenClusteringInSynchronousAct) {
+  ASSERT_GT(CompactWithClusteringPolicy(/*deferred=*/false), 0);
+  ExpectLiveFilesClustered();
+}
+
+TEST_F(LayoutTest, PolicyDrivenClusteringInDeferredAct) {
+  ASSERT_GT(CompactWithClusteringPolicy(/*deferred=*/true), 0);
+  ExpectLiveFilesClustered();
 }
 
 // ------------------------------------------------- workload awareness

@@ -20,6 +20,7 @@
 #include "sim/fleet_driver.h"
 #include "sim/metrics.h"
 #include "sim/presets.h"
+#include "workload/cab.h"
 #include "workload/tpch.h"
 
 namespace autocomp::sim {
@@ -151,6 +152,44 @@ TEST(PolicyDiffTest, DefaultSpecBitIdenticalAcrossSeedsShardsAndPools) {
   }
 }
 
+/// A two-hour, two-database deferred CAB run under `policy`: a plain
+/// EventDriver (no fleet driver) acting on the timeline for a preset
+/// service that only decides. The databases are CLI-sized (25 GiB), so
+/// a partition holds more than one target-size file and the movements
+/// rewrite different file sets.
+uint64_t DeferredCabHash(const std::string& policy) {
+  SimEnvironment env;
+  workload::CabOptions cab_options;
+  cab_options.num_databases = 2;
+  cab_options.duration = 2 * kHour;
+  workload::CabWorkload cab(cab_options);
+  for (const std::string& db : cab.DatabaseNames()) {
+    EXPECT_TRUE(workload::SetupTpchDatabase(
+                    &env.catalog(), &env.query_engine(), db, 25 * kGiB,
+                    engine::UntunedUserJobProfile(), 0)
+                    .ok());
+  }
+  auto spec = core::PolicySpec::Parse(policy);
+  EXPECT_TRUE(spec.ok()) << spec.status();
+  StrategyPreset preset;
+  preset.scope = ScopeStrategy::kTable;
+  preset.k = 50;
+  preset.deferred_act = true;
+  preset.policy = spec.ok() ? *spec : core::PolicySpec::Default();
+  auto service = MakeMoopService(&env, preset);
+  DriverOptions driver_options;
+  driver_options.deferred_compaction = true;
+  driver_options.record_host_timings = false;
+  MetricsRecorder metrics;
+  EventDriver driver(&env, &metrics, driver_options);
+  driver.AttachService(service.get());
+  const Status run = driver.Run(cab.GenerateEvents(), 2 * kHour);
+  EXPECT_TRUE(run.ok()) << run;
+  EXPECT_GT(env.compaction_runner().total_committed(), 0)
+      << "no deferred compaction committed; the comparison is vacuous";
+  return metrics.ContentHash();
+}
+
 TEST(PolicyDiffTest, NonDefaultPolicyActuallyChangesBehavior) {
   // Guard against silently-unwired axes: a full-rewrite policy must
   // diverge from the default partial rewrite on the same fleet.
@@ -176,6 +215,17 @@ TEST(PolicyDiffTest, NonDefaultPolicyActuallyChangesBehavior) {
             with_full.metrics.ContentHash())
       << "movement=full produced byte-identical metrics — the policy "
          "axes are not reaching the execution path";
+
+  // Deferred act outside the fleet driver: the plain EventDriver builds
+  // its requests with its service's movement.
+  EXPECT_NE(
+      DeferredCabHash(
+          "trigger=periodic;granularity=table;movement=full;picker=moop"),
+      DeferredCabHash(
+          "trigger=periodic;granularity=table;movement=merge;picker=moop"))
+      << "movement=full and movement=merge produced byte-identical "
+         "deferred metrics — the movement axis is not reaching the "
+         "deferred act path";
 }
 
 // ------------------------------------------------------------- golden

@@ -205,9 +205,8 @@ TEST(PolicyPropertyTest, PerTableOverrideReachesRequest) {
 
   core::Candidate candidate;
   candidate.table = "db.t";
-  core::SchedulerOptions options;
-  const engine::CompactionRequest request =
-      core::RequestFor(candidate, options, &env.control_plane());
+  const engine::CompactionRequest request = core::RequestFor(
+      candidate, engine::RewriteMovement::kPartial, &env.control_plane());
   EXPECT_EQ(request.movement, engine::RewriteMovement::kMerge);
 }
 
@@ -219,11 +218,9 @@ TEST(PolicyPropertyTest, UnparsableOverrideIsIgnoredNotFatal) {
 
   core::Candidate candidate;
   candidate.table = "db.t";
-  core::SchedulerOptions options;
-  options.movement = engine::RewriteMovement::kFull;
-  const engine::CompactionRequest request =
-      core::RequestFor(candidate, options, &env.control_plane());
-  // Falls back to the scheduler's fleet-wide movement.
+  const engine::CompactionRequest request = core::RequestFor(
+      candidate, engine::RewriteMovement::kFull, &env.control_plane());
+  // Falls back to the service's fleet-wide movement.
   EXPECT_EQ(request.movement, engine::RewriteMovement::kFull);
 }
 

@@ -212,7 +212,7 @@ TEST(DeferredDriverTest, PlansExecuteOnTheTimeline) {
   const int64_t before = env.TotalFileCount();
   ASSERT_TRUE(driver.Run({}, 4 * kHour).ok());
 
-  // The service itself executed nothing (null scheduler)...
+  // The service itself executed nothing (null executor)...
   for (const core::PipelineRunReport& report : service->history()) {
     EXPECT_TRUE(report.executed.empty());
     EXPECT_FALSE(report.selected.empty());
