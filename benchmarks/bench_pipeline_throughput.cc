@@ -37,7 +37,7 @@
 #include "core/traits.h"
 #include "lst/table.h"
 #include "sim/metrics.h"
-#include "storage/filesystem.h"
+#include "storage/namenode.h"
 
 using namespace autocomp;
 
@@ -181,8 +181,8 @@ RunResult RunConfig(const std::string& name, bool indexed,
 
 int main() {
   SimulatedClock clock(0);
-  storage::DistributedFileSystem dfs(&clock, 1);
-  catalog::Catalog catalog(&clock, &dfs);
+  storage::NameNode nn(&clock);
+  catalog::Catalog catalog(&clock, &nn);
   catalog::ControlPlane control_plane(&catalog);
   Rng rng(7);
   const int hw = static_cast<int>(std::thread::hardware_concurrency());

@@ -24,7 +24,7 @@ Result<std::pair<std::string, std::string>> SplitQualifiedName(
                         qualified_name.substr(dot + 1));
 }
 
-Catalog::Catalog(const Clock* clock, storage::DistributedFileSystem* dfs,
+Catalog::Catalog(const Clock* clock, storage::NameNode* dfs,
                  CatalogOptions options)
     : clock_(clock), dfs_(dfs), options_(options) {
   assert(clock_ != nullptr && dfs_ != nullptr);

@@ -25,7 +25,7 @@
 #include "lst/commit_delta.h"
 #include "lst/table.h"
 #include "lst/table_metadata.h"
-#include "storage/filesystem.h"
+#include "storage/namenode.h"
 
 namespace autocomp::catalog {
 
@@ -86,7 +86,7 @@ struct CatalogOptions {
 /// quotas set on the database directory cover all of its tables' files.
 class Catalog final : public lst::MetadataStore {
  public:
-  Catalog(const Clock* clock, storage::DistributedFileSystem* dfs,
+  Catalog(const Clock* clock, storage::NameNode* dfs,
           CatalogOptions options = {});
 
   /// Creates a database; `namespace_quota_objects` (0 = unlimited) is
@@ -140,7 +140,7 @@ class Catalog final : public lst::MetadataStore {
   static std::string TableLocation(const std::string& qualified_name);
 
   const CatalogStats& stats() const { return stats_; }
-  storage::DistributedFileSystem* filesystem() { return dfs_; }
+  storage::NameNode* filesystem() { return dfs_; }
   const Clock* clock() const { return clock_; }
   const CatalogOptions& options() const { return options_; }
 
@@ -190,7 +190,7 @@ class Catalog final : public lst::MetadataStore {
   void NotifyCommit(const CommitEvent& event) const;
 
   const Clock* clock_;
-  storage::DistributedFileSystem* dfs_;
+  storage::NameNode* dfs_;
   CatalogOptions options_;
   fault::FaultInjector* fault_ = nullptr;
   obs::TraceRecorder* trace_ = nullptr;

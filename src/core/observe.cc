@@ -58,10 +58,6 @@ const char* CandidateScopeName(CandidateScope scope) {
   return "unknown";
 }
 
-TableScopeGenerator::TableScopeGenerator(
-    std::shared_ptr<const IncrementalStatsIndex> index)
-    : index_(std::move(index)) {}
-
 Result<std::vector<Candidate>> TableScopeGenerator::Generate(
     catalog::Catalog* catalog) const {
   return GeneratePerTable(

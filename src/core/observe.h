@@ -38,16 +38,9 @@ class CandidateGenerator {
 /// §7).
 class TableScopeGenerator final : public CandidateGenerator {
  public:
-  /// Table scope reads no table contents, so the index is unused; the
-  /// parameter keeps construction uniform across generators.
-  explicit TableScopeGenerator(
-      std::shared_ptr<const IncrementalStatsIndex> index = nullptr);
   std::string name() const override { return "table-scope"; }
   Result<std::vector<Candidate>> Generate(
       catalog::Catalog* catalog) const override;
-
- private:
-  std::shared_ptr<const IncrementalStatsIndex> index_;
 };
 
 /// \brief One candidate per live partition of partitioned tables;

@@ -1,7 +1,6 @@
 #include "core/stats_index.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <functional>
 #include <utility>
@@ -72,19 +71,10 @@ IncrementalStatsIndex::Shard& IncrementalStatsIndex::ShardFor(
   return shards_[static_cast<size_t>(table) % kShardCount];
 }
 
-int IncrementalStatsIndex::SizeBucket(int64_t size_bytes) {
-  if (size_bytes <= 0) return 0;
-  const int bucket =
-      std::bit_width(static_cast<uint64_t>(size_bytes)) - 1;
-  return bucket < kHistogramBuckets ? bucket : kHistogramBuckets - 1;
-}
-
 void IncrementalStatsIndex::RebuildLocked(
     TableEntry* entry, const lst::TableMetadata& meta) const {
   entry->live.Clear();
   entry->fresh.Clear();
-  entry->histogram_count.fill(0);
-  entry->histogram_bytes.fill(0);
 
   int64_t last_replace = 0;
   for (const lst::Snapshot& s : meta.snapshots()) {
@@ -144,10 +134,6 @@ void IncrementalStatsIndex::RebuildLocked(
           if (is_delete) ++fresh_part.delete_file_count;
           if (unclustered) fresh_part.unclustered_bytes += size;
         }
-
-        const int bucket = SizeBucket(size);
-        ++entry->histogram_count[bucket];
-        entry->histogram_bytes[bucket] += size;
       }
     }
   }
@@ -184,9 +170,6 @@ void IncrementalStatsIndex::ApplyDeltaLocked(
       RebuildLocked(entry, meta);
       return;
     }
-    const int bucket = SizeBucket(f.file_size_bytes);
-    --entry->histogram_count[bucket];
-    entry->histogram_bytes[bucket] -= f.file_size_bytes;
   }
 
   // A replace commit advances the watermark: nothing live was added
@@ -205,9 +188,6 @@ void IncrementalStatsIndex::ApplyDeltaLocked(
     if (f.added_snapshot_id > entry->last_replace_snapshot_id) {
       entry->fresh.Add(pid, f);
     }
-    const int bucket = SizeBucket(f.file_size_bytes);
-    ++entry->histogram_count[bucket];
-    entry->histogram_bytes[bucket] += f.file_size_bytes;
   }
 
   entry->version = meta.version();
@@ -371,52 +351,6 @@ std::optional<int64_t> IncrementalStatsIndex::LastReplaceSnapshotId(
   const TableEntry* entry = EnsureLocked(shard, table_id, *meta);
   if (entry == nullptr) return std::nullopt;
   return entry->last_replace_snapshot_id;
-}
-
-std::optional<IncrementalStatsIndex::SmallFileSummary>
-IncrementalStatsIndex::SmallFilesBelow(const std::string& table,
-                                       const lst::TableMetadataPtr& meta,
-                                       int64_t threshold_bytes) const {
-  const common::TableId table_id = table_ids_.Intern(table);
-  Shard& shard = ShardFor(table_id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const TableEntry* entry = EnsureLocked(shard, table_id, *meta);
-  if (entry == nullptr) return std::nullopt;
-
-  SmallFileSummary out;
-  if (threshold_bytes <= 0) return out;
-  const int boundary = SizeBucket(threshold_bytes);
-  // Buckets strictly below the boundary hold sizes < 2^boundary <=
-  // threshold: counted wholesale from the histogram.
-  for (int b = 0; b < boundary; ++b) {
-    out.count += entry->histogram_count[b];
-    out.bytes += entry->histogram_bytes[b];
-  }
-  // The boundary bucket straddles the threshold; refine against the
-  // exact sorted sizes (touches only that bucket's occupancy).
-  const std::vector<int64_t>& sizes = entry->live.total.sizes;
-  const int64_t bucket_lo = boundary == 0 ? 0 : int64_t{1} << boundary;
-  const auto lo = std::lower_bound(sizes.begin(), sizes.end(), bucket_lo);
-  const auto hi = std::lower_bound(sizes.begin(), sizes.end(), threshold_bytes);
-  for (auto it = lo; it != hi; ++it) {
-    ++out.count;
-    out.bytes += *it;
-  }
-  return out;
-}
-
-IncrementalStatsIndex::Totals IncrementalStatsIndex::FleetTotals() const {
-  Totals totals;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [_, entry] : shard.tables) {
-      ++totals.tables;
-      totals.live_files +=
-          static_cast<int64_t>(entry.live.total.sizes.size());
-      totals.live_bytes += entry.live.total.total_bytes;
-    }
-  }
-  return totals;
 }
 
 // ---------------------------------------------------------------------------

@@ -3,19 +3,15 @@
 /// per OODA cycle instead of O(fleet live files).
 ///
 /// The observe phase standardizes per-table/per-partition statistics for
-/// every candidate each cycle (§4.1); at fleet scale that rescan is the
-/// dominant cost even with the snapshot-keyed cache, because every cache
-/// miss still walks the table's manifest tree. The LSM design-space trade
-/// (Sarkar et al.) applies: amortize the bookkeeping into the write path.
-/// IncrementalStatsIndex subscribes to Catalog commit listeners and keeps,
-/// per table and per partition:
+/// every candidate each cycle (§4.1); at fleet scale a rescan of every
+/// candidate's manifest tree is the dominant cost. The LSM design-space
+/// trade (Sarkar et al.) applies: amortize the bookkeeping into the write
+/// path. IncrementalStatsIndex subscribes to Catalog commit listeners and
+/// keeps, per table and per partition:
 ///
 ///  * exact sorted live file-size vectors (whole table, per partition,
 ///    and the "fresh" subset added after the last replace snapshot),
 ///  * live byte totals, MoR delete-file counts, unclustered bytes,
-///  * a log2 file-size histogram (64 buckets of counts and bytes), so any
-///    small_file_threshold / target size query is answered from buckets
-///    plus one boundary refinement, never a rescan,
 ///  * the last replace (compaction) snapshot id — the snapshot-scope
 ///    generator's watermark.
 ///
@@ -94,25 +90,7 @@ class IncrementalStatsIndex {
   /// Most recent replace (compaction) snapshot id; 0 when none.
   std::optional<int64_t> LastReplaceSnapshotId(
       const std::string& table, const lst::TableMetadataPtr& meta) const;
-
-  /// Live files strictly smaller than `threshold_bytes`, answered from
-  /// the log2 histogram plus a boundary-bucket refinement.
-  struct SmallFileSummary {
-    int64_t count = 0;
-    int64_t bytes = 0;
-  };
-  std::optional<SmallFileSummary> SmallFilesBelow(
-      const std::string& table, const lst::TableMetadataPtr& meta,
-      int64_t threshold_bytes) const;
   /// @}
-
-  /// Aggregates over every table currently materialized in the index.
-  struct Totals {
-    int64_t tables = 0;
-    int64_t live_files = 0;
-    int64_t live_bytes = 0;
-  };
-  Totals FleetTotals() const;
 
   /// \name Maintenance telemetry
   /// @{
@@ -123,7 +101,6 @@ class IncrementalStatsIndex {
   /// @}
 
   static constexpr int kShardCount = 16;
-  static constexpr int kHistogramBuckets = 64;
 
  private:
   /// Sorted-size aggregate for one scope (whole table, one partition, or
@@ -166,10 +143,6 @@ class IncrementalStatsIndex {
     /// Live files with added_snapshot_id > last_replace_snapshot_id
     /// (the snapshot-scope candidate population).
     ScopeView fresh;
-    /// log2 histogram over live file sizes: bucket b holds files with
-    /// bit_width(size) - 1 == b, i.e. sizes in [2^b, 2^(b+1)).
-    std::array<int64_t, kHistogramBuckets> histogram_count{};
-    std::array<int64_t, kHistogramBuckets> histogram_bytes{};
     /// Name-keyed partition-size maps TryCollect hands out: each is built
     /// on first use at `version` and shared by every caller until the
     /// version moves. Immutable, so callers keep them past the lock.
@@ -189,7 +162,6 @@ class IncrementalStatsIndex {
   };
 
   Shard& ShardFor(common::TableId table) const;
-  static int SizeBucket(int64_t size_bytes);
 
   /// Repopulates `entry` from a full walk of `meta`'s live files.
   void RebuildLocked(TableEntry* entry, const lst::TableMetadata& meta) const;
@@ -239,8 +211,6 @@ class IndexedStatsCollector final : public StatsCollector {
 
   int64_t index_hits() const override { return index_hits_.load(); }
   int64_t index_fallbacks() const override { return index_fallbacks_.load(); }
-
-  const IncrementalStatsIndex* index() const { return index_.get(); }
 
  private:
   std::shared_ptr<const IncrementalStatsIndex> index_;

@@ -192,7 +192,7 @@ Result<PendingCompaction> CompactionRunner::Prepare(
   }
 
   // Read inputs (RPC accounting; timeouts add retry latency).
-  storage::DistributedFileSystem* dfs = catalog_->filesystem();
+  storage::NameNode* dfs = catalog_->filesystem();
   double timeout_penalty = 0;
   for (const lst::DataFile& f : inputs) {
     auto opened = dfs->Open(f.path);
@@ -417,7 +417,7 @@ CompactionResult CompactionRunner::Finalize(PendingCompaction&& pending) {
     }
   }
   // Clean up outputs; the rewrite is lost.
-  storage::DistributedFileSystem* dfs = catalog_->filesystem();
+  storage::NameNode* dfs = catalog_->filesystem();
   for (const lst::DataFile& created : pending.outputs) {
     (void)dfs->DeleteFile(created.path);
   }
@@ -443,7 +443,7 @@ CompactionResult CompactionRunner::Abandon(PendingCompaction&& pending,
   if (!result.attempted) return result;
   // Delete the staged outputs; the dropped transaction needs no further
   // cleanup (it never committed, so nothing references them).
-  storage::DistributedFileSystem* dfs = catalog_->filesystem();
+  storage::NameNode* dfs = catalog_->filesystem();
   for (const lst::DataFile& created : pending.outputs) {
     (void)dfs->DeleteFile(created.path);
   }

@@ -57,7 +57,7 @@ Result<QueryResult> QueryEngine::ExecuteRead(
   // Open every data file; under NameNode overload some opens time out and
   // the client pays a retry penalty.
   double timeout_penalty = 0;
-  storage::DistributedFileSystem* dfs = catalog_->filesystem();
+  storage::NameNode* dfs = catalog_->filesystem();
   for (const lst::DataFile& f : plan.files) {
     auto opened = dfs->Open(f.path);
     if (!opened.ok() && opened.status().IsTimedOut()) {
@@ -165,7 +165,7 @@ Result<WriteResult> QueryEngine::ExecuteWrite(const WriteSpec& spec,
   // Create the planned files in storage.
   std::vector<lst::DataFile> added;
   added.reserve(planned.size());
-  storage::DistributedFileSystem* dfs = catalog_->filesystem();
+  storage::NameNode* dfs = catalog_->filesystem();
   const bool mor = spec.kind == WriteKind::kMorDelete;
   for (const PlannedFile& pf : planned) {
     lst::DataFile df;

@@ -6,7 +6,7 @@
 
 #include "catalog/catalog.h"
 #include "lst/history_validator.h"
-#include "storage/filesystem.h"
+#include "storage/namenode.h"
 
 namespace autocomp::fault {
 
@@ -16,7 +16,7 @@ InvariantChecker::InvariantChecker(InvariantCheckerOptions options)
 std::vector<InvariantViolation> InvariantChecker::Check(
     catalog::Catalog& catalog) const {
   std::vector<InvariantViolation> out;
-  storage::DistributedFileSystem* dfs = catalog.filesystem();
+  storage::NameNode* dfs = catalog.filesystem();
 
   // Which table owns each live path (detects cross-table duplication),
   // and per-database live file tallies (for the quota lower bound).
@@ -95,16 +95,14 @@ std::vector<InvariantViolation> InvariantChecker::Check(
   if (options_.check_orphans) {
     for (const std::string& db : catalog.ListDatabases()) {
       const std::string root = catalog::Catalog::DatabaseLocation(db);
-      for (int s = 0; s < dfs->num_shards(); ++s) {
-        dfs->shard(s).ForEachFile([&](const std::string& path) {
-          if (path.rfind(root + "/", 0) != 0) return;
-          // Metadata objects are catalog-owned, not table-live.
-          if (path.find("/metadata/") != std::string::npos) return;
-          if (live_owner.find(path) == live_owner.end()) {
-            out.push_back({"", "orphan data file in storage: " + path});
-          }
-        });
-      }
+      dfs->ForEachFile([&](const std::string& path) {
+        if (path.rfind(root + "/", 0) != 0) return;
+        // Metadata objects are catalog-owned, not table-live.
+        if (path.find("/metadata/") != std::string::npos) return;
+        if (live_owner.find(path) == live_owner.end()) {
+          out.push_back({"", "orphan data file in storage: " + path});
+        }
+      });
     }
   }
 

@@ -330,7 +330,7 @@ Result<TableMetadataPtr> TableMetadataFromJson(const std::string& json) {
   return meta;
 }
 
-Result<int64_t> PersistMetadataFootprint(storage::DistributedFileSystem* dfs,
+Result<int64_t> PersistMetadataFootprint(storage::NameNode* dfs,
                                          const TableMetadata& metadata) {
   int64_t created = 0;
   const std::string json = TableMetadataToJson(metadata);
@@ -361,7 +361,7 @@ Result<int64_t> PersistMetadataFootprint(storage::DistributedFileSystem* dfs,
   return created;
 }
 
-Result<int64_t> ExpireMetadataFootprint(storage::DistributedFileSystem* dfs,
+Result<int64_t> ExpireMetadataFootprint(storage::NameNode* dfs,
                                         const TableMetadata& metadata,
                                         int64_t up_to_version) {
   int64_t removed = 0;
@@ -380,7 +380,7 @@ Result<int64_t> ExpireMetadataFootprint(storage::DistributedFileSystem* dfs,
   return removed;
 }
 
-Result<int64_t> ExpireManifestFootprint(storage::DistributedFileSystem* dfs,
+Result<int64_t> ExpireManifestFootprint(storage::NameNode* dfs,
                                         const TableMetadata& metadata) {
   std::set<long long> referenced;
   for (const Snapshot& s : metadata.snapshots()) {

@@ -16,7 +16,7 @@
 
 #include "common/status.h"
 #include "lst/table_metadata.h"
-#include "storage/filesystem.h"
+#include "storage/namenode.h"
 
 namespace autocomp::lst {
 
@@ -37,13 +37,13 @@ Result<TableMetadataPtr> TableMetadataFromJson(const std::string& json);
 /// storage objects created. These objects count toward namespace quotas
 /// exactly like data files.
 Result<int64_t> PersistMetadataFootprint(
-    storage::DistributedFileSystem* dfs, const TableMetadata& metadata);
+    storage::NameNode* dfs, const TableMetadata& metadata);
 
 /// \brief Deletes metadata objects of versions at or below
 /// `up_to_version` (metadata expiry, paired with snapshot expiry).
 /// Returns the number of objects removed.
 Result<int64_t> ExpireMetadataFootprint(
-    storage::DistributedFileSystem* dfs, const TableMetadata& metadata,
+    storage::NameNode* dfs, const TableMetadata& metadata,
     int64_t up_to_version);
 
 /// \brief Deletes persisted manifest objects no retained snapshot of
@@ -52,6 +52,6 @@ Result<int64_t> ExpireMetadataFootprint(
 /// `manifest-*.avro` per expired commit). Returns the number of objects
 /// removed.
 Result<int64_t> ExpireManifestFootprint(
-    storage::DistributedFileSystem* dfs, const TableMetadata& metadata);
+    storage::NameNode* dfs, const TableMetadata& metadata);
 
 }  // namespace autocomp::lst

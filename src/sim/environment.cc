@@ -7,8 +7,7 @@ SimEnvironment::SimEnvironment(EnvironmentOptions options)
   fault_injector_ = std::make_unique<fault::FaultInjector>(options_.fault);
   storage::NameNodeOptions nn = options_.namenode;
   nn.seed = options_.seed * 31 + 5;
-  dfs_ = std::make_unique<storage::DistributedFileSystem>(
-      &clock_, options_.namenode_shards, nn);
+  dfs_ = std::make_unique<storage::NameNode>(&clock_, nn);
   catalog_ =
       std::make_unique<catalog::Catalog>(&clock_, dfs_.get(), options_.catalog);
   if (options_.fault.enabled) {

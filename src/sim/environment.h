@@ -15,14 +15,13 @@
 #include "engine/query_engine.h"
 #include "fault/fault_injector.h"
 #include "fault/retry_policy.h"
-#include "storage/filesystem.h"
+#include "storage/namenode.h"
 
 namespace autocomp::sim {
 
 /// \brief Deployment sizing, defaulting to the paper's §6 setup: a
 /// 15-executor query cluster and a 3-executor compaction cluster.
 struct EnvironmentOptions {
-  int namenode_shards = 1;
   storage::NameNodeOptions namenode = {};
   engine::ClusterOptions query_cluster = {};      // 15 executors default
   engine::ClusterOptions compaction_cluster = {}; // overridden to 3 below
@@ -39,17 +38,16 @@ struct EnvironmentOptions {
   /// environments the process constructed before this one.
   int runner_id = 0;
   /// Fault injection for this deployment. Disabled by default; when
-  /// enabled, the environment's injector is wired onto every NameNode
-  /// shard, the catalog commit path and the compaction runner. The
-  /// injector seed defaults to `fault.seed`; the fleet driver overrides
-  /// it per lane so injections replay bit-identically across shard
-  /// counts.
+  /// enabled, the environment's injector is wired onto the NameNode, the
+  /// catalog commit path and the compaction runner. The injector seed
+  /// defaults to `fault.seed`; the fleet driver overrides it per lane so
+  /// injections replay bit-identically across shard counts.
   fault::FaultInjectorOptions fault = {};
   /// Retry budget + backoff shape for the compaction runner.
   fault::RetryPolicy retry = {};
   /// Trace recorder observing this deployment (not owned; must outlive
-  /// the environment). When set, it is wired onto every NameNode shard,
-  /// the catalog commit path, the compaction runner, and the fault
+  /// the environment). When set, it is wired onto the NameNode, the
+  /// catalog commit path, the compaction runner, and the fault
   /// injector — regardless of its level, so a level-kOff recorder
   /// measures the armed-but-disabled overhead (the bench parity guard).
   obs::TraceRecorder* trace = nullptr;
@@ -71,7 +69,8 @@ class SimEnvironment {
   explicit SimEnvironment(EnvironmentOptions options = {});
 
   SimulatedClock& clock() { return clock_; }
-  storage::DistributedFileSystem& dfs() { return *dfs_; }
+  /// The deployment's NameNode: every file RPC goes through it.
+  storage::NameNode& dfs() { return *dfs_; }
   catalog::Catalog& catalog() { return *catalog_; }
   catalog::ControlPlane& control_plane() { return *control_plane_; }
   engine::Cluster& query_cluster() { return *query_cluster_; }
@@ -92,7 +91,7 @@ class SimEnvironment {
   EnvironmentOptions options_;
   SimulatedClock clock_;
   std::unique_ptr<fault::FaultInjector> fault_injector_;
-  std::unique_ptr<storage::DistributedFileSystem> dfs_;
+  std::unique_ptr<storage::NameNode> dfs_;
   std::unique_ptr<catalog::Catalog> catalog_;
   std::unique_ptr<catalog::ControlPlane> control_plane_;
   std::unique_ptr<engine::Cluster> query_cluster_;

@@ -1,5 +1,7 @@
 #include "sim/lane_checkpoint.h"
 
+#include <string>
+
 #include "common/blob.h"
 
 namespace autocomp::sim {
@@ -11,8 +13,9 @@ namespace {
 // mis-reading fields.
 constexpr uint32_t kLaneBlobMagic = 0x4C414E45;  // "LANE"
 // v2: varint ints + interned strings; v3: the driver section always
-// carries the maintenance scheduler's ledgers.
-constexpr uint32_t kLaneBlobVersion = 3;
+// carries the maintenance scheduler's ledgers; v4: one NameNode section
+// with no shard count, and no per-hour open() tally.
+constexpr uint32_t kLaneBlobVersion = 4;
 
 }  // namespace
 
@@ -22,11 +25,7 @@ Result<std::string> SaveLaneState(SimEnvironment* env, EventDriver* driver) {
   w.WriteU32(kLaneBlobVersion);
   w.WriteI64(env->clock().Now());
 
-  storage::DistributedFileSystem& dfs = env->dfs();
-  w.WriteI32(dfs.num_shards());
-  for (int i = 0; i < dfs.num_shards(); ++i) {
-    dfs.shard(i).SaveState(&w);
-  }
+  env->dfs().SaveState(&w);
   env->catalog().SaveState(&w);
   env->control_plane().SaveState(&w);
   env->query_cluster().SaveState(&w);
@@ -41,8 +40,13 @@ Result<std::string> SaveLaneState(SimEnvironment* env, EventDriver* driver) {
 Status RestoreLaneState(const std::string& blob, SimEnvironment* env,
                         EventDriver* driver) {
   common::BlobReader r(blob);
-  if (r.ReadU32() != kLaneBlobMagic || r.ReadU32() != kLaneBlobVersion) {
-    return Status::Internal("lane checkpoint: bad magic or version");
+  if (r.ReadU32() != kLaneBlobMagic) {
+    return Status::Internal("lane checkpoint: bad magic");
+  }
+  if (const uint32_t version = r.ReadU32(); version != kLaneBlobVersion) {
+    return Status::Internal("lane checkpoint: format version " +
+                            std::to_string(version) + ", expected " +
+                            std::to_string(kLaneBlobVersion));
   }
   const SimTime t = r.ReadI64();
   if (t < env->clock().Now()) {
@@ -50,14 +54,7 @@ Status RestoreLaneState(const std::string& blob, SimEnvironment* env,
   }
   env->clock().AdvanceTo(t);
 
-  storage::DistributedFileSystem& dfs = env->dfs();
-  const int shards = static_cast<int>(r.ReadI32());
-  if (shards != dfs.num_shards()) {
-    return Status::Internal("lane checkpoint: NameNode shard count mismatch");
-  }
-  for (int i = 0; i < shards; ++i) {
-    AUTOCOMP_RETURN_NOT_OK(dfs.shard(i).RestoreState(&r));
-  }
+  AUTOCOMP_RETURN_NOT_OK(env->dfs().RestoreState(&r));
   AUTOCOMP_RETURN_NOT_OK(env->catalog().RestoreState(&r));
   env->control_plane().RestoreState(&r);
   env->query_cluster().RestoreState(&r);

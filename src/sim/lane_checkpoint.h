@@ -4,8 +4,8 @@
 ///
 /// A fleet lane is one tenant deployment: a SimEnvironment plus the
 /// EventDriver running its timeline. SaveLaneState serializes every
-/// piece of resumable state — clock time, per-shard NameNode namespace
-/// and tallies, catalog metadata/lineage, retention policies, cluster
+/// piece of resumable state — clock time, the NameNode's namespace and
+/// RPC tallies, catalog metadata/lineage, retention policies, cluster
 /// accumulators, engine/runner counters and RNG cursors, fault-injector
 /// hit streams, and the driver's timer scalars and scheduler ledgers —
 /// into one compact blob.

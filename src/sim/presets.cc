@@ -35,15 +35,16 @@ std::unique_ptr<core::AutoCompService> MakeMoopService(
     }
   }
 
-  // One index shared by the generator (partition lists, replace
-  // watermarks) and the collector (candidate stats); commit listeners
-  // keep it current for the service's lifetime. Observation is O(delta)
-  // per cycle and bit-identical to a manifest rescan (NFR2).
+  // One index shared by the collector (candidate stats) and the
+  // generators that read table contents (partition lists, replace
+  // watermarks); commit listeners keep it current for the service's
+  // lifetime. Observation is O(delta) per cycle and bit-identical to a
+  // manifest rescan (NFR2).
   auto index = std::make_shared<core::IncrementalStatsIndex>(&env->catalog());
 
   switch (scope) {
     case ScopeStrategy::kTable:
-      stages.generator = std::make_shared<core::TableScopeGenerator>(index);
+      stages.generator = std::make_shared<core::TableScopeGenerator>();
       break;
     case ScopeStrategy::kHybrid:
       stages.generator = std::make_shared<core::HybridScopeGenerator>(index);

@@ -161,15 +161,9 @@ Status NameNode::DeleteFile(const std::string& path) {
 
 Result<FileInfo> NameNode::Open(const std::string& path) {
   ++stats_.open_calls;
-  const SimTime hour = (clock_->Now() / kHour) * kHour;
-  if (hour != open_hour_) {
-    open_hour_ = hour;
-    open_slot_ = &open_calls_by_hour_[hour];
-  }
-  ++*open_slot_;
   CountRpc();
   // Injected read timeout, on top of the organic load model. Counted in
-  // stats().timeouts so callers' retry paths see one failure mode.
+  // AggregateStats().timeouts so callers' retry paths see one failure mode.
   if (fault_ != nullptr &&
       fault_->Arm(fault::kSiteStorageOpen, path) == fault::FaultKind::kTimeout) {
     ++stats_.timeouts;
@@ -324,11 +318,6 @@ QuotaStatus NameNode::GetQuota(const std::string& dir) const {
   return q;
 }
 
-int64_t NameNode::OpenCallsInHour(SimTime hour_start) const {
-  const auto it = open_calls_by_hour_.find((hour_start / kHour) * kHour);
-  return it == open_calls_by_hour_.end() ? 0 : it->second;
-}
-
 int64_t NameNode::RpcsThisHour() const {
   return RpcsInHour(clock_->Now());
 }
@@ -397,11 +386,6 @@ void NameNode::SaveState(common::BlobWriter* w) const {
   w->WriteI64(stats_.list_calls);
   w->WriteI64(stats_.timeouts);
 
-  w->WriteU64(open_calls_by_hour_.size());
-  for (const auto& [hour, n] : open_calls_by_hour_) {
-    w->WriteI64(hour);
-    w->WriteI64(n);
-  }
   w->WriteU64(rpcs_by_hour_.size());
   for (const auto& [hour, n] : rpcs_by_hour_) {
     w->WriteI64(hour);
@@ -456,21 +440,14 @@ Status NameNode::RestoreState(common::BlobReader* r) {
   stats_.list_calls = r->ReadI64();
   stats_.timeouts = r->ReadI64();
 
-  const uint64_t open_hours = r->ReadCount();
-  for (uint64_t i = 0; i < open_hours && r->ok(); ++i) {
-    const SimTime hour = r->ReadI64();
-    open_calls_by_hour_[hour] = r->ReadI64();
-  }
   const uint64_t rpc_hours = r->ReadCount();
   for (uint64_t i = 0; i < rpc_hours && r->ok(); ++i) {
     const SimTime hour = r->ReadI64();
     rpcs_by_hour_[hour] = r->ReadI64();
   }
-  // Invalidate the per-hour slot caches: they point into the old maps.
+  // Invalidate the per-hour slot cache: it points into the old map.
   rpc_hour_ = -1;
   rpc_slot_ = nullptr;
-  open_hour_ = -1;
-  open_slot_ = nullptr;
   if (!r->ok()) return Status::Internal("truncated NameNode checkpoint");
   return Status::OK();
 }

@@ -66,7 +66,7 @@ struct NameNodeStats {
 /// \brief Tuning knobs for the RPC-pressure model.
 struct NameNodeOptions {
   /// RPCs the NameNode can absorb per simulated hour before reads start
-  /// timing out. Federation multiplies effective capacity.
+  /// timing out.
   int64_t rpc_capacity_per_hour = 50'000'000;
   /// Read-only observer NameNodes absorbing read RPC traffic (§1:
   /// "elevated RPC traffic generated by small files ... requiring
@@ -83,13 +83,14 @@ struct NameNodeOptions {
 
 class EpochLoadView;
 
-/// \brief Single NameNode managing a flat path namespace with implicit
+/// \brief The deployment's NameNode: a flat path namespace with implicit
 /// directories.
 ///
 /// Paths are '/'-separated; every distinct directory on a file's path is
 /// an object. Quotas may be set on any directory and are enforced on
-/// create. All read RPCs are counted per simulated hour to drive the
-/// timeout model.
+/// create. All RPCs are counted per simulated hour to drive the timeout
+/// model. A deployment has exactly one: the paper's pain points are
+/// per-NameNode, and no experiment varies HDFS federation.
 class NameNode {
  public:
   NameNode(const Clock* clock, NameNodeOptions options = {});
@@ -126,11 +127,9 @@ class NameNode {
   /// Quota usage for a subtree; `used_objects` counts files+dirs below it.
   QuotaStatus GetQuota(const std::string& dir) const;
 
-  const NameNodeStats& stats() const { return stats_; }
-
-  /// open() calls recorded during the hour starting at `hour_start`
-  /// (bucketed series behind Figure 11b).
-  int64_t OpenCallsInHour(SimTime hour_start) const;
+  /// Namespace and RPC counters since construction (Figure 11b plots
+  /// deltas of `open_calls`).
+  const NameNodeStats& AggregateStats() const { return stats_; }
 
   /// Total RPCs issued in the current (possibly partial) hour.
   int64_t RpcsThisHour() const;
@@ -153,7 +152,7 @@ class NameNode {
 
   /// Installs (or clears, with nullptr) the fault injector. With one
   /// installed, Open() arms fault::kSiteStorageOpen (injected read
-  /// timeouts, counted in stats().timeouts like organic ones) and
+  /// timeouts, counted in AggregateStats().timeouts like organic ones) and
   /// CreateFile() arms fault::kSiteStorageCreate (injected quota
   /// breaches).
   void SetFaultInjector(fault::FaultInjector* injector) { fault_ = injector; }
@@ -230,15 +229,12 @@ class NameNode {
   int64_t existing_dir_count_ = 0;   // dirs with exists == true
   int64_t active_quota_count_ = 0;   // DirEntry quotas > 0
   NameNodeStats stats_;
-  std::map<SimTime, int64_t> open_calls_by_hour_;
   std::map<SimTime, int64_t> rpcs_by_hour_;
-  /// Hot-path caches for the per-hour tallies: the map node for the
-  /// current hour is resolved once per hour instead of once per RPC
-  /// (std::map nodes are stable, so the pointers survive later inserts).
+  /// Hot-path cache for the per-hour tally: the map node for the current
+  /// hour is resolved once per hour instead of once per RPC (std::map
+  /// nodes are stable, so the pointer survives later inserts).
   SimTime rpc_hour_ = -1;
   int64_t* rpc_slot_ = nullptr;
-  SimTime open_hour_ = -1;
-  int64_t* open_slot_ = nullptr;
   /// Scratch buffer for ParentChain (avoids a per-create allocation).
   std::vector<common::StringInterner::Id> chain_scratch_;
 };

@@ -8,7 +8,7 @@
 #include "lst/metadata_json.h"
 #include "common/clock.h"
 #include "lst/transaction.h"
-#include "storage/filesystem.h"
+#include "storage/namenode.h"
 
 namespace autocomp::catalog {
 namespace {
@@ -19,10 +19,10 @@ lst::Schema SimpleSchema() {
 
 class CatalogTest : public ::testing::Test {
  protected:
-  CatalogTest() : dfs_(&clock_, 1), catalog_(&clock_, &dfs_) {}
+  CatalogTest() : nn_(&clock_), catalog_(&clock_, &nn_) {}
 
   lst::DataFile MakeAndStoreFile(const std::string& path, int64_t size) {
-    EXPECT_TRUE(dfs_.CreateFile(path, size, size / 100).ok());
+    EXPECT_TRUE(nn_.CreateFile(path, size, size / 100).ok());
     lst::DataFile f;
     f.path = path;
     f.file_size_bytes = size;
@@ -31,7 +31,7 @@ class CatalogTest : public ::testing::Test {
   }
 
   SimulatedClock clock_{0};
-  storage::DistributedFileSystem dfs_;
+  storage::NameNode nn_;
   Catalog catalog_;
 };
 
@@ -126,7 +126,7 @@ TEST_F(CatalogTest, CommitRejectsNonAdvancingVersion) {
 TEST_F(CatalogTest, DatabaseQuotaWiredToStorage) {
   ASSERT_TRUE(catalog_.CreateDatabase("db", /*quota=*/100).ok());
   EXPECT_EQ(catalog_.DatabaseQuota("db").total_objects, 100);
-  ASSERT_TRUE(dfs_.CreateFile("/data/db/t/f", 1, 1).ok());
+  ASSERT_TRUE(nn_.CreateFile("/data/db/t/f", 1, 1).ok());
   EXPECT_EQ(catalog_.DatabaseQuota("db").used_objects, 2);  // dir + file
 }
 
@@ -183,7 +183,7 @@ TEST_F(ControlPlaneTest, RetentionExpiresAndDeletesOrphans) {
                     .ok());
     ASSERT_TRUE(txn->Commit().ok());
   }
-  EXPECT_TRUE(dfs_.Exists("/data/db/t/s1"));
+  EXPECT_TRUE(nn_.Exists("/data/db/t/s1"));
 
   TablePolicy policy;
   policy.snapshot_retention = kHour;  // everything older than 1h expires
@@ -194,8 +194,8 @@ TEST_F(ControlPlaneTest, RetentionExpiresAndDeletesOrphans) {
   EXPECT_EQ(report->snapshots_expired, 1);
   EXPECT_EQ(report->files_deleted, 1);
   EXPECT_EQ(report->bytes_deleted, 100);
-  EXPECT_FALSE(dfs_.Exists("/data/db/t/s1"));
-  EXPECT_TRUE(dfs_.Exists("/data/db/t/c1"));
+  EXPECT_FALSE(nn_.Exists("/data/db/t/s1"));
+  EXPECT_TRUE(nn_.Exists("/data/db/t/c1"));
 }
 
 TEST_F(ControlPlaneTest, RetentionServiceSweepsAllTables) {
@@ -216,41 +216,41 @@ TEST_F(ControlPlaneTest, RetentionServiceSweepsAllTables) {
 
 TEST(PersistedCatalogTest, CommitsWriteMetadataObjects) {
   SimulatedClock clock(0);
-  storage::DistributedFileSystem dfs(&clock, 1);
+  storage::NameNode nn(&clock);
   CatalogOptions options;
   options.persist_metadata = true;
   options.metadata_versions_retained = 2;
-  Catalog catalog(&clock, &dfs, options);
+  Catalog catalog(&clock, &nn, options);
   ASSERT_TRUE(catalog.CreateDatabase("db").ok());
   auto table = catalog.CreateTable("db", "t", SimpleSchema(),
                                    lst::PartitionSpec::Unpartitioned());
   ASSERT_TRUE(table.ok());
   // Table creation already persisted v1's metadata.json.
-  EXPECT_TRUE(dfs.Exists("/data/db/t/metadata/v000001.metadata.json"));
+  EXPECT_TRUE(nn.Exists("/data/db/t/metadata/v000001.metadata.json"));
 
   // Each commit adds a metadata version + a manifest object; the §2
   // cause-iv mechanism - metadata itself grows the object count.
-  const int64_t before = dfs.AggregateStats().file_count;
+  const int64_t before = nn.AggregateStats().file_count;
   lst::DataFile f;
   f.path = "/data/db/t/f1";
   f.file_size_bytes = 100;
   f.record_count = 1;
-  ASSERT_TRUE(dfs.CreateFile(f.path, f.file_size_bytes, 1).ok());
+  ASSERT_TRUE(nn.CreateFile(f.path, f.file_size_bytes, 1).ok());
   auto txn = table->NewTransaction();
   ASSERT_TRUE(txn->Append({f}).ok());
   ASSERT_TRUE(txn->Commit().ok());
   // +1 data file, +1 metadata.json, +1 manifest.
-  EXPECT_EQ(dfs.AggregateStats().file_count, before + 3);
-  EXPECT_TRUE(dfs.Exists("/data/db/t/metadata/v000002.metadata.json"));
+  EXPECT_EQ(nn.AggregateStats().file_count, before + 3);
+  EXPECT_TRUE(nn.Exists("/data/db/t/metadata/v000002.metadata.json"));
 }
 
 TEST(PersistedCatalogTest, OldMetadataVersionsExpire) {
   SimulatedClock clock(0);
-  storage::DistributedFileSystem dfs(&clock, 1);
+  storage::NameNode nn(&clock);
   CatalogOptions options;
   options.persist_metadata = true;
   options.metadata_versions_retained = 2;
-  Catalog catalog(&clock, &dfs, options);
+  Catalog catalog(&clock, &nn, options);
   ASSERT_TRUE(catalog.CreateDatabase("db").ok());
   auto table = catalog.CreateTable("db", "t", SimpleSchema(),
                                    lst::PartitionSpec::Unpartitioned());
@@ -260,24 +260,24 @@ TEST(PersistedCatalogTest, OldMetadataVersionsExpire) {
     f.path = "/data/db/t/f" + std::to_string(i);
     f.file_size_bytes = 10;
     f.record_count = 1;
-    ASSERT_TRUE(dfs.CreateFile(f.path, 10, 1).ok());
+    ASSERT_TRUE(nn.CreateFile(f.path, 10, 1).ok());
     auto txn = table->NewTransaction();
     ASSERT_TRUE(txn->Append({f}).ok());
     ASSERT_TRUE(txn->Commit().ok());
   }
   // Version is now 6; only the last 2 metadata.json objects remain.
-  EXPECT_FALSE(dfs.Exists("/data/db/t/metadata/v000001.metadata.json"));
-  EXPECT_FALSE(dfs.Exists("/data/db/t/metadata/v000004.metadata.json"));
-  EXPECT_TRUE(dfs.Exists("/data/db/t/metadata/v000005.metadata.json"));
-  EXPECT_TRUE(dfs.Exists("/data/db/t/metadata/v000006.metadata.json"));
+  EXPECT_FALSE(nn.Exists("/data/db/t/metadata/v000001.metadata.json"));
+  EXPECT_FALSE(nn.Exists("/data/db/t/metadata/v000004.metadata.json"));
+  EXPECT_TRUE(nn.Exists("/data/db/t/metadata/v000005.metadata.json"));
+  EXPECT_TRUE(nn.Exists("/data/db/t/metadata/v000006.metadata.json"));
 }
 
 TEST(PersistedCatalogTest, PersistedDocumentRoundTrips) {
   SimulatedClock clock(0);
-  storage::DistributedFileSystem dfs(&clock, 1);
+  storage::NameNode nn(&clock);
   CatalogOptions options;
   options.persist_metadata = true;
-  Catalog catalog(&clock, &dfs, options);
+  Catalog catalog(&clock, &nn, options);
   ASSERT_TRUE(catalog.CreateDatabase("db").ok());
   auto table = catalog.CreateTable("db", "t", SimpleSchema(),
                                    lst::PartitionSpec::Unpartitioned());

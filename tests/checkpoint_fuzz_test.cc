@@ -6,7 +6,8 @@
 // fleet lane with a deferred control loop, so every section is
 // populated, including the maintenance scheduler's ledger that the
 // driver always writes. Run under ASan+UBSan (ctest -L fault) this also
-// proves the decoders read nothing out of bounds.
+// proves the decoders read nothing out of bounds. A blob written in the
+// previous format is rejected by its version before any section decodes.
 
 #include <gtest/gtest.h>
 
@@ -131,6 +132,27 @@ TEST(CheckpointFuzzTest, CorruptBytesReturnAStatus) {
   }
   EXPECT_GT(rejected, 0) << "no corruption detected in " << trials
                          << " trials";
+}
+
+TEST(CheckpointFuzzTest, StaleFormatVersionIsRejected) {
+  const std::string blob = DeferredLaneBlob();
+  ASSERT_FALSE(blob.empty());
+  // Re-encode the header (magic, version) with the previous format's
+  // version and keep the body as is: a blob saved by the previous build.
+  common::BlobReader header(blob);
+  const uint32_t magic = header.ReadU32();
+  const uint32_t version = header.ReadU32();
+  ASSERT_TRUE(header.ok());
+  ASSERT_GT(version, 1u);
+  common::BlobWriter stale;
+  stale.WriteU32(magic);
+  stale.WriteU32(version - 1);
+  const std::string body = blob.substr(blob.size() - header.remaining());
+  const Status restored = Restore(stale.Take() + body);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_NE(restored.message().find("version " + std::to_string(version - 1)),
+            std::string::npos)
+      << restored.ToString();
 }
 
 TEST(BlobReaderTest, CorruptLengthFailsClosed) {

@@ -15,7 +15,7 @@
 #include "core/traits.h"
 #include "core/triggers.h"
 #include "engine/query_engine.h"
-#include "storage/filesystem.h"
+#include "storage/namenode.h"
 
 namespace autocomp::core {
 namespace {
@@ -384,8 +384,8 @@ TEST(QuotaWeightTest, ProductionFormula) {
 class CoreFixture : public ::testing::Test {
  protected:
   CoreFixture()
-      : dfs_(&clock_, 1),
-        catalog_(&clock_, &dfs_),
+      : nn_(&clock_),
+        catalog_(&clock_, &nn_),
         control_plane_(&catalog_),
         query_cluster_("q", {}, &clock_),
         compaction_cluster_("c", CompactionOptions(), &clock_),
@@ -430,7 +430,7 @@ class CoreFixture : public ::testing::Test {
   }
 
   SimulatedClock clock_{0};
-  storage::DistributedFileSystem dfs_;
+  storage::NameNode nn_;
   catalog::Catalog catalog_;
   catalog::ControlPlane control_plane_;
   engine::Cluster query_cluster_;
@@ -606,7 +606,7 @@ TEST_F(CoreFixture, TableParallelExecutorSerializesWithinTable) {
 TEST_F(CoreFixture, RetentionAfterCommitRemovesReplacedFiles) {
   MakePartitionedTable("p");
   FragmentTable("db.p", {"m=2024-01"});
-  const int64_t storage_before = dfs_.AggregateStats().file_count;
+  const int64_t storage_before = nn_.AggregateStats().file_count;
 
   catalog::TablePolicy policy;
   policy.snapshot_retention = 0;  // expire immediately
@@ -625,13 +625,13 @@ TEST_F(CoreFixture, RetentionAfterCommitRemovesReplacedFiles) {
                                    clock_.Now());
   ASSERT_TRUE(executed.ok());
   // Storage file count dropped (replaced files physically deleted).
-  EXPECT_LT(dfs_.AggregateStats().file_count, storage_before);
+  EXPECT_LT(nn_.AggregateStats().file_count, storage_before);
 }
 
 TEST(OffPeakExecutorTest, DefersIntoWindow) {
   SimulatedClock clock(0);
-  storage::DistributedFileSystem dfs(&clock, 1);
-  catalog::Catalog cat(&clock, &dfs);
+  storage::NameNode nn(&clock);
+  catalog::Catalog cat(&clock, &nn);
   catalog::ControlPlane plane(&cat);
   engine::Cluster cluster("c", {}, &clock);
   engine::CompactionRunner runner(&cluster, &cat, &clock);

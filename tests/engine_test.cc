@@ -215,8 +215,8 @@ TEST(WritePlannerTest, DeterministicForSeed) {
 class EngineFixture : public ::testing::Test {
  protected:
   EngineFixture()
-      : dfs_(&clock_, 1),
-        catalog_(&clock_, &dfs_),
+      : nn_(&clock_),
+        catalog_(&clock_, &nn_),
         cluster_("q", MakeClusterOptions(), &clock_),
         engine_(&cluster_, &catalog_, &clock_) {
     EXPECT_TRUE(catalog_.CreateDatabase("db").ok());
@@ -235,7 +235,7 @@ class EngineFixture : public ::testing::Test {
   }
 
   SimulatedClock clock_{0};
-  storage::DistributedFileSystem dfs_;
+  storage::NameNode nn_;
   catalog::Catalog catalog_;
   Cluster cluster_;
   QueryEngine engine_;
@@ -253,7 +253,7 @@ TEST_F(EngineFixture, WriteCreatesFilesAndCommits) {
   auto meta = catalog_.LoadTable("db.t");
   EXPECT_EQ((*meta)->live_file_count(), result->files_written);
   // Storage layer holds the same files.
-  EXPECT_EQ(dfs_.AggregateStats().file_count, result->files_written);
+  EXPECT_EQ(nn_.AggregateStats().file_count, result->files_written);
 }
 
 TEST_F(EngineFixture, ReadCostScalesWithFileCount) {
@@ -455,7 +455,7 @@ TEST_F(CompactionFixture, ConcurrentOverwriteAbortsInflightCompaction) {
   // The conflicted rewrite's outputs were cleaned up: every live file in
   // storage belongs to the table's current snapshot.
   for (const lst::DataFile& f : (*catalog_.LoadTable("db.t"))->LiveFiles()) {
-    EXPECT_TRUE(dfs_.Exists(f.path));
+    EXPECT_TRUE(nn_.Exists(f.path));
   }
 }
 
@@ -521,7 +521,7 @@ class FaultedCompactionFixture : public CompactionFixture {
     options.enabled = true;
     options.schedule = std::move(schedule);
     injector_ = std::make_unique<fault::FaultInjector>(options);
-    dfs_.SetFaultInjector(injector_.get());
+    nn_.SetFaultInjector(injector_.get());
     catalog_.SetFaultInjector(injector_.get());
     runner_.SetFaultInjector(injector_.get());
   }
@@ -595,10 +595,10 @@ TEST_F(FaultedCompactionFixture, InjectedValidationAbortIsTerminal) {
   EXPECT_EQ(runner_.total_abandoned(), 1);
   // Orphan outputs were reaped; the inputs are still the live set.
   for (const lst::DataFile& f : outputs) {
-    EXPECT_FALSE(dfs_.Exists(f.path)) << f.path;
+    EXPECT_FALSE(nn_.Exists(f.path)) << f.path;
   }
   for (const lst::DataFile& f : (*catalog_.LoadTable("db.t"))->LiveFiles()) {
-    EXPECT_TRUE(dfs_.Exists(f.path));
+    EXPECT_TRUE(nn_.Exists(f.path));
   }
 }
 
@@ -622,14 +622,14 @@ TEST_F(FaultedCompactionFixture, RunnerCrashRewritesAndCommits) {
   // Nothing the crashed attempt wrote survives in storage: every file is
   // either live or an input awaiting retention.
   for (const lst::DataFile& f : (*catalog_.LoadTable("db.t"))->LiveFiles()) {
-    EXPECT_TRUE(dfs_.Exists(f.path));
+    EXPECT_TRUE(nn_.Exists(f.path));
   }
   EXPECT_EQ(runner_.total_abandoned(), 0);
 }
 
 TEST_F(FaultedCompactionFixture, RepeatedCrashesExhaustBudgetAndAbandon) {
   Fragment("m=2024-01");
-  const int64_t files_before = dfs_.AggregateStats().file_count;
+  const int64_t files_before = nn_.AggregateStats().file_count;
   fault::FaultSchedule schedule;
   // Crash every attempt the default policy (max_attempts = 4) will make.
   for (uint64_t hit = 1; hit <= 4; ++hit) {
@@ -647,12 +647,12 @@ TEST_F(FaultedCompactionFixture, RepeatedCrashesExhaustBudgetAndAbandon) {
   EXPECT_EQ(pending->result.bytes_produced, 0);
   EXPECT_EQ(runner_.total_abandoned(), 1);
   // All partial outputs of every attempt were deleted.
-  EXPECT_EQ(dfs_.AggregateStats().file_count, files_before);
+  EXPECT_EQ(nn_.AggregateStats().file_count, files_before);
 }
 
 TEST_F(FaultedCompactionFixture, InjectedQuotaExhaustionAbandons) {
   Fragment("m=2024-01");
-  const int64_t files_before = dfs_.AggregateStats().file_count;
+  const int64_t files_before = nn_.AggregateStats().file_count;
   fault::FaultSchedule schedule;
   schedule.Add(fault::kSiteStorageCreate, 1, fault::FaultKind::kQuotaExceeded);
   ArmFaults(std::move(schedule));
@@ -664,7 +664,7 @@ TEST_F(FaultedCompactionFixture, InjectedQuotaExhaustionAbandons) {
   EXPECT_FALSE(pending->result.attempted);
   EXPECT_TRUE(pending->result.abandoned);
   EXPECT_TRUE(pending->result.status.IsResourceExhausted());
-  EXPECT_EQ(dfs_.AggregateStats().file_count, files_before);
+  EXPECT_EQ(nn_.AggregateStats().file_count, files_before);
 }
 
 }  // namespace

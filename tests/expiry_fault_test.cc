@@ -18,7 +18,7 @@
 #include "lst/metadata_json.h"
 #include "lst/transaction.h"
 #include "sim/fleet_driver.h"
-#include "storage/filesystem.h"
+#include "storage/namenode.h"
 
 namespace autocomp {
 namespace {
@@ -27,9 +27,9 @@ lst::Schema ExpirySchema() {
   return lst::Schema(0, {{1, "v", lst::FieldType::kInt64, true}});
 }
 
-lst::DataFile StoreFile(storage::DistributedFileSystem* dfs,
+lst::DataFile StoreFile(storage::NameNode* nn,
                         const std::string& path, int64_t size) {
-  EXPECT_TRUE(dfs->CreateFile(path, size, size / 100).ok());
+  EXPECT_TRUE(nn->CreateFile(path, size, size / 100).ok());
   lst::DataFile f;
   f.path = path;
   f.file_size_bytes = size;
@@ -43,10 +43,10 @@ lst::DataFile StoreFile(storage::DistributedFileSystem* dfs,
 // loop's wiring closes.
 TEST(ExpiryFootprintTest, RetentionReapsOrphanedManifestObjects) {
   SimulatedClock clock(0);
-  storage::DistributedFileSystem dfs(&clock, 1);
+  storage::NameNode nn(&clock);
   catalog::CatalogOptions catalog_options;
   catalog_options.persist_metadata = true;
-  catalog::Catalog catalog(&clock, &dfs, catalog_options);
+  catalog::Catalog catalog(&clock, &nn, catalog_options);
   catalog::ControlPlane plane(&catalog);
   ASSERT_TRUE(catalog.CreateDatabase("db").ok());
   auto table = catalog.CreateTable("db", "t", ExpirySchema(),
@@ -54,20 +54,20 @@ TEST(ExpiryFootprintTest, RetentionReapsOrphanedManifestObjects) {
   ASSERT_TRUE(table.ok());
   {
     auto txn = table->NewTransaction();
-    ASSERT_TRUE(txn->Append({StoreFile(&dfs, "/data/db/t/s1", 100)}).ok());
+    ASSERT_TRUE(txn->Append({StoreFile(&nn, "/data/db/t/s1", 100)}).ok());
     ASSERT_TRUE(txn->Commit().ok());
   }
   clock.AdvanceTo(kHour);
   {
     auto txn = table->NewTransaction();
     ASSERT_TRUE(txn->RewriteFiles({"/data/db/t/s1"},
-                                  {StoreFile(&dfs, "/data/db/t/c1", 90)})
+                                  {StoreFile(&nn, "/data/db/t/c1", 90)})
                     .ok());
     ASSERT_TRUE(txn->Commit().ok());
   }
   // The append snapshot's manifest object is persisted and, pre-expiry,
   // still referenced by the lineage.
-  ASSERT_TRUE(dfs.Exists("/data/db/t/metadata/manifest-000001.avro"));
+  ASSERT_TRUE(nn.Exists("/data/db/t/metadata/manifest-000001.avro"));
 
   catalog::TablePolicy policy;
   policy.snapshot_retention = kHour;
@@ -77,9 +77,9 @@ TEST(ExpiryFootprintTest, RetentionReapsOrphanedManifestObjects) {
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->snapshots_expired, 1);
   EXPECT_GE(report->metadata_objects_deleted, 1);
-  EXPECT_FALSE(dfs.Exists("/data/db/t/metadata/manifest-000001.avro"));
+  EXPECT_FALSE(nn.Exists("/data/db/t/metadata/manifest-000001.avro"));
   // The retained lineage keeps its objects and its data.
-  EXPECT_TRUE(dfs.Exists("/data/db/t/c1"));
+  EXPECT_TRUE(nn.Exists("/data/db/t/c1"));
   auto metadata = catalog.LoadTable("db.t");
   ASSERT_TRUE(metadata.ok());
   for (const lst::Snapshot& snapshot : (*metadata)->snapshots()) {
@@ -88,7 +88,7 @@ TEST(ExpiryFootprintTest, RetentionReapsOrphanedManifestObjects) {
       std::snprintf(name, sizeof(name), "manifest-%06lld.avro",
                     static_cast<long long>(manifest->manifest_id()));
       EXPECT_TRUE(
-          dfs.Exists((*metadata)->location() + "/metadata/" + name))
+          nn.Exists((*metadata)->location() + "/metadata/" + name))
           << name;
     }
   }
@@ -101,10 +101,10 @@ TEST(ExpiryFootprintTest, RetentionReapsOrphanedManifestObjects) {
 // cross-layer invariant must hold.
 TEST(ExpiryFaultTest, InjectedCommitRacesNeverLoseLiveFiles) {
   SimulatedClock clock(0);
-  storage::DistributedFileSystem dfs(&clock, 1);
+  storage::NameNode nn(&clock);
   catalog::CatalogOptions catalog_options;
   catalog_options.persist_metadata = true;
-  catalog::Catalog catalog(&clock, &dfs, catalog_options);
+  catalog::Catalog catalog(&clock, &nn, catalog_options);
   catalog::ControlPlane plane(&catalog);
   ASSERT_TRUE(catalog.CreateDatabase("db").ok());
 
@@ -118,12 +118,12 @@ TEST(ExpiryFaultTest, InjectedCommitRacesNeverLoseLiveFiles) {
     ASSERT_TRUE(table.ok());
     const std::string dir = "/data/db/" + t;
     auto txn = table->NewTransaction();
-    ASSERT_TRUE(txn->Append({StoreFile(&dfs, dir + "/s1", 100)}).ok());
+    ASSERT_TRUE(txn->Append({StoreFile(&nn, dir + "/s1", 100)}).ok());
     ASSERT_TRUE(txn->Commit().ok());
     auto rewrite = table->NewTransaction();
     ASSERT_TRUE(rewrite
                     ->RewriteFiles({dir + "/s1"},
-                                   {StoreFile(&dfs, dir + "/c1", 90)})
+                                   {StoreFile(&nn, dir + "/c1", 90)})
                     .ok());
     ASSERT_TRUE(rewrite->Commit().ok());
     catalog::TablePolicy policy;
@@ -154,7 +154,7 @@ TEST(ExpiryFaultTest, InjectedCommitRacesNeverLoseLiveFiles) {
   // No live-file loss across expiry: every table's current head file
   // still exists, and the full cross-layer audit passes.
   for (int i = 0; i < kTables; ++i) {
-    EXPECT_TRUE(dfs.Exists("/data/db/t" + std::to_string(i) + "/c1"));
+    EXPECT_TRUE(nn.Exists("/data/db/t" + std::to_string(i) + "/c1"));
   }
   const fault::InvariantChecker checker;
   EXPECT_TRUE(checker.CheckOrFail(catalog).ok());

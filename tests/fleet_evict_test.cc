@@ -24,7 +24,7 @@
 #include "lst/transaction.h"
 #include "sim/fleet_driver.h"
 #include "sim/metrics.h"
-#include "storage/filesystem.h"
+#include "storage/namenode.h"
 
 namespace autocomp::sim {
 namespace {
@@ -244,14 +244,14 @@ lst::Schema EvictSchema() {
 // file tree exactly; the JSON serializer is the equality oracle.
 TEST(MetadataBlobTest, RoundTripsLineageExactly) {
   SimulatedClock clock(0);
-  storage::DistributedFileSystem dfs(&clock, 1);
-  catalog::Catalog catalog(&clock, &dfs);
+  storage::NameNode nn(&clock);
+  catalog::Catalog catalog(&clock, &nn);
   ASSERT_TRUE(catalog.CreateDatabase("db").ok());
   auto table = catalog.CreateTable("db", "t", EvictSchema(),
                                    lst::PartitionSpec::Unpartitioned());
   ASSERT_TRUE(table.ok());
   const auto store_file = [&](const std::string& path, int64_t size) {
-    EXPECT_TRUE(dfs.CreateFile(path, size, size / 100).ok());
+    EXPECT_TRUE(nn.CreateFile(path, size, size / 100).ok());
     lst::DataFile f;
     f.path = path;
     f.file_size_bytes = size;

@@ -8,14 +8,14 @@
 #include "lst/history_validator.h"
 #include "lst/table.h"
 #include "lst/transaction.h"
-#include "storage/filesystem.h"
+#include "storage/namenode.h"
 
 namespace autocomp::lst {
 namespace {
 
 class HistoryValidatorTest : public ::testing::Test {
  protected:
-  HistoryValidatorTest() : dfs_(&clock_, 1), catalog_(&clock_, &dfs_) {
+  HistoryValidatorTest() : nn_(&clock_), catalog_(&clock_, &nn_) {
     EXPECT_TRUE(catalog_.CreateDatabase("db").ok());
     auto table = catalog_.CreateTable(
         "db", "t", Schema(0, {{1, "d", FieldType::kDate, true}}),
@@ -58,7 +58,7 @@ class HistoryValidatorTest : public ::testing::Test {
   TableMetadataPtr Meta() { return *catalog_.LoadTable("db.t"); }
 
   SimulatedClock clock_{0};
-  storage::DistributedFileSystem dfs_;
+  storage::NameNode nn_;
   catalog::Catalog catalog_;
 };
 

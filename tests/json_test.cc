@@ -10,7 +10,7 @@
 #include "lst/metadata_json.h"
 #include "lst/table.h"
 #include "lst/transaction.h"
-#include "storage/filesystem.h"
+#include "storage/namenode.h"
 
 namespace autocomp {
 namespace {
@@ -103,7 +103,7 @@ TEST(JsonTest, DeterministicDump) {
 
 class MetadataJsonTest : public ::testing::Test {
  protected:
-  MetadataJsonTest() : dfs_(&clock_, 1), catalog_(&clock_, &dfs_) {
+  MetadataJsonTest() : nn_(&clock_), catalog_(&clock_, &nn_) {
     EXPECT_TRUE(catalog_.CreateDatabase("db").ok());
   }
 
@@ -139,7 +139,7 @@ class MetadataJsonTest : public ::testing::Test {
   }
 
   SimulatedClock clock_{1000};
-  storage::DistributedFileSystem dfs_;
+  storage::NameNode nn_;
   catalog::Catalog catalog_;
 };
 
@@ -227,38 +227,38 @@ TEST_F(MetadataJsonTest, MalformedDocumentsRejected) {
 
 TEST_F(MetadataJsonTest, FootprintPersistsAndCountsObjects) {
   lst::TableMetadataPtr meta = BuildRichMetadata();
-  const int64_t before = dfs_.AggregateStats().file_count;
-  auto created = lst::PersistMetadataFootprint(&dfs_, *meta);
+  const int64_t before = nn_.AggregateStats().file_count;
+  auto created = lst::PersistMetadataFootprint(&nn_, *meta);
   ASSERT_TRUE(created.ok());
   EXPECT_GT(*created, 0);
-  EXPECT_EQ(dfs_.AggregateStats().file_count, before + *created);
+  EXPECT_EQ(nn_.AggregateStats().file_count, before + *created);
   // Idempotent: persisting the same version again creates nothing.
-  auto again = lst::PersistMetadataFootprint(&dfs_, *meta);
+  auto again = lst::PersistMetadataFootprint(&nn_, *meta);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(*again, 0);
   // The metadata objects land under the table's metadata/ directory and
   // count toward namespace quotas (the §2 cause-iv mechanism).
-  const auto listed = dfs_.ListFiles(meta->location() + "/metadata");
+  const auto listed = nn_.ListFiles(meta->location() + "/metadata");
   EXPECT_EQ(static_cast<int64_t>(listed.size()), *created);
 }
 
 TEST_F(MetadataJsonTest, FootprintExpiryRemovesOldVersions) {
   lst::TableMetadataPtr meta = BuildRichMetadata();
-  ASSERT_TRUE(lst::PersistMetadataFootprint(&dfs_, *meta).ok());
+  ASSERT_TRUE(lst::PersistMetadataFootprint(&nn_, *meta).ok());
   // Persist a successor version too.
   auto next = lst::TableMetadata::Builder(*meta).Build();
   ASSERT_TRUE(next.ok());
-  ASSERT_TRUE(lst::PersistMetadataFootprint(&dfs_, **next).ok());
+  ASSERT_TRUE(lst::PersistMetadataFootprint(&nn_, **next).ok());
 
   auto removed =
-      lst::ExpireMetadataFootprint(&dfs_, **next, meta->version());
+      lst::ExpireMetadataFootprint(&nn_, **next, meta->version());
   ASSERT_TRUE(removed.ok());
   EXPECT_EQ(*removed, 1);  // only the older vNNN.metadata.json
   // The newest version file must survive.
   char name[64];
   std::snprintf(name, sizeof(name), "/metadata/v%06lld.metadata.json",
                 static_cast<long long>((*next)->version()));
-  EXPECT_TRUE(dfs_.Exists((*next)->location() + name));
+  EXPECT_TRUE(nn_.Exists((*next)->location() + name));
 }
 
 

@@ -15,7 +15,7 @@
 #include "lst/metadata_json.h"
 #include "lst/table.h"
 #include "lst/transaction.h"
-#include "storage/filesystem.h"
+#include "storage/namenode.h"
 
 namespace autocomp {
 namespace {
@@ -162,8 +162,8 @@ TEST_P(LstPropertyTest, RandomOperationMixConservesLiveSet) {
   // track the expected live set independently; the table must agree after
   // every commit, and snapshot history must replay to the same set.
   SimulatedClock clock(0);
-  storage::DistributedFileSystem dfs(&clock, 1);
-  catalog::Catalog catalog(&clock, &dfs);
+  storage::NameNode nn(&clock);
+  catalog::Catalog catalog(&clock, &nn);
   ASSERT_TRUE(catalog.CreateDatabase("db").ok());
   auto table = catalog.CreateTable(
       "db", "t", lst::Schema(0, {{1, "d", lst::FieldType::kDate, true}}),

@@ -1,5 +1,5 @@
 // Unit tests for src/storage: NameNode namespace, quotas, RPC/timeout
-// model, and federated DistributedFileSystem routing.
+// model and checkpoint.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 
 #include "common/blob.h"
 #include "common/clock.h"
-#include "storage/filesystem.h"
 #include "storage/namenode.h"
 
 namespace autocomp::storage {
@@ -46,21 +45,27 @@ TEST_F(NameNodeTest, DeleteMissingIsNotFound) {
 TEST_F(NameNodeTest, ObjectCountsIncludeDirectories) {
   ASSERT_TRUE(nn_.CreateFile("/data/db/t/f1", 1, 1).ok());
   // Objects: /data, /data/db, /data/db/t, and the file = 4.
-  EXPECT_EQ(nn_.stats().total_objects, 4);
+  EXPECT_EQ(nn_.AggregateStats().total_objects, 4);
   ASSERT_TRUE(nn_.CreateFile("/data/db/t/f2", 1, 1).ok());
   // Only the new file adds an object.
-  EXPECT_EQ(nn_.stats().total_objects, 5);
-  EXPECT_EQ(nn_.stats().file_count, 2);
+  EXPECT_EQ(nn_.AggregateStats().total_objects, 5);
+  EXPECT_EQ(nn_.AggregateStats().file_count, 2);
 }
 
 TEST_F(NameNodeTest, ListFilesByPrefix) {
-  ASSERT_TRUE(nn_.CreateFile("/data/db/t1/a", 1, 1).ok());
+  // Created out of path order: listings come back in path order, the
+  // order metadata-footprint expiry deletes in.
   ASSERT_TRUE(nn_.CreateFile("/data/db/t1/b", 2, 1).ok());
   ASSERT_TRUE(nn_.CreateFile("/data/db/t2/c", 3, 1).ok());
+  ASSERT_TRUE(nn_.CreateFile("/data/db/t1/a", 1, 1).ok());
   const auto t1 = nn_.ListFiles("/data/db/t1");
-  EXPECT_EQ(t1.size(), 2u);
+  ASSERT_EQ(t1.size(), 2u);
+  EXPECT_LT(t1[0].path, t1[1].path);
   const auto all = nn_.ListFiles("/data/db");
-  EXPECT_EQ(all.size(), 3u);
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_TRUE(std::is_sorted(
+      all.begin(), all.end(),
+      [](const FileInfo& a, const FileInfo& b) { return a.path < b.path; }));
   EXPECT_TRUE(nn_.ListFiles("/data/db/t3").empty());
 }
 
@@ -81,6 +86,11 @@ TEST_F(NameNodeTest, NamespaceQuotaEnforced) {
   // Deleting frees quota.
   ASSERT_TRUE(nn_.DeleteFile("/data/db/t/f1").ok());
   EXPECT_TRUE(nn_.CreateFile("/data/db/t/f3", 1, 1).ok());
+  // Files directly under a quota root are one object each.
+  nn_.SetNamespaceQuota("/data/flat", 1);
+  ASSERT_TRUE(nn_.CreateFile("/data/flat/f", 1, 1).ok());
+  EXPECT_TRUE(nn_.CreateFile("/data/flat/g", 1, 1).IsResourceExhausted());
+  EXPECT_EQ(nn_.GetQuota("/data/flat").used_objects, 1);
 }
 
 TEST_F(NameNodeTest, QuotaDoesNotApplyOutsideSubtree) {
@@ -110,12 +120,13 @@ TEST_F(NameNodeTest, OpenCountsCallsPerHour) {
   ASSERT_TRUE(nn_.CreateFile("/a/f", 1, 1).ok());
   ASSERT_TRUE(nn_.Open("/a/f").ok());
   ASSERT_TRUE(nn_.Open("/a/f").ok());
-  EXPECT_EQ(nn_.stats().open_calls, 2);
-  EXPECT_EQ(nn_.OpenCallsInHour(0), 2);
+  EXPECT_EQ(nn_.AggregateStats().open_calls, 2);
+  EXPECT_EQ(nn_.RpcsInHour(0), 3);  // the create and both opens
   clock_.AdvanceTo(kHour + 1);
   ASSERT_TRUE(nn_.Open("/a/f").ok());
-  EXPECT_EQ(nn_.OpenCallsInHour(kHour), 1);
-  EXPECT_EQ(nn_.OpenCallsInHour(0), 2);
+  EXPECT_EQ(nn_.AggregateStats().open_calls, 3);
+  EXPECT_EQ(nn_.RpcsInHour(kHour), 1);
+  EXPECT_EQ(nn_.RpcsInHour(0), 3);
 }
 
 TEST_F(NameNodeTest, OpenMissingIsNotFound) {
@@ -131,7 +142,7 @@ TEST(NameNodeTimeoutTest, NoTimeoutsBelowCapacity) {
   for (int i = 0; i < 500; ++i) {
     EXPECT_TRUE(nn.Open("/a/f").ok());
   }
-  EXPECT_EQ(nn.stats().timeouts, 0);
+  EXPECT_EQ(nn.AggregateStats().timeouts, 0);
   EXPECT_DOUBLE_EQ(nn.CurrentTimeoutProbability(), 0.0);
 }
 
@@ -174,82 +185,6 @@ TEST(NameNodeTimeoutTest, LoadResetsNextHour) {
   clock.AdvanceTo(kHour);
   EXPECT_DOUBLE_EQ(nn.CurrentTimeoutProbability(), 0.0);
 }
-
-// -------------------------------------------------- DistributedFileSystem
-
-TEST(DfsTest, SingleShardBasicOps) {
-  SimulatedClock clock(0);
-  DistributedFileSystem dfs(&clock, 1);
-  ASSERT_TRUE(dfs.CreateFile("/data/db/t/f", 10, 1).ok());
-  EXPECT_TRUE(dfs.Exists("/data/db/t/f"));
-  EXPECT_EQ(dfs.Stat("/data/db/t/f")->size_bytes, 10);
-  EXPECT_EQ(dfs.ListFiles("/data/db").size(), 1u);
-  ASSERT_TRUE(dfs.DeleteFile("/data/db/t/f").ok());
-}
-
-TEST(DfsTest, MountRoutesToShard) {
-  SimulatedClock clock(0);
-  DistributedFileSystem dfs(&clock, 3);
-  ASSERT_TRUE(dfs.AddMount("/data/tenant1", 1).ok());
-  ASSERT_TRUE(dfs.CreateFile("/data/tenant1/t/f", 5, 1).ok());
-  EXPECT_EQ(dfs.shard(1).stats().file_count, 1);
-  EXPECT_EQ(dfs.shard(0).stats().file_count, 0);
-  EXPECT_EQ(dfs.shard(2).stats().file_count, 0);
-}
-
-TEST(DfsTest, LongestMountPrefixWins) {
-  SimulatedClock clock(0);
-  DistributedFileSystem dfs(&clock, 2);
-  ASSERT_TRUE(dfs.AddMount("/data", 0).ok());
-  ASSERT_TRUE(dfs.AddMount("/data/hot", 1).ok());
-  ASSERT_TRUE(dfs.CreateFile("/data/hot/f", 1, 1).ok());
-  ASSERT_TRUE(dfs.CreateFile("/data/cold/f", 1, 1).ok());
-  EXPECT_EQ(dfs.shard(1).stats().file_count, 1);
-  EXPECT_EQ(dfs.shard(0).stats().file_count, 1);
-}
-
-TEST(DfsTest, MountValidation) {
-  SimulatedClock clock(0);
-  DistributedFileSystem dfs(&clock, 2);
-  EXPECT_TRUE(dfs.AddMount("/ok", 5).IsInvalidArgument());
-  EXPECT_TRUE(dfs.AddMount("bad", 0).IsInvalidArgument());
-}
-
-TEST(DfsTest, AggregateStatsAcrossShards) {
-  SimulatedClock clock(0);
-  DistributedFileSystem dfs(&clock, 2);
-  ASSERT_TRUE(dfs.AddMount("/a", 0).ok());
-  ASSERT_TRUE(dfs.AddMount("/b", 1).ok());
-  ASSERT_TRUE(dfs.CreateFile("/a/f", 1, 1).ok());
-  ASSERT_TRUE(dfs.CreateFile("/b/g", 1, 1).ok());
-  EXPECT_EQ(dfs.AggregateStats().file_count, 2);
-  (void)dfs.Open("/a/f");
-  (void)dfs.Open("/b/g");
-  EXPECT_EQ(dfs.AggregateStats().open_calls, 2);
-  EXPECT_EQ(dfs.OpenCallsInHour(0), 2);
-}
-
-TEST(DfsTest, ListMergesAcrossShards) {
-  SimulatedClock clock(0);
-  DistributedFileSystem dfs(&clock, 4);
-  // Hash routing may scatter these; ListFiles must still find both.
-  ASSERT_TRUE(dfs.CreateFile("/x/t/f1", 1, 1).ok());
-  ASSERT_TRUE(dfs.CreateFile("/x/t/f2", 1, 1).ok());
-  const auto files = dfs.ListFiles("/x/t");
-  ASSERT_EQ(files.size(), 2u);
-  EXPECT_LT(files[0].path, files[1].path);  // sorted
-}
-
-TEST(DfsTest, QuotaViaFacade) {
-  SimulatedClock clock(0);
-  DistributedFileSystem dfs(&clock, 1);
-  // Files live directly under the quota root, so each is one object.
-  dfs.SetNamespaceQuota("/data/db", 1);
-  ASSERT_TRUE(dfs.CreateFile("/data/db/f", 1, 1).ok());
-  EXPECT_TRUE(dfs.CreateFile("/data/db/g", 1, 1).IsResourceExhausted());
-  EXPECT_EQ(dfs.GetQuota("/data/db").used_objects, 1);
-}
-
 
 TEST(NameNodeTimeoutTest, ObserverNameNodesAbsorbReadTraffic) {
   // §1: observer NameNodes add read capacity; the same load that
@@ -300,8 +235,8 @@ TEST(NameNodeCheckpointTest, SaveRestoreSaveIsByteIdentical) {
   ASSERT_TRUE(original.DeleteFile(paths.back()).ok());
   live.pop_back();
   ASSERT_TRUE(original.Open(paths[0]).ok());
-  ASSERT_GT(original.OpenCallsInHour(0), 0);
-  ASSERT_GT(original.OpenCallsInHour(kHour), 0);
+  ASSERT_GT(original.RpcsInHour(0), 0);
+  ASSERT_GT(original.RpcsInHour(kHour), 0);
 
   common::BlobWriter first;
   original.SaveState(&first);
@@ -315,13 +250,17 @@ TEST(NameNodeCheckpointTest, SaveRestoreSaveIsByteIdentical) {
   EXPECT_EQ(second.Take(), blob);
 
   EXPECT_TRUE(restored.AuditAccounting().ok());
-  EXPECT_EQ(restored.stats().file_count, original.stats().file_count);
-  EXPECT_EQ(restored.stats().total_objects, original.stats().total_objects);
+  EXPECT_EQ(restored.AggregateStats().file_count,
+            original.AggregateStats().file_count);
+  EXPECT_EQ(restored.AggregateStats().total_objects,
+            original.AggregateStats().total_objects);
   EXPECT_EQ(restored.GetQuota("/data/db1").total_objects, 50);
   EXPECT_EQ(restored.GetQuota("/data/db1").used_objects,
             original.GetQuota("/data/db1").used_objects);
-  EXPECT_EQ(restored.OpenCallsInHour(0), original.OpenCallsInHour(0));
-  EXPECT_EQ(restored.OpenCallsInHour(kHour), original.OpenCallsInHour(kHour));
+  EXPECT_EQ(restored.AggregateStats().open_calls,
+            original.AggregateStats().open_calls);
+  EXPECT_EQ(restored.RpcsInHour(0), original.RpcsInHour(0));
+  EXPECT_EQ(restored.RpcsInHour(kHour), original.RpcsInHour(kHour));
   EXPECT_FALSE(restored.Exists(paths.back()));
 
   const auto expect_file = [](const FileInfo& got, const FileSpec& want) {
