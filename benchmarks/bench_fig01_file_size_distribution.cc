@@ -28,7 +28,7 @@ SizeHistogram HistogramOf(catalog::Catalog* catalog,
     auto meta = catalog->LoadTable(table);
     if (!meta.ok()) continue;
     (*meta)->ForEachLiveFile(
-        [&](const lst::DataFile& f) { histogram.Add(f.file_size_bytes); });
+        [&](const lst::DataFileRef& f) { histogram.Add(f.file_size_bytes); });
   }
   return histogram;
 }

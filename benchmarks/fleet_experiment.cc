@@ -19,7 +19,7 @@ SizeHistogram FleetHistogram(catalog::Catalog* catalog) {
     auto meta = catalog->LoadTable(name);
     if (!meta.ok()) continue;
     (*meta)->ForEachLiveFile(
-        [&](const lst::DataFile& f) { histogram.Add(f.file_size_bytes); });
+        [&](const lst::DataFileRef& f) { histogram.Add(f.file_size_bytes); });
   }
   return histogram;
 }

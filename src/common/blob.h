@@ -147,21 +147,25 @@ class BlobReader {
     return v;
   }
 
-  std::string ReadString() {
+  std::string ReadString() { return std::string(ReadStringView()); }
+
+  /// ReadString without the copy: the view points into the blob, so it
+  /// is valid while the blob is.
+  std::string_view ReadStringView() {
     const uint64_t tag = ReadVarint();
     if (tag != 0) {
       if (tag > interned_.size()) {
         Fail();
         return {};
       }
-      return std::string(interned_[tag - 1]);
+      return interned_[tag - 1];
     }
     const uint64_t n = ReadVarint();
     if (!Require(n)) return {};
     const std::string_view s = data_.substr(pos_, n);
     pos_ += n;
     interned_.push_back(s);  // views into the blob: zero-copy table
-    return std::string(s);
+    return s;
   }
 
   /// False after any failed read.

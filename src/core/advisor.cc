@@ -74,7 +74,7 @@ Result<std::vector<WriteAdvice>> WriteConfigAdvisor::AnalyzeTable(
   // --- MoR delta backlog.
   int64_t delete_files = 0;
   int64_t unclustered_bytes = 0;
-  meta->ForEachLiveFile([&](const lst::DataFile& f) {
+  meta->ForEachLiveFile([&](const lst::DataFileRef& f) {
     if (f.content == lst::FileContent::kPositionDeletes) ++delete_files;
     if (!f.clustered) unclustered_bytes += f.file_size_bytes;
   });

@@ -57,7 +57,8 @@ struct Candidate {
 };
 
 /// \brief Sorted live file sizes per partition key.
-using PartitionSizes = std::map<std::string, std::vector<int64_t>>;
+using PartitionSizes =
+    std::map<std::string, std::vector<int64_t>, std::less<>>;
 
 /// \brief Standardized statistics layout produced by the observe phase
 /// (§4.1): generic metrics all platforms can provide, plus a custom bag

@@ -201,10 +201,16 @@ Result<CandidateStats> StatsCollector::CollectFromMetadata(
   stats.last_modified_at = meta->last_updated_at();
 
   PartitionSizes by_partition;
-  const auto accumulate = [&stats, &by_partition](const lst::DataFile& f) {
+  const auto accumulate = [&stats,
+                           &by_partition](const lst::DataFileRef& f) {
     stats.file_sizes.push_back(f.file_size_bytes);
     stats.total_bytes += f.file_size_bytes;
-    by_partition[f.partition].push_back(f.file_size_bytes);
+    auto bucket = by_partition.find(f.partition);
+    if (bucket == by_partition.end()) {
+      bucket = by_partition.emplace(std::string(f.partition),
+                                    std::vector<int64_t>{}).first;
+    }
+    bucket->second.push_back(f.file_size_bytes);
     if (f.content == lst::FileContent::kPositionDeletes) {
       ++stats.delete_file_count;
     }

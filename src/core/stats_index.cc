@@ -201,7 +201,6 @@ IncrementalStatsIndex::TableEntry* IncrementalStatsIndex::EnsureLocked(
   auto [it, inserted] = shard.tables.try_emplace(table);
   TableEntry& entry = it->second;
   if (inserted) {
-    lazy_builds_.fetch_add(1);
     RebuildLocked(&entry, meta);
   } else if (entry.version < meta.version()) {
     // The entry lags the pinned metadata: either its commit event has
@@ -236,7 +235,6 @@ void IncrementalStatsIndex::OnCommit(const catalog::CommitEvent& event) const {
   const int64_t committed_version = event.metadata->version();
   if (committed_version <= entry.version) {
     // Out-of-order delivery of an event the entry already covers.
-    stale_events_.fetch_add(1);
     return;
   }
   if (event.delta != nullptr && event.delta->known &&

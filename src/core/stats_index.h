@@ -22,8 +22,8 @@
 ///
 /// Hot-path representation: tables and partitions are keyed by interned
 /// ids (common::StringInterner), and rebuilds stream the manifests' SoA
-/// columns (sizes, record counts, flags, partition ids) instead of
-/// per-file DataFile structs — a rebuild never touches a path string.
+/// columns (sizes, flags, added-snapshot ids, partition ids) — a rebuild
+/// never touches a path string.
 ///
 /// NFR2 (determinism): every query pins a metadata version; the index
 /// answers only when its entry matches that exact version, otherwise the
@@ -96,8 +96,6 @@ class IncrementalStatsIndex {
   /// @{
   int64_t deltas_applied() const { return deltas_applied_.load(); }
   int64_t rebuilds() const { return rebuilds_.load(); }
-  int64_t lazy_builds() const { return lazy_builds_.load(); }
-  int64_t stale_events() const { return stale_events_.load(); }
   /// @}
 
   static constexpr int kShardCount = 16;
@@ -190,8 +188,6 @@ class IncrementalStatsIndex {
 
   mutable std::atomic<int64_t> deltas_applied_{0};
   mutable std::atomic<int64_t> rebuilds_{0};
-  mutable std::atomic<int64_t> lazy_builds_{0};
-  mutable std::atomic<int64_t> stale_events_{0};
 };
 
 /// \brief StatsCollector that answers from the IncrementalStatsIndex and

@@ -90,12 +90,12 @@ Result<PendingCompaction> CompactionRunner::Prepare(
   // reference has been rewritten) and the delete files fold away.
   std::map<std::string, std::vector<lst::DataFile>> in_scope;
   meta->ForEachLiveFile(
-      [&](const lst::DataFile& f) {
+      [&](const lst::DataFileRef& f) {
         if (f.added_snapshot_id <= request.after_snapshot_id &&
             request.after_snapshot_id != 0) {
           return;
         }
-        in_scope[f.partition].push_back(f);
+        in_scope[std::string(f.partition)].push_back(f.ToDataFile());
       },
       request.partition);
   std::vector<lst::DataFile> inputs;              // data files to rewrite

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cassert>
 #include <cmath>
+#include <string_view>
 
 #include "common/logging.h"
 
@@ -58,7 +59,7 @@ Result<QueryResult> QueryEngine::ExecuteRead(
   // the client pays a retry penalty.
   double timeout_penalty = 0;
   storage::NameNode* dfs = catalog_->filesystem();
-  for (const lst::DataFile& f : plan.files) {
+  for (const lst::DataFileRef& f : plan.files) {
     auto opened = dfs->Open(f.path);
     if (!opened.ok() && opened.status().IsTimedOut()) {
       ++result.open_timeouts;
@@ -75,7 +76,7 @@ Result<QueryResult> QueryEngine::ExecuteRead(
   // and MoR delete files add a merge penalty on top of their own read.
   std::vector<double> tasks;
   tasks.reserve(plan.files.size());
-  for (const lst::DataFile& f : plan.files) {
+  for (const lst::DataFileRef& f : plan.files) {
     // Clustered files support row-group skipping: only the selected
     // fraction of the file's bytes is read.
     const int64_t effective_bytes =
@@ -137,10 +138,10 @@ Result<WriteResult> QueryEngine::ExecuteWrite(const WriteSpec& spec,
   // live files in the touched partitions. MoR deletes replace nothing.
   std::vector<std::string> replaced;
   if (spec.kind != WriteKind::kAppend && spec.kind != WriteKind::kMorDelete) {
-    // Only the paths are needed; visit manifests in place instead of
-    // materializing DataFile copies per write.
-    std::vector<std::string> pool;
-    const auto collect = [&pool](const lst::DataFile& f) {
+    // Only the paths are needed: views of `meta`'s manifests, copied
+    // only for the files the sample picks.
+    std::vector<std::string_view> pool;
+    const auto collect = [&pool](const lst::DataFileRef& f) {
       pool.push_back(f.path);
     };
     if (spec.partitions.empty()) {
@@ -154,11 +155,11 @@ Result<WriteResult> QueryEngine::ExecuteWrite(const WriteSpec& spec,
         static_cast<double>(pool.size()) * spec.replace_fraction));
     for (size_t i = 0; i < pool.size() && replaced.size() < want; ++i) {
       if (rng_.Bernoulli(spec.replace_fraction * 2)) {
-        replaced.push_back(pool[i]);
+        replaced.emplace_back(pool[i]);
       }
     }
     if (replaced.empty() && !pool.empty() && want > 0) {
-      replaced.push_back(pool.front());
+      replaced.emplace_back(pool.front());
     }
   }
 

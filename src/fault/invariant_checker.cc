@@ -20,7 +20,7 @@ std::vector<InvariantViolation> InvariantChecker::Check(
 
   // Which table owns each live path (detects cross-table duplication),
   // and per-database live file tallies (for the quota lower bound).
-  std::map<std::string, std::string> live_owner;
+  std::map<std::string, std::string, std::less<>> live_owner;
   std::map<std::string, int64_t> db_live_files;
 
   for (const std::string& name : catalog.ListAllTables()) {
@@ -41,17 +41,18 @@ std::vector<InvariantViolation> InvariantChecker::Check(
     }
 
     const std::string db = name.substr(0, name.find('.'));
-    meta->ForEachLiveFile([&](const lst::DataFile& f) {
+    meta->ForEachLiveFile([&](const lst::DataFileRef& f) {
       ++db_live_files[db];
       // No live-file loss: every referenced file must exist in storage
       // with the advertised size (Stat is const and RPC-free, so the
       // check cannot perturb the deterministic load model).
-      auto info_or = dfs->Stat(f.path);
+      const std::string path(f.path);
+      auto info_or = dfs->Stat(path);
       if (!info_or.ok()) {
-        out.push_back({name, "live file missing from storage: " + f.path});
+        out.push_back({name, "live file missing from storage: " + path});
       } else if (info_or.value().size_bytes != f.file_size_bytes) {
         std::ostringstream msg;
-        msg << "live file size mismatch for " << f.path << ": metadata says "
+        msg << "live file size mismatch for " << path << ": metadata says "
             << f.file_size_bytes << " bytes, storage says "
             << info_or.value().size_bytes;
         out.push_back({name, msg.str()});
@@ -60,13 +61,13 @@ std::vector<InvariantViolation> InvariantChecker::Check(
       // alone (see data_file.h), so a path live twice — whether in two
       // tables or twice inside one table's current snapshot — would make
       // the metadata layer conflate distinct files. Assert both.
-      auto [it, inserted] = live_owner.emplace(f.path, name);
+      auto [it, inserted] = live_owner.emplace(path, name);
       if (!inserted) {
         if (it->second == name) {
-          out.push_back({name, "file " + f.path +
+          out.push_back({name, "file " + path +
                                    " is live twice in the current snapshot"});
         } else {
-          out.push_back({name, "file " + f.path + " is live in both " +
+          out.push_back({name, "file " + path + " is live in both " +
                                    it->second + " and " + name});
         }
       }
@@ -134,7 +135,7 @@ std::map<std::string, std::string> CatalogEndState(catalog::Catalog& catalog) {
     // Multiset of (partition, size, records) — the query-visible content
     // shape, independent of output file naming.
     std::multiset<std::string> shapes;
-    meta->ForEachLiveFile([&](const lst::DataFile& f) {
+    meta->ForEachLiveFile([&](const lst::DataFileRef& f) {
       std::ostringstream s;
       s << f.partition << "|" << f.file_size_bytes << "|" << f.record_count
         << "|" << (f.content == lst::FileContent::kData ? "d" : "x");

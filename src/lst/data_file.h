@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/units.h"
 
@@ -19,7 +20,13 @@ enum class FileContent : int {
   kPositionDeletes,
 };
 
+struct DataFileRef;
+
 /// \brief Metadata entry for one immutable file referenced by a table.
+///
+/// The owning form: commit inputs, CommitDelta and LiveFiles() carry
+/// DataFiles. Manifests do not store them; they hand out DataFileRef
+/// views over their columns.
 ///
 /// Matches the fields Iceberg keeps per data file that AutoComp's observe
 /// phase consumes: path, partition key, on-disk size, record count, and
@@ -52,6 +59,39 @@ struct DataFile {
   bool operator==(const DataFile& other) const {
     return path == other.path;
   }
+
+  /// A view of this file, valid while this DataFile lives unmodified.
+  DataFileRef view() const;
 };
+
+/// \brief Read-only view of one file entry: DataFile's fields, with the
+/// path and partition viewing storage someone else owns.
+///
+/// Manifest iteration, TableMetadata::ForEachLiveFile and Table::PlanScan
+/// hand these out; they stay valid while the manifest (or the
+/// TableMetadataPtr pinning it) is alive. ToDataFile() makes an owning
+/// copy for callers that keep a file past that.
+struct DataFileRef {
+  std::string_view path;
+  std::string_view partition;
+  FileContent content = FileContent::kData;
+  int64_t file_size_bytes = 0;
+  int64_t record_count = 0;
+  bool clustered = false;
+  int64_t added_snapshot_id = 0;
+  int64_t sequence_number = 0;
+
+  DataFile ToDataFile() const {
+    return DataFile{std::string(path), std::string(partition), content,
+                    file_size_bytes, record_count, clustered,
+                    added_snapshot_id, sequence_number};
+  }
+};
+
+inline DataFileRef DataFile::view() const {
+  return DataFileRef{path, partition, content,
+                     file_size_bytes, record_count, clustered,
+                     added_snapshot_id, sequence_number};
+}
 
 }  // namespace autocomp::lst

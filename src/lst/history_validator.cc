@@ -2,6 +2,8 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <string_view>
 
 namespace autocomp::lst {
 
@@ -73,16 +75,18 @@ std::vector<HistoryViolation> ValidateHistory(const TableMetadata& metadata) {
   // Note: the first retained snapshot after an expiry carries files added
   // by expired (now absent) snapshots, so the replay seeds from the first
   // snapshot's actual live set and checks the *transitions*.
-  std::map<std::string, DataFile> live;
+  // Keys and entries view `metadata`'s manifests, which outlive the
+  // replay.
+  std::map<std::string_view, DataFileRef> live;
   for (size_t i = 0; i < snapshots.size(); ++i) {
     const Snapshot& s = snapshots[i];
     // Collect this snapshot's actual live set.
-    std::map<std::string, DataFile> actual;
+    std::map<std::string_view, DataFileRef> actual;
     for (const ManifestPtr& m : s.manifests) {
-      for (const DataFile& f : m->files()) {
+      for (const DataFileRef& f : *m) {
         if (!actual.emplace(f.path, f).second) {
           Add(&violations, s.snapshot_id,
-              "path appears twice in live set: " + f.path);
+              "path appears twice in live set: " + std::string(f.path));
         }
       }
     }
@@ -109,7 +113,7 @@ std::vector<HistoryViolation> ValidateHistory(const TableMetadata& metadata) {
       if (file.added_snapshot_id == s.snapshot_id) {
         if (!live.emplace(path, file).second) {
           Add(&violations, s.snapshot_id,
-              "added path was already live: " + path);
+              "added path was already live: " + std::string(path));
         }
         ++added_count;
       }
@@ -123,7 +127,7 @@ std::vector<HistoryViolation> ValidateHistory(const TableMetadata& metadata) {
       for (const auto& [path, _] : actual) {
         if (live.count(path) == 0) {
           Add(&violations, s.snapshot_id,
-              "replayed live set missing path: " + path);
+              "replayed live set missing path: " + std::string(path));
           break;
         }
       }

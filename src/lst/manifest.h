@@ -3,36 +3,38 @@
 /// the paper calls out ("bloated metadata in LSTs", §1).
 ///
 /// Fleet-scale replay hammers this layer: every commit filters or merges
-/// manifests and every observe rescan walks them. Two hot-path
-/// optimizations live here:
+/// manifests, every observe rescan walks them, and one replay keeps
+/// hundreds of thousands of entries live. A manifest therefore stores
+/// each file once, in columns sized exactly to its entry count:
 ///
-///  * the per-manifest partition summary is a sorted vector of interned
-///    `common::PartitionId`s (4 bytes each) instead of a
-///    `std::set<std::string>` — pruning is a Lookup plus binary search
-///    with zero per-manifest string storage when the interner is shared
-///    across a table's lineage (see ManifestFactory);
-///  * column (SoA) views over the file entries — sizes, record counts,
-///    added-snapshot ids, partition ids, and packed trait flags — so bulk
-///    consumers (the incremental stats index rebuild) stream cache-dense
-///    numeric columns instead of striding over ~120-byte DataFile structs
-///    and their path strings.
+///  * numeric columns — sizes, record counts, added-snapshot ids,
+///    sequence numbers, interned partition ids and packed trait flags —
+///    so bulk consumers (the incremental stats index rebuild) stream
+///    cache-dense arrays and never touch a string;
+///  * all paths in one char buffer with end offsets, so a path costs its
+///    bytes plus a 4-byte offset instead of a heap string;
+///  * the partition summary as a sorted vector of `common::PartitionId`s
+///    interned in the table lineage's shared interner — pruning is a
+///    Lookup plus binary search, and equal keys cost 4 bytes per entry.
+///
+/// Readers see entries as DataFileRef views (file(i), range-for).
 
 #pragma once
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <set>
+#include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "common/interner.h"
 #include "lst/data_file.h"
 
 namespace autocomp::lst {
+
+class ManifestWriter;
 
 /// \brief An immutable group of live data files written by one commit (or
 /// produced by filtering/merging earlier manifests).
@@ -47,51 +49,66 @@ class Manifest {
   static constexpr uint8_t kFlagPositionDeletes = 1;
   static constexpr uint8_t kFlagUnclustered = 2;
 
-  /// Standalone construction (tests, JSON restore): partition keys are
-  /// interned into a private per-manifest interner.
-  Manifest(int64_t manifest_id, std::vector<DataFile> files)
-      : Manifest(manifest_id, std::move(files),
-                 std::make_shared<common::StringInterner>()) {}
-
-  /// Lineage construction (ManifestFactory): partition keys are interned
-  /// into the shared per-table interner, so equal keys cost 4 bytes per
-  /// manifest instead of one owned string each.
-  Manifest(int64_t manifest_id, std::vector<DataFile> files,
-           std::shared_ptr<common::StringInterner> interner)
-      : manifest_id_(manifest_id),
-        files_(std::move(files)),
-        interner_(std::move(interner)) {
-    const size_t n = files_.size();
-    size_column_.reserve(n);
-    record_count_column_.reserve(n);
-    added_snapshot_column_.reserve(n);
-    partition_column_.reserve(n);
-    flag_column_.reserve(n);
-    for (const DataFile& f : files_) {
-      total_bytes_ += f.file_size_bytes;
-      const common::PartitionId pid = interner_->Intern(f.partition);
-      size_column_.push_back(f.file_size_bytes);
-      record_count_column_.push_back(f.record_count);
-      added_snapshot_column_.push_back(f.added_snapshot_id);
-      partition_column_.push_back(pid);
-      uint8_t flags = 0;
-      if (f.content == FileContent::kPositionDeletes) {
-        flags |= kFlagPositionDeletes;
-      }
-      if (!f.clustered) flags |= kFlagUnclustered;
-      flag_column_.push_back(flags);
-    }
-    partition_ids_ = partition_column_;
-    std::sort(partition_ids_.begin(), partition_ids_.end());
-    partition_ids_.erase(
-        std::unique(partition_ids_.begin(), partition_ids_.end()),
-        partition_ids_.end());
-  }
+  /// Standalone construction (tests): partition keys are interned into a
+  /// private per-manifest interner. Commit paths and decoders build
+  /// manifests through TableMetadata::Builder, which shares the
+  /// lineage's interner.
+  Manifest(int64_t manifest_id, const std::vector<DataFile>& files);
 
   int64_t manifest_id() const { return manifest_id_; }
-  const std::vector<DataFile>& files() const { return files_; }
-  int64_t file_count() const { return static_cast<int64_t>(files_.size()); }
+  int64_t file_count() const {
+    return static_cast<int64_t>(size_column_.size());
+  }
   int64_t total_bytes() const { return total_bytes_; }
+  /// Length of all paths together: what a successor built from these
+  /// entries reserves for its path buffer.
+  size_t path_bytes() const { return paths_.size(); }
+
+  /// Entry `i` (0 <= i < file_count()), viewing this manifest's storage.
+  DataFileRef file(size_t i) const;
+  std::string_view path(size_t i) const {
+    const size_t begin = i == 0 ? 0 : path_ends_[i - 1];
+    return std::string_view(paths_.data() + begin, path_ends_[i] - begin);
+  }
+
+  /// Range-for over the entries in order, as DataFileRef values.
+  class Iterator {
+   public:
+    Iterator(const Manifest* manifest, size_t index)
+        : manifest_(manifest), index_(index) {}
+    DataFileRef operator*() const { return manifest_->file(index_); }
+    Iterator& operator++() {
+      ++index_;
+      return *this;
+    }
+    bool operator==(const Iterator& other) const {
+      return index_ == other.index_;
+    }
+
+   private:
+    const Manifest* manifest_;
+    size_t index_;
+  };
+  Iterator begin() const { return Iterator(this, 0); }
+  Iterator end() const { return Iterator(this, size_column_.size()); }
+
+  /// Visits the entries of `partition` in order (every entry when
+  /// nullopt). Returns false, visiting nothing, when the partition
+  /// summary prunes this manifest.
+  template <typename Fn>
+  bool ForEachFile(const std::optional<std::string>& partition,
+                   Fn&& fn) const {
+    if (!partition) {
+      for (size_t i = 0; i < size_column_.size(); ++i) fn(file(i));
+      return true;
+    }
+    const common::PartitionId id = interner_->Lookup(*partition);
+    if (!HasPartitionId(id)) return false;
+    for (size_t i = 0; i < partition_column_.size(); ++i) {
+      if (partition_column_[i] == id) fn(file(i));
+    }
+    return true;
+  }
 
   /// Partition summary used for scan pruning: interned ids, sorted and
   /// deduplicated. Resolve names through partition_interner() — ids from
@@ -107,13 +124,10 @@ class Manifest {
   }
 
   bool ContainsPartition(std::string_view partition) const {
-    const common::PartitionId id = interner_->Lookup(partition);
-    return id != common::StringInterner::kInvalidId &&
-           std::binary_search(partition_ids_.begin(), partition_ids_.end(),
-                              id);
+    return HasPartitionId(interner_->Lookup(partition));
   }
 
-  /// \name SoA column views (parallel to files(), same index space)
+  /// \name SoA columns (same index space as file(i))
   /// @{
   const std::vector<int64_t>& size_column() const { return size_column_; }
   const std::vector<int64_t>& record_count_column() const {
@@ -122,6 +136,9 @@ class Manifest {
   const std::vector<int64_t>& added_snapshot_column() const {
     return added_snapshot_column_;
   }
+  const std::vector<int64_t>& sequence_number_column() const {
+    return sequence_number_column_;
+  }
   const std::vector<common::PartitionId>& partition_column() const {
     return partition_column_;
   }
@@ -129,18 +146,33 @@ class Manifest {
   /// @}
 
  private:
-  friend class ManifestFactory;
+  friend class ManifestWriter;
+
+  /// An empty manifest with every column reserved at its final size.
+  Manifest(int64_t manifest_id,
+           std::shared_ptr<common::StringInterner> interner,
+           size_t file_count, size_t path_bytes);
+  void Append(const DataFileRef& f);
+  /// Builds the partition summary once every entry is in.
+  void Seal();
+  bool HasPartitionId(common::PartitionId id) const;
 
   int64_t manifest_id_;
-  std::vector<DataFile> files_;
   int64_t total_bytes_ = 0;
   std::shared_ptr<common::StringInterner> interner_;
   std::vector<common::PartitionId> partition_ids_;
+  /// partition_ids_' names, same order (views into interner_'s stable
+  /// storage), so file(i) resolves a partition without the interner lock.
+  std::vector<std::string_view> partition_names_;
   std::vector<int64_t> size_column_;
   std::vector<int64_t> record_count_column_;
   std::vector<int64_t> added_snapshot_column_;
+  std::vector<int64_t> sequence_number_column_;
   std::vector<common::PartitionId> partition_column_;
   std::vector<uint8_t> flag_column_;
+  /// Every path back to back; entry i ends at path_ends_[i].
+  std::vector<char> paths_;
+  std::vector<uint32_t> path_ends_;
 };
 
 using ManifestPtr = std::shared_ptr<const Manifest>;
@@ -148,95 +180,26 @@ using ManifestPtr = std::shared_ptr<const Manifest>;
 /// \brief Ordered list of manifests making up one snapshot's view.
 using ManifestList = std::vector<ManifestPtr>;
 
-/// \brief Per-table-lineage manifest allocator: one shared partition-key
-/// interner plus a capped free list of DataFile vectors.
+/// \brief Fills one manifest's columns in entry order, then seals it.
 ///
-/// A long replay churns manifests constantly (every append creates one,
-/// every rewrite filters several); the dominant allocation is each
-/// manifest's `std::vector<DataFile>`. Manifests made through a factory
-/// carry a deleter that, when the last snapshot referencing them expires,
-/// returns the vector's capacity to the factory, so steady-state commits
-/// reuse buffers instead of round-tripping the allocator. TakeBuffer()
-/// hands that capacity back to commit paths assembling new file lists.
-///
-/// Thread-safe: manifests may be released from any pipeline thread.
-/// The factory must outlive no manifest — deleters hold the free list by
-/// shared_ptr, so releasing a manifest after the factory is destroyed is
-/// safe (the capacity is simply freed).
-class ManifestFactory {
+/// The caller states the final entry count and total path bytes up
+/// front, so every column is allocated once at exact size: a filter
+/// counts its survivors first, a merge sums its inputs, a decoder reads
+/// its entries first.
+class ManifestWriter {
  public:
-  /// Free-list cap: bounds idle capacity at ~kMaxFreeVectors times the
-  /// largest manifest seen, which profiling showed is enough to make
-  /// steady-state commits allocation-free.
-  static constexpr size_t kMaxFreeVectors = 16;
+  ManifestWriter(int64_t manifest_id,
+                 std::shared_ptr<common::StringInterner> interner,
+                 size_t file_count, size_t path_bytes);
 
-  ManifestFactory()
-      : interner_(std::make_shared<common::StringInterner>()),
-        free_list_(std::make_shared<FreeList>()) {}
+  /// Copies one entry into the columns (the path into the path buffer).
+  void Add(const DataFileRef& f) { manifest_->Append(f); }
 
-  const std::shared_ptr<common::StringInterner>& interner() const {
-    return interner_;
-  }
-
-  /// A (possibly recycled) empty vector to assemble a file list into.
-  std::vector<DataFile> TakeBuffer() { return free_list_->Take(); }
-
-  /// Builds a manifest sharing the lineage interner; its file vector is
-  /// recycled through this factory on destruction.
-  ManifestPtr Make(int64_t manifest_id, std::vector<DataFile> files) {
-    auto* raw = new Manifest(manifest_id, std::move(files), interner_);
-    return ManifestPtr(raw, Recycler{free_list_});
-  }
-
-  /// Vectors currently parked in the free list (telemetry for tests).
-  int64_t free_vectors() const { return free_list_->size(); }
-  /// Vectors returned to the free list over the factory's lifetime.
-  int64_t recycled() const { return free_list_->recycled(); }
+  /// The sealed manifest; the writer is spent afterwards.
+  ManifestPtr Finish();
 
  private:
-  struct FreeList {
-    std::mutex mu;
-    std::vector<std::vector<DataFile>> vectors;
-    int64_t recycled_total = 0;
-
-    std::vector<DataFile> Take() {
-      std::lock_guard<std::mutex> lock(mu);
-      if (vectors.empty()) return {};
-      std::vector<DataFile> out = std::move(vectors.back());
-      vectors.pop_back();
-      out.clear();
-      return out;
-    }
-    void Put(std::vector<DataFile>&& v) {
-      if (v.capacity() == 0) return;
-      std::lock_guard<std::mutex> lock(mu);
-      ++recycled_total;
-      if (vectors.size() < kMaxFreeVectors) vectors.push_back(std::move(v));
-    }
-    int64_t size() {
-      std::lock_guard<std::mutex> lock(mu);
-      return static_cast<int64_t>(vectors.size());
-    }
-    int64_t recycled() {
-      std::lock_guard<std::mutex> lock(mu);
-      return recycled_total;
-    }
-  };
-
-  struct Recycler {
-    std::shared_ptr<FreeList> free_list;
-    void operator()(const Manifest* m) const {
-      // Reclaim the file vector before destruction; the manifest is
-      // unreferenced here, so the const_cast does not break immutability
-      // as observed by any alive reader.
-      auto* mutable_m = const_cast<Manifest*>(m);
-      free_list->Put(std::move(mutable_m->files_));
-      delete m;
-    }
-  };
-
-  std::shared_ptr<common::StringInterner> interner_;
-  std::shared_ptr<FreeList> free_list_;
+  std::unique_ptr<Manifest> manifest_;
 };
 
 }  // namespace autocomp::lst

@@ -11,7 +11,7 @@ namespace autocomp::lst {
 
 namespace {
 
-void FileToBlob(const DataFile& f, common::BlobWriter* w) {
+void FileToBlob(const DataFileRef& f, common::BlobWriter* w) {
   w->WriteString(f.path);
   w->WriteString(f.partition);
   w->WriteI32(static_cast<int32_t>(f.content));
@@ -22,10 +22,11 @@ void FileToBlob(const DataFile& f, common::BlobWriter* w) {
   w->WriteI64(f.sequence_number);
 }
 
-DataFile FileFromBlob(common::BlobReader* r) {
-  DataFile f;
-  f.path = r->ReadString();
-  f.partition = r->ReadString();
+/// The entry's strings view the blob being decoded.
+DataFileRef FileFromBlob(common::BlobReader* r) {
+  DataFileRef f;
+  f.path = r->ReadStringView();
+  f.partition = r->ReadStringView();
   f.content = static_cast<FileContent>(r->ReadI32());
   f.file_size_bytes = r->ReadI64();
   f.record_count = r->ReadI64();
@@ -87,8 +88,8 @@ void TableMetadataToBlob(const TableMetadata& metadata,
   w->WriteU64(pool.size());
   for (const auto& [id, manifest] : pool) {
     w->WriteI64(id);
-    w->WriteU64(manifest->files().size());
-    for (const DataFile& f : manifest->files()) FileToBlob(f, w);
+    w->WriteU64(static_cast<uint64_t>(manifest->file_count()));
+    for (const DataFileRef& f : *manifest) FileToBlob(f, w);
   }
 
   w->WriteU64(metadata.snapshots().size());
@@ -159,18 +160,18 @@ Result<TableMetadataPtr> TableMetadataFromBlob(common::BlobReader* r) {
   builder.SetProperties(std::move(properties));
   builder.SetCreatedAt(created_at);
 
-  // Revive manifests through one shared factory so the restored lineage
+  // Revive manifests through the builder so the restored lineage
   // interns partition keys into a single arena (see
-  // TableMetadataFromJson, which this mirrors step for step).
-  auto factory = std::make_shared<ManifestFactory>();
-  builder.RestoreManifestFactory(factory);
+  // TableMetadataFromJson, which this mirrors step for step). Entries
+  // view the blob until their manifest has copied them.
   std::map<int64_t, ManifestPtr> pool;
+  std::vector<DataFileRef> files;
   const uint64_t manifest_count = r->ReadCount();
   for (uint64_t i = 0; i < manifest_count && r->ok(); ++i) {
     const int64_t id = r->ReadI64();
-    std::vector<DataFile> files(r->ReadCount());
-    for (DataFile& f : files) f = FileFromBlob(r);
-    pool.emplace(id, factory->Make(id, std::move(files)));
+    files.resize(r->ReadCount());
+    for (DataFileRef& f : files) f = FileFromBlob(r);
+    pool.emplace(id, builder.RestoreManifest(id, files));
   }
 
   std::vector<Snapshot> snapshots(r->ReadCount());

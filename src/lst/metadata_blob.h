@@ -10,9 +10,10 @@
 /// as TableMetadataToJson — schema, spec, properties, version counters,
 /// manifest pool, snapshot history — as length-prefixed binary, with
 /// doubles as raw IEEE-754 bits (no decimal round-trip). Restoration
-/// follows the exact recipe of TableMetadataFromJson: one shared
-/// ManifestFactory per lineage, SetSnapshots + AddSnapshot for the
-/// current snapshot, RestoreVersion/RestoreCounters last.
+/// follows the exact recipe of TableMetadataFromJson: manifests rebuilt
+/// through Builder::RestoreManifest (one partition interner per
+/// lineage), SetSnapshots + AddSnapshot for the current snapshot,
+/// RestoreVersion/RestoreCounters last.
 
 #pragma once
 
@@ -28,7 +29,7 @@ void TableMetadataToBlob(const TableMetadata& metadata,
 
 /// \brief Reads one metadata version written by TableMetadataToBlob.
 /// Round-trips everything the simulator consumes; the revived lineage
-/// shares one ManifestFactory (partition interner + buffer pool).
+/// shares one partition interner.
 Result<TableMetadataPtr> TableMetadataFromBlob(common::BlobReader* reader);
 
 }  // namespace autocomp::lst

@@ -56,10 +56,10 @@ Result<SnapshotOperation> OperationFromName(const std::string& name) {
 
 // ----- serialization ---------------------------------------------------
 
-JsonValue FileToJson(const DataFile& f) {
+JsonValue FileToJson(const DataFileRef& f) {
   JsonValue obj = JsonValue::Object();
-  obj.Set("path", f.path);
-  obj.Set("partition", f.partition);
+  obj.Set("path", std::string(f.path));
+  obj.Set("partition", std::string(f.partition));
   obj.Set("content", f.content == FileContent::kPositionDeletes
                          ? "position-deletes"
                          : "data");
@@ -155,9 +155,7 @@ std::string TableMetadataToJson(const TableMetadata& metadata) {
     JsonValue m = JsonValue::Object();
     m.Set("id", id);
     JsonValue files = JsonValue::Array();
-    for (const DataFile& f : manifest->files()) {
-      files.Append(FileToJson(f));
-    }
+    for (const DataFileRef& f : *manifest) files.Append(FileToJson(f));
     m.Set("files", std::move(files));
     manifests.Append(std::move(m));
   }
@@ -252,11 +250,9 @@ Result<TableMetadataPtr> TableMetadataFromJson(const std::string& json) {
   builder.SetProperties(std::move(properties));
   builder.SetCreatedAt(root.Get("created-at").as_int());
 
-  // Manifest pool, revived through one shared factory so the restored
-  // lineage interns partition keys into a single arena (and successor
-  // commits inherit it via Builder(base)).
-  auto factory = std::make_shared<ManifestFactory>();
-  builder.RestoreManifestFactory(factory);
+  // Manifest pool, revived through the builder so the restored lineage
+  // interns partition keys into a single arena (and successor commits
+  // inherit it via Builder(base)).
   std::map<int64_t, ManifestPtr> pool;
   for (const JsonValue& mj : root.Get("manifests").items()) {
     AUTOCOMP_ASSIGN_OR_RETURN(int64_t id, mj.Get("id").AsInt());
@@ -265,7 +261,10 @@ Result<TableMetadataPtr> TableMetadataFromJson(const std::string& json) {
       AUTOCOMP_ASSIGN_OR_RETURN(DataFile f, FileFromJson(fj));
       files.push_back(std::move(f));
     }
-    pool.emplace(id, factory->Make(id, std::move(files)));
+    std::vector<DataFileRef> views;
+    views.reserve(files.size());
+    for (const DataFile& f : files) views.push_back(f.view());
+    pool.emplace(id, builder.RestoreManifest(id, views));
   }
 
   // Snapshots. Build()'s consistency checks require the current snapshot

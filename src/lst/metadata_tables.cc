@@ -11,7 +11,7 @@ std::vector<PartitionRow> MetadataTables::Partitions() const {
   if (snap == nullptr) return {};
 
   // Last-modified per partition from the snapshot history.
-  std::map<std::string, SimTime> last_modified;
+  std::map<std::string, SimTime, std::less<>> last_modified;
   for (const Snapshot& s : metadata_->snapshots()) {
     for (const std::string& p : s.touched_partitions) {
       last_modified[p] = std::max(last_modified[p], s.timestamp);
@@ -19,8 +19,8 @@ std::vector<PartitionRow> MetadataTables::Partitions() const {
   }
 
   for (const ManifestPtr& m : snap->manifests) {
-    for (const DataFile& f : m->files()) {
-      PartitionRow& row = rows[f.partition];
+    for (const DataFileRef& f : *m) {
+      PartitionRow& row = rows[std::string(f.partition)];
       if (row.file_count == 0) {
         row.partition = f.partition;
         row.smallest_file_bytes = f.file_size_bytes;
@@ -80,15 +80,16 @@ std::vector<ManifestRow> MetadataTables::Manifests() const {
 std::vector<DataFile> MetadataTables::FilesAddedAfter(
     int64_t after_snapshot_id) const {
   std::vector<DataFile> out;
-  ForEachFileAddedAfter(after_snapshot_id,
-                        [&out](const DataFile& f) { out.push_back(f); });
+  ForEachFileAddedAfter(after_snapshot_id, [&out](const DataFileRef& f) {
+    out.push_back(f.ToDataFile());
+  });
   return out;
 }
 
 void MetadataTables::ForEachFileAddedAfter(
     int64_t after_snapshot_id,
-    const std::function<void(const DataFile&)>& fn) const {
-  metadata_->ForEachLiveFile([&](const DataFile& f) {
+    const std::function<void(const DataFileRef&)>& fn) const {
+  metadata_->ForEachLiveFile([&](const DataFileRef& f) {
     if (f.added_snapshot_id > after_snapshot_id) fn(f);
   });
 }

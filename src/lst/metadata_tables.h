@@ -76,12 +76,12 @@ class MetadataTables {
   /// live (supports snapshot-scoped compaction candidates, §4.1).
   std::vector<DataFile> FilesAddedAfter(int64_t after_snapshot_id) const;
 
-  /// Zero-copy variant of FilesAddedAfter: visits the matching files in
-  /// place instead of materializing DataFile copies — the observe phase's
-  /// snapshot-scope hot path.
-  void ForEachFileAddedAfter(int64_t after_snapshot_id,
-                             const std::function<void(const DataFile&)>& fn)
-      const;
+  /// Zero-copy variant of FilesAddedAfter: visits the matching files as
+  /// manifest views instead of materializing DataFile copies — the
+  /// observe phase's snapshot-scope hot path.
+  void ForEachFileAddedAfter(
+      int64_t after_snapshot_id,
+      const std::function<void(const DataFileRef&)>& fn) const;
 
  private:
   TableMetadataPtr metadata_;

@@ -2,11 +2,38 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
+#include <string_view>
 
 #include "fault/fault_injector.h"
 
 namespace autocomp::lst {
+
+namespace {
+
+/// Every path in `snapshots`' manifests, sorted and deduplicated, as
+/// views into those manifests. Snapshots share most of their manifests,
+/// so each distinct manifest is read once.
+std::vector<std::string_view> DistinctPaths(
+    const std::vector<const Snapshot*>& snapshots) {
+  std::vector<const Manifest*> manifests;
+  for (const Snapshot* s : snapshots) {
+    for (const ManifestPtr& m : s->manifests) manifests.push_back(m.get());
+  }
+  std::sort(manifests.begin(), manifests.end());
+  manifests.erase(std::unique(manifests.begin(), manifests.end()),
+                  manifests.end());
+  std::vector<std::string_view> paths;
+  for (const Manifest* m : manifests) {
+    for (size_t i = 0; i < static_cast<size_t>(m->file_count()); ++i) {
+      paths.push_back(m->path(i));
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
+  return paths;
+}
+
+}  // namespace
 
 Table::Table(MetadataStore* store, std::string name, const Clock* clock)
     : store_(store), name_(std::move(name)), clock_(clock) {
@@ -25,20 +52,22 @@ Result<Transaction> Table::NewTransaction(ValidationMode mode) const {
 
 Result<ScanPlan> Table::PlanScan(
     const std::optional<std::string>& partition) const {
-  AUTOCOMP_ASSIGN_OR_RETURN(TableMetadataPtr meta, Metadata());
   ScanPlan plan;
-  const Snapshot* snap = meta->current_snapshot();
+  AUTOCOMP_ASSIGN_OR_RETURN(plan.metadata, Metadata());
+  const Snapshot* snap = plan.metadata->current_snapshot();
   if (snap == nullptr) return plan;
   plan.snapshot_id = snap->snapshot_id;
+  if (!partition) {
+    plan.files.reserve(static_cast<size_t>(snap->live_file_count()));
+  }
   for (const ManifestPtr& m : snap->manifests) {
-    if (partition && !m->ContainsPartition(*partition)) continue;  // pruned
-    ++plan.manifests_scanned;
-    for (const DataFile& f : m->files()) {
-      if (partition && f.partition != *partition) continue;
-      plan.total_bytes += f.file_size_bytes;
-      plan.total_records += f.record_count;
-      plan.files.push_back(f);
-    }
+    const bool scanned =
+        m->ForEachFile(partition, [&plan](const DataFileRef& f) {
+          plan.total_bytes += f.file_size_bytes;
+          plan.total_records += f.record_count;
+          plan.files.push_back(f);
+        });
+    if (scanned) ++plan.manifests_scanned;  // else pruned
   }
   return plan;
 }
@@ -59,14 +88,14 @@ Result<ExpireResult> ExpireSnapshots(MetadataStore* store,
 
     const size_t keep_tail =
         std::min(snapshots.size(), static_cast<size_t>(std::max(1, keep_last)));
-    std::vector<Snapshot> retained;
+    std::vector<const Snapshot*> retained;
     std::vector<const Snapshot*> expired;
     for (size_t i = 0; i < snapshots.size(); ++i) {
       const Snapshot& s = snapshots[i];
       const bool in_tail = i + keep_tail >= snapshots.size();
       const bool is_current = s.snapshot_id == meta->current_snapshot_id();
       if (in_tail || is_current || s.timestamp >= older_than) {
-        retained.push_back(s);
+        retained.push_back(&s);
       } else {
         expired.push_back(&s);
       }
@@ -75,24 +104,22 @@ Result<ExpireResult> ExpireSnapshots(MetadataStore* store,
       return ExpireResult{meta, {}, 0};
     }
 
-    // Live paths across all retained snapshots stay on disk.
-    std::set<std::string> referenced;
-    for (const Snapshot& s : retained) {
-      for (const ManifestPtr& m : s.manifests) {
-        for (const DataFile& f : m->files()) referenced.insert(f.path);
-      }
-    }
-    std::set<std::string> orphaned;
-    for (const Snapshot* s : expired) {
-      for (const ManifestPtr& m : s->manifests) {
-        for (const DataFile& f : m->files()) {
-          if (referenced.count(f.path) == 0) orphaned.insert(f.path);
-        }
+    // Live paths across all retained snapshots stay on disk; the other
+    // paths of expired snapshots are orphans (views of `meta`'s
+    // manifests, sorted).
+    const std::vector<std::string_view> referenced = DistinctPaths(retained);
+    std::vector<std::string_view> orphaned;
+    for (const std::string_view path : DistinctPaths(expired)) {
+      if (!std::binary_search(referenced.begin(), referenced.end(), path)) {
+        orphaned.push_back(path);
       }
     }
 
+    std::vector<Snapshot> kept;
+    kept.reserve(retained.size());
+    for (const Snapshot* s : retained) kept.push_back(*s);
     TableMetadata::Builder builder(*meta);
-    builder.SetSnapshots(std::move(retained));
+    builder.SetSnapshots(std::move(kept));
     builder.SetLastUpdatedAt(clock->Now());
     AUTOCOMP_ASSIGN_OR_RETURN(TableMetadataPtr next, builder.Build());
     // Injected commit faults on the maintenance path: a CAS race means a

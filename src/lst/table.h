@@ -15,7 +15,11 @@ namespace autocomp::lst {
 
 /// \brief Result of scan planning: the files a query must read.
 struct ScanPlan {
-  std::vector<DataFile> files;
+  /// The metadata version planned. It pins the manifests `files` view,
+  /// so a plan stays readable however the table moves on.
+  TableMetadataPtr metadata;
+  /// The files to read, as views of the pinned manifests.
+  std::vector<DataFileRef> files;
   int64_t total_bytes = 0;
   int64_t total_records = 0;
   /// Manifests inspected during planning — planning cost grows with

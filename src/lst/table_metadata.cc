@@ -49,29 +49,26 @@ std::vector<const Snapshot*> TableMetadata::SnapshotsAfter(
 std::vector<DataFile> TableMetadata::LiveFiles(
     const std::optional<std::string>& partition) const {
   std::vector<DataFile> out;
-  ForEachLiveFile([&out](const DataFile& f) { out.push_back(f); }, partition);
+  ForEachLiveFile(
+      [&out](const DataFileRef& f) { out.push_back(f.ToDataFile()); },
+      partition);
   return out;
 }
 
 void TableMetadata::ForEachLiveFile(
-    const std::function<void(const DataFile&)>& fn,
+    const std::function<void(const DataFileRef&)>& fn,
     const std::optional<std::string>& partition) const {
   const Snapshot* snap = current_snapshot();
   if (snap == nullptr) return;
-  for (const ManifestPtr& m : snap->manifests) {
-    if (partition && !m->ContainsPartition(*partition)) continue;
-    for (const DataFile& f : m->files()) {
-      if (!partition || f.partition == *partition) fn(f);
-    }
-  }
+  for (const ManifestPtr& m : snap->manifests) m->ForEachFile(partition, fn);
 }
 
-bool TableMetadata::IsLive(const std::string& path) const {
+bool TableMetadata::IsLive(std::string_view path) const {
   const Snapshot* snap = current_snapshot();
   if (snap == nullptr) return false;
   for (const ManifestPtr& m : snap->manifests) {
-    for (const DataFile& f : m->files()) {
-      if (f.path == path) return true;
+    for (size_t i = 0; i < static_cast<size_t>(m->file_count()); ++i) {
+      if (m->path(i) == path) return true;
     }
   }
   return false;
@@ -115,17 +112,12 @@ TableMetadata::Builder::Builder(std::string name, std::string location,
   meta_.schema_ = std::move(schema);
   meta_.spec_ = std::move(spec);
   meta_.version_ = 1;
-  meta_.manifest_factory_ = std::make_shared<ManifestFactory>();
+  meta_.partition_interner_ = std::make_shared<common::StringInterner>();
 }
 
 TableMetadata::Builder::Builder(const TableMetadata& base) {
   meta_ = base;
   meta_.version_ = base.version_ + 1;
-  // Successors share the lineage factory (interner + buffer pool); only
-  // metadata predating the factory (none today) would need a fresh one.
-  if (meta_.manifest_factory_ == nullptr) {
-    meta_.manifest_factory_ = std::make_shared<ManifestFactory>();
-  }
 }
 
 TableMetadata::Builder& TableMetadata::Builder::SetProperties(
@@ -179,10 +171,14 @@ TableMetadata::Builder& TableMetadata::Builder::RestoreCounters(
   return *this;
 }
 
-TableMetadata::Builder& TableMetadata::Builder::RestoreManifestFactory(
-    std::shared_ptr<ManifestFactory> factory) {
-  if (factory != nullptr) meta_.manifest_factory_ = std::move(factory);
-  return *this;
+ManifestPtr TableMetadata::Builder::RestoreManifest(
+    int64_t manifest_id, const std::vector<DataFileRef>& files) {
+  size_t path_bytes = 0;
+  for (const DataFileRef& f : files) path_bytes += f.path.size();
+  ManifestWriter writer(manifest_id, meta_.partition_interner_, files.size(),
+                        path_bytes);
+  for (const DataFileRef& f : files) writer.Add(f);
+  return writer.Finish();
 }
 
 int64_t TableMetadata::Builder::AllocateSnapshotId() {
@@ -197,13 +193,10 @@ int64_t TableMetadata::Builder::AllocateSequenceNumber() {
   return meta_.next_sequence_number_++;
 }
 
-ManifestPtr TableMetadata::Builder::NewManifest(std::vector<DataFile> files) {
-  return meta_.manifest_factory_->Make(AllocateManifestId(),
-                                       std::move(files));
-}
-
-std::vector<DataFile> TableMetadata::Builder::TakeFileBuffer() {
-  return meta_.manifest_factory_->TakeBuffer();
+ManifestWriter TableMetadata::Builder::NewManifest(size_t file_count,
+                                                   size_t path_bytes) {
+  return ManifestWriter(AllocateManifestId(), meta_.partition_interner_,
+                        file_count, path_bytes);
 }
 
 Result<TableMetadataPtr> TableMetadata::Builder::Build() {
@@ -241,14 +234,19 @@ ManifestList MaybeMergeManifests(ManifestList manifests, int64_t max_manifests,
             });
   const size_t to_merge =
       manifests.size() - static_cast<size_t>(max_manifests) + 1;
-  std::vector<DataFile> merged_files = builder->TakeFileBuffer();
+  size_t file_count = 0;
+  size_t path_bytes = 0;
   for (size_t i = 0; i < to_merge; ++i) {
-    const auto& files = manifests[i]->files();
-    merged_files.insert(merged_files.end(), files.begin(), files.end());
+    file_count += static_cast<size_t>(manifests[i]->file_count());
+    path_bytes += manifests[i]->path_bytes();
+  }
+  ManifestWriter merged = builder->NewManifest(file_count, path_bytes);
+  for (size_t i = 0; i < to_merge; ++i) {
+    for (const DataFileRef& f : *manifests[i]) merged.Add(f);
   }
   ManifestList out(manifests.begin() + static_cast<ptrdiff_t>(to_merge),
                    manifests.end());
-  out.push_back(builder->NewManifest(std::move(merged_files)));
+  out.push_back(merged.Finish());
   // Restore deterministic ordering by manifest id.
   std::sort(out.begin(), out.end(),
             [](const ManifestPtr& a, const ManifestPtr& b) {

@@ -9,6 +9,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/config.h"
@@ -69,21 +70,22 @@ class TableMetadata {
   /// lineage (oldest first). Used by conflict validation.
   std::vector<const Snapshot*> SnapshotsAfter(int64_t snapshot_id) const;
 
-  /// Live data files of the current snapshot, optionally restricted to
-  /// one partition key. Empty when no snapshot.
+  /// Live data files of the current snapshot as owning copies,
+  /// optionally restricted to one partition key. Empty when no snapshot.
   std::vector<DataFile> LiveFiles(
       const std::optional<std::string>& partition = std::nullopt) const;
 
   /// Zero-copy visitation of the current snapshot's live files,
-  /// optionally restricted to one partition key. Unlike LiveFiles() this
-  /// never materializes DataFile copies — the hot path for fleet-scale
-  /// observation and commit validation, where only a scan is needed.
+  /// optionally restricted to one partition key: each file is a view of
+  /// its manifest's columns, valid while this metadata is alive — the
+  /// hot path for fleet-scale observation and commit validation, where
+  /// only a scan is needed.
   void ForEachLiveFile(
-      const std::function<void(const DataFile&)>& fn,
+      const std::function<void(const DataFileRef&)>& fn,
       const std::optional<std::string>& partition = std::nullopt) const;
 
   /// True if `path` is live in the current snapshot.
-  bool IsLive(const std::string& path) const;
+  bool IsLive(std::string_view path) const;
 
   /// Distinct partition keys present in the current snapshot.
   std::vector<std::string> LivePartitions() const;
@@ -99,14 +101,6 @@ class TableMetadata {
   /// Target on-disk file size for writes/compaction; falls back to 512MiB
   /// (the paper's target, §2).
   int64_t target_file_size_bytes() const;
-
-  /// Per-lineage manifest allocator: shared partition-key interner plus
-  /// the recycled-buffer pool. Successor versions built via
-  /// Builder(base) inherit it, so every manifest in a table's history
-  /// interns partition keys into one arena. Never nullptr.
-  const std::shared_ptr<ManifestFactory>& manifest_factory() const {
-    return manifest_factory_;
-  }
 
  private:
   friend class Builder;
@@ -125,7 +119,10 @@ class TableMetadata {
   int64_t next_snapshot_id_ = 1;
   int64_t next_manifest_id_ = 1;
   int64_t next_sequence_number_ = 1;
-  std::shared_ptr<ManifestFactory> manifest_factory_;
+  /// The lineage's partition-key interner. Successor versions built via
+  /// Builder(base) inherit it, so every manifest in a table's history
+  /// interns partition keys into one arena. Never nullptr.
+  std::shared_ptr<common::StringInterner> partition_interner_;
 };
 
 /// \brief Builds a new (or successor) TableMetadata.
@@ -156,24 +153,22 @@ class TableMetadata::Builder {
   int64_t AllocateManifestId();
   int64_t AllocateSequenceNumber();
 
-  /// Allocates an id and builds a manifest through the lineage's
-  /// ManifestFactory: shared partition interner, pooled file vectors.
-  /// All commit paths construct manifests through this.
-  ManifestPtr NewManifest(std::vector<DataFile> files);
-
-  /// A (possibly recycled) empty buffer to assemble file lists into;
-  /// pairs with NewManifest so steady-state commits reuse capacity.
-  std::vector<DataFile> TakeFileBuffer();
+  /// Allocates a manifest id and returns a writer for a manifest of
+  /// exactly `file_count` entries and `path_bytes` path bytes that
+  /// shares the lineage's partition interner. All commit paths build
+  /// manifests through this.
+  ManifestWriter NewManifest(size_t file_count, size_t path_bytes);
 
   /// Deserialization-only: restore the exact version and id counters of
   /// a persisted metadata document (normal commits never call these).
   Builder& RestoreVersion(int64_t version);
   Builder& RestoreCounters(int64_t next_snapshot_id, int64_t next_manifest_id,
                            int64_t next_sequence_number);
-  /// Deserialization-only: install the factory the restored manifests
-  /// were built through, so the revived lineage keeps one shared
-  /// partition interner instead of per-manifest arenas.
-  Builder& RestoreManifestFactory(std::shared_ptr<ManifestFactory> factory);
+  /// Deserialization-only: rebuilds a persisted manifest under its own
+  /// id in the lineage's partition interner, so the revived lineage
+  /// keeps one shared arena instead of per-manifest ones.
+  ManifestPtr RestoreManifest(int64_t manifest_id,
+                              const std::vector<DataFileRef>& files);
 
   Result<TableMetadataPtr> Build();
 

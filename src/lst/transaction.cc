@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
+#include <string_view>
 
 #include "common/logging.h"
 #include "fault/fault_injector.h"
@@ -108,11 +110,11 @@ Status Transaction::ValidateAgainst(const TableMetadata& current) const {
       // snapshot's manifests in place — materializing LiveFiles() here
       // copied every live DataFile (paths, partitions) per validation,
       // which dominates rebase cost on large tables.
-      std::set<std::string> my_partitions;
-      std::set<std::string> my_inputs(replaced_paths_.begin(),
-                                      replaced_paths_.end());
-      base_->ForEachLiveFile([&](const DataFile& f) {
-        if (my_inputs.count(f.path) > 0) my_partitions.insert(f.partition);
+      std::set<std::string, std::less<>> my_partitions;
+      const std::set<std::string, std::less<>> my_inputs(
+          replaced_paths_.begin(), replaced_paths_.end());
+      base_->ForEachLiveFile([&](const DataFileRef& f) {
+        if (my_inputs.count(f.path) > 0) my_partitions.emplace(f.partition);
       });
       for (const Snapshot* s : intervening) {
         // Fast-appends never invalidate a rewrite: they only add files,
@@ -190,59 +192,89 @@ Result<TableMetadataPtr> Transaction::Apply(const TableMetadata& current,
   ManifestList manifests =
       base_snap == nullptr ? ManifestList{} : base_snap->manifests;
 
-  auto removed = std::make_shared<std::set<std::string>>();
+  std::shared_ptr<const std::set<std::string>> removed;
 
   if (!replaced_paths_.empty()) {
-    const std::set<std::string> to_remove(replaced_paths_.begin(),
-                                          replaced_paths_.end());
+    // The staged paths sorted and deduplicated; found[k] marks
+    // to_remove[k] as seen live. Manifests are filtered straight from
+    // their columns: untouched ones are shared, touched ones are
+    // rewritten at the exact size of their survivors.
+    std::vector<std::string_view> to_remove(replaced_paths_.begin(),
+                                            replaced_paths_.end());
+    std::sort(to_remove.begin(), to_remove.end());
+    to_remove.erase(std::unique(to_remove.begin(), to_remove.end()),
+                    to_remove.end());
+    std::vector<bool> found(to_remove.size(), false);
+    std::vector<size_t> hits;  // removed entries of one manifest, in order
     ManifestList filtered;
     filtered.reserve(manifests.size());
     for (const ManifestPtr& m : manifests) {
-      const bool touched = std::any_of(
-          m->files().begin(), m->files().end(),
-          [&](const DataFile& f) { return to_remove.count(f.path) > 0; });
-      if (!touched) {
+      hits.clear();
+      size_t hit_path_bytes = 0;
+      const auto count = static_cast<size_t>(m->file_count());
+      for (size_t i = 0; i < count; ++i) {
+        const std::string_view path = m->path(i);
+        const auto it =
+            std::lower_bound(to_remove.begin(), to_remove.end(), path);
+        if (it == to_remove.end() || *it != path) continue;
+        found[static_cast<size_t>(it - to_remove.begin())] = true;
+        hits.push_back(i);
+        hit_path_bytes += path.size();
+      }
+      if (hits.empty()) {
         filtered.push_back(m);
         continue;
       }
-      std::vector<DataFile> kept = builder.TakeFileBuffer();
-      kept.reserve(m->files().size());
-      for (const DataFile& f : m->files()) {
-        if (to_remove.count(f.path) > 0) {
-          snap.deleted_files += 1;
-          snap.deleted_bytes += f.file_size_bytes;
-          snap.touched_partitions.insert(f.partition);
-          removed->insert(f.path);
-          delta->removed.push_back(f);
+      for (const size_t i : hits) {
+        const DataFileRef f = m->file(i);
+        snap.deleted_files += 1;
+        snap.deleted_bytes += f.file_size_bytes;
+        snap.touched_partitions.emplace(f.partition);
+        delta->removed.push_back(f.ToDataFile());
+      }
+      if (hits.size() == count) continue;
+      ManifestWriter kept = builder.NewManifest(
+          count - hits.size(), m->path_bytes() - hit_path_bytes);
+      for (size_t i = 0, h = 0; i < count; ++i) {
+        if (h < hits.size() && hits[h] == i) {
+          ++h;
         } else {
-          kept.push_back(f);
+          kept.Add(m->file(i));
         }
       }
-      if (!kept.empty()) {
-        filtered.push_back(builder.NewManifest(std::move(kept)));
-      }
+      filtered.push_back(kept.Finish());
     }
     manifests = std::move(filtered);
     // Replaced paths that were not live: appends racing deletes could
     // cause this; validation should have caught genuine conflicts.
-    if (removed->size() != replaced_paths_.size()) {
+    if (static_cast<size_t>(std::count(found.begin(), found.end(), true)) !=
+        replaced_paths_.size()) {
       return Conflict(ConflictKind::kReplacedNotLive,
                       "some replaced files are not live in " + table_name_);
     }
+    removed = std::make_shared<const std::set<std::string>>(
+        to_remove.begin(), to_remove.end());
   }
 
   if (!added_.empty()) {
-    std::vector<DataFile> stamped = added_;
-    for (DataFile& f : stamped) {
-      f.added_snapshot_id = snap.snapshot_id;
-      f.sequence_number = snap.sequence_number;
+    // Stamped views go straight into the new manifest's columns; the
+    // delta keeps the one owning copy.
+    size_t path_bytes = 0;
+    for (const DataFile& f : added_) path_bytes += f.path.size();
+    ManifestWriter appended = builder.NewManifest(added_.size(), path_bytes);
+    delta->added.reserve(added_.size());
+    for (const DataFile& f : added_) {
+      DataFileRef stamped = f.view();
+      stamped.added_snapshot_id = snap.snapshot_id;
+      stamped.sequence_number = snap.sequence_number;
       snap.added_files += 1;
       snap.added_bytes += f.file_size_bytes;
       snap.added_records += f.record_count;
       snap.touched_partitions.insert(f.partition);
+      appended.Add(stamped);
+      delta->added.push_back(stamped.ToDataFile());
     }
-    delta->added = stamped;
-    manifests.push_back(builder.NewManifest(std::move(stamped)));
+    manifests.push_back(appended.Finish());
   }
 
   const int64_t max_manifests =
@@ -251,9 +283,7 @@ Result<TableMetadataPtr> Transaction::Apply(const TableMetadata& current,
                                   &builder);
 
   snap.manifests = std::move(manifests);
-  snap.removed_paths =
-      removed->empty() ? nullptr
-                       : std::shared_ptr<const std::set<std::string>>(removed);
+  snap.removed_paths = std::move(removed);
   builder.AddSnapshot(std::move(snap));
   builder.SetLastUpdatedAt(clock_->Now());
   return builder.Build();

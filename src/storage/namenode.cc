@@ -141,10 +141,10 @@ Status NameNode::CreateFile(const std::string& path, int64_t size_bytes,
   return Status::OK();
 }
 
-Status NameNode::DeleteFile(const std::string& path) {
+Status NameNode::DeleteFile(std::string_view path) {
   const auto it = files_.find(path);
   if (it == files_.end()) {
-    return Status::NotFound("no such file: " + path);
+    return Status::NotFound("no such file: " + std::string(path));
   }
   files_.erase(it);
   --stats_.total_objects;
@@ -159,7 +159,7 @@ Status NameNode::DeleteFile(const std::string& path) {
   return Status::OK();
 }
 
-Result<FileInfo> NameNode::Open(const std::string& path) {
+Result<FileInfo> NameNode::Open(std::string_view path) {
   ++stats_.open_calls;
   CountRpc();
   // Injected read timeout, on top of the organic load model. Counted in
@@ -170,7 +170,7 @@ Result<FileInfo> NameNode::Open(const std::string& path) {
     if (trace_ != nullptr && trace_->enabled(obs::TraceLevel::kFull)) {
       trace_->Instant(obs::TraceLevel::kFull, obs::SpanCategory::kStorage,
                       "storage.open_timeout", clock_->Now(),
-                      "path=" + path + ";injected=1");
+                      "path=" + std::string(path) + ";injected=1");
     }
     return fault::FaultInjector::ToStatus(fault::FaultKind::kTimeout,
                                           fault::kSiteStorageOpen, path);
@@ -193,28 +193,28 @@ Result<FileInfo> NameNode::Open(const std::string& path) {
     if (trace_ != nullptr && trace_->enabled(obs::TraceLevel::kFull)) {
       trace_->Instant(obs::TraceLevel::kFull, obs::SpanCategory::kStorage,
                       "storage.open_timeout", clock_->Now(),
-                      "path=" + path + ";injected=0", p_timeout);
+                      "path=" + std::string(path) + ";injected=0", p_timeout);
     }
     return Status::TimedOut("read timeout under NameNode RPC pressure: " +
-                            path);
+                            std::string(path));
   }
   const auto it = files_.find(path);
   if (it == files_.end()) {
-    return Status::NotFound("no such file: " + path);
+    return Status::NotFound("no such file: " + std::string(path));
   }
   return ToInfo(*it);
 }
 
-Result<FileInfo> NameNode::Stat(const std::string& path) const {
+Result<FileInfo> NameNode::Stat(std::string_view path) const {
   const auto it = files_.find(path);
   if (it == files_.end()) {
-    return Status::NotFound("no such file: " + path);
+    return Status::NotFound("no such file: " + std::string(path));
   }
   return ToInfo(*it);
 }
 
-bool NameNode::Exists(const std::string& path) const {
-  return files_.count(path) > 0;
+bool NameNode::Exists(std::string_view path) const {
+  return files_.find(path) != files_.end();
 }
 
 void NameNode::ForEachFile(

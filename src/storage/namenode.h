@@ -13,6 +13,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/blob.h"
@@ -102,15 +103,15 @@ class NameNode {
 
   /// Removes a file; its empty parent directories are retained (HDFS
   /// keeps directories until explicitly removed; the simulator follows).
-  Status DeleteFile(const std::string& path);
+  Status DeleteFile(std::string_view path);
 
   /// Read-opens a file: counts an open() RPC and may time out under load.
-  Result<FileInfo> Open(const std::string& path);
+  Result<FileInfo> Open(std::string_view path);
 
   /// Metadata lookup without the timeout model (planner-side access).
-  Result<FileInfo> Stat(const std::string& path) const;
+  Result<FileInfo> Stat(std::string_view path) const;
 
-  bool Exists(const std::string& path) const;
+  bool Exists(std::string_view path) const;
 
   /// Visits every file path in the namespace, in path order, without RPC
   /// accounting (the invariant checker's audit path must not perturb the
@@ -204,7 +205,7 @@ class NameNode {
     int64_t record_count = 0;
     SimTime created_at = 0;
   };
-  using FileMap = std::map<std::string, FileRecord>;
+  using FileMap = std::map<std::string, FileRecord, std::less<>>;
   static FileInfo ToInfo(const FileMap::value_type& file);
 
   void CountRpc(int64_t n = 1);

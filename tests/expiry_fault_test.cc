@@ -158,6 +158,19 @@ TEST(ExpiryFaultTest, InjectedCommitRacesNeverLoseLiveFiles) {
   }
   const fault::InvariantChecker checker;
   EXPECT_TRUE(checker.CheckOrFail(catalog).ok());
+
+  // Every lineage expired down to its head, so storage holds no data
+  // file outside a current snapshot: the orphan audit passes, and then
+  // flags exactly the one stray file planted under a table.
+  fault::InvariantCheckerOptions orphan_options;
+  orphan_options.check_orphans = true;
+  const fault::InvariantChecker orphan_checker(orphan_options);
+  EXPECT_TRUE(orphan_checker.CheckOrFail(catalog).ok());
+  ASSERT_TRUE(nn.CreateFile("/data/db/t0/stray.parquet", 10, 1).ok());
+  const auto violations = orphan_checker.Check(catalog);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].message,
+            "orphan data file in storage: /data/db/t0/stray.parquet");
 }
 
 // The simulated maintenance loop end to end: a multi-day fleet replay

@@ -16,7 +16,9 @@
 #include <string>
 #include <utility>
 
+#include "catalog/catalog.h"
 #include "common/blob.h"
+#include "common/counter_rng.h"
 #include "common/thread_pool.h"
 #include "fault/fault_injector.h"
 #include "lst/metadata_blob.h"
@@ -285,6 +287,94 @@ TEST(MetadataBlobTest, RoundTripsLineageExactly) {
   EXPECT_TRUE(reader.exhausted());
   EXPECT_EQ(lst::TableMetadataToJson(**metadata),
             lst::TableMetadataToJson(**restored));
+}
+
+// A lineage exercising every field both codecs write: two month
+// partitions plus a long partition key, a MoR delete file, clustered
+// files, paths of very different lengths, removed paths from a rewrite,
+// an overwrite and a delete, over five snapshots.
+lst::TableMetadataPtr RichLineage(SimulatedClock* clock,
+                                  catalog::Catalog* catalog) {
+  EXPECT_TRUE(catalog->CreateDatabase("db").ok());
+  auto table = catalog->CreateTable(
+      "db", "t",
+      lst::Schema(0, {{1, "id", lst::FieldType::kInt64, true},
+                      {2, "d", lst::FieldType::kDate, true}}),
+      lst::PartitionSpec(1, {{2, lst::Transform::kMonth, "m"}}));
+  EXPECT_TRUE(table.ok());
+  const auto file = [](std::string path, std::string partition,
+                       lst::FileContent content, int64_t size,
+                       bool clustered) {
+    lst::DataFile f{std::move(path), std::move(partition), content, size,
+                    size / 10};
+    f.clustered = clustered;
+    return f;
+  };
+  const std::string long_partition = "m=" + std::string(40, 'x');
+  const std::string long_path =
+      "/data/db/t/" + long_partition + "/" + std::string(250, 'p');
+  const auto commit = [&](auto stage) {
+    auto txn = table->NewTransaction();
+    ASSERT_TRUE(txn.ok());
+    ASSERT_TRUE(stage(&*txn).ok());
+    ASSERT_TRUE(txn->Commit().ok());
+    clock->Advance(kHour);
+  };
+  commit([&](lst::Transaction* txn) {
+    return txn->Append(
+        {file("/data/db/t/m=2024-01/a", "m=2024-01", lst::FileContent::kData,
+              100, false),
+         file("/data/db/t/m=2024-02/b", "m=2024-02", lst::FileContent::kData,
+              200, true),
+         file(long_path, long_partition, lst::FileContent::kData, 300,
+              false)});
+  });
+  commit([&](lst::Transaction* txn) {
+    return txn->Append({file("/data/db/t/m=2024-01/d1", "m=2024-01",
+                             lst::FileContent::kPositionDeletes, 20, false)});
+  });
+  commit([&](lst::Transaction* txn) {
+    return txn->RewriteFiles(
+        {"/data/db/t/m=2024-01/a", "/data/db/t/m=2024-01/d1"},
+        {file("/data/db/t/m=2024-01/c", "m=2024-01", lst::FileContent::kData,
+              90, true)});
+  });
+  commit([&](lst::Transaction* txn) {
+    return txn->Overwrite({"/data/db/t/m=2024-02/b"},
+                          {file("/data/db/t/m=2024-02/o", "m=2024-02",
+                                lst::FileContent::kData, 180, false)});
+  });
+  commit([&](lst::Transaction* txn) {
+    return txn->DeleteFiles({long_path});
+  });
+  auto metadata = catalog->LoadTable("db.t");
+  EXPECT_TRUE(metadata.ok());
+  return *metadata;
+}
+
+// Both codecs' bytes are pinned: a change to how manifests hold their
+// entries must not move a single byte of the checkpoint blob (whose
+// layout kLaneBlobVersion names) or of the persisted JSON document.
+TEST(MetadataBlobTest, CodecBytesArePinned) {
+  SimulatedClock clock(1000);
+  storage::NameNode nn(&clock);
+  catalog::Catalog catalog(&clock, &nn);
+  const lst::TableMetadataPtr metadata = RichLineage(&clock, &catalog);
+  ASSERT_NE(metadata, nullptr);
+  ASSERT_EQ(metadata->snapshots().size(), 5u);
+
+  common::BlobWriter writer;
+  lst::TableMetadataToBlob(*metadata, &writer);
+  const std::string blob = writer.Take();
+  const std::string json = lst::TableMetadataToJson(*metadata);
+  EXPECT_EQ(CounterRng::HashString(blob), 0x577745ae2e8f9a8fULL);
+  EXPECT_EQ(CounterRng::HashString(json), 0xea72a73aabbf82b3ULL);
+
+  common::BlobReader reader(blob);
+  auto restored = lst::TableMetadataFromBlob(&reader);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_TRUE(reader.exhausted());
+  EXPECT_EQ(lst::TableMetadataToJson(**restored), json);
 }
 
 // A held checkpoint must not carry the writer's doubling slack: Take()

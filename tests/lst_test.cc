@@ -908,6 +908,136 @@ TEST_F(TransactionTest, FilesAddedAfterSupportsSnapshotScope) {
   EXPECT_EQ(fresh[0].path, "/new");
 }
 
+// -------------------------------------------------------------- Manifest
+
+/// DataFile::operator== compares paths only, so a field-by-field check.
+void ExpectSameFile(const DataFile& want, const DataFileRef& got) {
+  EXPECT_EQ(got.path, want.path);
+  EXPECT_EQ(got.partition, want.partition) << want.path;
+  EXPECT_EQ(got.content, want.content) << want.path;
+  EXPECT_EQ(got.file_size_bytes, want.file_size_bytes) << want.path;
+  EXPECT_EQ(got.record_count, want.record_count) << want.path;
+  EXPECT_EQ(got.clustered, want.clustered) << want.path;
+  EXPECT_EQ(got.added_snapshot_id, want.added_snapshot_id) << want.path;
+  EXPECT_EQ(got.sequence_number, want.sequence_number) << want.path;
+}
+
+/// Both contents, clustered on and off, an empty, a short and a long
+/// partition key, a 15-byte and a 300-byte path; every number distinct.
+std::vector<DataFile> FieldCoverageFiles() {
+  const std::string long_key = "region=" + std::string(60, 'k');
+  const std::string long_path = "/data/db/t/" + std::string(289, 'x');
+  std::vector<DataFile> files = {
+      {"/data/db/t/f001", "", FileContent::kData, 101, 11, false, 3, 4},
+      {long_path, long_key, FileContent::kPositionDeletes, 202, 22, true, 5,
+       6},
+      {"/data/db/t/m=01/a", "m=01", FileContent::kData, 303, 33, true, 7, 8},
+      {"/data/db/t/m=01/d", "m=01", FileContent::kPositionDeletes, 404, 44,
+       false, 9, 10},
+      {"/data/db/t/g", long_key, FileContent::kData, 505, 55, false, 11, 12},
+  };
+  EXPECT_EQ(files[0].path.size(), 15u);
+  EXPECT_EQ(files[1].path.size(), 300u);
+  return files;
+}
+
+TEST(ManifestTest, EveryFieldSurvivesTheColumns) {
+  const std::vector<DataFile> files = FieldCoverageFiles();
+  const Manifest manifest(42, files);
+  EXPECT_EQ(manifest.manifest_id(), 42);
+  ASSERT_EQ(manifest.file_count(), static_cast<int64_t>(files.size()));
+  int64_t total_bytes = 0;
+  size_t path_bytes = 0;
+  for (size_t i = 0; i < files.size(); ++i) {
+    ExpectSameFile(files[i], manifest.file(i));
+    EXPECT_EQ(manifest.path(i), files[i].path);
+    EXPECT_EQ(manifest.sequence_number_column()[i], files[i].sequence_number);
+    total_bytes += files[i].file_size_bytes;
+    path_bytes += files[i].path.size();
+  }
+  size_t visited = 0;
+  for (const DataFileRef& f : manifest) ExpectSameFile(files[visited++], f);
+  EXPECT_EQ(visited, files.size());
+  EXPECT_EQ(manifest.total_bytes(), total_bytes);
+  EXPECT_EQ(manifest.path_bytes(), path_bytes);
+
+  EXPECT_EQ(manifest.partition_count(), 3);
+  EXPECT_TRUE(manifest.ContainsPartition(""));
+  EXPECT_TRUE(manifest.ContainsPartition(files[1].partition));
+  EXPECT_FALSE(manifest.ContainsPartition("m=02"));
+  std::vector<std::string> in_partition;
+  EXPECT_TRUE(manifest.ForEachFile(files[1].partition,
+                                   [&](const DataFileRef& f) {
+                                     in_partition.emplace_back(f.path);
+                                   }));
+  EXPECT_EQ(in_partition,
+            (std::vector<std::string>{files[1].path, files[4].path}));
+  EXPECT_FALSE(manifest.ForEachFile(std::string("m=02"),
+                                    [](const DataFileRef&) { FAIL(); }));
+}
+
+TEST_F(TransactionTest, LiveFilesKeepEveryFieldInCommitOrder) {
+  std::vector<DataFile> files = FieldCoverageFiles();
+  ASSERT_TRUE(AppendFiles({files[0], files[1], files[2]}).ok());
+  ASSERT_TRUE(AppendFiles({files[3], files[4]}).ok());
+  auto meta = store_.LoadTable("db.t");
+  ASSERT_TRUE(meta.ok());
+  const std::vector<Snapshot>& snapshots = (*meta)->snapshots();
+  ASSERT_EQ(snapshots.size(), 2u);
+  // A commit stamps its snapshot id and sequence number on its files.
+  for (size_t i = 0; i < files.size(); ++i) {
+    const Snapshot& by = snapshots[i < 3 ? 0 : 1];
+    files[i].added_snapshot_id = by.snapshot_id;
+    files[i].sequence_number = by.sequence_number;
+  }
+  const std::vector<DataFile> live = (*meta)->LiveFiles();
+  ASSERT_EQ(live.size(), files.size());
+  for (size_t i = 0; i < files.size(); ++i) {
+    ExpectSameFile(files[i], live[i].view());
+  }
+  const std::vector<DataFile> in_partition = (*meta)->LiveFiles("m=01");
+  ASSERT_EQ(in_partition.size(), 2u);
+  ExpectSameFile(files[2], in_partition[0].view());
+  ExpectSameFile(files[3], in_partition[1].view());
+}
+
+TEST(ManifestTest, MergeOutputIsTheConcatenationOfItsInputs) {
+  const std::vector<DataFile> files = FieldCoverageFiles();
+  Schema schema(0, {{1, "a", FieldType::kInt64, true}});
+  TableMetadata::Builder builder("db.t", "/data/db/t", schema,
+                                 PartitionSpec::Unpartitioned());
+  const auto write = [&builder](const std::vector<DataFile>& entries) {
+    size_t path_bytes = 0;
+    for (const DataFile& f : entries) path_bytes += f.path.size();
+    ManifestWriter writer = builder.NewManifest(entries.size(), path_bytes);
+    for (const DataFile& f : entries) writer.Add(f.view());
+    return writer.Finish();
+  };
+  // File counts grow with the ids, so the merge's smallest-first order
+  // is the input order.
+  const ManifestList inputs = {write({files[0]}),
+                               write({files[1], files[2]}),
+                               write({files[3], files[4]})};
+  const ManifestList merged = MaybeMergeManifests(inputs, 1, &builder);
+  ASSERT_EQ(merged.size(), 1u);
+  EXPECT_GT(merged[0]->manifest_id(), inputs.back()->manifest_id());
+  ASSERT_EQ(merged[0]->file_count(), static_cast<int64_t>(files.size()));
+  for (size_t i = 0; i < files.size(); ++i) {
+    ExpectSameFile(files[i], merged[0]->file(i));
+  }
+  EXPECT_EQ(merged[0]->total_bytes(),
+            inputs[0]->total_bytes() + inputs[1]->total_bytes() +
+                inputs[2]->total_bytes());
+  EXPECT_EQ(merged[0]->partition_count(), 3);
+
+  // A partial merge keeps the largest manifest as is.
+  const ManifestList partial = MaybeMergeManifests(inputs, 2, &builder);
+  ASSERT_EQ(partial.size(), 2u);
+  EXPECT_EQ(partial[0], inputs[2]);
+  ASSERT_EQ(partial[1]->file_count(), 3);
+  for (size_t i = 0; i < 3; ++i) ExpectSameFile(files[i], partial[1]->file(i));
+}
+
 // ----------------------------------------------------- Metadata builder
 
 TEST(TableMetadataBuilderTest, ValidatesNameAndLocation) {
