@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "benchmarks/harness.h"
 #include "catalog/catalog.h"
 #include "catalog/control_plane.h"
 #include "common/clock.h"
@@ -238,11 +239,6 @@ int main() {
   doc.Set("fleet_tables", kFleetTables);
   doc.Set("hardware_concurrency", hw);
   doc.Set("runs", std::move(json_runs));
-  std::FILE* out = std::fopen("BENCH_pipeline.json", "w");
-  AUTOCOMP_CHECK(out != nullptr);
-  const std::string dumped = doc.Dump();
-  std::fwrite(dumped.data(), 1, dumped.size(), out);
-  std::fclose(out);
-  std::printf("wrote BENCH_pipeline.json\n");
+  bench::WriteJson("BENCH_pipeline.json", doc);
   return 0;
 }

@@ -29,7 +29,8 @@
 ///    spans and label plumbing active) with the fault injector armed on
 ///    an empty profile must stay bit-identical to the unarmed run, with
 ///    the wall-clock delta budgeted at <2%, measured pair-interleaved
-///    (median of per-pair ratios) exactly like bench_sim_throughput.
+///    (median of per-pair ratios, bench::RunPaired) exactly like
+///    bench_sim_throughput.
 ///
 /// A PolicyTuner demo closes the loop to §6.3: a CFO optimizer searches
 /// the four-axis shape space through PolicySpecCodec against the
@@ -39,27 +40,17 @@
 ///
 /// Knobs: AUTOCOMP_BENCH_POLICY_DAYS (default 1),
 /// AUTOCOMP_BENCH_POLICY_MAX_SPECS (0 = all 50),
-/// AUTOCOMP_BENCH_POLICY_RUNS (overhead pairs, default 3, min 5 pairs),
-/// AUTOCOMP_BENCH_POLICY_TUNER_ITERS (default 48),
 /// AUTOCOMP_BENCH_POLICY_MAX_OVERHEAD_PCT (<=0 = report only).
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
-#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
-#if defined(__unix__)
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
-
+#include "benchmarks/harness.h"
 #include "common/json.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -77,23 +68,12 @@ using namespace autocomp;
 
 namespace {
 
-int EnvInt(const char* name, int fallback, int min_value) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || value[0] == '\0') return fallback;
-  const int parsed = std::atoi(value);
-  return parsed < min_value ? fallback : parsed;
-}
-
-double EnvDouble(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || value[0] == '\0') return fallback;
-  return std::atof(value);
-}
-
-const int kDays = EnvInt("AUTOCOMP_BENCH_POLICY_DAYS", 1, 1);
-const int kMaxSpecs = EnvInt("AUTOCOMP_BENCH_POLICY_MAX_SPECS", 0, 0);
-const int kRunsPerConfig = EnvInt("AUTOCOMP_BENCH_POLICY_RUNS", 3, 1);
-const int kTunerIters = EnvInt("AUTOCOMP_BENCH_POLICY_TUNER_ITERS", 48, 1);
+const int kDays = bench::EnvInt("AUTOCOMP_BENCH_POLICY_DAYS", 1, 1);
+const int kMaxSpecs = bench::EnvInt("AUTOCOMP_BENCH_POLICY_MAX_SPECS", 0, 0);
+// Overhead reps (bench::RunPaired times at least five pairs) and tuner
+// iterations.
+constexpr int kOverheadRuns = 3;
+constexpr int kTunerIters = 48;
 
 /// One workload archetype: a named FleetOptions shape. The four cover
 /// the quadrants the paper's fleet mixes: steady batch loads, high-
@@ -113,8 +93,7 @@ constexpr Archetype kArchetypes[] = {
     {"scan-heavy", 0.15, 0.02, 4.0, 2},
     {"churn-onboarding", 0.35, 0.01, 1.5, 6},
 };
-constexpr int kNumArchetypes =
-    static_cast<int>(sizeof(kArchetypes) / sizeof(kArchetypes[0]));
+constexpr int kNumArchetypes = static_cast<int>(std::size(kArchetypes));
 
 sim::FleetSimOptions ArchetypeOptions(const Archetype& archetype,
                                       const core::PolicySpec& spec) {
@@ -153,15 +132,15 @@ sim::FleetSimOptions ArchetypeOptions(const Archetype& archetype,
   return options;
 }
 
-/// What one (archetype, policy) replay measures.
+/// What one (archetype, policy) replay measures. Trivially copyable: a
+/// forked point returns it whole.
 struct PointBody {
   double gb_hours = 0;
   double read_latency_s = 0;
   long long events = 0;
   long long commits = 0;
   unsigned long long hash_seq = 0;
-  unsigned long long hash_shard = 0;
-  int identical = 0;
+  bool identical = false;
 };
 
 /// Runs the point twice — sequential reference and shard4-pool2 — and
@@ -170,90 +149,35 @@ PointBody PointReplay(const Archetype& archetype,
                       const core::PolicySpec& spec) {
   sim::FleetSimOptions seq_options = ArchetypeOptions(archetype, spec);
   seq_options.sharded = false;
-  sim::FleetSimulation seq_sim(std::move(seq_options));
-  auto seq = seq_sim.Run();
-  AUTOCOMP_CHECK(seq.ok()) << spec.ToString() << ": " << seq.status();
+  const sim::FleetSimResult seq =
+      bench::TimeReplay(std::move(seq_options)).result;
 
   ThreadPool pool(2);
   sim::FleetSimOptions shard_options = ArchetypeOptions(archetype, spec);
   shard_options.sharded = true;
   shard_options.shards = 4;
   shard_options.pool = &pool;
-  sim::FleetSimulation shard_sim(std::move(shard_options));
-  auto shard = shard_sim.Run();
-  AUTOCOMP_CHECK(shard.ok()) << spec.ToString() << ": " << shard.status();
+  const sim::FleetSimResult shard =
+      bench::TimeReplay(std::move(shard_options)).result;
 
   PointBody out;
-  out.gb_hours = sim::SeriesSum(seq->metrics, "compaction_gbhr");
-  const Sample reads = seq->metrics.AllObservations("read_latency_s");
+  out.gb_hours = sim::SeriesSum(seq.metrics, "compaction_gbhr");
+  const Sample reads = seq.metrics.AllObservations("read_latency_s");
   out.read_latency_s = reads.empty() ? 0.0 : reads.Mean();
-  out.events = seq->events_executed;
-  out.commits = seq->metrics.TotalCount("compaction_commits");
-  out.hash_seq = seq->metrics.ContentHash();
-  out.hash_shard = shard->metrics.ContentHash();
+  out.events = seq.events_executed;
+  out.commits = seq.metrics.TotalCount("compaction_commits");
+  out.hash_seq = seq.metrics.ContentHash();
   std::string why;
-  out.identical = seq->metrics.Equals(shard->metrics, &why) &&
-                          out.hash_seq == out.hash_shard &&
-                          seq->events_executed == shard->events_executed &&
-                          seq->total_files == shard->total_files
-                      ? 1
-                      : 0;
-  if (out.identical == 0) {
+  out.identical = seq.metrics.Equals(shard.metrics, &why) &&
+                  out.hash_seq == shard.metrics.ContentHash() &&
+                  seq.events_executed == shard.events_executed &&
+                  seq.total_files == shard.total_files;
+  if (!out.identical) {
     std::fprintf(stderr, "policy %s diverged seq vs shard4-pool2: %s\n",
                  spec.ToString().c_str(),
                  why.empty() ? "aggregate totals differ" : why.c_str());
   }
   return out;
-}
-
-/// Forks the replay so the parent never accumulates 400 runs of merged
-/// recorders (and a wedged replay fails one point, not the sweep).
-/// Falls back to in-process where fork is unavailable.
-PointBody RunPoint(const Archetype& archetype, const core::PolicySpec& spec) {
-  PointBody out;
-#if defined(__unix__)
-  int fds[2] = {-1, -1};
-  if (pipe(fds) == 0) {
-    const pid_t pid = fork();
-    if (pid == 0) {
-      close(fds[0]);
-      const PointBody child = PointReplay(archetype, spec);
-      char buf[256];
-      const int len = std::snprintf(
-          buf, sizeof buf, "%.17g %.17g %lld %lld %llu %llu %d\n",
-          child.gb_hours, child.read_latency_s, child.events, child.commits,
-          child.hash_seq, child.hash_shard, child.identical);
-      ssize_t written = 0;
-      while (written < len) {
-        const ssize_t n = write(fds[1], buf + written, len - written);
-        if (n <= 0) _exit(3);
-        written += n;
-      }
-      _exit(0);
-    }
-    if (pid > 0) {
-      close(fds[1]);
-      std::string line;
-      char buf[256];
-      ssize_t n;
-      while ((n = read(fds[0], buf, sizeof buf)) > 0) line.append(buf, n);
-      close(fds[0]);
-      int status = 0;
-      AUTOCOMP_CHECK(waitpid(pid, &status, 0) == pid);
-      AUTOCOMP_CHECK(WIFEXITED(status) && WEXITSTATUS(status) == 0)
-          << "policy point " << spec.ToString() << " child exited abnormally";
-      AUTOCOMP_CHECK(std::sscanf(line.c_str(), "%lf %lf %lld %lld %llu %llu %d",
-                                 &out.gb_hours, &out.read_latency_s,
-                                 &out.events, &out.commits, &out.hash_seq,
-                                 &out.hash_shard, &out.identical) == 7)
-          << "policy point child wrote: " << line;
-      return out;
-    }
-    close(fds[0]);
-    close(fds[1]);
-  }
-#endif
-  return PointReplay(archetype, spec);
 }
 
 /// An archetype-shaped arrival trace for the merge-ratio report: run
@@ -273,16 +197,11 @@ std::vector<int64_t> ArchetypeArrivals(int archetype_index) {
   return arrivals;
 }
 
-/// One timed sequential batch-etl replay for the overhead pairs. The
-/// policy is non-default so the per-policy plumbing (decide label, the
+/// The sequential batch-etl replay the overhead pairs time. The policy
+/// is non-default so the per-policy plumbing (decide label, the
 /// policy-assembled stages) is on the measured path; `armed` adds the
 /// enabled-but-empty fault injector whose cost is being budgeted.
-struct OverheadRun {
-  double ms = 0;
-  sim::FleetSimResult result;
-};
-
-OverheadRun OverheadReplay(bool armed) {
+sim::FleetSimOptions OverheadOptions(bool armed) {
   auto spec = core::PolicySpec::Parse(
       "trigger=file-count:4;granularity=table;movement=partial;picker=moop");
   AUTOCOMP_CHECK(spec.ok()) << spec.status();
@@ -292,15 +211,7 @@ OverheadRun OverheadReplay(bool armed) {
     options.env.fault.enabled = true;
     options.env.fault.seed = 0x5eedfa;  // empty profile: nothing to inject
   }
-  sim::FleetSimulation simulation(std::move(options));
-  const auto start = std::chrono::steady_clock::now();
-  auto result = simulation.Run();
-  const auto stop = std::chrono::steady_clock::now();
-  AUTOCOMP_CHECK(result.ok()) << result.status();
-  OverheadRun out;
-  out.ms = std::chrono::duration<double, std::milli>(stop - start).count();
-  out.result = *std::move(result);
-  return out;
+  return options;
 }
 
 }  // namespace
@@ -326,11 +237,16 @@ int main() {
     const Archetype& archetype = kArchetypes[a];
     int64_t commits = 0;
     for (const core::PolicySpec& spec : specs) {
-      const PointBody body = RunPoint(archetype, spec);
-      AUTOCOMP_CHECK(body.identical == 1)
+      // Forked, so the parent never accumulates 400 runs of merged
+      // recorders (and a wedged replay fails one point, not the sweep).
+      const PointBody body =
+          bench::RunForked("policy point " + spec.ToString(), [&] {
+            return PointReplay(archetype, spec);
+          }).value;
+      AUTOCOMP_CHECK(body.identical)
           << "NFR2 violation: " << archetype.name << " / " << spec.ToString()
           << " is not bit-identical seq vs shard4-pool2";
-      all_identical = all_identical && body.identical == 1;
+      all_identical = all_identical && body.identical;
       commits += body.commits;
       core::PolicyOutcome outcome;
       outcome.spec = spec.ToString();
@@ -374,7 +290,7 @@ int main() {
       point.Set("commits", static_cast<int64_t>(body.commits));
       point.Set("events", static_cast<int64_t>(body.events));
       point.Set("metrics_hash", std::to_string(body.hash_seq));
-      point.Set("identical_seq_vs_shard", body.identical == 1);
+      point.Set("identical_seq_vs_shard", body.identical);
       points.Append(std::move(point));
     }
     std::printf("\n[%s] Pareto frontier (%d of %zu points):\n%s",
@@ -425,45 +341,19 @@ int main() {
   // baseline (host drift exceeds the 2% budget on minute scales).
   std::printf("\narmed-overhead parity (non-default policy, armed empty "
               "injector)...\n");
-  std::vector<double> pair_ratios;
-  const int pairs = std::max(kRunsPerConfig, 5);
-  OverheadRun armed_last;
-  OverheadRun base_last;
-  for (int run = -1; run < pairs; ++run) {
-    const bool armed_first = run % 2 == 0;
-    OverheadRun first = OverheadReplay(armed_first);
-    OverheadRun second = OverheadReplay(!armed_first);
-    OverheadRun& base = armed_first ? second : first;
-    OverheadRun& armed = armed_first ? first : second;
-    if (run < 0) {
-      std::printf("  warmup: armed %.1f ms, base %.1f ms\n", armed.ms,
-                  base.ms);
-      continue;
-    }
-    if (base.ms > 0) pair_ratios.push_back(armed.ms / base.ms);
-    std::printf("  pair %d/%d: armed %.1f ms, base %.1f ms\n", run + 1, pairs,
-                armed.ms, base.ms);
-    armed_last = std::move(armed);
-    base_last = std::move(base);
-  }
+  const bench::PairedRuns pairs = bench::RunPaired(
+      "armed", kOverheadRuns, OverheadOptions(false), OverheadOptions(true));
+  const sim::FleetSimResult& base_last = pairs.base.result;
+  const sim::FleetSimResult& armed_last = pairs.variant.result;
   std::string why;
   const bool parity =
-      base_last.result.metrics.Equals(armed_last.result.metrics, &why) &&
-      base_last.result.metrics.ContentHash() ==
-          armed_last.result.metrics.ContentHash() &&
-      armed_last.result.faults_injected == 0;
+      base_last.metrics.Equals(armed_last.metrics, &why) &&
+      base_last.metrics.ContentHash() == armed_last.metrics.ContentHash() &&
+      armed_last.faults_injected == 0;
   AUTOCOMP_CHECK(parity)
       << "armed-but-empty injector perturbed the policy pipeline: "
       << (why.empty() ? "hash/fault totals differ" : why);
-  std::sort(pair_ratios.begin(), pair_ratios.end());
-  double armed_overhead_pct = 0;
-  if (!pair_ratios.empty()) {
-    const size_t n = pair_ratios.size();
-    const double median =
-        n % 2 == 1 ? pair_ratios[n / 2]
-                   : (pair_ratios[n / 2 - 1] + pair_ratios[n / 2]) / 2;
-    armed_overhead_pct = (median - 1.0) * 100.0;
-  }
+  const double armed_overhead_pct = pairs.overhead_pct;
   constexpr double kArmedOverheadTargetPct = 2.0;
   std::printf("armed overhead: %.2f%% (target < %.0f%%), parity: %s\n",
               armed_overhead_pct, kArmedOverheadTargetPct,
@@ -525,23 +415,16 @@ int main() {
   doc.Set("armed_overhead_target_pct", kArmedOverheadTargetPct);
   doc.Set("armed_parity", parity);
   doc.Set("tuner", std::move(tuner_json));
-  std::FILE* out = std::fopen("BENCH_policy.json", "w");
-  AUTOCOMP_CHECK(out != nullptr);
-  const std::string dumped = doc.Dump();
-  std::fwrite(dumped.data(), 1, dumped.size(), out);
-  std::fclose(out);
-  std::printf("wrote BENCH_policy.json\n");
+  bench::WriteJson("BENCH_policy.json", doc);
 
   // --- Perf gate (CI perf-smoke; report-only unless set).
   const double max_overhead_pct =
-      EnvDouble("AUTOCOMP_BENCH_POLICY_MAX_OVERHEAD_PCT", 0);
-  int gate_failures = 0;
-  if (max_overhead_pct > 0 && armed_overhead_pct > max_overhead_pct) {
-    std::printf(
-        "PERF GATE FAIL: policy armed overhead %.2f%% above budget %.2f%%\n",
-        armed_overhead_pct, max_overhead_pct);
-    ++gate_failures;
-  }
+      bench::EnvDouble("AUTOCOMP_BENCH_POLICY_MAX_OVERHEAD_PCT", 0);
+  const int gate_failures =
+      bench::Breached({bench::Gate::kBudgetPct, "policy armed overhead",
+                       armed_overhead_pct, max_overhead_pct})
+          ? 1
+          : 0;
   if (max_overhead_pct > 0) {
     std::printf("perf gates: %s (policy overhead budget %.2f%%)\n",
                 gate_failures == 0 ? "PASS" : "FAIL", max_overhead_pct);

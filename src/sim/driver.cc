@@ -453,8 +453,10 @@ Status EventDriver::Run(const std::vector<workload::QueryEvent>& events,
   return Status::OK();
 }
 
-void EventDriver::SaveState(common::BlobWriter* w) const {
-  assert(Quiescent());
+Status EventDriver::SaveState(common::BlobWriter* w) const {
+  if (!Quiescent()) {
+    return Status::Internal("cannot checkpoint a non-quiescent driver");
+  }
   w->WriteI64(next_sample_);
   w->WriteI64(next_retention_);
   w->WriteF64(total_read_seconds_);
@@ -467,13 +469,6 @@ void EventDriver::SaveState(common::BlobWriter* w) const {
     w->WriteString(table_ids_.NameOf(static_cast<common::TableId>(id)));
   }
   scheduler_.SaveState(w);
-}
-
-Status EventDriver::SaveStateOrFail(common::BlobWriter* w) const {
-  if (!Quiescent()) {
-    return Status::Internal("cannot checkpoint a non-quiescent driver");
-  }
-  SaveState(w);
   return Status::OK();
 }
 

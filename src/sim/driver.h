@@ -125,14 +125,14 @@ class EventDriver {
 
   /// \name Lane checkpoint (DESIGN.md §10)
   /// Serializes the timer scalars, latency accumulators, the table-id
-  /// interner and the scheduler's ledgers of a *quiescent* driver.
-  /// RestoreState expects a freshly constructed driver over the restored
-  /// environment: the calendar queue needs no state (ArmTimers re-derives
-  /// every timer entry from the scalars on the next advance; a quiescent
-  /// driver has no compaction entries).
+  /// interner and the scheduler's ledgers of a *quiescent* driver;
+  /// SaveState fails with Internal, writing nothing, on a driver with
+  /// work in flight. RestoreState expects a freshly constructed driver
+  /// over the restored environment: the calendar queue needs no state
+  /// (ArmTimers re-derives every timer entry from the scalars on the
+  /// next advance; a quiescent driver has no compaction entries).
   /// @{
-  void SaveState(common::BlobWriter* w) const;
-  Status SaveStateOrFail(common::BlobWriter* w) const;
+  Status SaveState(common::BlobWriter* w) const;
   Status RestoreState(common::BlobReader* r);
   /// @}
 

@@ -136,11 +136,40 @@ void FleetSimulation::PrepareHydration(Lane* lane, int64_t from_hour) {
     if (it->second <= 0) pending_rpcs_by_hour_.erase(it);
   }
   ++lanes_hydrated_;
-  ++resident_lanes_;
+  AdjustResidency(lane, +1);
+}
+
+void FleetSimulation::AdjustResidency(Lane* lane, int64_t delta) {
+  resident_lanes_ += delta;
   peak_resident_lanes_ = std::max(peak_resident_lanes_, resident_lanes_);
   if (options_.on_lane_residency) {
     options_.on_lane_residency(lane->db, resident_lanes_,
                                peak_resident_lanes_);
+  }
+}
+
+void FleetSimulation::BuildLane(Lane* lane) {
+  lane->env = std::make_unique<SimEnvironment>(LaneEnvironmentOptions(lane));
+  lane->env->dfs().SetEpochLoadView(&epoch_load_);
+  lane->driver = std::make_unique<EventDriver>(lane->env.get(),
+                                               &lane->metrics,
+                                               LaneDriverOptions());
+}
+
+void FleetSimulation::DropLane(Lane* lane) {
+  // The service and the driver hold pointers into the environment.
+  lane->service.reset();
+  lane->driver.reset();
+  lane->env.reset();
+}
+
+void FleetSimulation::ForEachShard(
+    const std::function<void(int64_t)>& per_shard) {
+  const int64_t shards = static_cast<int64_t>(options_.shards);
+  if (options_.sharded && options_.pool != nullptr) {
+    options_.pool->ParallelFor(shards, per_shard);
+  } else {
+    for (int64_t s = 0; s < shards; ++s) per_shard(s);
   }
 }
 
@@ -196,11 +225,7 @@ void FleetSimulation::HydrateLane(Lane* lane) {
     trace_options.capacity = options_.trace_capacity;
     lane->trace = std::make_unique<obs::TraceRecorder>(trace_options);
   }
-  lane->env = std::make_unique<SimEnvironment>(LaneEnvironmentOptions(lane));
-  lane->env->dfs().SetEpochLoadView(&epoch_load_);
-  lane->driver = std::make_unique<EventDriver>(lane->env.get(),
-                                               &lane->metrics,
-                                               LaneDriverOptions());
+  BuildLane(lane);
   if (options_.preset) {
     // Per-lane AutoComp control loop; the lane recorder takes the
     // OODA/decision spans.
@@ -296,9 +321,7 @@ void FleetSimulation::FinalizeLane(Lane* lane, SimTime end_time) {
   // environment goes so peak residency stays bounded; the recorder's
   // interned-but-empty slots go after the driver, which holds MetricIds
   // into it; the drained event buffer goes too.
-  lane->service.reset();
-  lane->driver.reset();
-  lane->env.reset();
+  DropLane(lane);
   lane->metrics.DropEmptySlots();
   lane->day_events.clear();
   lane->day_events.shrink_to_fit();
@@ -376,16 +399,10 @@ bool FleetSimulation::TryRetireLane(Lane* lane, SimTime now, SimTime end_time,
   // On a finalization error the env survives FinalizeLane; drop it
   // anyway so residency accounting stays truthful (the lane's status
   // carries the failure to collection).
-  lane->service.reset();
-  lane->driver.reset();
-  lane->env.reset();
-  --resident_lanes_;
+  DropLane(lane);
   ++lanes_retired_;
   lane->next_wake = -1;
-  if (options_.on_lane_residency) {
-    options_.on_lane_residency(lane->db, resident_lanes_,
-                               peak_resident_lanes_);
-  }
+  AdjustResidency(lane, -1);
   return true;
 }
 
@@ -399,19 +416,13 @@ Status FleetSimulation::EvictLane(Lane* lane, SimTime now,
   auto blob = SaveLaneState(lane->env.get(), lane->driver.get());
   if (!blob.ok()) return blob.status();
   lane->checkpoint = std::move(*blob);
-  lane->service.reset();
-  lane->driver.reset();
-  lane->env.reset();
+  DropLane(lane);
   lane->evicted = true;
-  --resident_lanes_;
   ++lanes_evicted_;
   checkpoint_bytes_now_ += static_cast<int64_t>(lane->checkpoint.size());
   checkpoint_bytes_peak_ =
       std::max(checkpoint_bytes_peak_, checkpoint_bytes_now_);
-  if (options_.on_lane_residency) {
-    options_.on_lane_residency(lane->db, resident_lanes_,
-                               peak_resident_lanes_);
-  }
+  AdjustResidency(lane, -1);
   // Authoritative wake replacement: unlike MaybeArm this may *loosen*
   // the arming (the hourly tick entries already queued become stale
   // tombstones, skipped on pop).
@@ -474,24 +485,15 @@ Status FleetSimulation::EvictColdLanes(SimTime now, SimTime end_time,
 }
 
 void FleetSimulation::PrepareRestore(Lane* lane) {
-  ++resident_lanes_;
-  peak_resident_lanes_ = std::max(peak_resident_lanes_, resident_lanes_);
   ++lanes_restored_;
   checkpoint_bytes_now_ -= static_cast<int64_t>(lane->checkpoint.size());
-  if (options_.on_lane_residency) {
-    options_.on_lane_residency(lane->db, resident_lanes_,
-                               peak_resident_lanes_);
-  }
+  AdjustResidency(lane, +1);
 }
 
 void FleetSimulation::RestoreLane(Lane* lane) {
   assert(lane->evicted && lane->env == nullptr);
   const auto start = std::chrono::steady_clock::now();
-  lane->env = std::make_unique<SimEnvironment>(LaneEnvironmentOptions(lane));
-  lane->env->dfs().SetEpochLoadView(&epoch_load_);
-  lane->driver = std::make_unique<EventDriver>(lane->env.get(),
-                                               &lane->metrics,
-                                               LaneDriverOptions());
+  BuildLane(lane);
   Status st = RestoreLaneState(lane->checkpoint, lane->env.get(),
                                lane->driver.get());
   if (!st.ok() && lane->status.ok()) {
@@ -779,15 +781,7 @@ Result<FleetSimResult> FleetSimulation::Run() {
           AdvanceLane(lane, epoch_end);
         }
       };
-      if (options_.sharded && options_.pool != nullptr) {
-        options_.pool->ParallelFor(static_cast<int64_t>(due_by_shard.size()),
-                                   advance_shard);
-      } else {
-        for (int64_t s = 0; s < static_cast<int64_t>(due_by_shard.size());
-             ++s) {
-          advance_shard(s);
-        }
-      }
+      ForEachShard(advance_shard);
 
       // Barrier bookkeeping for the wave: fold the touched lanes' tally
       // deltas (the hour itself is published once, after all waves), and
@@ -967,14 +961,7 @@ Result<FleetSimResult> FleetSimulation::Run() {
       ++transient_hydrations;
     }
   }
-  if (options_.sharded && options_.pool != nullptr) {
-    options_.pool->ParallelFor(static_cast<int64_t>(shard_lanes_.size()),
-                               finalize_shard);
-  } else {
-    for (int64_t s = 0; s < static_cast<int64_t>(shard_lanes_.size()); ++s) {
-      finalize_shard(s);
-    }
-  }
+  ForEachShard(finalize_shard);
   lanes_hydrated_ += transient_hydrations;
 
   // Ghost replay: one empty environment advanced over the whole horizon.

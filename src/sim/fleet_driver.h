@@ -168,10 +168,10 @@ struct FleetSimOptions {
   int evict_after_idle_hours = 0;
 };
 
-/// \brief Outcome of a fleet replay.
-struct FleetSimResult {
-  /// Lane recorders merged in lane order (deterministic).
-  MetricsRecorder metrics;
+/// \brief The totals and lane accounting of a fleet replay: plain
+/// numbers, trivially copyable, so a replay run in a forked child can
+/// hand them back whole.
+struct FleetSimTotals {
   /// Workload events executed across all lanes.
   int64_t events_executed = 0;
   /// Fleet-wide data file count at end of run.
@@ -180,11 +180,6 @@ struct FleetSimResult {
   int64_t open_calls = 0;
   /// Faults injected across all lanes (0 in fault-free runs).
   int64_t faults_injected = 0;
-  /// Per-lane trace digests merged (order-insensitive, accumulated
-  /// incrementally as lanes finalize). Empty (zero events) when tracing
-  /// was off; bit-identical across shard counts, pool sizes and lane
-  /// modes otherwise — the golden-trace tests' oracle.
-  obs::TraceDigest trace_digest;
   /// Host milliseconds spent in setup — descriptor construction and
   /// workload planning (kActive), or full environment construction
   /// (kAdvanceAll). The scale tier's "setup must be bounded by
@@ -218,6 +213,17 @@ struct FleetSimResult {
   int64_t lanes_retired = 0;
   int64_t checkpoint_bytes = 0;
   double restore_ms = 0;
+};
+
+/// \brief Outcome of a fleet replay.
+struct FleetSimResult : FleetSimTotals {
+  /// Lane recorders merged in lane order (deterministic).
+  MetricsRecorder metrics;
+  /// Per-lane trace digests merged (order-insensitive, accumulated
+  /// incrementally as lanes finalize). Empty (zero events) when tracing
+  /// was off; bit-identical across shard counts, pool sizes and lane
+  /// modes otherwise — the golden-trace tests' oracle.
+  obs::TraceDigest trace_digest;
 };
 
 /// \brief Lockstep epoch driver over per-database lanes.
@@ -268,6 +274,19 @@ class FleetSimulation {
   /// barrier estimates for hours >= `from_hour` (its actual tallies take
   /// over) and updates the residency accounting.
   void PrepareHydration(Lane* lane, int64_t from_hour);
+  /// Residency accounting for `lane` entering (+1) or leaving (-1) the
+  /// resident set: the count, its peak, and the on_lane_residency hook.
+  /// Serial coordinator sections only.
+  void AdjustResidency(Lane* lane, int64_t delta);
+  /// Constructs the lane's environment (reading the shared epoch-load
+  /// view) and its driver — the same deployment whether the lane
+  /// hydrates fresh or restores from a checkpoint.
+  void BuildLane(Lane* lane);
+  /// Destroys the lane's service, driver and environment, in that order.
+  void DropLane(Lane* lane);
+  /// Runs `per_shard(s)` for every shard s: on the pool when sharded
+  /// with one, inline otherwise.
+  void ForEachShard(const std::function<void(int64_t)>& per_shard);
   /// Advances one lane to `epoch_end`, executing its due events.
   void AdvanceLane(Lane* lane, SimTime epoch_end);
   /// O(changed) barrier contribution of a lane advanced through the

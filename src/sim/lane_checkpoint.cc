@@ -33,7 +33,7 @@ Result<std::string> SaveLaneState(SimEnvironment* env, EventDriver* driver) {
   env->query_engine().SaveState(&w);
   env->compaction_runner().SaveState(&w);
   env->fault_injector().SaveState(&w);
-  AUTOCOMP_RETURN_NOT_OK(driver->SaveStateOrFail(&w));
+  AUTOCOMP_RETURN_NOT_OK(driver->SaveState(&w));
   return w.Take();
 }
 

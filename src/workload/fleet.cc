@@ -115,7 +115,13 @@ std::vector<FleetWorkload::TableOp> FleetWorkload::PlanSetup(SimTime at) {
   return ops;
 }
 
-Status FleetWorkload::SetupSharded(const LaneResolver& resolver, SimTime at) {
+Status FleetWorkload::Setup(catalog::Catalog* catalog,
+                            engine::QueryEngine* engine,
+                            catalog::ControlPlane* control_plane, SimTime at) {
+  if (catalog == nullptr || engine == nullptr) {
+    return Status::InvalidArgument("fleet setup needs a catalog and an engine");
+  }
+  const LaneTargets lane{catalog, engine, control_plane};
   const std::vector<TableOp> ops = PlanSetup(at);
   // Databases first, then each database's tables in plan order — the
   // exact creation order of the pre-split eager setup.
@@ -123,28 +129,13 @@ Status FleetWorkload::SetupSharded(const LaneResolver& resolver, SimTime at) {
   size_t next = 0;
   for (int d = 0; d < options_.num_databases; ++d) {
     std::snprintf(db_buf, sizeof(db_buf), "tenant%03d", d);
-    const LaneTargets lane = resolver(db_buf);
-    if (lane.catalog == nullptr || lane.engine == nullptr) {
-      return Status::InvalidArgument(std::string("no lane for database ") +
-                                     db_buf);
-    }
     AUTOCOMP_RETURN_NOT_OK(
-        lane.catalog->CreateDatabase(db_buf, options_.quota_objects_per_db));
+        catalog->CreateDatabase(db_buf, options_.quota_objects_per_db));
     for (; next < ops.size() && ops[next].db == db_buf; ++next) {
       AUTOCOMP_RETURN_NOT_OK(Materialize(lane, ops[next]));
     }
   }
   return Status::OK();
-}
-
-Status FleetWorkload::Setup(catalog::Catalog* catalog,
-                            engine::QueryEngine* engine,
-                            catalog::ControlPlane* control_plane, SimTime at) {
-  return SetupSharded(
-      [&](const std::string&) {
-        return LaneTargets{catalog, engine, control_plane};
-      },
-      at);
 }
 
 std::vector<FleetWorkload::TableOp> FleetWorkload::PlanOnboard(int day,
@@ -164,22 +155,14 @@ std::vector<FleetWorkload::TableOp> FleetWorkload::PlanOnboard(int day,
   return ops;
 }
 
-Status FleetWorkload::OnboardNewTablesSharded(const LaneResolver& resolver,
-                                              int day, SimTime at) {
-  for (const TableOp& op : PlanOnboard(day, at)) {
-    AUTOCOMP_RETURN_NOT_OK(Materialize(resolver(op.db), op));
-  }
-  return Status::OK();
-}
-
 Status FleetWorkload::OnboardNewTables(catalog::Catalog* catalog,
                                        engine::QueryEngine* engine, int day,
                                        SimTime at) {
-  return OnboardNewTablesSharded(
-      [&](const std::string&) {
-        return LaneTargets{catalog, engine, nullptr};
-      },
-      day, at);
+  const LaneTargets lane{catalog, engine, nullptr};
+  for (const TableOp& op : PlanOnboard(day, at)) {
+    AUTOCOMP_RETURN_NOT_OK(Materialize(lane, op));
+  }
+  return Status::OK();
 }
 
 std::string FleetWorkload::DatabaseOf(const QueryEvent& event) {

@@ -9,7 +9,6 @@
 
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -47,16 +46,13 @@ struct FleetOptions {
 
 /// \brief Destination components for one tenant database. The sharded
 /// fleet simulator keeps each database in its own lane (catalog, engine,
-/// control plane); the classic single-environment path resolves every
-/// database to the same triple.
+/// control plane); the classic single-environment path (Setup,
+/// OnboardNewTables) uses one triple for every database.
 struct LaneTargets {
   catalog::Catalog* catalog = nullptr;
   engine::QueryEngine* engine = nullptr;
   catalog::ControlPlane* control_plane = nullptr;  // optional
 };
-
-/// \brief Maps a tenant database name to the components that own it.
-using LaneResolver = std::function<LaneTargets(const std::string& db)>;
 
 /// \brief Fleet generator with per-day event production.
 class FleetWorkload {
@@ -88,13 +84,6 @@ class FleetWorkload {
   Status Setup(catalog::Catalog* catalog, engine::QueryEngine* engine,
                catalog::ControlPlane* control_plane, SimTime at);
 
-  /// Sharded variant: identical table parameters and creation order (the
-  /// generator's own rng draws are shared and sequential), but each
-  /// database's objects are created in the components `resolver` returns
-  /// for it. Used by the shard-parallel fleet driver, whose lanes own
-  /// disjoint databases.
-  Status SetupSharded(const LaneResolver& resolver, SimTime at);
-
   /// Write + read events for simulation day `day` (0-based), spread over
   /// business hours. Includes onboarding of new tables (the returned
   /// events reference them only after `OnboardNewTables` ran for that
@@ -105,10 +94,6 @@ class FleetWorkload {
   /// day's events).
   Status OnboardNewTables(catalog::Catalog* catalog,
                           engine::QueryEngine* engine, int day, SimTime at);
-
-  /// Sharded variant of OnboardNewTables (same draws, routed per lane).
-  Status OnboardNewTablesSharded(const LaneResolver& resolver, int day,
-                                 SimTime at);
 
   /// Draws the whole initial fleet (databases d0..dN in order, tables
   /// t0..tM within each) into deferred ops, consuming exactly the draws

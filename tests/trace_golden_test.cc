@@ -181,6 +181,40 @@ TEST(TraceGoldenTest, NorthStarDigestMatchesCheckedInGolden) {
                kNorthStarGolden);
 }
 
+/// Tracing is a pure observer: the golden scenario replayed untraced,
+/// with recorders armed at kOff, and at kFull ends in the same metrics
+/// and totals. Armed-off recorders record nothing.
+TEST(TraceGoldenTest, TracingIsAPureObserver) {
+  const auto replay = [](bool armed, obs::TraceLevel level) {
+    FleetSimOptions options = GoldenOptions();
+    // The preset's OODA pipeline records host wall-clock series, which
+    // differ per run.
+    options.driver.record_host_timings = false;
+    options.trace_armed = armed;
+    options.trace_level = level;
+    FleetSimulation simulation(std::move(options));
+    auto result = simulation.Run();
+    EXPECT_TRUE(result.ok()) << result.status();
+    return result.ok() ? *std::move(result) : FleetSimResult{};
+  };
+  const FleetSimResult untraced = replay(false, obs::TraceLevel::kOff);
+  const FleetSimResult armed_off = replay(true, obs::TraceLevel::kOff);
+  const FleetSimResult full = replay(false, obs::TraceLevel::kFull);
+  ASSERT_GT(untraced.events_executed, 0);
+  for (const FleetSimResult* traced : {&armed_off, &full}) {
+    std::string why;
+    EXPECT_TRUE(untraced.metrics.Equals(traced->metrics, &why)) << why;
+    EXPECT_EQ(traced->metrics.ContentHash(), untraced.metrics.ContentHash());
+    EXPECT_EQ(traced->total_files, untraced.total_files);
+    EXPECT_EQ(traced->events_executed, untraced.events_executed);
+    EXPECT_EQ(traced->open_calls, untraced.open_calls);
+  }
+  EXPECT_EQ(armed_off.trace_digest.events, 0);
+  if (!TracingCompiledOut()) {
+    EXPECT_GT(full.trace_digest.events, 0);
+  }
+}
+
 /// NFR2 lock-down: the digest is a pure function of the scenario, never
 /// of how the fleet was scheduled — any shard count, any pool size.
 TEST(TraceGoldenTest, DigestInvariantAcrossShardsAndPools) {
