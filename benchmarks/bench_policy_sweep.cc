@@ -30,7 +30,8 @@
 ///    an empty profile must stay bit-identical to the unarmed run, with
 ///    the wall-clock delta budgeted at <2%, measured pair-interleaved
 ///    (median of per-pair ratios, bench::RunPaired) exactly like
-///    bench_sim_throughput.
+///    bench_sim_throughput, over 31 pairs of a batch-etl fleet ten
+///    times the sweep's size.
 ///
 /// A PolicyTuner demo closes the loop to §6.3: a CFO optimizer searches
 /// the four-axis shape space through PolicySpecCodec against the
@@ -70,9 +71,15 @@ namespace {
 
 const int kDays = bench::EnvInt("AUTOCOMP_BENCH_POLICY_DAYS", 1, 1);
 const int kMaxSpecs = bench::EnvInt("AUTOCOMP_BENCH_POLICY_MAX_SPECS", 0, 0);
-// Overhead reps (bench::RunPaired times at least five pairs) and tuner
-// iterations.
-constexpr int kOverheadRuns = 3;
+// The armed-overhead pairs replay ten times the sweep's databases (160
+// tables, ~0.2 s a replay) and time 31 pairs: a 3% budget is then
+// several milliseconds a pair, not under one, and the median rests on
+// enough ratios that a noisy host's slow spells do not move it past the
+// budget (on a shared 4-core host, 0 of 180 windows of 31 consecutive
+// pairs of identical work had a median over 3%; of 5 pairs, 18%).
+constexpr int kOverheadRuns = 31;
+constexpr int kOverheadDatabases = 40;
+// Tuner iterations.
 constexpr int kTunerIters = 48;
 
 /// One workload archetype: a named FleetOptions shape. The four cover
@@ -197,15 +204,17 @@ std::vector<int64_t> ArchetypeArrivals(int archetype_index) {
   return arrivals;
 }
 
-/// The sequential batch-etl replay the overhead pairs time. The policy
-/// is non-default so the per-policy plumbing (decide label, the
-/// policy-assembled stages) is on the measured path; `armed` adds the
-/// enabled-but-empty fault injector whose cost is being budgeted.
+/// The sequential batch-etl replay the overhead pairs time, at
+/// kOverheadDatabases databases. The policy is non-default so the
+/// per-policy plumbing (decide label, the policy-assembled stages) is on
+/// the measured path; `armed` adds the enabled-but-empty fault injector
+/// whose cost is being budgeted.
 sim::FleetSimOptions OverheadOptions(bool armed) {
   auto spec = core::PolicySpec::Parse(
       "trigger=file-count:4;granularity=table;movement=partial;picker=moop");
   AUTOCOMP_CHECK(spec.ok()) << spec.status();
   sim::FleetSimOptions options = ArchetypeOptions(kArchetypes[0], *spec);
+  options.fleet.num_databases = kOverheadDatabases;
   options.sharded = false;
   if (armed) {
     options.env.fault.enabled = true;

@@ -195,8 +195,7 @@ Result<PendingCompaction> CompactionRunner::Prepare(
   storage::NameNode* dfs = catalog_->filesystem();
   double timeout_penalty = 0;
   for (const lst::DataFile& f : inputs) {
-    auto opened = dfs->Open(f.path);
-    if (!opened.ok() && opened.status().IsTimedOut()) {
+    if (dfs->Open(f.path).IsTimedOut()) {
       timeout_penalty += cluster_->options().timeout_retry_seconds;
       (void)dfs->Open(f.path);
     }

@@ -60,12 +60,10 @@ Result<QueryResult> QueryEngine::ExecuteRead(
   double timeout_penalty = 0;
   storage::NameNode* dfs = catalog_->filesystem();
   for (const lst::DataFileRef& f : plan.files) {
-    auto opened = dfs->Open(f.path);
-    if (!opened.ok() && opened.status().IsTimedOut()) {
+    if (dfs->Open(f.path).IsTimedOut()) {
       ++result.open_timeouts;
       timeout_penalty += copts.timeout_retry_seconds;
-      opened = dfs->Open(f.path);  // client retry
-      if (!opened.ok() && opened.status().IsTimedOut()) {
+      if (dfs->Open(f.path).IsTimedOut()) {  // client retry
         ++result.open_timeouts;
         timeout_penalty += copts.timeout_retry_seconds;
       }

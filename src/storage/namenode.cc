@@ -1,7 +1,10 @@
 #include "storage/namenode.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstring>
+#include <limits>
 
 #include "common/counter_rng.h"
 #include "fault/fault_injector.h"
@@ -15,18 +18,270 @@ NameNode::NameNode(const Clock* clock, NameNodeOptions options)
   assert(clock_ != nullptr);
 }
 
-FileInfo NameNode::ToInfo(const FileMap::value_type& file) {
-  const auto& [path, record] = file;
-  return FileInfo{path, record.size_bytes, record.record_count,
-                  record.created_at};
+namespace {
+
+/// Index entries pack the high half of Mix(hash) over the slot number;
+/// all ones marks an empty bucket.
+constexpr uint64_t kEmptyBucket = std::numeric_limits<uint64_t>::max();
+constexpr size_t kMinBuckets = 16;
+
+uint32_t TagOf(uint64_t hash) {
+  return static_cast<uint32_t>(CounterRng::Mix(hash) >> 32);
 }
 
-std::vector<std::string> NameNode::ParentDirs(const std::string& path) {
+/// The home bucket is the tag's top bits, so growing and backward-shift
+/// deletion never need the slot.
+size_t HomeOf(uint32_t tag, size_t buckets) {
+  return static_cast<size_t>(tag) >> (32 - std::countr_zero(buckets));
+}
+
+}  // namespace
+
+std::string_view NameNode::DirName(common::StringInterner::Id dir) const {
+  return dir == common::StringInterner::kInvalidId
+             ? std::string_view()
+             : dir_meta_[static_cast<size_t>(dir)].name;
+}
+
+std::string_view NameNode::Basename(const FileSlot& slot) const {
+  return {name_pages_[slot.name_page].data() + slot.name_offset,
+          slot.name_length};
+}
+
+uint32_t& NameNode::FirstFile(common::StringInterner::Id dir) {
+  return dir == common::StringInterner::kInvalidId
+             ? root_first_file_
+             : dir_meta_[static_cast<size_t>(dir)].first_file;
+}
+
+uint32_t NameNode::FirstFile(common::StringInterner::Id dir) const {
+  return dir == common::StringInterner::kInvalidId
+             ? root_first_file_
+             : dir_meta_[static_cast<size_t>(dir)].first_file;
+}
+
+void NameNode::LinkFile(uint32_t slot) {
+  FileSlot& file = Slot(slot);
+  uint32_t& first = FirstFile(file.dir);
+  file.prev_in_dir = kNoSlot;
+  file.next_in_dir = first;
+  if (first != kNoSlot) Slot(first).prev_in_dir = slot;
+  first = slot;
+}
+
+void NameNode::UnlinkFile(uint32_t slot) {
+  const FileSlot& file = Slot(slot);
+  if (file.prev_in_dir == kNoSlot) {
+    FirstFile(file.dir) = file.next_in_dir;
+  } else {
+    Slot(file.prev_in_dir).next_in_dir = file.next_in_dir;
+  }
+  if (file.next_in_dir != kNoSlot) {
+    Slot(file.next_in_dir).prev_in_dir = file.prev_in_dir;
+  }
+}
+
+void NameNode::PathOf(const FileSlot& slot, std::string* out) const {
+  out->assign(DirName(slot.dir));
+  out->push_back('/');
+  out->append(Basename(slot));
+}
+
+FileInfo NameNode::InfoOf(const FileSlot& slot, std::string path) {
+  return FileInfo{std::move(path), slot.size_bytes, slot.record_count,
+                  slot.created_at};
+}
+
+bool NameNode::PathLess(const FileSlot& a, const FileSlot& b) const {
+  const std::string_view base_a = Basename(a);
+  const std::string_view base_b = Basename(b);
+  if (a.dir == b.dir) return base_a < base_b;
+  // Distinct directories: compare "dir/base" byte by byte. Most pairs
+  // differ inside the shorter directory name; otherwise one name is a
+  // prefix of the other and the tails decide ("/a/b-c/y" < "/a/b/x").
+  const std::string_view dir_a = DirName(a.dir);
+  const std::string_view dir_b = DirName(b.dir);
+  const size_t common = std::min(dir_a.size(), dir_b.size());
+  const int c = dir_a.substr(0, common).compare(dir_b.substr(0, common));
+  if (c != 0) return c < 0;
+  const auto at = [](std::string_view dir, std::string_view base,
+                     size_t i) -> unsigned char {
+    if (i < dir.size()) return static_cast<unsigned char>(dir[i]);
+    if (i == dir.size()) return '/';
+    return static_cast<unsigned char>(base[i - dir.size() - 1]);
+  };
+  const size_t size_a = dir_a.size() + 1 + base_a.size();
+  const size_t size_b = dir_b.size() + 1 + base_b.size();
+  for (size_t i = common;; ++i) {
+    if (i == size_b) return false;
+    if (i == size_a) return true;
+    const unsigned char ca = at(dir_a, base_a, i);
+    const unsigned char cb = at(dir_b, base_b, i);
+    if (ca != cb) return ca < cb;
+  }
+}
+
+void NameNode::SortByPath(std::vector<uint32_t>* slots) const {
+  std::sort(slots->begin(), slots->end(), [this](uint32_t a, uint32_t b) {
+    return PathLess(Slot(a), Slot(b));
+  });
+}
+
+std::vector<uint32_t> NameNode::SlotsByPath() const {
+  std::vector<uint32_t> order;
+  order.reserve(static_cast<size_t>(live_files_));
+  for (uint32_t i = 0; i < slot_count_; ++i) {
+    if (Slot(i).dir != kFreeSlot) order.push_back(i);
+  }
+  SortByPath(&order);
+  return order;
+}
+
+uint32_t NameNode::FindSlot(std::string_view path, uint64_t hash,
+                            size_t* bucket) const {
+  if (index_.empty()) return kNoSlot;
+  const uint32_t tag = TagOf(hash);
+  const size_t mask = index_.size() - 1;
+  for (size_t i = HomeOf(tag, index_.size());; i = (i + 1) & mask) {
+    const uint64_t entry = index_[i];
+    if (entry == kEmptyBucket) return kNoSlot;
+    if (static_cast<uint32_t>(entry >> 32) != tag) continue;
+    const FileSlot& slot = Slot(static_cast<uint32_t>(entry));
+    const std::string_view dir = DirName(slot.dir);
+    if (path.size() == dir.size() + 1 + slot.name_length &&
+        path[dir.size()] == '/' && path.starts_with(dir) &&
+        path.substr(dir.size() + 1) == Basename(slot)) {
+      if (bucket != nullptr) *bucket = i;
+      return static_cast<uint32_t>(entry);
+    }
+  }
+}
+
+void NameNode::ResizeIndex(size_t buckets) {
+  std::vector<uint64_t> old(buckets, kEmptyBucket);
+  old.swap(index_);
+  const size_t mask = buckets - 1;
+  for (const uint64_t entry : old) {
+    if (entry == kEmptyBucket) continue;
+    size_t i = HomeOf(static_cast<uint32_t>(entry >> 32), buckets);
+    while (index_[i] != kEmptyBucket) i = (i + 1) & mask;
+    index_[i] = entry;
+  }
+}
+
+void NameNode::IndexSlot(uint32_t slot, uint64_t hash) {
+  ++live_files_;
+  if (index_.empty() ||
+      static_cast<size_t>(live_files_) * 4 > index_.size() * 3) {
+    ResizeIndex(std::max(kMinBuckets, index_.size() * 2));
+  }
+  const uint32_t tag = TagOf(hash);
+  const size_t mask = index_.size() - 1;
+  size_t i = HomeOf(tag, index_.size());
+  while (index_[i] != kEmptyBucket) i = (i + 1) & mask;
+  index_[i] = (static_cast<uint64_t>(tag) << 32) | slot;
+}
+
+void NameNode::UnindexBucket(size_t bucket) {
+  --live_files_;
+  const size_t mask = index_.size() - 1;
+  for (size_t j = (bucket + 1) & mask;; j = (j + 1) & mask) {
+    const uint64_t entry = index_[j];
+    if (entry == kEmptyBucket) break;
+    // The entry at j may fill the hole if the hole lies on its probe
+    // path, i.e. cyclically within [home, j).
+    const size_t home =
+        HomeOf(static_cast<uint32_t>(entry >> 32), index_.size());
+    if (((j - home) & mask) >= ((j - bucket) & mask)) {
+      index_[bucket] = entry;
+      bucket = j;
+    }
+  }
+  index_[bucket] = kEmptyBucket;
+}
+
+uint32_t NameNode::AllocateSlot() {
+  if (free_slot_ != kNoSlot) {
+    const uint32_t slot = free_slot_;
+    free_slot_ = Slot(slot).next_in_dir;
+    return slot;
+  }
+  if (slot_pages_.empty() || slot_pages_.back().size() == kSlotPage) {
+    slot_pages_.emplace_back();
+    if (slot_pages_.size() > 1) slot_pages_.back().reserve(kSlotPage);
+  }
+  slot_pages_.back().emplace_back();
+  return slot_count_++;
+}
+
+void NameNode::StoreName(std::string_view basename, FileSlot* slot) {
+  if (name_pages_.empty() ||
+      (!name_pages_.back().empty() &&
+       name_pages_.back().size() + basename.size() > kNamePage)) {
+    name_pages_.emplace_back();
+    if (name_pages_.size() > 1) {
+      name_pages_.back().reserve(std::max(kNamePage, basename.size()));
+    }
+  }
+  std::vector<char>& page = name_pages_.back();
+  slot->name_page = static_cast<uint32_t>(name_pages_.size() - 1);
+  slot->name_offset = static_cast<uint32_t>(page.size());
+  slot->name_length = static_cast<uint32_t>(basename.size());
+  page.insert(page.end(), basename.begin(), basename.end());
+  live_name_bytes_ += static_cast<int64_t>(basename.size());
+}
+
+void NameNode::MaybeCompactNames() {
+  if (dead_name_bytes_ <= live_name_bytes_ + slot_count_) return;
+  // Visit the live names in storage order and slide each down to the
+  // write position: it never passes the read position, so memmove in
+  // place is safe and no second arena is ever allocated.
+  std::vector<uint32_t> order;
+  order.reserve(static_cast<size_t>(live_files_));
+  for (uint32_t i = 0; i < slot_count_; ++i) {
+    if (Slot(i).dir != kFreeSlot) order.push_back(i);
+  }
+  std::sort(order.begin(), order.end(), [this](uint32_t a, uint32_t b) {
+    const FileSlot& x = Slot(a);
+    const FileSlot& y = Slot(b);
+    return x.name_page != y.name_page ? x.name_page < y.name_page
+                                      : x.name_offset < y.name_offset;
+  });
+  uint32_t page = 0;
+  size_t used = 0;
+  for (const uint32_t i : order) {
+    FileSlot& slot = Slot(i);
+    if (used > 0 && used + slot.name_length > kNamePage) {
+      name_pages_[page].resize(used);
+      ++page;
+      used = 0;
+    }
+    // A name that moves to an earlier page may need it to grow; a name
+    // staying in its page already fits below its old offset.
+    std::vector<char>& to = name_pages_[page];
+    if (to.size() < used + slot.name_length) to.resize(used + slot.name_length);
+    std::memmove(to.data() + used,
+                 name_pages_[slot.name_page].data() + slot.name_offset,
+                 slot.name_length);
+    slot.name_page = page;
+    slot.name_offset = static_cast<uint32_t>(used);
+    used += slot.name_length;
+  }
+  if (order.empty()) {
+    name_pages_.clear();
+  } else {
+    name_pages_.resize(page + 1);
+    name_pages_[page].resize(used);
+  }
+  dead_name_bytes_ = 0;
+}
+
+std::vector<std::string> NameNode::ParentDirs(std::string_view path) {
   std::vector<std::string> dirs;
   size_t pos = 0;
   // "/a/b/c.parquet" -> "/a", "/a/b".
-  while ((pos = path.find('/', pos + 1)) != std::string::npos) {
-    dirs.push_back(path.substr(0, pos));
+  while ((pos = path.find('/', pos + 1)) != std::string_view::npos) {
+    dirs.emplace_back(path.substr(0, pos));
   }
   return dirs;
 }
@@ -45,7 +300,9 @@ common::StringInterner::Id NameNode::InternDir(std::string_view dir) {
   if (static_cast<size_t>(id) >= dir_meta_.size()) {
     dir_meta_.resize(static_cast<size_t>(id) + 1);
   }
-  dir_meta_[static_cast<size_t>(id)].parent = parent;
+  DirEntry& entry = dir_meta_[static_cast<size_t>(id)];
+  entry.name = dir_ids_.NameOf(id);
+  entry.parent = parent;
   return id;
 }
 
@@ -71,8 +328,8 @@ Status NameNode::CreateFile(const std::string& path, int64_t size_bytes,
   if (size_bytes < 0 || record_count < 0) {
     return Status::InvalidArgument("negative size or record count");
   }
-  const auto hint = files_.lower_bound(path);
-  if (hint != files_.end() && hint->first == path) {
+  const uint64_t hash = CounterRng::HashString(path);
+  if (FindSlot(path, hash) != kNoSlot) {
     return Status::AlreadyExists("file exists: " + path);
   }
   ParentChain(path, &chain_scratch_);
@@ -132,8 +389,15 @@ Status NameNode::CreateFile(const std::string& path, int64_t size_bytes,
     }
     ++entry.file_count;
   }
-  files_.emplace_hint(hint, path,
-                      FileRecord{size_bytes, record_count, clock_->Now()});
+  const uint32_t slot = AllocateSlot();
+  FileSlot& file = Slot(slot);
+  StoreName(std::string_view(path).substr(path.rfind('/') + 1), &file);
+  file.size_bytes = size_bytes;
+  file.record_count = record_count;
+  file.created_at = clock_->Now();
+  file.dir = chain.empty() ? common::StringInterner::kInvalidId : chain[0];
+  LinkFile(slot);
+  IndexSlot(slot, hash);
   ++stats_.total_objects;
   ++stats_.file_count;
   ++stats_.create_calls;
@@ -142,24 +406,34 @@ Status NameNode::CreateFile(const std::string& path, int64_t size_bytes,
 }
 
 Status NameNode::DeleteFile(std::string_view path) {
-  const auto it = files_.find(path);
-  if (it == files_.end()) {
+  size_t bucket = 0;
+  const uint32_t slot = FindSlot(path, CounterRng::HashString(path), &bucket);
+  if (slot == kNoSlot) {
     return Status::NotFound("no such file: " + std::string(path));
   }
-  files_.erase(it);
-  --stats_.total_objects;
-  --stats_.file_count;
-  ++stats_.delete_calls;
-  ParentChain(path, &chain_scratch_);
-  for (const common::StringInterner::Id id : chain_scratch_) {
+  UnindexBucket(bucket);
+  FileSlot& file = Slot(slot);
+  for (common::StringInterner::Id id = file.dir;
+       id != common::StringInterner::kInvalidId;
+       id = dir_meta_[static_cast<size_t>(id)].parent) {
     DirEntry& entry = dir_meta_[static_cast<size_t>(id)];
     if (entry.file_count > 0) --entry.file_count;
   }
+  UnlinkFile(slot);
+  live_name_bytes_ -= file.name_length;
+  dead_name_bytes_ += file.name_length;
+  file.dir = kFreeSlot;
+  file.next_in_dir = free_slot_;
+  free_slot_ = slot;
+  --stats_.total_objects;
+  --stats_.file_count;
+  ++stats_.delete_calls;
   CountRpc();
+  MaybeCompactNames();
   return Status::OK();
 }
 
-Result<FileInfo> NameNode::Open(std::string_view path) {
+Status NameNode::Open(std::string_view path) {
   ++stats_.open_calls;
   CountRpc();
   // Injected read timeout, on top of the organic load model. Counted in
@@ -175,6 +449,8 @@ Result<FileInfo> NameNode::Open(std::string_view path) {
     return fault::FaultInjector::ToStatus(fault::FaultKind::kTimeout,
                                           fault::kSiteStorageOpen, path);
   }
+  // One hash serves the timeout draw and the lookup.
+  const uint64_t hash = CounterRng::HashString(path);
   const double p_timeout = CurrentTimeoutProbability();
   bool timed_out = false;
   if (p_timeout > 0.0) {
@@ -182,7 +458,7 @@ Result<FileInfo> NameNode::Open(std::string_view path) {
       // Counter-based draw: a pure function of (seed, path, open index),
       // so the outcome cannot depend on draws made for other tables.
       timed_out = CounterRng::Uniform01(
-                      options_.seed, CounterRng::HashString(path),
+                      options_.seed, hash,
                       static_cast<uint64_t>(stats_.open_calls)) < p_timeout;
     } else {
       timed_out = rng_.Bernoulli(p_timeout);
@@ -198,51 +474,122 @@ Result<FileInfo> NameNode::Open(std::string_view path) {
     return Status::TimedOut("read timeout under NameNode RPC pressure: " +
                             std::string(path));
   }
-  const auto it = files_.find(path);
-  if (it == files_.end()) {
+  if (FindSlot(path, hash) == kNoSlot) {
     return Status::NotFound("no such file: " + std::string(path));
   }
-  return ToInfo(*it);
+  return Status::OK();
 }
 
 Result<FileInfo> NameNode::Stat(std::string_view path) const {
-  const auto it = files_.find(path);
-  if (it == files_.end()) {
+  const uint32_t slot = FindSlot(path, CounterRng::HashString(path));
+  if (slot == kNoSlot) {
     return Status::NotFound("no such file: " + std::string(path));
   }
-  return ToInfo(*it);
+  return InfoOf(Slot(slot), std::string(path));
 }
 
 bool NameNode::Exists(std::string_view path) const {
-  return files_.find(path) != files_.end();
+  return FindSlot(path, CounterRng::HashString(path)) != kNoSlot;
 }
 
 void NameNode::ForEachFile(
     const std::function<void(const std::string&)>& fn) const {
-  for (const auto& [path, _] : files_) fn(path);
+  std::string path;
+  for (const uint32_t slot : SlotsByPath()) {
+    PathOf(Slot(slot), &path);
+    fn(path);
+  }
 }
 
 Status NameNode::AuditAccounting() const {
-  if (stats_.file_count != static_cast<int64_t>(files_.size())) {
+  // The file table itself: every live slot's basename lies in its name
+  // page, the pages hold exactly the live and the not yet reclaimed
+  // bytes, the directory lists and the free list together cover every
+  // slot once, and the index holds one entry per live file.
+  int64_t live = 0;
+  int64_t live_bytes = 0;
+  for (uint32_t i = 0; i < slot_count_; ++i) {
+    const FileSlot& slot = Slot(i);
+    if (slot.dir == kFreeSlot) continue;
+    if (slot.name_page >= name_pages_.size() ||
+        static_cast<size_t>(slot.name_offset) + slot.name_length >
+            name_pages_[slot.name_page].size()) {
+      return Status::Internal("file slot basename outside its name page");
+    }
+    ++live;
+    live_bytes += slot.name_length;
+  }
+  int64_t free_slots = 0;
+  for (uint32_t s = free_slot_; s != kNoSlot; s = Slot(s).next_in_dir) {
+    if (s >= slot_count_ || Slot(s).dir != kFreeSlot ||
+        ++free_slots > static_cast<int64_t>(slot_count_)) {
+      return Status::Internal("free-slot list is corrupt");
+    }
+  }
+  int64_t listed = 0;
+  for (common::StringInterner::Id dir = common::StringInterner::kInvalidId;
+       dir < static_cast<common::StringInterner::Id>(dir_meta_.size());
+       ++dir) {
+    uint32_t prev = kNoSlot;
+    for (uint32_t s = FirstFile(dir); s != kNoSlot; s = Slot(s).next_in_dir) {
+      if (s >= slot_count_ || Slot(s).dir != dir ||
+          Slot(s).prev_in_dir != prev ||
+          ++listed > static_cast<int64_t>(slot_count_)) {
+        return Status::Internal("directory file list is corrupt");
+      }
+      prev = s;
+    }
+  }
+  int64_t paged_slots = 0;
+  for (const std::vector<FileSlot>& page : slot_pages_) {
+    paged_slots += static_cast<int64_t>(page.size());
+  }
+  int64_t page_bytes = 0;
+  for (const std::vector<char>& page : name_pages_) {
+    page_bytes += static_cast<int64_t>(page.size());
+  }
+  const int64_t indexed = std::count_if(
+      index_.begin(), index_.end(),
+      [](uint64_t entry) { return entry != kEmptyBucket; });
+  if (live != live_files_ || indexed != live || listed != live ||
+      live + free_slots != slot_count_ || paged_slots != slot_count_ ||
+      live_bytes != live_name_bytes_ ||
+      page_bytes != live_bytes + dead_name_bytes_) {
+    return Status::Internal(
+        "file table: " + std::to_string(live) + " live slots, " +
+        std::to_string(live_files_) + " counted, " + std::to_string(indexed) +
+        " indexed, " + std::to_string(listed) + " listed, " +
+        std::to_string(free_slots) + " free of " +
+        std::to_string(slot_count_) + " (" + std::to_string(paged_slots) +
+        " paged); names " + std::to_string(page_bytes) + " bytes, " +
+        std::to_string(live_bytes) + " live (" +
+        std::to_string(live_name_bytes_) + " counted) + " +
+        std::to_string(dead_name_bytes_) + " dead");
+  }
+  if (stats_.file_count != live) {
     return Status::Internal(
         "file_count counter " + std::to_string(stats_.file_count) +
-        " != actual " + std::to_string(files_.size()));
+        " != actual " + std::to_string(live));
   }
-  if (stats_.total_objects !=
-      static_cast<int64_t>(files_.size()) + existing_dir_count_) {
+  if (stats_.total_objects != live + existing_dir_count_) {
     return Status::Internal(
         "total_objects counter " + std::to_string(stats_.total_objects) +
-        " != actual " +
-        std::to_string(static_cast<int64_t>(files_.size()) +
-                       existing_dir_count_));
+        " != actual " + std::to_string(live + existing_dir_count_));
   }
   // Recount the maintained subtree tallies from scratch — per-directory
-  // contained files via string prefixes (deliberately not the parent
-  // links, so the audit cross-checks the id plumbing itself) and
-  // contained dirs via the parent links of every existing directory.
+  // contained files via string prefixes of the rebuilt paths
+  // (deliberately not the parent links, so the audit cross-checks the id
+  // plumbing itself) and contained dirs via the parent links of every
+  // existing directory. Each path's hash must also lead to its slot.
   std::vector<int64_t> file_recount(dir_meta_.size(), 0);
   std::vector<int64_t> dir_recount(dir_meta_.size(), 0);
-  for (const auto& [path, _] : files_) {
+  std::string path;
+  for (uint32_t slot = 0; slot < slot_count_; ++slot) {
+    if (Slot(slot).dir == kFreeSlot) continue;
+    PathOf(Slot(slot), &path);
+    if (FindSlot(path, CounterRng::HashString(path)) != slot) {
+      return Status::Internal("index does not reach file " + path);
+    }
     for (const auto& dir : ParentDirs(path)) {
       const auto id = dir_ids_.Lookup(dir);
       if (id == common::StringInterner::kInvalidId ||
@@ -287,12 +634,31 @@ Status NameNode::AuditAccounting() const {
 }
 
 std::vector<FileInfo> NameNode::ListFiles(const std::string& dir_prefix) {
-  std::vector<FileInfo> out;
+  // A path starts with `dir_prefix` + '/' exactly when its directory
+  // name + '/' does (a basename holds no '/'), so the match is decided
+  // once per directory and only matching directories' files are visited.
   const std::string prefix = dir_prefix + "/";
-  for (auto it = files_.lower_bound(prefix);
-       it != files_.end() && it->first.compare(0, prefix.size(), prefix) == 0;
-       ++it) {
-    out.push_back(ToInfo(*it));
+  std::vector<uint32_t> order;
+  for (common::StringInterner::Id dir = common::StringInterner::kInvalidId;
+       dir < static_cast<common::StringInterner::Id>(dir_meta_.size());
+       ++dir) {
+    const std::string_view name = DirName(dir);
+    if (name.size() + 1 >= prefix.size() &&
+        (name.starts_with(prefix) ||
+         (name.size() + 1 == prefix.size() && prefix.starts_with(name)))) {
+      for (uint32_t s = FirstFile(dir); s != kNoSlot;
+           s = Slot(s).next_in_dir) {
+        order.push_back(s);
+      }
+    }
+  }
+  SortByPath(&order);
+  std::vector<FileInfo> out;
+  out.reserve(order.size());
+  std::string path;
+  for (const uint32_t slot : order) {
+    PathOf(Slot(slot), &path);
+    out.push_back(InfoOf(Slot(slot), path));
   }
   ++stats_.list_calls;
   CountRpc(1 + static_cast<int64_t>(out.size()) / 1000);
@@ -351,12 +717,15 @@ void NameNode::SaveState(common::BlobWriter* w) const {
   w->WriteBool(rng.have_cached_normal);
   w->WriteF64(rng.cached_normal);
 
-  w->WriteU64(files_.size());
-  for (const auto& [path, record] : files_) {
+  w->WriteU64(static_cast<uint64_t>(live_files_));
+  std::string path;
+  for (const uint32_t slot : SlotsByPath()) {
+    const FileSlot& file = Slot(slot);
+    PathOf(file, &path);
     w->WriteString(path);
-    w->WriteI64(record.size_bytes);
-    w->WriteI64(record.record_count);
-    w->WriteI64(record.created_at);
+    w->WriteI64(file.size_bytes);
+    w->WriteI64(file.record_count);
+    w->WriteI64(file.created_at);
   }
 
   // Directory interner + per-directory accounting, in id order so the
@@ -394,7 +763,7 @@ void NameNode::SaveState(common::BlobWriter* w) const {
 }
 
 Status NameNode::RestoreState(common::BlobReader* r) {
-  if (dir_ids_.size() != 0 || !files_.empty()) {
+  if (dir_ids_.size() != 0 || slot_count_ != 0) {
     return Status::Internal("NameNode::RestoreState requires a fresh node");
   }
   Rng::State rng;
@@ -404,14 +773,29 @@ Status NameNode::RestoreState(common::BlobReader* r) {
   rng.cached_normal = r->ReadF64();
   rng_.RestoreState(rng);
 
+  // Files come before the directory interner in the blob, so each path
+  // stays a view into the blob until its directory id can be looked up.
   const uint64_t file_count = r->ReadCount();
+  std::vector<std::string_view> paths;
+  paths.reserve(file_count);
+  if (file_count > 0) {
+    slot_pages_.emplace_back().reserve(
+        std::min<uint64_t>(kSlotPage, file_count));
+  }
+  size_t name_bytes = 0;
   for (uint64_t i = 0; i < file_count && r->ok(); ++i) {
-    std::string path = r->ReadString();
-    FileRecord record;
-    record.size_bytes = r->ReadI64();
-    record.record_count = r->ReadI64();
-    record.created_at = r->ReadI64();
-    files_.emplace_hint(files_.end(), std::move(path), record);
+    const std::string_view path = r->ReadStringView();
+    FileSlot& slot = Slot(AllocateSlot());
+    slot.size_bytes = r->ReadI64();
+    slot.record_count = r->ReadI64();
+    slot.created_at = r->ReadI64();
+    const size_t slash = path.rfind('/');
+    if (!r->ok() || slash == std::string_view::npos) break;
+    paths.push_back(path);
+    name_bytes += path.size() - slash - 1;
+  }
+  if (!r->ok() || paths.size() != file_count) {
+    return Status::Internal("malformed NameNode checkpoint file table");
   }
 
   const int64_t dir_count = r->ReadI64();
@@ -422,15 +806,62 @@ Status NameNode::RestoreState(common::BlobReader* r) {
     }
   }
   dir_meta_.resize(r->ReadCount());
-  for (DirEntry& e : dir_meta_) {
+  if (static_cast<int64_t>(dir_meta_.size()) != dir_ids_.size()) {
+    return Status::Internal("NameNode checkpoint: directory count mismatch");
+  }
+  for (size_t id = 0; id < dir_meta_.size(); ++id) {
+    DirEntry& e = dir_meta_[id];
+    e.name = dir_ids_.NameOf(static_cast<common::StringInterner::Id>(id));
     e.parent = r->ReadI32();
     e.exists = r->ReadBool();
     e.file_count = r->ReadI64();
     e.dir_count = r->ReadI64();
     e.quota = r->ReadI64();
+    // Parents are interned before their children, so a parent id is
+    // always smaller: this also rules out cycles.
+    if (e.parent < common::StringInterner::kInvalidId ||
+        e.parent >= static_cast<common::StringInterner::Id>(id)) {
+      return Status::Internal("NameNode checkpoint: bad directory parent");
+    }
   }
   existing_dir_count_ = r->ReadI64();
   active_quota_count_ = r->ReadI64();
+
+  // Resolve each file's directory (consecutive files mostly share one)
+  // and fill the name pages, the directory lists and the index.
+  if (name_bytes > 0) {
+    name_pages_.emplace_back().reserve(std::min(kNamePage, name_bytes));
+  }
+  if (!paths.empty()) {
+    size_t buckets = kMinBuckets;
+    while (paths.size() * 4 > buckets * 3) buckets *= 2;
+    ResizeIndex(buckets);
+  }
+  std::string_view last_dir;
+  common::StringInterner::Id last_id = common::StringInterner::kInvalidId;
+  for (uint32_t i = 0; i < paths.size(); ++i) {
+    const std::string_view path = paths[i];
+    const size_t slash = path.rfind('/');
+    const std::string_view dir = path.substr(0, slash);
+    if (slash > 0 && (last_id == common::StringInterner::kInvalidId ||
+                      dir != last_dir)) {
+      last_id = dir_ids_.Lookup(dir);
+      last_dir = dir;
+      if (last_id == common::StringInterner::kInvalidId) {
+        return Status::Internal("NameNode checkpoint: file in unknown "
+                                "directory");
+      }
+    }
+    const uint64_t hash = CounterRng::HashString(path);
+    if (FindSlot(path, hash) != kNoSlot) {
+      return Status::Internal("NameNode checkpoint: duplicate file");
+    }
+    FileSlot& slot = Slot(i);
+    slot.dir = slash > 0 ? last_id : common::StringInterner::kInvalidId;
+    StoreName(path.substr(slash + 1), &slot);
+    LinkFile(i);
+    IndexSlot(i, hash);
+  }
 
   stats_.total_objects = r->ReadI64();
   stats_.file_count = r->ReadI64();

@@ -92,6 +92,12 @@ class EpochLoadView;
 /// create. All RPCs are counted per simulated hour to drive the timeout
 /// model. A deployment has exactly one: the paper's pain points are
 /// per-NameNode, and no experiment varies HDFS federation.
+///
+/// Files live in a compact table (DESIGN.md §10): one 48-byte slot per
+/// file, its basename in shared name pages and its directory as an
+/// interned id, found through an open-addressing index on the path hash.
+/// No path string is kept per file. Path order is rebuilt only where it
+/// is observable: ForEachFile, ListFiles and SaveState.
 class NameNode {
  public:
   NameNode(const Clock* clock, NameNodeOptions options = {});
@@ -106,7 +112,9 @@ class NameNode {
   Status DeleteFile(std::string_view path);
 
   /// Read-opens a file: counts an open() RPC and may time out under load.
-  Result<FileInfo> Open(std::string_view path);
+  /// Checks, in order: an injected fault, the timeout draw, existence.
+  /// Stat is the metadata accessor.
+  Status Open(std::string_view path);
 
   /// Metadata lookup without the timeout model (planner-side access).
   Result<FileInfo> Stat(std::string_view path) const;
@@ -183,11 +191,16 @@ class NameNode {
   /// @}
 
  private:
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
   /// Per-directory bookkeeping, indexed by interned dir id. Tallies are
   /// maintained incrementally on create/delete, so quota checks read two
   /// integers instead of scanning the namespace by prefix (the seed's
   /// GetQuota walked files_ + dirs_ under the prefix on every create).
   struct DirEntry {
+    /// The interned name (the interner's storage is stable), read on
+    /// every lookup without the interner's lock.
+    std::string_view name;
     common::StringInterner::Id parent = common::StringInterner::kInvalidId;
     /// Interned does not imply existing: quota roots are interned when the
     /// quota is set, but a directory only becomes a namespace *object*
@@ -196,17 +209,81 @@ class NameNode {
     int64_t file_count = 0;  // live files anywhere under this subtree
     int64_t dir_count = 0;   // existing dirs strictly under this subtree
     int64_t quota = 0;       // max objects for the subtree, 0 = none
+    /// Head of the list of files directly in this directory, so a
+    /// listing visits only the directories it matches.
+    uint32_t first_file = kNoSlot;
   };
 
-  /// What the namespace keeps per file; the path lives only in the
-  /// files_ key, and FileInfo is built where a call returns one.
-  struct FileRecord {
+  /// One file (48 bytes; slot numbers are 32-bit). Its path is the
+  /// directory's interned name, '/', and the basename at [name_offset,
+  /// name_offset + name_length) of name page name_page; files directly
+  /// under "/" have dir == kInvalidId. The files of one directory form a
+  /// doubly linked list. A free slot has dir == kFreeSlot and threads the
+  /// free list through next_in_dir. The path hash is not kept: an index
+  /// entry's 32-bit tag already rules out nearly every other slot.
+  struct FileSlot {
     int64_t size_bytes = 0;
     int64_t record_count = 0;
     SimTime created_at = 0;
+    common::StringInterner::Id dir = common::StringInterner::kInvalidId;
+    uint32_t name_page = 0;
+    uint32_t name_offset = 0;
+    uint32_t name_length = 0;
+    uint32_t next_in_dir = kNoSlot;
+    uint32_t prev_in_dir = kNoSlot;
   };
-  using FileMap = std::map<std::string, FileRecord, std::less<>>;
-  static FileInfo ToInfo(const FileMap::value_type& file);
+  static_assert(sizeof(FileSlot) == 48);
+  static constexpr common::StringInterner::Id kFreeSlot = -2;
+  /// Slots and basenames live in pages. Every page but the last is full
+  /// and later pages are allocated at full size, so a large namespace
+  /// never copies a doubling buffer (one vector plus one string arena
+  /// peaked 3.5 MB higher on control_loop, DESIGN.md §10), and a small
+  /// one stays in a small first page that grows by doubling.
+  static constexpr uint32_t kSlotPage = 4096;       // slots (192 KiB)
+  static constexpr size_t kNamePage = 64 * 1024;    // basename bytes
+
+  FileSlot& Slot(uint32_t i) {
+    return slot_pages_[i / kSlotPage][i % kSlotPage];
+  }
+  const FileSlot& Slot(uint32_t i) const {
+    return slot_pages_[i / kSlotPage][i % kSlotPage];
+  }
+  std::string_view DirName(common::StringInterner::Id dir) const;
+  std::string_view Basename(const FileSlot& slot) const;
+  /// Head of the file list of `dir` (kInvalidId: "/").
+  uint32_t& FirstFile(common::StringInterner::Id dir);
+  uint32_t FirstFile(common::StringInterner::Id dir) const;
+  /// Adds the slot to (removes it from) its directory's file list.
+  void LinkFile(uint32_t slot);
+  void UnlinkFile(uint32_t slot);
+  /// The slot's full path, rebuilt into `out`.
+  void PathOf(const FileSlot& slot, std::string* out) const;
+  static FileInfo InfoOf(const FileSlot& slot, std::string path);
+  /// Byte order of the rebuilt paths, without building them.
+  bool PathLess(const FileSlot& a, const FileSlot& b) const;
+  /// All live slots, sorted by full path.
+  std::vector<uint32_t> SlotsByPath() const;
+  void SortByPath(std::vector<uint32_t>* slots) const;
+
+  /// The slot holding `path` (whose HashString is `hash`), or kNoSlot.
+  /// `bucket` receives the index position of a found slot.
+  uint32_t FindSlot(std::string_view path, uint64_t hash,
+                    size_t* bucket = nullptr) const;
+  /// Indexes (and counts live) slot `slot`, whose path hashes to `hash`,
+  /// growing the index first at 3/4 load.
+  void IndexSlot(uint32_t slot, uint64_t hash);
+  /// Removes (and uncounts) an entry by backward-shift deletion: no
+  /// tombstones, so probes stay short.
+  void UnindexBucket(size_t bucket);
+  void ResizeIndex(size_t buckets);
+  /// Takes a free slot or appends one.
+  uint32_t AllocateSlot();
+  /// Appends `basename` to the last name page (or a new one) and points
+  /// `slot` at it.
+  void StoreName(std::string_view basename, FileSlot* slot);
+  /// Once deleted basenames outweigh the live ones plus a pass over the
+  /// slots, slides the live ones down in place and frees emptied pages.
+  void MaybeCompactNames();
 
   void CountRpc(int64_t n = 1);
   /// Interns `dir` and every ancestor (no accounting side effects) and
@@ -216,7 +293,7 @@ class NameNode {
   /// after a single deepest-prefix intern — no per-level substrings).
   void ParentChain(std::string_view path,
                    std::vector<common::StringInterner::Id>* chain);
-  static std::vector<std::string> ParentDirs(const std::string& path);
+  static std::vector<std::string> ParentDirs(std::string_view path);
 
   const Clock* clock_;
   NameNodeOptions options_;
@@ -224,7 +301,22 @@ class NameNode {
   const EpochLoadView* epoch_load_ = nullptr;
   fault::FaultInjector* fault_ = nullptr;
   obs::TraceRecorder* trace_ = nullptr;
-  FileMap files_;
+  std::vector<std::vector<FileSlot>> slot_pages_;
+  uint32_t slot_count_ = 0;       // slots handed out, live or free
+  uint32_t free_slot_ = kNoSlot;  // head of the free-slot list
+  int64_t live_files_ = 0;        // slots in use == index entries
+  uint32_t root_first_file_ = kNoSlot;  // files directly under "/"
+  /// Basenames back to back; a name never straddles pages, and one
+  /// longer than kNamePage gets a page of its own. Bytes of deleted
+  /// files stay until MaybeCompactNames reclaims them.
+  std::vector<std::vector<char>> name_pages_;
+  int64_t live_name_bytes_ = 0;
+  int64_t dead_name_bytes_ = 0;
+  /// Open-addressing index (linear probing, power-of-two size, empty
+  /// until the first create): each entry packs the high half of
+  /// CounterRng::Mix(hash), which also picks its home bucket, over a slot
+  /// number, so a probe compares slots only on a 32-bit match.
+  std::vector<uint64_t> index_;
   common::StringInterner dir_ids_;
   std::vector<DirEntry> dir_meta_;   // indexed by interned dir id
   int64_t existing_dir_count_ = 0;   // dirs with exists == true

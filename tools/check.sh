@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full pre-merge check: tier-1 build + tests, then the concurrency-,
-# fault-, policy- and sched-labelled suites under both sanitizer
-# configurations (ASan+UBSan and TSan). Usage:
+# fault-, policy-, sched- and storage-labelled suites under both
+# sanitizer configurations (ASan+UBSan and TSan). Usage:
 #   tools/check.sh [jobs]        - the pre-merge check
 #   tools/check.sh sched [jobs]
 #       Scheduler quick mode: TSan build, then `ctest -L sched` only —
@@ -20,11 +20,19 @@
 #       peak-RSS line per suite, sorted descending — the quick way to
 #       spot a suite whose memory crept up without rerunning the bench.
 #       Fails if any suite exits nonzero.
+#   tools/check.sh heap -- <cmd> [args...]
+#       Peak-heap attribution: compiles tools/heapprof.c into an
+#       LD_PRELOAD sampling profiler (about one sample per 16 KiB
+#       allocated), runs <cmd> under it from the repository root and
+#       prints, per process, the call sites, functions and classes that
+#       hold the peak live heap (tools/heap_report.py, symbolized with
+#       addr2line). Profile a RelWithDebInfo binary, e.g.
+#       `tools/check.sh heap -- build/tools/autocomp_cli cab --hours=2`.
 #
 # Build trees:
 #   build/       - default RelWithDebInfo, full ctest suite
-#   build-asan/  - -DAUTOCOMP_SANITIZE=address (ASan+UBSan), ctest -L 'concurrency|fault|policy|sched'
-#   build-tsan/  - -DAUTOCOMP_SANITIZE=thread, ctest -L 'concurrency|fault|policy|sched'
+#   build-asan/  - -DAUTOCOMP_SANITIZE=address (ASan+UBSan), ctest -L 'concurrency|fault|policy|sched|storage'
+#   build-tsan/  - -DAUTOCOMP_SANITIZE=thread, ctest -L 'concurrency|fault|policy|sched|storage'
 #   build-cov/   - -DAUTOCOMP_COVERAGE=ON (coverage mode only)
 
 set -euo pipefail
@@ -125,6 +133,27 @@ sched_check() {
   run ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L sched
 }
 
+heap_check() {
+  local lib=build/heapprof.so out
+  mkdir -p build
+  run cc -O2 -g -shared -fPIC -o "$lib" tools/heapprof.c -ldl -lpthread -lm
+  out=$(mktemp -d)
+  run env TMPDIR="$out" LD_PRELOAD="$PWD/$lib" "$@"
+  run python3 tools/heap_report.py "$out"/autocomp-heap.*.txt
+  rm -rf "$out"
+}
+
+if [[ "${1:-}" == "heap" ]]; then
+  shift
+  [[ "${1:-}" == "--" ]] && shift
+  if (( $# == 0 )); then
+    echo "usage: tools/check.sh heap -- <cmd> [args...]" >&2
+    exit 2
+  fi
+  heap_check "$@"
+  exit 0
+fi
+
 if [[ "${1:-}" == "sched" ]]; then
   sched_check "${2:-$(nproc)}"
   exit 0
@@ -147,16 +176,16 @@ run cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 run cmake --build build -j "${JOBS}"
 run ctest --test-dir build --output-on-failure -j "${JOBS}"
 
-# --- Concurrency + fault + policy + sched suites under ASan+UBSan.
+# --- Concurrency + fault + policy + sched + storage suites under ASan+UBSan.
 run cmake -B build-asan -S . -DAUTOCOMP_SANITIZE=address \
     -DAUTOCOMP_BUILD_BENCHMARKS=OFF -DAUTOCOMP_BUILD_EXAMPLES=OFF
 run cmake --build build-asan -j "${JOBS}"
-run ctest --test-dir build-asan --output-on-failure -j "${JOBS}" -L 'concurrency|fault|policy|sched'
+run ctest --test-dir build-asan --output-on-failure -j "${JOBS}" -L 'concurrency|fault|policy|sched|storage'
 
-# --- Concurrency + fault + policy + sched suites under TSan.
+# --- Concurrency + fault + policy + sched + storage suites under TSan.
 run cmake -B build-tsan -S . -DAUTOCOMP_SANITIZE=thread \
     -DAUTOCOMP_BUILD_BENCHMARKS=OFF -DAUTOCOMP_BUILD_EXAMPLES=OFF
 run cmake --build build-tsan -j "${JOBS}"
-run ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" -L 'concurrency|fault|policy|sched'
+run ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" -L 'concurrency|fault|policy|sched|storage'
 
 echo "All checks passed."
