@@ -8,17 +8,23 @@
 /// overwhelmingly small counts, ids and hour-scale timestamps, so
 /// fixed-width encoding tripled blob size), raw IEEE-754 bit patterns
 /// for doubles (memcpy, never a decimal round-trip — restore must
-/// replay *bit-identically*, NFR2), and length-prefixed strings with
-/// per-blob interning: each distinct string is written once and
-/// back-referenced afterwards, which collapses the file paths repeated
-/// across NameNode state, manifest pools and removed-path sets. Blobs
-/// never leave the process and never cross versions, so there is no
-/// tagging and no backward compatibility machinery.
+/// replay *bit-identically*, NFR2), and strings with per-blob
+/// interning: each distinct string is written once and back-referenced
+/// afterwards, which collapses the file paths repeated across NameNode
+/// state, manifest pools and removed-path sets. A first occurrence is
+/// front-coded against the previous first occurrence (shared prefix
+/// length, suffix length, suffix bytes): the NameNode writes its paths
+/// sorted, so each costs little more than the bytes where it differs
+/// from the one before. The reader rebuilds those strings in an arena it
+/// owns. Blobs never leave the process and never cross versions, so
+/// there is no tagging and no backward compatibility machinery.
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -53,8 +59,10 @@ class BlobWriter {
     buffer_.append(bytes, sizeof(bits));
   }
 
-  /// Interned: the first occurrence writes tag 0 + length + bytes and
-  /// enters the blob's string table; repeats write table-index + 1.
+  /// Interned and front-coded: the first occurrence writes tag 0, the
+  /// length of the prefix it shares with the previous first occurrence,
+  /// the suffix length and the suffix bytes, and enters the blob's string
+  /// table; repeats write table-index + 1.
   void WriteString(std::string_view s) {
     const auto [it, inserted] =
         interned_.emplace(std::string(s), interned_.size());
@@ -62,9 +70,16 @@ class BlobWriter {
       WriteVarint(static_cast<uint64_t>(it->second) + 1);
       return;
     }
+    const size_t common = std::min(s.size(), last_new_.size());
+    const size_t shared = static_cast<size_t>(
+        std::mismatch(s.begin(), s.begin() + common, last_new_.begin())
+            .first -
+        s.begin());
     WriteVarint(0);
-    WriteVarint(s.size());
-    buffer_.append(s.data(), s.size());
+    WriteVarint(shared);
+    WriteVarint(s.size() - shared);
+    buffer_.append(s.data() + shared, s.size() - shared);
+    last_new_.assign(s);
   }
 
   size_t size() const { return buffer_.size(); }
@@ -75,6 +90,7 @@ class BlobWriter {
   /// afterwards (the intern table too — a reused writer starts a fresh
   /// blob).
   std::string Take() {
+    last_new_.clear();
     interned_.clear();
     buffer_.shrink_to_fit();
     return std::move(buffer_);
@@ -96,16 +112,17 @@ class BlobWriter {
 
   std::string buffer_;
   std::unordered_map<std::string, size_t> interned_;
+  std::string last_new_;  // the previous first occurrence
 };
 
 /// \brief Sequential reader over a blob produced by BlobWriter.
 ///
-/// Fails closed: a read past the end, a corrupt varint or a dangling
-/// string back-reference turns `ok()` false in every build type, and
-/// from then on every read returns a zero value, so decoders surface
-/// malformed input as a Status. Decode loops over a decoded count also
-/// stop once `ok()` turns false, and counts that size an allocation come
-/// from ReadCount().
+/// Fails closed: a read past the end, a corrupt varint, a dangling
+/// string back-reference or a shared prefix longer than the previous
+/// string turns `ok()` false in every build type, and from then on every
+/// read returns a zero value, so decoders surface malformed input as a
+/// Status. Decode loops over a decoded count also stop once `ok()` turns
+/// false, and counts that size an allocation come from ReadCount().
 class BlobReader {
  public:
   explicit BlobReader(std::string_view data) : data_(data) {}
@@ -149,8 +166,10 @@ class BlobReader {
 
   std::string ReadString() { return std::string(ReadStringView()); }
 
-  /// ReadString without the copy: the view points into the blob, so it
-  /// is valid while the blob is.
+  /// ReadString without the copy: the view points into the reader's
+  /// string arena, so it is valid while the reader is (not merely while
+  /// the blob is). A first occurrence is rebuilt there from the previous
+  /// one's prefix and its own suffix; a repeat returns the same view.
   std::string_view ReadStringView() {
     const uint64_t tag = ReadVarint();
     if (tag != 0) {
@@ -160,11 +179,19 @@ class BlobReader {
       }
       return interned_[tag - 1];
     }
-    const uint64_t n = ReadVarint();
-    if (!Require(n)) return {};
-    const std::string_view s = data_.substr(pos_, n);
-    pos_ += n;
-    interned_.push_back(s);  // views into the blob: zero-copy table
+    const std::string_view previous =
+        interned_.empty() ? std::string_view() : interned_.back();
+    const uint64_t shared = ReadVarint();
+    if (shared > previous.size()) {
+      Fail();
+      return {};
+    }
+    const uint64_t suffix = ReadVarint();
+    if (!Require(suffix)) return {};
+    const std::string_view s = Store(previous.substr(0, shared),
+                                     data_.substr(pos_, suffix));
+    pos_ += suffix;
+    interned_.push_back(s);
     return s;
   }
 
@@ -204,10 +231,37 @@ class BlobReader {
 
   void Fail() { ok_ = false; }
 
+  // Copies `prefix` + `suffix` into the arena. Chunks are never resized
+  // or freed before the reader, so every view handed out stays valid; a
+  // string longer than a chunk gets a chunk of its own.
+  std::string_view Store(std::string_view prefix, std::string_view suffix) {
+    const size_t n = prefix.size() + suffix.size();
+    if (n == 0) return {};
+    if (n > chunk_left_) {
+      const size_t size = std::max(n, kArenaChunk);
+      chunks_.push_back(std::make_unique_for_overwrite<char[]>(size));
+      chunk_next_ = chunks_.back().get();
+      chunk_left_ = size;
+    }
+    char* out = chunk_next_;
+    if (!prefix.empty()) std::memcpy(out, prefix.data(), prefix.size());
+    if (!suffix.empty()) {
+      std::memcpy(out + prefix.size(), suffix.data(), suffix.size());
+    }
+    chunk_next_ += n;
+    chunk_left_ -= n;
+    return std::string_view(out, n);
+  }
+
+  static constexpr size_t kArenaChunk = 64 * 1024;
+
   std::string_view data_;
   size_t pos_ = 0;
   bool ok_ = true;
   std::vector<std::string_view> interned_;
+  std::vector<std::unique_ptr<char[]>> chunks_;
+  char* chunk_next_ = nullptr;
+  size_t chunk_left_ = 0;
 };
 
 }  // namespace autocomp::common

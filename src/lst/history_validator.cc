@@ -96,16 +96,14 @@ std::vector<HistoryViolation> ValidateHistory(const TableMetadata& metadata) {
     }
     // Apply the delta to the previous live set.
     int64_t removed_count = 0;
-    if (s.removed_paths != nullptr) {
-      for (const std::string& path : *s.removed_paths) {
-        const auto it = live.find(path);
-        if (it == live.end()) {
-          Add(&violations, s.snapshot_id,
-              "removed path was not live in parent: " + path);
-        } else {
-          live.erase(it);
-          ++removed_count;
-        }
+    for (const std::string_view path : s.removed_paths) {
+      const auto it = live.find(path);
+      if (it == live.end()) {
+        Add(&violations, s.snapshot_id,
+            "removed path was not live in parent: " + std::string(path));
+      } else {
+        live.erase(it);
+        ++removed_count;
       }
     }
     int64_t added_count = 0;

@@ -1,9 +1,8 @@
 #include "lst/metadata_blob.h"
 
 #include <map>
-#include <memory>
-#include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -22,7 +21,7 @@ void FileToBlob(const DataFileRef& f, common::BlobWriter* w) {
   w->WriteI64(f.sequence_number);
 }
 
-/// The entry's strings view the blob being decoded.
+/// The entry's strings view the reader's string arena.
 DataFileRef FileFromBlob(common::BlobReader* r) {
   DataFileRef f;
   f.path = r->ReadStringView();
@@ -108,12 +107,8 @@ void TableMetadataToBlob(const TableMetadata& metadata,
     for (const ManifestPtr& m : s.manifests) w->WriteI64(m->manifest_id());
     w->WriteU64(s.touched_partitions.size());
     for (const std::string& p : s.touched_partitions) w->WriteString(p);
-    if (s.removed_paths != nullptr) {
-      w->WriteU64(s.removed_paths->size());
-      for (const std::string& p : *s.removed_paths) w->WriteString(p);
-    } else {
-      w->WriteU64(0);
-    }
+    w->WriteU64(s.removed_paths.size());
+    for (const std::string_view p : s.removed_paths) w->WriteString(p);
   }
 }
 
@@ -163,7 +158,7 @@ Result<TableMetadataPtr> TableMetadataFromBlob(common::BlobReader* r) {
   // Revive manifests through the builder so the restored lineage
   // interns partition keys into a single arena (see
   // TableMetadataFromJson, which this mirrors step for step). Entries
-  // view the blob until their manifest has copied them.
+  // view the reader's string arena until their manifest has copied them.
   std::map<int64_t, ManifestPtr> pool;
   std::vector<DataFileRef> files;
   const uint64_t manifest_count = r->ReadCount();
@@ -199,14 +194,9 @@ Result<TableMetadataPtr> TableMetadataFromBlob(common::BlobReader* r) {
     for (uint64_t i = 0; i < touched && r->ok(); ++i) {
       s.touched_partitions.insert(r->ReadString());
     }
-    const uint64_t removed_count = r->ReadCount();
-    if (removed_count > 0) {
-      auto removed = std::make_shared<std::set<std::string>>();
-      for (uint64_t i = 0; i < removed_count && r->ok(); ++i) {
-        removed->insert(r->ReadString());
-      }
-      s.removed_paths = std::move(removed);
-    }
+    std::vector<std::string_view> removed(r->ReadCount());
+    for (std::string_view& p : removed) p = r->ReadStringView();
+    s.removed_paths = SortedPathList::FromPaths(std::move(removed));
   }
   if (!snapshots.empty()) {
     Snapshot current = std::move(snapshots.back());

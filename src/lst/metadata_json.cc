@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <map>
 #include <set>
+#include <string_view>
+#include <vector>
 
 #include "common/json.h"
 #include "common/units.h"
@@ -184,8 +186,8 @@ std::string TableMetadataToJson(const TableMetadata& metadata) {
     for (const std::string& p : s.touched_partitions) touched.Append(p);
     snap.Set("touched-partitions", std::move(touched));
     JsonValue removed = JsonValue::Array();
-    if (s.removed_paths != nullptr) {
-      for (const std::string& p : *s.removed_paths) removed.Append(p);
+    for (const std::string_view p : s.removed_paths) {
+      removed.Append(std::string(p));
     }
     snap.Set("removed-paths", std::move(removed));
     snapshots.Append(std::move(snap));
@@ -299,14 +301,14 @@ Result<TableMetadataPtr> TableMetadataFromJson(const std::string& json) {
       AUTOCOMP_ASSIGN_OR_RETURN(std::string partition, p.AsString());
       s.touched_partitions.insert(std::move(partition));
     }
-    if (sj.Get("removed-paths").size() > 0) {
-      auto removed = std::make_shared<std::set<std::string>>();
-      for (const JsonValue& p : sj.Get("removed-paths").items()) {
-        AUTOCOMP_ASSIGN_OR_RETURN(std::string path, p.AsString());
-        removed->insert(std::move(path));
+    std::vector<std::string_view> removed;
+    for (const JsonValue& p : sj.Get("removed-paths").items()) {
+      if (p.type() != JsonValue::Type::kString) {
+        return Status::InvalidArgument("removed path is not a string");
       }
-      s.removed_paths = std::move(removed);
+      removed.push_back(p.as_string());
     }
+    s.removed_paths = SortedPathList::FromPaths(std::move(removed));
     snapshots.push_back(std::move(s));
   }
   if (!snapshots.empty()) {

@@ -4,12 +4,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <set>
 #include <string>
 
 #include "common/units.h"
 #include "lst/manifest.h"
+#include "lst/path_list.h"
 
 namespace autocomp::lst {
 
@@ -47,9 +47,9 @@ struct Snapshot {
   /// Partitions written or rewritten by this commit; drives
   /// partition-aware conflict validation.
   std::set<std::string> touched_partitions;
-  /// Paths removed from the live set by this commit (shared: snapshots are
-  /// copied into every successor metadata version).
-  std::shared_ptr<const std::set<std::string>> removed_paths;
+  /// Paths removed from the live set by this commit (empty for appends;
+  /// copies share one buffer, so copying a snapshot stays cheap).
+  SortedPathList removed_paths;
 
   int64_t live_file_count() const {
     int64_t n = 0;

@@ -123,13 +123,11 @@ Status Transaction::ValidateAgainst(const TableMetadata& current) const {
         if (s->operation == SnapshotOperation::kAppend) continue;
         // Any operation that removed one of my inputs kills the rewrite
         // — its outputs would resurrect deleted/rewritten data.
-        if (s->removed_paths != nullptr) {
-          for (const std::string& p : *s->removed_paths) {
-            if (my_inputs.count(p) > 0) {
-              return Conflict(
-                  ConflictKind::kInputRemoved,
-                  "rewrite input removed by concurrent commit: " + p);
-            }
+        for (const std::string& p : my_inputs) {
+          if (s->removed_paths.Contains(p)) {
+            return Conflict(
+                ConflictKind::kInputRemoved,
+                "rewrite input removed by concurrent commit: " + p);
           }
         }
         if (s->operation == SnapshotOperation::kReplace) {
@@ -192,7 +190,7 @@ Result<TableMetadataPtr> Transaction::Apply(const TableMetadata& current,
   ManifestList manifests =
       base_snap == nullptr ? ManifestList{} : base_snap->manifests;
 
-  std::shared_ptr<const std::set<std::string>> removed;
+  SortedPathList removed;
 
   if (!replaced_paths_.empty()) {
     // The staged paths sorted and deduplicated; found[k] marks
@@ -252,8 +250,7 @@ Result<TableMetadataPtr> Transaction::Apply(const TableMetadata& current,
       return Conflict(ConflictKind::kReplacedNotLive,
                       "some replaced files are not live in " + table_name_);
     }
-    removed = std::make_shared<const std::set<std::string>>(
-        to_remove.begin(), to_remove.end());
+    removed = SortedPathList::FromPaths(std::move(to_remove));
   }
 
   if (!added_.empty()) {

@@ -2,12 +2,46 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <limits>
 
 #include "common/logging.h"
 #include "core/act.h"
 
 namespace autocomp::sim {
+
+namespace {
+
+// Metric names, indexed by EventDriver::Metric.
+constexpr const char* kMetricNames[] = {
+    "files_total",
+    "compaction_commits",
+    "compaction_gbhr",
+    "compaction_files_reduced",
+    "cluster_conflicts",
+    "write_queries",
+    "write_failures",
+    "write_latency_s",
+    "client_conflicts",
+    "read_failures",
+    "read_latency_s",
+    "open_timeouts",
+    "pipeline_generate_ms",
+    "pipeline_observe_ms",
+    "pipeline_orient_ms",
+    "pipeline_decide_ms",
+    "pipeline_act_ms",
+    "stats_index_hits",
+    "stats_index_fallbacks",
+    "compaction_retries",
+    "compaction_abandoned",
+    "compaction_backoff_s",
+    "sched.admitted",
+    "sched.rejected",
+    "compaction_preempted",
+};
+
+}  // namespace
 
 EventDriver::EventDriver(SimEnvironment* env, MetricsRecorder* metrics,
                          DriverOptions options)
@@ -27,37 +61,17 @@ EventDriver::EventDriver(SimEnvironment* env, MetricsRecorder* metrics,
   next_retention_ = options_.retention_interval > 0
                         ? env_->clock().Now() + options_.retention_interval
                         : -1;
-  ids_.files_total = metrics_->Intern("files_total");
-  ids_.compaction_commits = metrics_->Intern("compaction_commits");
-  ids_.compaction_gbhr = metrics_->Intern("compaction_gbhr");
-  ids_.compaction_files_reduced = metrics_->Intern("compaction_files_reduced");
-  ids_.cluster_conflicts = metrics_->Intern("cluster_conflicts");
-  ids_.write_queries = metrics_->Intern("write_queries");
-  ids_.write_failures = metrics_->Intern("write_failures");
-  ids_.write_latency_s = metrics_->Intern("write_latency_s");
-  ids_.client_conflicts = metrics_->Intern("client_conflicts");
-  ids_.read_failures = metrics_->Intern("read_failures");
-  ids_.read_latency_s = metrics_->Intern("read_latency_s");
-  ids_.open_timeouts = metrics_->Intern("open_timeouts");
-  ids_.pipeline_generate_ms = metrics_->Intern("pipeline_generate_ms");
-  ids_.pipeline_observe_ms = metrics_->Intern("pipeline_observe_ms");
-  ids_.pipeline_orient_ms = metrics_->Intern("pipeline_orient_ms");
-  ids_.pipeline_decide_ms = metrics_->Intern("pipeline_decide_ms");
-  ids_.pipeline_act_ms = metrics_->Intern("pipeline_act_ms");
-  ids_.stats_index_hits = metrics_->Intern("stats_index_hits");
-  ids_.stats_index_fallbacks = metrics_->Intern("stats_index_fallbacks");
-  ids_.compaction_retries = metrics_->Intern("compaction_retries");
-  ids_.compaction_abandoned = metrics_->Intern("compaction_abandoned");
-  ids_.compaction_backoff_s = metrics_->Intern("compaction_backoff_s");
-  // Interned unconditionally (Equals/ContentHash skip empty slots, so
-  // runs that never record them hash identically).
-  ids_.sched_admitted = metrics_->Intern("sched.admitted");
-  ids_.sched_rejected = metrics_->Intern("sched.rejected");
-  ids_.compaction_preempted = metrics_->Intern("compaction_preempted");
+}
+
+MetricId EventDriver::Id(Metric metric) {
+  static_assert(std::size(kMetricNames) == kMetricCount);
+  MetricId& id = ids_[metric];
+  if (!id.valid()) id = metrics_->Intern(kMetricNames[metric]);
+  return id;
 }
 
 void EventDriver::SampleNow() {
-  metrics_->Record(ids_.files_total, env_->clock().Now(),
+  metrics_->Record(Id(kFilesTotal), env_->clock().Now(),
                    static_cast<double>(env_->TotalFileCount()));
 }
 
@@ -67,10 +81,10 @@ void EventDriver::ScheduleCompactions(
   const sched::AdmitOutcome outcome = scheduler_.Admit(plan, now);
   if (slo_active_) {
     if (outcome.admitted > 0) {
-      metrics_->Increment(ids_.sched_admitted, now, outcome.admitted);
+      metrics_->Increment(Id(kSchedAdmitted), now, outcome.admitted);
     }
     if (outcome.rejected > 0) {
-      metrics_->Increment(ids_.sched_rejected, now, outcome.rejected);
+      metrics_->Increment(Id(kSchedRejected), now, outcome.rejected);
     }
   }
   DispatchScheduled();
@@ -96,9 +110,9 @@ bool EventDriver::TryStartUnit(common::TableId table,
     // already cleaned up; count the abandonment and pull the next unit.
     if (pending->result.abandoned) {
       const SimTime at = env_->clock().Now();
-      metrics_->Increment(ids_.compaction_abandoned, at);
+      metrics_->Increment(Id(kCompactionAbandoned), at);
       if (pending->result.backoff_seconds > 0) {
-        metrics_->Observe(ids_.compaction_backoff_s, at,
+        metrics_->Observe(Id(kCompactionBackoffS), at,
                           pending->result.backoff_seconds);
       }
     }
@@ -135,7 +149,7 @@ void EventDriver::PreemptTable(common::TableId table, SimTime now) {
   (void)cancelled;
   const engine::CompactionResult result =
       env_->compaction_runner().Abandon(std::move(pending), now);
-  metrics_->Increment(ids_.compaction_preempted, now);
+  metrics_->Increment(Id(kCompactionPreempted), now);
   // The burned GBHr is charged to the tenant's budget ledger; the unit
   // re-enters its queue with deterministic exponential backoff.
   scheduler_.Preempt(table_ids_.NameOf(table), result.gb_hours, now);
@@ -204,26 +218,26 @@ void EventDriver::FinalizeUnit(common::TableId table,
   const engine::CompactionResult result =
       env_->compaction_runner().Finalize(std::move(pending));
   if (result.committed) {
-    metrics_->Increment(ids_.compaction_commits, at);
-    metrics_->Record(ids_.compaction_gbhr, at, result.gb_hours);
+    metrics_->Increment(Id(kCompactionCommits), at);
+    metrics_->Record(Id(kCompactionGbhr), at, result.gb_hours);
     metrics_->Record(
-        ids_.compaction_files_reduced, at,
+        Id(kCompactionFilesReduced), at,
         static_cast<double>(result.files_rewritten - result.files_produced));
     core::ReapAfterCommit(&env_->control_plane(), name);
   } else if (result.conflict) {
-    metrics_->Increment(ids_.cluster_conflicts, at);
-    metrics_->Record(ids_.compaction_gbhr, at, result.gb_hours);
+    metrics_->Increment(Id(kClusterConflicts), at);
+    metrics_->Record(Id(kCompactionGbhr), at, result.gb_hours);
   }
   // Fault/retry accounting (all zero in fault-free runs, so recorders
   // stay bit-identical to the seed behaviour).
   if (result.commit_retries > 0) {
-    metrics_->Increment(ids_.compaction_retries, at, result.commit_retries);
+    metrics_->Increment(Id(kCompactionRetries), at, result.commit_retries);
   }
   if (result.abandoned) {
-    metrics_->Increment(ids_.compaction_abandoned, at);
+    metrics_->Increment(Id(kCompactionAbandoned), at);
   }
   if (result.backoff_seconds > 0) {
-    metrics_->Observe(ids_.compaction_backoff_s, at, result.backoff_seconds);
+    metrics_->Observe(Id(kCompactionBackoffS), at, result.backoff_seconds);
   }
   scheduler_.OnFinished(name, result.gb_hours, result.end_time);
   RecordSchedulerSlo(name, unit, result, result.end_time);
@@ -318,23 +332,23 @@ Status EventDriver::AdvanceTo(SimTime t) {
         // took in host wall-clock, plus stats-index traffic. These feed
         // the pipeline-throughput benchmarks and the CLI summary.
         if (options_.record_host_timings) {
-          metrics_->Record(ids_.pipeline_generate_ms, clock.Now(),
+          metrics_->Record(Id(kPipelineGenerateMs), clock.Now(),
                            report.timings.generate_ms);
-          metrics_->Record(ids_.pipeline_observe_ms, clock.Now(),
+          metrics_->Record(Id(kPipelineObserveMs), clock.Now(),
                            report.timings.observe_ms);
-          metrics_->Record(ids_.pipeline_orient_ms, clock.Now(),
+          metrics_->Record(Id(kPipelineOrientMs), clock.Now(),
                            report.timings.orient_ms);
-          metrics_->Record(ids_.pipeline_decide_ms, clock.Now(),
+          metrics_->Record(Id(kPipelineDecideMs), clock.Now(),
                            report.timings.decide_ms);
-          metrics_->Record(ids_.pipeline_act_ms, clock.Now(),
+          metrics_->Record(Id(kPipelineActMs), clock.Now(),
                            report.timings.act_ms);
         }
         if (report.stats_index_hits > 0) {
-          metrics_->Increment(ids_.stats_index_hits, clock.Now(),
+          metrics_->Increment(Id(kStatsIndexHits), clock.Now(),
                               report.stats_index_hits);
         }
         if (report.stats_index_fallbacks > 0) {
-          metrics_->Increment(ids_.stats_index_fallbacks, clock.Now(),
+          metrics_->Increment(Id(kStatsIndexFallbacks), clock.Now(),
                               report.stats_index_fallbacks);
         }
         if (options_.deferred_compaction) {
@@ -356,17 +370,17 @@ Status EventDriver::Execute(const workload::QueryEvent& event) {
   const SimTime now = env_->clock().Now();
   ObserveTraffic(event, now);
   if (event.is_write) {
-    metrics_->Increment(ids_.write_queries, now);
+    metrics_->Increment(Id(kWriteQueries), now);
     auto result = env_->query_engine().ExecuteWrite(event.write, now);
     if (!result.ok()) {
       // Quota breaches and missing tables are workload-level failures; the
       // experiment records and continues (the paper's users see exactly
       // these failures pre-compaction).
-      metrics_->Increment(ids_.write_failures, now);
+      metrics_->Increment(Id(kWriteFailures), now);
       return Status::OK();
     }
     total_write_seconds_ += result->total_seconds;
-    metrics_->Observe(ids_.write_latency_s, now, result->total_seconds);
+    metrics_->Observe(Id(kWriteLatencyS), now, result->total_seconds);
     if (slo_active_) {
       metrics_->Observe(
           "sched.query_latency_s." +
@@ -374,12 +388,12 @@ Status EventDriver::Execute(const workload::QueryEvent& event) {
           now, result->total_seconds);
     }
     if (result->commit_retries > 0) {
-      metrics_->Increment(ids_.client_conflicts, now,
+      metrics_->Increment(Id(kClientConflicts), now,
                           result->commit_retries);
     }
     if (result->conflict_failed) {
-      metrics_->Increment(ids_.client_conflicts, now);
-      metrics_->Increment(ids_.write_failures, now);
+      metrics_->Increment(Id(kClientConflicts), now);
+      metrics_->Increment(Id(kWriteFailures), now);
       return Status::OK();
     }
     if (hook_ != nullptr) {
@@ -397,18 +411,18 @@ Status EventDriver::Execute(const workload::QueryEvent& event) {
         env_->query_engine().ExecuteRead(event.table, event.read_partition,
                                          now);
     if (!result.ok()) {
-      metrics_->Increment(ids_.read_failures, now);
+      metrics_->Increment(Id(kReadFailures), now);
       return Status::OK();
     }
     total_read_seconds_ += result->total_seconds;
-    metrics_->Observe(ids_.read_latency_s, now, result->total_seconds);
+    metrics_->Observe(Id(kReadLatencyS), now, result->total_seconds);
     if (slo_active_) {
       metrics_->Observe("sched.query_latency_s." +
                             sched::MaintenanceScheduler::TenantOf(event.table),
                         now, result->total_seconds);
     }
     if (result->open_timeouts > 0) {
-      metrics_->Increment(ids_.open_timeouts, now, result->open_timeouts);
+      metrics_->Increment(Id(kOpenTimeouts), now, result->open_timeouts);
     }
   }
   return Status::OK();

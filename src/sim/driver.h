@@ -17,6 +17,7 @@
 
 #pragma once
 
+#include <array>
 #include <functional>
 #include <map>
 #include <optional>
@@ -183,19 +184,23 @@ class EventDriver {
   double total_read_seconds_ = 0;
   double total_write_seconds_ = 0;
 
-  /// Interned handles for the per-event metrics (one vector index per
-  /// record instead of a string hash + map lookup per event).
-  struct Ids {
-    MetricId files_total, compaction_commits, compaction_gbhr,
-        compaction_files_reduced, cluster_conflicts, write_queries,
-        write_failures, write_latency_s, client_conflicts, read_failures,
-        read_latency_s, open_timeouts, pipeline_generate_ms,
-        pipeline_observe_ms, pipeline_orient_ms, pipeline_decide_ms,
-        pipeline_act_ms, stats_index_hits, stats_index_fallbacks,
-        compaction_retries, compaction_abandoned, compaction_backoff_s,
-        sched_admitted, sched_rejected, compaction_preempted;
+  /// The per-event metrics. Each resolves to a MetricId handle (one
+  /// vector index per record instead of a string hash + map lookup per
+  /// event) the first time the driver records into it, so a recorder
+  /// holds only the names its lane uses: a fleet_cold lane records into
+  /// a handful of these.
+  enum Metric : uint8_t {
+    kFilesTotal, kCompactionCommits, kCompactionGbhr,
+    kCompactionFilesReduced, kClusterConflicts, kWriteQueries,
+    kWriteFailures, kWriteLatencyS, kClientConflicts, kReadFailures,
+    kReadLatencyS, kOpenTimeouts, kPipelineGenerateMs, kPipelineObserveMs,
+    kPipelineOrientMs, kPipelineDecideMs, kPipelineActMs, kStatsIndexHits,
+    kStatsIndexFallbacks, kCompactionRetries, kCompactionAbandoned,
+    kCompactionBackoffS, kSchedAdmitted, kSchedRejected,
+    kCompactionPreempted, kMetricCount,
   };
-  Ids ids_;
+  MetricId Id(Metric metric);
+  std::array<MetricId, kMetricCount> ids_;
 
   /// Dispatch arbiter for deferred units (idle in synchronous mode).
   sched::MaintenanceScheduler scheduler_;

@@ -318,11 +318,9 @@ void FleetSimulation::FinalizeLane(Lane* lane, SimTime end_time) {
   }
   lane->finalized = true;
   // Keep only what the merge reads — the recorder and the trace. The
-  // environment goes so peak residency stays bounded; the recorder's
-  // interned-but-empty slots go after the driver, which holds MetricIds
-  // into it; the drained event buffer goes too.
+  // environment goes so peak residency stays bounded; the drained event
+  // buffer goes too.
   DropLane(lane);
-  lane->metrics.DropEmptySlots();
   lane->day_events.clear();
   lane->day_events.shrink_to_fit();
   lane->next_event = 0;

@@ -14,8 +14,9 @@ namespace {
 constexpr uint32_t kLaneBlobMagic = 0x4C414E45;  // "LANE"
 // v2: varint ints + interned strings; v3: the driver section always
 // carries the maintenance scheduler's ledgers; v4: one NameNode section
-// with no shard count, and no per-hour open() tally.
-constexpr uint32_t kLaneBlobVersion = 4;
+// with no shard count, and no per-hour open() tally; v5: each string's
+// first occurrence is front-coded against the previous first occurrence.
+constexpr uint32_t kLaneBlobVersion = 5;
 
 }  // namespace
 

@@ -296,19 +296,6 @@ uint64_t MetricsRecorder::ContentHash() const {
   return h;
 }
 
-void MetricsRecorder::DropEmptySlots() {
-  std::map<std::string, int32_t> ids;
-  std::vector<Slot> slots;
-  for (auto& [name, id] : ids_) {
-    Slot& slot = slots_[static_cast<size_t>(id)];
-    if (slot.empty()) continue;
-    ids.emplace(name, static_cast<int32_t>(slots.size()));
-    slots.push_back(std::move(slot));
-  }
-  ids_ = std::move(ids);
-  slots_ = std::move(slots);
-}
-
 double SeriesSum(const MetricsRecorder& metrics, const std::string& series) {
   double sum = 0;
   for (const SeriesPoint& p : metrics.Series(series)) sum += p.value;

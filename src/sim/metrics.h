@@ -102,15 +102,6 @@ class MetricsRecorder {
   /// with it, where shipping whole recorders is impractical.
   uint64_t ContentHash() const;
 
-  /// \brief Drops every interned-but-empty metric. Every accessor reads
-  /// a missing name as empty, Equals, ContentHash and Snapshot skip empty
-  /// metrics, and Merge unions names, so no output changes; what goes is
-  /// their names and slots. Invalidates every MetricId handed out before —
-  /// call it only once nothing records through handles any more (the
-  /// fleet driver does so for a finalized lane, whose recorder it keeps
-  /// until the merge).
-  void DropEmptySlots();
-
  private:
   /// Per-metric storage; a slot may be populated as any mix of kinds.
   struct Slot {

@@ -774,7 +774,9 @@ Status NameNode::RestoreState(common::BlobReader* r) {
   rng_.RestoreState(rng);
 
   // Files come before the directory interner in the blob, so each path
-  // stays a view into the blob until its directory id can be looked up.
+  // stays a view until its directory id can be looked up. The views point
+  // into the reader's string arena (the paths are front-coded, so the
+  // blob never holds them whole) and live as long as `r`.
   const uint64_t file_count = r->ReadCount();
   std::vector<std::string_view> paths;
   paths.reserve(file_count);

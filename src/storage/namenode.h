@@ -181,10 +181,14 @@ class NameNode {
 
   /// \name Lane checkpoint (DESIGN.md §10)
   /// Serializes the namespace (files, directory tree + quotas), the RPC
-  /// tallies and the timeout RNG stream. RestoreState expects a freshly
-  /// constructed NameNode (empty namespace) with identical options; the
-  /// epoch-load view, fault injector and trace recorder are rewired by
-  /// the caller, not checkpointed.
+  /// tallies and the timeout RNG stream. Files go out in path order and
+  /// directories parent-first, so the blob's front coding stores little
+  /// more of each path than the bytes that differ from the one before.
+  /// RestoreState expects a freshly constructed NameNode (empty
+  /// namespace) with identical options, copies every path it keeps out
+  /// of the reader's arena before returning, and leaves the epoch-load
+  /// view, fault injector and trace recorder to the caller (not
+  /// checkpointed).
   /// @{
   void SaveState(common::BlobWriter* w) const;
   Status RestoreState(common::BlobReader* r);

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -156,16 +157,109 @@ TEST(CheckpointFuzzTest, StaleFormatVersionIsRejected) {
 }
 
 TEST(BlobReaderTest, CorruptLengthFailsClosed) {
-  // A string whose length varint decodes to 2^64 - 1: `pos + n` wraps,
-  // so the bound must be checked as `n > size - pos`.
-  const std::string blob("\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01",
-                         11);
+  // A new string (tag 0, no shared prefix) whose suffix length varint
+  // decodes to 2^64 - 1: `pos + n` wraps, so the bound must be checked as
+  // `n > size - pos`.
+  const std::string blob(
+      "\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01", 12);
   common::BlobReader reader(blob);
   EXPECT_EQ(reader.ReadString(), "");
   EXPECT_FALSE(reader.ok());
   // Failure is sticky: later reads return zero values.
   EXPECT_EQ(reader.ReadU64(), 0u);
   EXPECT_FALSE(reader.exhausted());
+}
+
+// A first occurrence is front-coded against the previous one: a shared
+// prefix longer than that string can only come from a corrupt blob.
+TEST(BlobReaderTest, SharedPrefixLongerThanPreviousFailsClosed) {
+  // The very first string has no previous string to share with.
+  {
+    const std::string blob("\x00\x01\x01x\x05", 5);
+    common::BlobReader reader(blob);
+    EXPECT_EQ(reader.ReadStringView(), "");
+    EXPECT_FALSE(reader.ok());
+    EXPECT_EQ(reader.ReadU64(), 0u);
+  }
+  common::BlobWriter writer;
+  writer.WriteString("/data/a");
+  writer.WriteU64(9);
+  std::string blob = writer.Take();
+  // tag 0, shared 8 (the previous string has 7 bytes), suffix "x".
+  blob += std::string("\x00\x08\x01x\x05", 5);
+  common::BlobReader reader(blob);
+  EXPECT_EQ(reader.ReadStringView(), "/data/a");
+  EXPECT_EQ(reader.ReadU64(), 9u);
+  EXPECT_TRUE(reader.ok());
+  EXPECT_EQ(reader.ReadStringView(), "");
+  EXPECT_FALSE(reader.ok());
+  // Failure is sticky: later reads return zero values.
+  EXPECT_EQ(reader.ReadU64(), 0u);
+  EXPECT_EQ(reader.ReadString(), "");
+  EXPECT_FALSE(reader.exhausted());
+}
+
+TEST(BlobReaderTest, SuffixPastTheEndFailsClosed) {
+  common::BlobWriter writer;
+  writer.WriteString("/data/a");
+  std::string blob = writer.Take();
+  // tag 0, shared 6, a 10-byte suffix of which only 2 bytes remain.
+  blob += std::string("\x00\x06\x0a" "bc", 5);
+  common::BlobReader reader(blob);
+  EXPECT_EQ(reader.ReadStringView(), "/data/a");
+  EXPECT_EQ(reader.ReadStringView(), "");
+  EXPECT_FALSE(reader.ok());
+  EXPECT_EQ(reader.ReadU8(), 0u);
+  EXPECT_EQ(reader.ReadF64(), 0.0);
+}
+
+// Every view ReadStringView returned stays valid until the reader goes,
+// however many strings came after it: the arena never moves a string
+// (under ASan, one that did would be a use-after-free here). Sorted
+// paths, as the NameNode writes them, front-code to under half of what
+// the previous format (tag, length, whole string) spent on them.
+TEST(BlobReaderTest, FrontCodedPathsOutliveEveryRead) {
+  // One string longer than an arena chunk, then 10,000 sorted paths.
+  std::vector<std::string> paths = {"/" + std::string(100'000, 'x')};
+  for (int i = 0; i < 10'000; ++i) {
+    char name[96];
+    std::snprintf(name, sizeof(name),
+                  "/warehouse/db%d/t%02d/data/m=2024-%02d/append-%06d.parquet",
+                  i % 4, i % 25, 1 + i % 12, i);
+    paths.emplace_back(name);
+  }
+  std::sort(paths.begin() + 1, paths.end());
+
+  common::BlobWriter writer;
+  writer.WriteString(paths[0]);
+  const size_t before = writer.size();
+  size_t v4_bytes = 0;
+  for (size_t i = 1; i < paths.size(); ++i) {
+    writer.WriteString(paths[i]);
+    v4_bytes += 1 + paths[i].size();  // tag 0, then the bytes
+    for (size_t n = paths[i].size(); n > 0; n >>= 7) ++v4_bytes;  // length
+  }
+  const size_t front_coded = writer.size() - before;
+  // The 10,000 paths: 147,911 bytes front-coded, 570,000 in the v4 layout.
+  EXPECT_LT(2 * front_coded, v4_bytes)
+      << "front-coded " << front_coded << " bytes, v4 " << v4_bytes;
+  for (size_t i = 0; i < paths.size(); i += 97) writer.WriteString(paths[i]);
+  writer.WriteU64(42);
+  const std::string blob = writer.Take();
+
+  common::BlobReader reader(blob);
+  std::vector<std::string_view> views;
+  for (size_t i = 0; i < paths.size(); ++i) {
+    views.push_back(reader.ReadStringView());
+  }
+  for (size_t i = 0; i < paths.size(); i += 97) {
+    EXPECT_EQ(reader.ReadStringView().data(), views[i].data()) << i;
+  }
+  EXPECT_EQ(reader.ReadU64(), 42u);
+  ASSERT_TRUE(reader.exhausted());
+  for (size_t i = 0; i < paths.size(); ++i) {
+    ASSERT_EQ(views[i], paths[i]) << i;
+  }
 }
 
 TEST(BlobReaderTest, CountAboveRemainingBytesFailsClosed) {

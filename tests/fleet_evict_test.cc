@@ -213,6 +213,12 @@ FleetSimOptions ColdFleet() {
   return options;
 }
 
+// The peak bytes of held checkpoints are a pure function of simulated
+// state (evictions and restores are tallied between waves), the same for
+// every shard layout, so they are guarded exactly: a blob-size regression
+// fails here on any host. v4 blobs peaked at 5,121,032 bytes.
+constexpr int64_t kColdFleetPeakCheckpointBytes = 2'595'354;
+
 TEST(FleetEvictionTest, BudgetHoldsInsideTheEpoch) {
   FleetSimOptions baseline = ColdFleet();
   baseline.sharded = false;
@@ -232,6 +238,10 @@ TEST(FleetEvictionTest, BudgetHoldsInsideTheEpoch) {
     const std::string label = shards > 0 ? "shard4-pool2" : "seq";
     EXPECT_GT(bounded.lanes_evicted, 0) << label;
     EXPECT_LE(bounded.peak_resident_lanes, 2 * kBudget + onboarded) << label;
+    EXPECT_LE(bounded.checkpoint_bytes,
+              kColdFleetPeakCheckpointBytes +
+                  kColdFleetPeakCheckpointBytes / 50)
+        << label;
     ExpectSameReplay(reference, bounded, label);
   }
 }
@@ -367,7 +377,9 @@ TEST(MetadataBlobTest, CodecBytesArePinned) {
   lst::TableMetadataToBlob(*metadata, &writer);
   const std::string blob = writer.Take();
   const std::string json = lst::TableMetadataToJson(*metadata);
-  EXPECT_EQ(CounterRng::HashString(blob), 0x577745ae2e8f9a8fULL);
+  // v5 front coding moved the blob pin (v4: 0x577745ae2e8f9a8f); the
+  // JSON document is unchanged.
+  EXPECT_EQ(CounterRng::HashString(blob), 0xd324e4770de2fd71ULL);
   EXPECT_EQ(CounterRng::HashString(json), 0xea72a73aabbf82b3ULL);
 
   common::BlobReader reader(blob);

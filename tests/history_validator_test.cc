@@ -124,9 +124,7 @@ TEST_F(HistoryValidatorTest, DetectsFabricatedRemoval) {
   TableMetadataPtr meta = Meta();
   std::vector<Snapshot> snapshots = meta->snapshots();
   // Claim the head removed a path that never existed.
-  auto removed = std::make_shared<std::set<std::string>>();
-  removed->insert("/ghost");
-  snapshots.back().removed_paths = removed;
+  snapshots.back().removed_paths = SortedPathList::FromPaths({"/ghost"});
   TableMetadata::Builder builder(*meta);
   Snapshot head = snapshots.back();
   snapshots.pop_back();

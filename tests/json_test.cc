@@ -181,8 +181,7 @@ TEST_F(MetadataJsonTest, RoundTripPreservesEverything) {
   // Conflict-validation state survives (removed paths, touched parts).
   const lst::Snapshot* snap = r.current_snapshot();
   ASSERT_NE(snap, nullptr);
-  ASSERT_NE(snap->removed_paths, nullptr);
-  EXPECT_EQ(snap->removed_paths->count("/data/db/t/a"), 1u);
+  EXPECT_TRUE(snap->removed_paths.Contains("/data/db/t/a"));
   EXPECT_EQ(snap->touched_partitions.count("m=2024-01"), 1u);
 
   // Serialization is stable: dump(restore(dump(x))) == dump(x).
@@ -216,6 +215,32 @@ TEST_F(MetadataJsonTest, RestoredMetadataSupportsNewCommits) {
     EXPECT_TRUE(snapshot_ids.insert(s.snapshot_id).second);
   }
   EXPECT_EQ(files.size(), 3u);
+}
+
+// A document may list removed paths in any order and with repeats (the
+// encoder writes them sorted): the decoder sorts and deduplicates them,
+// and rejects a path that is not a string.
+TEST_F(MetadataJsonTest, UnsortedRemovedPathsAreSortedOnDecode) {
+  const std::string json = lst::TableMetadataToJson(*BuildRichMetadata());
+  const std::string key = "\"removed-paths\":[\"/data/db/t/a\"]";
+  const size_t at = json.rfind(key);
+  ASSERT_NE(at, std::string::npos) << json;
+  std::string shuffled = json;
+  shuffled.replace(at, key.size(),
+                   "\"removed-paths\":[\"/z\",\"/data/db/t/a\",\"/m\",\"/z\"]");
+  auto restored = lst::TableMetadataFromJson(shuffled);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  const lst::SortedPathList& removed =
+      (*restored)->current_snapshot()->removed_paths;
+  EXPECT_EQ(std::vector<std::string_view>(removed.begin(), removed.end()),
+            (std::vector<std::string_view>{"/data/db/t/a", "/m", "/z"}));
+  EXPECT_NE(lst::TableMetadataToJson(**restored)
+                .find("\"removed-paths\":[\"/data/db/t/a\",\"/m\",\"/z\"]"),
+            std::string::npos);
+
+  std::string not_a_string = json;
+  not_a_string.replace(at, key.size(), "\"removed-paths\":[7]");
+  EXPECT_FALSE(lst::TableMetadataFromJson(not_a_string).ok());
 }
 
 TEST_F(MetadataJsonTest, MalformedDocumentsRejected) {

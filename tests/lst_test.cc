@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string_view>
+#include <vector>
 
 #include "common/clock.h"
 #include "fault/fault_injector.h"
@@ -127,6 +129,28 @@ TEST(PartitionSpecTest, ValidateRequiresDateForDateTransforms) {
   EXPECT_TRUE(missing.Validate(schema).IsNotFound());
   PartitionSpec bucket_no_count(1, {{1, Transform::kBucket, "b", 0}});
   EXPECT_TRUE(bucket_no_count.Validate(schema).IsInvalidArgument());
+}
+
+TEST(SortedPathListTest, SortsDeduplicatesAndSearches) {
+  const SortedPathList none;
+  EXPECT_TRUE(none.empty());
+  EXPECT_FALSE(none.Contains("/a"));
+  EXPECT_TRUE(none.begin() == none.end());
+
+  const SortedPathList list =
+      SortedPathList::FromPaths({"/b/2", "/a", "/b/10", "/a", "/c"});
+  ASSERT_EQ(list.size(), 4u);
+  EXPECT_EQ(std::vector<std::string_view>(list.begin(), list.end()),
+            (std::vector<std::string_view>{"/a", "/b/10", "/b/2", "/c"}));
+  for (const std::string_view path : {"/a", "/b/10", "/b/2", "/c"}) {
+    EXPECT_TRUE(list.Contains(path)) << path;
+  }
+  for (const std::string_view path : {"", "/", "/b", "/b/1", "/b/3", "/d"}) {
+    EXPECT_FALSE(list.Contains(path)) << path;
+  }
+  // Copies share the packed buffer.
+  const SortedPathList copy = list;
+  EXPECT_EQ(copy[3].data(), list[3].data());
 }
 
 // --------------------------------------------------------- Test fixtures
@@ -285,8 +309,10 @@ TEST_F(TransactionTest, RewriteReplacesFiles) {
   const Snapshot* snap = (*meta)->current_snapshot();
   EXPECT_EQ(snap->operation, SnapshotOperation::kReplace);
   EXPECT_EQ(snap->deleted_files, 2);
-  ASSERT_NE(snap->removed_paths, nullptr);
-  EXPECT_EQ(snap->removed_paths->size(), 2u);
+  EXPECT_EQ(snap->removed_paths.size(), 2u);
+  EXPECT_TRUE(snap->removed_paths.Contains("/s1"));
+  EXPECT_TRUE(snap->removed_paths.Contains("/s2"));
+  EXPECT_FALSE(snap->removed_paths.Contains("/big"));
 }
 
 TEST_F(TransactionTest, RewriteOfMissingFileConflicts) {

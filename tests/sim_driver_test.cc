@@ -110,62 +110,6 @@ TEST(MetricsEqualityTest, IgnoresInternedButEmptyMetrics) {
   EXPECT_TRUE(b.Equals(a));
 }
 
-// One lane's recorder as a driver leaves it: names pre-interned around the
-// few it records, a series point at a time every lane shares (merge ties
-// keep lane order), and a name only lane 1 records.
-MetricsRecorder LaneWithEmptySlots(int lane) {
-  MetricsRecorder m;
-  (void)m.Intern("a_never_recorded");
-  (void)m.Intern("files");
-  (void)m.Intern("z_never_recorded");
-  m.Record("files", 0, 10 + lane);
-  m.Record("files", kHour * (lane + 1), 20 + lane);
-  m.Observe("lat", kMinute * (lane + 1), 0.5 * lane);
-  m.Increment("conflicts", kHour * lane, lane + 1);
-  if (lane == 1) m.Record("only_lane1", kHour, 1);
-  return m;
-}
-
-// Dropping interned-but-empty slots (the fleet driver does so for every
-// finalized lane it keeps for the merge) moves no output, alone or merged.
-TEST(MetricsEqualityTest, DroppingEmptySlotsKeepsContent) {
-  std::vector<MetricsRecorder> original;
-  std::vector<MetricsRecorder> dropped;
-  for (int lane = 0; lane < 3; ++lane) {
-    original.push_back(LaneWithEmptySlots(lane));
-    dropped.push_back(LaneWithEmptySlots(lane));
-    dropped.back().DropEmptySlots();
-    const MetricsRecorder& a = original.back();
-    const MetricsRecorder& b = dropped.back();
-    EXPECT_EQ(a.ContentHash(), b.ContentHash()) << "lane " << lane;
-    std::string why;
-    EXPECT_TRUE(a.Equals(b, &why)) << "lane " << lane << ": " << why;
-    EXPECT_TRUE(b.Equals(a, &why)) << "lane " << lane << ": " << why;
-    EXPECT_EQ(obs::ToPrometheusText(a.Snapshot()),
-              obs::ToPrometheusText(b.Snapshot()))
-        << "lane " << lane;
-  }
-  const uint64_t want =
-      MetricsRecorder::Merge({&original[0], &original[1], &original[2]})
-          .ContentHash();
-  EXPECT_EQ(MetricsRecorder::Merge({&dropped[0], &dropped[1], &dropped[2]})
-                .ContentHash(),
-            want);
-  EXPECT_EQ(MetricsRecorder::Merge({&dropped[0], &original[1], &dropped[2]})
-                .ContentHash(),
-            want);
-  EXPECT_EQ(MetricsRecorder::Merge({&original[0], &dropped[1], &original[2]})
-                .ContentHash(),
-            want);
-
-  // The name API keeps working on a dropped recorder.
-  original[0].Increment("conflicts", kHour, 5);
-  dropped[0].Increment("conflicts", kHour, 5);
-  original[0].Record("a_never_recorded", kDay, 1);
-  dropped[0].Record("a_never_recorded", kDay, 1);
-  EXPECT_EQ(original[0].ContentHash(), dropped[0].ContentHash());
-}
-
 TEST(MetricsEqualityTest, ContentHashTracksEquality) {
   MetricsRecorder a;
   MetricsRecorder b;

@@ -336,7 +336,9 @@ TEST(NameNodeCheckpointTest, SaveStateBytesArePinned) {
   common::BlobWriter writer;
   nn.SaveState(&writer);
   const std::string blob = writer.Take();
-  EXPECT_EQ(CounterRng::HashString(blob), 0x76e5f0e9b822a9a3ULL);
+  // Front-coded strings (blob format v5) moved this pin; the v4 bytes
+  // hashed to 0x76e5f0e9b822a9a3.
+  EXPECT_EQ(CounterRng::HashString(blob), 0x45b17bde2852785cULL);
 
   NameNode restored(&clock);
   common::BlobReader reader(blob);
@@ -369,7 +371,8 @@ TEST(NameNodeCheckpointTest, SaveRestoreSaveAfterMassDeletes) {
   common::BlobWriter writer;
   nn.SaveState(&writer);
   const std::string blob = writer.Take();
-  EXPECT_EQ(CounterRng::HashString(blob), 0x7252fe837ccede72ULL);
+  // v5 front coding moved this pin (v4: 0x7252fe837ccede72).
+  EXPECT_EQ(CounterRng::HashString(blob), 0x9e1eb44a4ce7f29eULL);
 
   NameNode restored(&clock);
   common::BlobReader reader(blob);
