@@ -56,14 +56,17 @@ Result<QueryResult> QueryEngine::ExecuteRead(
       copts.plan_seconds_per_file * static_cast<double>(plan.files.size());
 
   // Open every data file; under NameNode overload some opens time out and
-  // the client pays a retry penalty.
+  // the client pays a retry penalty. The NameNode takes whole paths, so
+  // each is rendered into one reused buffer.
   double timeout_penalty = 0;
   storage::NameNode* dfs = catalog_->filesystem();
+  std::string path;
   for (const lst::DataFileRef& f : plan.files) {
-    if (dfs->Open(f.path).IsTimedOut()) {
+    f.path.AssignTo(&path);
+    if (dfs->Open(path).IsTimedOut()) {
       ++result.open_timeouts;
       timeout_penalty += copts.timeout_retry_seconds;
-      if (dfs->Open(f.path).IsTimedOut()) {  // client retry
+      if (dfs->Open(path).IsTimedOut()) {  // client retry
         ++result.open_timeouts;
         timeout_penalty += copts.timeout_retry_seconds;
       }
@@ -138,7 +141,7 @@ Result<WriteResult> QueryEngine::ExecuteWrite(const WriteSpec& spec,
   if (spec.kind != WriteKind::kAppend && spec.kind != WriteKind::kMorDelete) {
     // Only the paths are needed: views of `meta`'s manifests, copied
     // only for the files the sample picks.
-    std::vector<std::string_view> pool;
+    std::vector<lst::PathRef> pool;
     const auto collect = [&pool](const lst::DataFileRef& f) {
       pool.push_back(f.path);
     };
@@ -153,11 +156,11 @@ Result<WriteResult> QueryEngine::ExecuteWrite(const WriteSpec& spec,
         static_cast<double>(pool.size()) * spec.replace_fraction));
     for (size_t i = 0; i < pool.size() && replaced.size() < want; ++i) {
       if (rng_.Bernoulli(spec.replace_fraction * 2)) {
-        replaced.emplace_back(pool[i]);
+        replaced.push_back(pool[i].str());
       }
     }
     if (replaced.empty() && !pool.empty() && want > 0) {
-      replaced.emplace_back(pool.front());
+      replaced.push_back(pool.front().str());
     }
   }
 

@@ -46,7 +46,7 @@ std::vector<InvariantViolation> InvariantChecker::Check(
       // No live-file loss: every referenced file must exist in storage
       // with the advertised size (Stat is const and RPC-free, so the
       // check cannot perturb the deterministic load model).
-      const std::string path(f.path);
+      const std::string path = f.path.str();
       auto info_or = dfs->Stat(path);
       if (!info_or.ok()) {
         out.push_back({name, "live file missing from storage: " + path});

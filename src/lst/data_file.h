@@ -3,6 +3,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -18,6 +19,110 @@ enum class FileContent : int {
   kData,
   /// Row-level deletes pending merge (MoR delta file).
   kPositionDeletes,
+};
+
+/// \brief A file path held as two views, directory and file name, whose
+/// concatenation is the path. The directory keeps the last '/' ("/a/b/"
+/// + "x"); a path without '/' has an empty directory.
+///
+/// Manifests store each directory once per table lineage, interned, and
+/// only the name per entry, so their entries reach readers in this form.
+/// Equal interned directories are pointer-equal views, which lets
+/// Compare skip them.
+struct PathRef {
+  std::string_view dir;
+  std::string_view name;
+
+  /// Splits `path` after its last '/'. The views point into `path`.
+  static PathRef Split(std::string_view path) {
+    const size_t cut = path.rfind('/') + 1;  // 0 when there is no '/'
+    return PathRef{path.substr(0, cut), path.substr(cut)};
+  }
+
+  size_t size() const { return dir.size() + name.size(); }
+  /// The path as one string.
+  std::string str() const {
+    std::string out;
+    AssignTo(&out);
+    return out;
+  }
+  /// Renders the path into `out`, reusing its capacity (one allocation
+  /// at most).
+  void AssignTo(std::string* out) const {
+    out->reserve(size());
+    out->assign(dir);
+    out->append(name);
+  }
+
+  /// Three-way byte order of the concatenated paths (negative, zero or
+  /// positive), the order of std::string::compare: "/a/b-c/y" sorts
+  /// before "/a/b/x".
+  int Compare(std::string_view other) const {
+    const size_t n = std::min(dir.size(), other.size());
+    if (const int c = Bytes(dir.data(), other.data(), n); c != 0) return c;
+    if (dir.size() > other.size()) return 1;
+    return Sign(name.compare(other.substr(dir.size())));
+  }
+  int Compare(const PathRef& other) const {
+    if (dir.data() == other.dir.data() && dir.size() == other.dir.size()) {
+      return Sign(name.compare(other.name));
+    }
+    // Walk both concatenations piecewise with `a` the side whose
+    // directory is shorter: the directories' common length, then a's
+    // name against the rest of b's directory, then what is left of a's
+    // name against b's name.
+    const bool swapped = dir.size() > other.dir.size();
+    const PathRef& a = swapped ? other : *this;
+    const PathRef& b = swapped ? *this : other;
+    const int sign = swapped ? -1 : 1;
+    const size_t head = a.dir.size();
+    if (const int c = Bytes(a.dir.data(), b.dir.data(), head); c != 0) {
+      return sign * c;
+    }
+    const std::string_view b_rest = b.dir.substr(head);
+    const size_t n = std::min(a.name.size(), b_rest.size());
+    if (const int c = Bytes(a.name.data(), b_rest.data(), n); c != 0) {
+      return sign * c;
+    }
+    if (a.name.size() <= b_rest.size()) {
+      // a ends here; b is longer unless it ends too.
+      return a.name.size() < b_rest.size() || !b.name.empty() ? -sign : 0;
+    }
+    return sign * Sign(a.name.substr(n).compare(b.name));
+  }
+
+  friend bool operator==(const PathRef& a, const PathRef& b) {
+    return a.size() == b.size() && a.Compare(b) == 0;
+  }
+  friend bool operator==(const PathRef& a, std::string_view b) {
+    return a.size() == b.size() && a.Compare(b) == 0;
+  }
+
+ private:
+  static int Sign(int c) { return (c > 0) - (c < 0); }
+  /// Sign of the byte order of two equal-length ranges.
+  static int Bytes(const char* a, const char* b, size_t n) {
+    return Sign(std::char_traits<char>::compare(a, b, n));
+  }
+};
+
+/// \brief Strict weak order on paths by their concatenated bytes, across
+/// PathRef and std::string_view (transparent, for sorted containers and
+/// binary search over either form).
+struct PathLess {
+  using is_transparent = void;
+  bool operator()(const PathRef& a, const PathRef& b) const {
+    return a.Compare(b) < 0;
+  }
+  bool operator()(const PathRef& a, std::string_view b) const {
+    return a.Compare(b) < 0;
+  }
+  bool operator()(std::string_view a, const PathRef& b) const {
+    return b.Compare(a) > 0;
+  }
+  bool operator()(std::string_view a, std::string_view b) const {
+    return a < b;
+  }
 };
 
 struct DataFileRef;
@@ -65,14 +170,15 @@ struct DataFile {
 };
 
 /// \brief Read-only view of one file entry: DataFile's fields, with the
-/// path and partition viewing storage someone else owns.
+/// path (as directory and name) and partition viewing storage someone
+/// else owns.
 ///
 /// Manifest iteration, TableMetadata::ForEachLiveFile and Table::PlanScan
 /// hand these out; they stay valid while the manifest (or the
 /// TableMetadataPtr pinning it) is alive. ToDataFile() makes an owning
 /// copy for callers that keep a file past that.
 struct DataFileRef {
-  std::string_view path;
+  PathRef path;
   std::string_view partition;
   FileContent content = FileContent::kData;
   int64_t file_size_bytes = 0;
@@ -82,14 +188,14 @@ struct DataFileRef {
   int64_t sequence_number = 0;
 
   DataFile ToDataFile() const {
-    return DataFile{std::string(path), std::string(partition), content,
+    return DataFile{path.str(), std::string(partition), content,
                     file_size_bytes, record_count, clustered,
                     added_snapshot_id, sequence_number};
   }
 };
 
 inline DataFileRef DataFile::view() const {
-  return DataFileRef{path, partition, content,
+  return DataFileRef{PathRef::Split(path), partition, content,
                      file_size_bytes, record_count, clustered,
                      added_snapshot_id, sequence_number};
 }

@@ -77,16 +77,16 @@ std::vector<HistoryViolation> ValidateHistory(const TableMetadata& metadata) {
   // snapshot's actual live set and checks the *transitions*.
   // Keys and entries view `metadata`'s manifests, which outlive the
   // replay.
-  std::map<std::string_view, DataFileRef> live;
+  std::map<PathRef, DataFileRef, PathLess> live;
   for (size_t i = 0; i < snapshots.size(); ++i) {
     const Snapshot& s = snapshots[i];
     // Collect this snapshot's actual live set.
-    std::map<std::string_view, DataFileRef> actual;
+    std::map<PathRef, DataFileRef, PathLess> actual;
     for (const ManifestPtr& m : s.manifests) {
       for (const DataFileRef& f : *m) {
         if (!actual.emplace(f.path, f).second) {
           Add(&violations, s.snapshot_id,
-              "path appears twice in live set: " + std::string(f.path));
+              "path appears twice in live set: " + f.path.str());
         }
       }
     }
@@ -111,7 +111,7 @@ std::vector<HistoryViolation> ValidateHistory(const TableMetadata& metadata) {
       if (file.added_snapshot_id == s.snapshot_id) {
         if (!live.emplace(path, file).second) {
           Add(&violations, s.snapshot_id,
-              "added path was already live: " + std::string(path));
+              "added path was already live: " + path.str());
         }
         ++added_count;
       }
@@ -125,7 +125,7 @@ std::vector<HistoryViolation> ValidateHistory(const TableMetadata& metadata) {
       for (const auto& [path, _] : actual) {
         if (live.count(path) == 0) {
           Add(&violations, s.snapshot_id,
-              "replayed live set missing path: " + std::string(path));
+              "replayed live set missing path: " + path.str());
           break;
         }
       }

@@ -12,16 +12,19 @@ Manifest::Manifest(int64_t manifest_id, const std::vector<DataFile>& files)
     : Manifest(manifest_id, std::make_shared<common::StringInterner>(),
                files.size(), [&files] {
                  size_t bytes = 0;
-                 for (const DataFile& f : files) bytes += f.path.size();
+                 for (const DataFile& f : files) {
+                   bytes += PathRef::Split(f.path).name.size();
+                 }
                  return bytes;
                }()) {
-  for (const DataFile& f : files) Append(f.view());
+  AppendCursor cursor;
+  for (const DataFile& f : files) Append(f.view(), &cursor);
   Seal();
 }
 
 Manifest::Manifest(int64_t manifest_id,
                    std::shared_ptr<common::StringInterner> interner,
-                   size_t file_count, size_t path_bytes)
+                   size_t file_count, size_t name_bytes)
     : manifest_id_(manifest_id), interner_(std::move(interner)) {
   size_column_.reserve(file_count);
   record_count_column_.reserve(file_count);
@@ -29,31 +32,86 @@ Manifest::Manifest(int64_t manifest_id,
   sequence_number_column_.reserve(file_count);
   partition_column_.reserve(file_count);
   flag_column_.reserve(file_count);
-  path_ends_.reserve(file_count);
-  paths_.reserve(path_bytes);
+  name_ends_.reserve(file_count);
+  names_.reserve(name_bytes);
+  dir_column_.reserve(file_count);
 }
 
-void Manifest::Append(const DataFileRef& f) {
-  AUTOCOMP_CHECK(paths_.size() + f.path.size() <=
-                 std::numeric_limits<uint32_t>::max())
-      << "manifest path buffer exceeds 4 GiB";
-  paths_.insert(paths_.end(), f.path.begin(), f.path.end());
-  path_ends_.push_back(static_cast<uint32_t>(paths_.size()));
-  total_bytes_ += f.file_size_bytes;
-  size_column_.push_back(f.file_size_bytes);
-  record_count_column_.push_back(f.record_count);
-  added_snapshot_column_.push_back(f.added_snapshot_id);
-  sequence_number_column_.push_back(f.sequence_number);
-  partition_column_.push_back(interner_->Intern(f.partition));
+void Manifest::Append(const DataFileRef& f, AppendCursor* cursor) {
+  // One write lays a partition's files out back to back, so most entries
+  // repeat the previous entry's directory and partition: compare against
+  // those before taking the interner's lock.
+  uint32_t dir;
+  if (!dir_column_.empty() && dirs_[dir_column_.back()] == f.path.dir) {
+    dir = dir_column_.back();
+  } else {
+    dir = DirIndex(interner_->NameOf(interner_->Intern(f.path.dir)));
+  }
+  if (cursor->partition == common::StringInterner::kInvalidId ||
+      cursor->partition_name != f.partition) {
+    cursor->partition = interner_->Intern(f.partition);
+    cursor->partition_name = interner_->NameOf(cursor->partition);
+  }
   uint8_t flags = 0;
   if (f.content == FileContent::kPositionDeletes) {
     flags |= kFlagPositionDeletes;
   }
   if (!f.clustered) flags |= kFlagUnclustered;
+  AppendEntry(dir, f.path.name, cursor->partition, flags, f.file_size_bytes,
+              f.record_count, f.added_snapshot_id, f.sequence_number);
+}
+
+void Manifest::AppendFrom(const Manifest& source, size_t i,
+                          AppendCursor* cursor) {
+  if (source.interner_ != interner_) {
+    Append(source.file(i), cursor);
+    return;
+  }
+  const size_t begin = i == 0 ? 0 : source.name_ends_[i - 1];
+  AppendEntry(DirIndex(source.dirs_[source.dir_column_[i]]),
+              std::string_view(source.names_.data() + begin,
+                               source.name_ends_[i] - begin),
+              source.partition_column_[i], source.flag_column_[i],
+              source.size_column_[i], source.record_count_column_[i],
+              source.added_snapshot_column_[i],
+              source.sequence_number_column_[i]);
+}
+
+void Manifest::AppendEntry(uint32_t dir, std::string_view name,
+                           common::PartitionId partition, uint8_t flags,
+                           int64_t file_size_bytes, int64_t record_count,
+                           int64_t added_snapshot_id,
+                           int64_t sequence_number) {
+  AUTOCOMP_CHECK(names_.size() + name.size() <=
+                 std::numeric_limits<uint32_t>::max())
+      << "manifest name buffer exceeds 4 GiB";
+  dir_column_.push_back(dir);
+  names_.insert(names_.end(), name.begin(), name.end());
+  name_ends_.push_back(static_cast<uint32_t>(names_.size()));
+  total_bytes_ += file_size_bytes;
+  size_column_.push_back(file_size_bytes);
+  record_count_column_.push_back(record_count);
+  added_snapshot_column_.push_back(added_snapshot_id);
+  sequence_number_column_.push_back(sequence_number);
+  partition_column_.push_back(partition);
   flag_column_.push_back(flags);
 }
 
+uint32_t Manifest::DirIndex(std::string_view dir) {
+  // Interned views of distinct strings never share storage, so the
+  // pointer identifies the directory.
+  if (!dir_column_.empty() && dirs_[dir_column_.back()].data() == dir.data()) {
+    return dir_column_.back();
+  }
+  for (size_t k = 0; k < dirs_.size(); ++k) {
+    if (dirs_[k].data() == dir.data()) return static_cast<uint32_t>(k);
+  }
+  dirs_.push_back(dir);
+  return static_cast<uint32_t>(dirs_.size() - 1);
+}
+
 void Manifest::Seal() {
+  dirs_.shrink_to_fit();
   partition_ids_ = partition_column_;
   std::sort(partition_ids_.begin(), partition_ids_.end());
   partition_ids_.erase(
@@ -92,9 +150,9 @@ DataFileRef Manifest::file(size_t i) const {
 
 ManifestWriter::ManifestWriter(
     int64_t manifest_id, std::shared_ptr<common::StringInterner> interner,
-    size_t file_count, size_t path_bytes)
+    size_t file_count, size_t name_bytes)
     : manifest_(new Manifest(manifest_id, std::move(interner), file_count,
-                             path_bytes)) {}
+                             name_bytes)) {}
 
 ManifestPtr ManifestWriter::Finish() {
   manifest_->Seal();

@@ -11,13 +11,18 @@
 ///    sequence numbers, interned partition ids and packed trait flags —
 ///    so bulk consumers (the incremental stats index rebuild) stream
 ///    cache-dense arrays and never touch a string;
-///  * all paths in one char buffer with end offsets, so a path costs its
-///    bytes plus a 4-byte offset instead of a heap string;
+///  * each path split at its last '/': the file names back to back in one
+///    char buffer with end offsets, and per entry a 4-byte index into the
+///    manifest's small table of directory views. Directories are interned
+///    once per table lineage (in the interner partition keys use), so a
+///    directory shared by a thousand files is stored once, and equal
+///    directories are pointer-equal views;
 ///  * the partition summary as a sorted vector of `common::PartitionId`s
 ///    interned in the table lineage's shared interner — pruning is a
 ///    Lookup plus binary search, and equal keys cost 4 bytes per entry.
 ///
-/// Readers see entries as DataFileRef views (file(i), range-for).
+/// Readers see entries as DataFileRef views (file(i), range-for), whose
+/// path is a PathRef: the interned directory and the stored name.
 
 #pragma once
 
@@ -60,15 +65,22 @@ class Manifest {
     return static_cast<int64_t>(size_column_.size());
   }
   int64_t total_bytes() const { return total_bytes_; }
-  /// Length of all paths together: what a successor built from these
-  /// entries reserves for its path buffer.
-  size_t path_bytes() const { return paths_.size(); }
+  /// Length of all file names together (paths without their
+  /// directories): what a successor built from these entries reserves
+  /// for its name buffer.
+  size_t name_bytes() const { return names_.size(); }
+  /// Entries of the directory table: the distinct directories of this
+  /// manifest's paths.
+  size_t directory_count() const { return dirs_.size(); }
 
   /// Entry `i` (0 <= i < file_count()), viewing this manifest's storage.
   DataFileRef file(size_t i) const;
-  std::string_view path(size_t i) const {
-    const size_t begin = i == 0 ? 0 : path_ends_[i - 1];
-    return std::string_view(paths_.data() + begin, path_ends_[i] - begin);
+  /// Entry `i`'s path: O(1), no lock.
+  PathRef path(size_t i) const {
+    const size_t begin = i == 0 ? 0 : name_ends_[i - 1];
+    return PathRef{dirs_[dir_column_[i]],
+                   std::string_view(names_.data() + begin,
+                                    name_ends_[i] - begin)};
   }
 
   /// Range-for over the entries in order, as DataFileRef values.
@@ -148,11 +160,31 @@ class Manifest {
  private:
   friend class ManifestWriter;
 
+  /// The previous entry's interned partition, carried between appends
+  /// so a run of entries in one partition interns it once.
+  struct AppendCursor {
+    common::PartitionId partition = common::StringInterner::kInvalidId;
+    std::string_view partition_name;
+  };
+
   /// An empty manifest with every column reserved at its final size.
   Manifest(int64_t manifest_id,
            std::shared_ptr<common::StringInterner> interner,
-           size_t file_count, size_t path_bytes);
-  void Append(const DataFileRef& f);
+           size_t file_count, size_t name_bytes);
+  /// Appends `f`, interning its directory and partition unless they
+  /// repeat the previous entry's.
+  void Append(const DataFileRef& f, AppendCursor* cursor);
+  /// Appends entry `i` of `source`. A source sharing this manifest's
+  /// interner hands over its interned directory and partition id as is.
+  void AppendFrom(const Manifest& source, size_t i, AppendCursor* cursor);
+  /// Appends one entry's values to the columns.
+  void AppendEntry(uint32_t dir, std::string_view name,
+                   common::PartitionId partition, uint8_t flags,
+                   int64_t file_size_bytes, int64_t record_count,
+                   int64_t added_snapshot_id, int64_t sequence_number);
+  /// The directory table index of `dir`, an interned view: the previous
+  /// entry's when equal, else found or added by pointer.
+  uint32_t DirIndex(std::string_view dir);
   /// Builds the partition summary once every entry is in.
   void Seal();
   bool HasPartitionId(common::PartitionId id) const;
@@ -170,9 +202,14 @@ class Manifest {
   std::vector<int64_t> sequence_number_column_;
   std::vector<common::PartitionId> partition_column_;
   std::vector<uint8_t> flag_column_;
-  /// Every path back to back; entry i ends at path_ends_[i].
-  std::vector<char> paths_;
-  std::vector<uint32_t> path_ends_;
+  /// Every file name back to back; entry i ends at name_ends_[i].
+  std::vector<char> names_;
+  std::vector<uint32_t> name_ends_;
+  /// Entry i's directory is dirs_[dir_column_[i]]. The table holds views
+  /// into interner_'s stable storage, in first-use order, so path(i)
+  /// resolves a directory without the interner lock.
+  std::vector<uint32_t> dir_column_;
+  std::vector<std::string_view> dirs_;
 };
 
 using ManifestPtr = std::shared_ptr<const Manifest>;
@@ -182,24 +219,34 @@ using ManifestList = std::vector<ManifestPtr>;
 
 /// \brief Fills one manifest's columns in entry order, then seals it.
 ///
-/// The caller states the final entry count and total path bytes up
-/// front, so every column is allocated once at exact size: a filter
+/// The caller states the final entry count and total name bytes
+/// (Manifest::name_bytes(), PathRef::name) up front, so every column but
+/// the small directory table is allocated once at exact size: a filter
 /// counts its survivors first, a merge sums its inputs, a decoder reads
 /// its entries first.
 class ManifestWriter {
  public:
   ManifestWriter(int64_t manifest_id,
                  std::shared_ptr<common::StringInterner> interner,
-                 size_t file_count, size_t path_bytes);
+                 size_t file_count, size_t name_bytes);
 
-  /// Copies one entry into the columns (the path into the path buffer).
-  void Add(const DataFileRef& f) { manifest_->Append(f); }
+  /// Copies one entry into the columns (its name into the name buffer;
+  /// its directory and partition are interned once per run of equal
+  /// ones).
+  void Add(const DataFileRef& f) { manifest_->Append(f, &cursor_); }
+  /// Copies entry `i` of `source`. Filters and merges within one lineage
+  /// go through here: they reuse the source's interned views and never
+  /// touch the interner.
+  void Add(const Manifest& source, size_t i) {
+    manifest_->AppendFrom(source, i, &cursor_);
+  }
 
   /// The sealed manifest; the writer is spent afterwards.
   ManifestPtr Finish();
 
  private:
   std::unique_ptr<Manifest> manifest_;
+  Manifest::AppendCursor cursor_;
 };
 
 }  // namespace autocomp::lst

@@ -10,8 +10,10 @@ namespace autocomp::lst {
 
 namespace {
 
-void FileToBlob(const DataFileRef& f, common::BlobWriter* w) {
-  w->WriteString(f.path);
+/// `path` is `f.path` rendered as one string.
+void FileToBlob(const DataFileRef& f, std::string_view path,
+                common::BlobWriter* w) {
+  w->WriteString(path);
   w->WriteString(f.partition);
   w->WriteI32(static_cast<int32_t>(f.content));
   w->WriteI64(f.file_size_bytes);
@@ -24,7 +26,7 @@ void FileToBlob(const DataFileRef& f, common::BlobWriter* w) {
 /// The entry's strings view the reader's string arena.
 DataFileRef FileFromBlob(common::BlobReader* r) {
   DataFileRef f;
-  f.path = r->ReadStringView();
+  f.path = PathRef::Split(r->ReadStringView());
   f.partition = r->ReadStringView();
   f.content = static_cast<FileContent>(r->ReadI32());
   f.file_size_bytes = r->ReadI64();
@@ -85,10 +87,14 @@ void TableMetadataToBlob(const TableMetadata& metadata,
     }
   }
   w->WriteU64(pool.size());
+  std::string path;  // each entry's path, rendered into one buffer
   for (const auto& [id, manifest] : pool) {
     w->WriteI64(id);
     w->WriteU64(static_cast<uint64_t>(manifest->file_count()));
-    for (const DataFileRef& f : *manifest) FileToBlob(f, w);
+    for (const DataFileRef& f : *manifest) {
+      f.path.AssignTo(&path);
+      FileToBlob(f, path, w);
+    }
   }
 
   w->WriteU64(metadata.snapshots().size());

@@ -11,8 +11,9 @@
 /// manifest pool, snapshot history — as length-prefixed binary, with
 /// doubles as raw IEEE-754 bits (no decimal round-trip). Restoration
 /// follows the exact recipe of TableMetadataFromJson: manifests rebuilt
-/// through Builder::RestoreManifest (one partition interner per
-/// lineage), SetSnapshots + AddSnapshot for the current snapshot,
+/// through Builder::RestoreManifest (one interner of partition keys
+/// and directories per lineage), SetSnapshots + AddSnapshot for the
+/// current snapshot,
 /// RestoreVersion/RestoreCounters last.
 
 #pragma once
@@ -29,7 +30,7 @@ void TableMetadataToBlob(const TableMetadata& metadata,
 
 /// \brief Reads one metadata version written by TableMetadataToBlob.
 /// Round-trips everything the simulator consumes; the revived lineage
-/// shares one partition interner.
+/// shares one interner of partition keys and directories.
 Result<TableMetadataPtr> TableMetadataFromBlob(common::BlobReader* reader);
 
 }  // namespace autocomp::lst

@@ -60,7 +60,7 @@ Result<SnapshotOperation> OperationFromName(const std::string& name) {
 
 JsonValue FileToJson(const DataFileRef& f) {
   JsonValue obj = JsonValue::Object();
-  obj.Set("path", std::string(f.path));
+  obj.Set("path", f.path.str());
   obj.Set("partition", std::string(f.partition));
   obj.Set("content", f.content == FileContent::kPositionDeletes
                          ? "position-deletes"

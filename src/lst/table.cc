@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <string_view>
 
 #include "fault/fault_injector.h"
 
@@ -10,10 +9,8 @@ namespace autocomp::lst {
 
 namespace {
 
-/// Every path in `snapshots`' manifests, sorted and deduplicated, as
-/// views into those manifests. Snapshots share most of their manifests,
-/// so each distinct manifest is read once.
-std::vector<std::string_view> DistinctPaths(
+/// The distinct manifests of `snapshots`, sorted by address.
+std::vector<const Manifest*> DistinctManifests(
     const std::vector<const Snapshot*>& snapshots) {
   std::vector<const Manifest*> manifests;
   for (const Snapshot* s : snapshots) {
@@ -22,15 +19,45 @@ std::vector<std::string_view> DistinctPaths(
   std::sort(manifests.begin(), manifests.end());
   manifests.erase(std::unique(manifests.begin(), manifests.end()),
                   manifests.end());
-  std::vector<std::string_view> paths;
-  for (const Manifest* m : manifests) {
+  return manifests;
+}
+
+/// Paths of `expired` snapshots that no `retained` snapshot lists,
+/// sorted by full path, as views of their manifests. A path can only be
+/// orphaned by a manifest no retained snapshot holds, so candidates come
+/// from those manifests alone; each retained entry then drops its
+/// candidate by binary search, and the retained paths are never sorted.
+std::vector<PathRef> OrphanedPaths(
+    const std::vector<const Snapshot*>& retained,
+    const std::vector<const Snapshot*>& expired) {
+  const std::vector<const Manifest*> kept = DistinctManifests(retained);
+  std::vector<PathRef> candidates;
+  for (const Manifest* m : DistinctManifests(expired)) {
+    if (std::binary_search(kept.begin(), kept.end(), m)) continue;
     for (size_t i = 0; i < static_cast<size_t>(m->file_count()); ++i) {
-      paths.push_back(m->path(i));
+      candidates.push_back(m->path(i));
     }
   }
-  std::sort(paths.begin(), paths.end());
-  paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
-  return paths;
+  if (candidates.empty()) return candidates;
+  std::sort(candidates.begin(), candidates.end(), PathLess());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
+  std::vector<bool> referenced(candidates.size(), false);
+  for (const Manifest* m : kept) {
+    for (size_t i = 0; i < static_cast<size_t>(m->file_count()); ++i) {
+      const PathRef path = m->path(i);
+      const auto it = std::lower_bound(candidates.begin(), candidates.end(),
+                                       path, PathLess());
+      if (it != candidates.end() && *it == path) {
+        referenced[static_cast<size_t>(it - candidates.begin())] = true;
+      }
+    }
+  }
+  std::vector<PathRef> orphaned;
+  for (size_t k = 0; k < candidates.size(); ++k) {
+    if (!referenced[k]) orphaned.push_back(candidates[k]);
+  }
+  return orphaned;
 }
 
 }  // namespace
@@ -107,13 +134,7 @@ Result<ExpireResult> ExpireSnapshots(MetadataStore* store,
     // Live paths across all retained snapshots stay on disk; the other
     // paths of expired snapshots are orphans (views of `meta`'s
     // manifests, sorted).
-    const std::vector<std::string_view> referenced = DistinctPaths(retained);
-    std::vector<std::string_view> orphaned;
-    for (const std::string_view path : DistinctPaths(expired)) {
-      if (!std::binary_search(referenced.begin(), referenced.end(), path)) {
-        orphaned.push_back(path);
-      }
-    }
+    const std::vector<PathRef> orphaned = OrphanedPaths(retained, expired);
 
     std::vector<Snapshot> kept;
     kept.reserve(retained.size());
@@ -146,7 +167,10 @@ Result<ExpireResult> ExpireSnapshots(MetadataStore* store,
     if (cas.ok()) {
       ExpireResult result;
       result.metadata = next;
-      result.orphaned_paths.assign(orphaned.begin(), orphaned.end());
+      result.orphaned_paths.reserve(orphaned.size());
+      for (const PathRef& path : orphaned) {
+        result.orphaned_paths.push_back(path.str());
+      }
       result.expired_snapshots = static_cast<int64_t>(expired.size());
       return result;
     }

@@ -173,10 +173,10 @@ TableMetadata::Builder& TableMetadata::Builder::RestoreCounters(
 
 ManifestPtr TableMetadata::Builder::RestoreManifest(
     int64_t manifest_id, const std::vector<DataFileRef>& files) {
-  size_t path_bytes = 0;
-  for (const DataFileRef& f : files) path_bytes += f.path.size();
+  size_t name_bytes = 0;
+  for (const DataFileRef& f : files) name_bytes += f.path.name.size();
   ManifestWriter writer(manifest_id, meta_.partition_interner_, files.size(),
-                        path_bytes);
+                        name_bytes);
   for (const DataFileRef& f : files) writer.Add(f);
   return writer.Finish();
 }
@@ -194,9 +194,9 @@ int64_t TableMetadata::Builder::AllocateSequenceNumber() {
 }
 
 ManifestWriter TableMetadata::Builder::NewManifest(size_t file_count,
-                                                   size_t path_bytes) {
+                                                   size_t name_bytes) {
   return ManifestWriter(AllocateManifestId(), meta_.partition_interner_,
-                        file_count, path_bytes);
+                        file_count, name_bytes);
 }
 
 Result<TableMetadataPtr> TableMetadata::Builder::Build() {
@@ -235,14 +235,17 @@ ManifestList MaybeMergeManifests(ManifestList manifests, int64_t max_manifests,
   const size_t to_merge =
       manifests.size() - static_cast<size_t>(max_manifests) + 1;
   size_t file_count = 0;
-  size_t path_bytes = 0;
+  size_t name_bytes = 0;
   for (size_t i = 0; i < to_merge; ++i) {
     file_count += static_cast<size_t>(manifests[i]->file_count());
-    path_bytes += manifests[i]->path_bytes();
+    name_bytes += manifests[i]->name_bytes();
   }
-  ManifestWriter merged = builder->NewManifest(file_count, path_bytes);
+  ManifestWriter merged = builder->NewManifest(file_count, name_bytes);
   for (size_t i = 0; i < to_merge; ++i) {
-    for (const DataFileRef& f : *manifests[i]) merged.Add(f);
+    const Manifest& input = *manifests[i];
+    for (size_t j = 0; j < static_cast<size_t>(input.file_count()); ++j) {
+      merged.Add(input, j);
+    }
   }
   ManifestList out(manifests.begin() + static_cast<ptrdiff_t>(to_merge),
                    manifests.end());

@@ -119,9 +119,10 @@ class TableMetadata {
   int64_t next_snapshot_id_ = 1;
   int64_t next_manifest_id_ = 1;
   int64_t next_sequence_number_ = 1;
-  /// The lineage's partition-key interner. Successor versions built via
-  /// Builder(base) inherit it, so every manifest in a table's history
-  /// interns partition keys into one arena. Never nullptr.
+  /// The lineage's interner of partition keys and path directories.
+  /// Successor versions built via Builder(base) inherit it, so every
+  /// manifest in a table's history interns both into one arena, and a
+  /// directory is stored once per lineage. Never nullptr.
   std::shared_ptr<common::StringInterner> partition_interner_;
 };
 
@@ -154,10 +155,10 @@ class TableMetadata::Builder {
   int64_t AllocateSequenceNumber();
 
   /// Allocates a manifest id and returns a writer for a manifest of
-  /// exactly `file_count` entries and `path_bytes` path bytes that
-  /// shares the lineage's partition interner. All commit paths build
-  /// manifests through this.
-  ManifestWriter NewManifest(size_t file_count, size_t path_bytes);
+  /// exactly `file_count` entries and `name_bytes` file-name bytes that
+  /// shares the lineage's interner (partition keys and directories).
+  /// All commit paths build manifests through this.
+  ManifestWriter NewManifest(size_t file_count, size_t name_bytes);
 
   /// Deserialization-only: restore the exact version and id counters of
   /// a persisted metadata document (normal commits never call these).
@@ -165,8 +166,9 @@ class TableMetadata::Builder {
   Builder& RestoreCounters(int64_t next_snapshot_id, int64_t next_manifest_id,
                            int64_t next_sequence_number);
   /// Deserialization-only: rebuilds a persisted manifest under its own
-  /// id in the lineage's partition interner, so the revived lineage
-  /// keeps one shared arena instead of per-manifest ones.
+  /// id in the lineage's interner, so the revived lineage keeps one
+  /// shared arena of partition keys and directories instead of
+  /// per-manifest ones.
   ManifestPtr RestoreManifest(int64_t manifest_id,
                               const std::vector<DataFileRef>& files);
 

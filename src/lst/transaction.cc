@@ -111,7 +111,7 @@ Status Transaction::ValidateAgainst(const TableMetadata& current) const {
       // copied every live DataFile (paths, partitions) per validation,
       // which dominates rebase cost on large tables.
       std::set<std::string, std::less<>> my_partitions;
-      const std::set<std::string, std::less<>> my_inputs(
+      const std::set<std::string, PathLess> my_inputs(
           replaced_paths_.begin(), replaced_paths_.end());
       base_->ForEachLiveFile([&](const DataFileRef& f) {
         if (my_inputs.count(f.path) > 0) my_partitions.emplace(f.partition);
@@ -208,16 +208,16 @@ Result<TableMetadataPtr> Transaction::Apply(const TableMetadata& current,
     filtered.reserve(manifests.size());
     for (const ManifestPtr& m : manifests) {
       hits.clear();
-      size_t hit_path_bytes = 0;
+      size_t hit_name_bytes = 0;
       const auto count = static_cast<size_t>(m->file_count());
       for (size_t i = 0; i < count; ++i) {
-        const std::string_view path = m->path(i);
-        const auto it =
-            std::lower_bound(to_remove.begin(), to_remove.end(), path);
-        if (it == to_remove.end() || *it != path) continue;
+        const PathRef path = m->path(i);
+        const auto it = std::lower_bound(to_remove.begin(), to_remove.end(),
+                                         path, PathLess());
+        if (it == to_remove.end() || !(path == *it)) continue;
         found[static_cast<size_t>(it - to_remove.begin())] = true;
         hits.push_back(i);
-        hit_path_bytes += path.size();
+        hit_name_bytes += path.name.size();
       }
       if (hits.empty()) {
         filtered.push_back(m);
@@ -232,12 +232,12 @@ Result<TableMetadataPtr> Transaction::Apply(const TableMetadata& current,
       }
       if (hits.size() == count) continue;
       ManifestWriter kept = builder.NewManifest(
-          count - hits.size(), m->path_bytes() - hit_path_bytes);
+          count - hits.size(), m->name_bytes() - hit_name_bytes);
       for (size_t i = 0, h = 0; i < count; ++i) {
         if (h < hits.size() && hits[h] == i) {
           ++h;
         } else {
-          kept.Add(m->file(i));
+          kept.Add(*m, i);
         }
       }
       filtered.push_back(kept.Finish());
@@ -256,9 +256,11 @@ Result<TableMetadataPtr> Transaction::Apply(const TableMetadata& current,
   if (!added_.empty()) {
     // Stamped views go straight into the new manifest's columns; the
     // delta keeps the one owning copy.
-    size_t path_bytes = 0;
-    for (const DataFile& f : added_) path_bytes += f.path.size();
-    ManifestWriter appended = builder.NewManifest(added_.size(), path_bytes);
+    size_t name_bytes = 0;
+    for (const DataFile& f : added_) {
+      name_bytes += PathRef::Split(f.path).name.size();
+    }
+    ManifestWriter appended = builder.NewManifest(added_.size(), name_bytes);
     delta->added.reserve(added_.size());
     for (const DataFile& f : added_) {
       DataFileRef stamped = f.view();

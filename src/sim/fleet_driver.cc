@@ -552,8 +552,8 @@ Result<FleetSimResult> FleetSimulation::Run() {
     assert(it != lane_by_db.end());
     Lane* lane = lanes_[static_cast<size_t>(it->second)].get();
     const int64_t planned = engine::PlannedFileCount(
-        op.load.logical_bytes, op.load.partitions.size(), op.load.profile,
-        format);
+        op.load.logical_bytes, static_cast<size_t>(op.months),
+        op.load.profile, format);
     pending_rpcs_by_hour_[(op.at / kHour) * kHour] += planned;
     lane->pending_rpcs.push_back(planned);
     lane->pending.push_back(std::move(op));

@@ -62,12 +62,7 @@ FleetWorkload::TableOp FleetWorkload::DrawTableOp(const std::string& db,
   op.load.profile = rng->Bernoulli(0.25) ? engine::TunedPipelineProfile()
                                          : engine::UntunedUserJobProfile();
   if (op.partitioned) {
-    const std::vector<std::string> months = FleetMonths();
-    const int span = 6 + static_cast<int>(rng->UniformInt(0, 17));
-    for (int i = 0; i < span; ++i) {
-      op.load.partitions.push_back(months[months.size() - 1 -
-                                          static_cast<size_t>(i)]);
-    }
+    op.months = 6 + static_cast<int>(rng->UniformInt(0, 17));
   }
   tables_.push_back(info.qualified_name);
   infos_.push_back(std::move(info));
@@ -84,7 +79,13 @@ Status FleetWorkload::Materialize(const LaneTargets& lane,
       op.partitioned ? FleetPartitionSpec()
                      : lst::PartitionSpec::Unpartitioned());
   AUTOCOMP_RETURN_NOT_OK(table.status());
-  auto result = lane.engine->ExecuteWrite(op.load, op.at);
+  engine::WriteSpec load = op.load;
+  if (op.months > 0) {
+    // The most recent months, newest first.
+    const std::vector<std::string> months = FleetMonths();
+    load.partitions.assign(months.rbegin(), months.rbegin() + op.months);
+  }
+  auto result = lane.engine->ExecuteWrite(load, op.at);
   AUTOCOMP_RETURN_NOT_OK(result.status());
   if (op.set_policy && lane.control_plane != nullptr) {
     lane.control_plane->SetPolicy(op.load.table, op.policy);

@@ -69,8 +69,11 @@ class FleetWorkload {
     std::string table;  // unqualified
     SimTime at = 0;
     bool partitioned = false;
-    /// The initial load; `load.table` is the qualified name.
+    /// The initial load; `load.table` is the qualified name. Its
+    /// partitions stay empty until Materialize: a queued op keeps only
+    /// `months`, the number of most recent fleet months it loads.
     engine::WriteSpec load;
+    int months = 0;
     /// Setup tables get the fleet's default compaction policy (applied
     /// only when the materialising lane has a control plane).
     bool set_policy = false;

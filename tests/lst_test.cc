@@ -4,11 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <ostream>
+#include <set>
 #include <string_view>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/counter_rng.h"
+#include "common/random.h"
 #include "fault/fault_injector.h"
 #include "lst/metadata_tables.h"
 #include "lst/partition.h"
@@ -18,6 +23,10 @@
 #include "lst/types.h"
 
 namespace autocomp::lst {
+
+// Test output prints a PathRef as its full path.
+void PrintTo(const PathRef& path, std::ostream* os) { *os << path.str(); }
+
 namespace {
 
 // ---------------------------------------------------------------- Schema
@@ -151,6 +160,66 @@ TEST(SortedPathListTest, SortsDeduplicatesAndSearches) {
   // Copies share the packed buffer.
   const SortedPathList copy = list;
   EXPECT_EQ(copy[3].data(), list[3].data());
+}
+
+// ---------------------------------------------------------------- PathRef
+
+int Sign(int c) { return (c > 0) - (c < 0); }
+
+TEST(PathRefTest, OrdersEqualsSplitsAndHashesLikeTheWholeString) {
+  Rng rng(24);
+  const auto random_path = [&rng] {
+    std::string s(static_cast<size_t>(rng.UniformInt(0, 12)), ' ');
+    for (char& c : s) c = "/ab"[rng.UniformInt(0, 2)];
+    return s;
+  };
+  // Two pieces of `s` cut at a random point: any split, not only the
+  // one at the last '/', must behave as the whole string.
+  const auto cut = [&rng](std::string_view s) {
+    const auto at = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(s.size())));
+    return PathRef{s.substr(0, at), s.substr(at)};
+  };
+  for (int trial = 0; trial < 20000; ++trial) {
+    const std::string a = random_path();
+    const std::string b = rng.Bernoulli(0.2) ? a : random_path();
+    const PathRef ra = cut(a);
+    const PathRef rb = cut(b);
+    const int want = Sign(a.compare(b));
+    EXPECT_EQ(ra.Compare(rb), want) << a << " vs " << b;
+    EXPECT_EQ(rb.Compare(ra), -want) << a << " vs " << b;
+    EXPECT_EQ(ra.Compare(std::string_view(b)), want) << a << " vs " << b;
+    EXPECT_EQ(rb.Compare(std::string_view(a)), -want) << a << " vs " << b;
+    EXPECT_EQ(ra == rb, want == 0);
+    EXPECT_EQ(ra == std::string_view(b), want == 0);
+    EXPECT_EQ(PathLess()(ra, rb), want < 0);
+    EXPECT_EQ(PathLess()(ra, std::string_view(b)), want < 0);
+    EXPECT_EQ(PathLess()(std::string_view(a), rb), want < 0);
+
+    // One directory view shared by both sides (the interned case).
+    const std::string dir = random_path();
+    const std::string na = random_path();
+    const std::string nb = random_path();
+    EXPECT_EQ(PathRef({dir, na}).Compare(PathRef{dir, nb}),
+              Sign((dir + na).compare(dir + nb)))
+        << dir << " + " << na << " vs " << nb;
+
+    const PathRef split = PathRef::Split(a);
+    EXPECT_EQ(split.str(), a);
+    EXPECT_EQ(split.size(), a.size());
+    EXPECT_EQ(split.name.find('/'), std::string_view::npos) << a;
+    EXPECT_TRUE(split.dir.empty() || split.dir.back() == '/') << a;
+    std::string rendered = "stale contents";
+    ra.AssignTo(&rendered);
+    EXPECT_EQ(rendered, a);
+    EXPECT_EQ(CounterRng::HashString(ra.str()), CounterRng::HashString(a));
+  }
+  // The byte order, not the (directory, name) order.
+  EXPECT_LT(PathRef::Split("/a/b-c/y").Compare(PathRef::Split("/a/b/x")), 0);
+  EXPECT_EQ(PathRef::Split("name").dir, "");
+  EXPECT_EQ(PathRef::Split("/f").dir, "/");
+  EXPECT_EQ(PathRef::Split("/f").name, "f");
+  EXPECT_EQ(PathRef::Split("/d/").name, "");
 }
 
 // --------------------------------------------------------- Test fixtures
@@ -865,6 +934,155 @@ TEST_F(TransactionTest, ExpireSharedFilesNotOrphaned) {
   EXPECT_TRUE(expired->orphaned_paths.empty());
 }
 
+/// The orphan set as ExpireSnapshots computed it before it stopped
+/// sorting every retained path: the sorted difference of the expired and
+/// the retained snapshots' paths, under the same retention rule.
+std::vector<std::string> ReferenceOrphans(const TableMetadata& meta,
+                                          SimTime older_than, int keep_last,
+                                          int64_t* expired_count) {
+  const std::vector<Snapshot>& snapshots = meta.snapshots();
+  const size_t keep_tail = std::min(
+      snapshots.size(), static_cast<size_t>(std::max(1, keep_last)));
+  std::set<std::string> referenced;
+  std::set<std::string> expired;
+  *expired_count = 0;
+  for (size_t i = 0; i < snapshots.size(); ++i) {
+    const Snapshot& s = snapshots[i];
+    const bool keep = i + keep_tail >= snapshots.size() ||
+                      s.snapshot_id == meta.current_snapshot_id() ||
+                      s.timestamp >= older_than;
+    if (!keep) ++*expired_count;
+    for (const ManifestPtr& m : s.manifests) {
+      for (const DataFileRef& f : *m) {
+        (keep ? referenced : expired).insert(f.path.str());
+      }
+    }
+  }
+  std::vector<std::string> out;
+  std::set_difference(expired.begin(), expired.end(), referenced.begin(),
+                      referenced.end(), std::back_inserter(out));
+  return out;
+}
+
+TEST_F(TransactionTest, ExpiryMatchesTheSetDifferenceReference) {
+  Schema schema(0, {{1, "d", FieldType::kDate, true}});
+  PartitionSpec spec(1, {{1, Transform::kMonth, "m"}});
+  // Directories whose byte order differs from their (directory, name)
+  // order, the table root and bare names.
+  const std::vector<std::string> dirs = {"/data/db/r/m=01/", "/data/db/r/m=0-1/",
+                                         "/data/db/r/m=01-x/", "/data/db/r/",
+                                         ""};
+  int64_t merges = 0, filters = 0, rollbacks = 0, orphans = 0;
+  int64_t expired_snapshots = 0, long_tails = 0;
+  for (uint64_t seed = 1; seed <= 80; ++seed) {
+    Rng rng(seed);
+    const std::string name = "db.r" + std::to_string(seed);
+    TableMetadata::Builder create(name, "/data/db/r", schema, spec);
+    create.SetProperty(kPropMaxManifests,
+                       std::to_string(rng.UniformInt(2, 6)));
+    create.SetCreatedAt(clock_.Now());
+    store_.Put(name, *create.Build());
+    Table table(&store_, name, &clock_);
+
+    std::vector<std::string> live;
+    int next_file = 0;
+    const auto new_file = [&] {
+      const std::string& dir = dirs[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(dirs.size()) - 1))];
+      return MakeFile(dir + "f" + std::to_string(next_file++),
+                      "m=0" + std::to_string(rng.UniformInt(1, 3)),
+                      rng.UniformInt(1, 1000));
+    };
+    const auto pick_live = [&] {
+      std::vector<std::string> picked;
+      const int64_t n = std::min<int64_t>(
+          rng.UniformInt(1, 3), static_cast<int64_t>(live.size()));
+      for (int64_t k = 0; k < n; ++k) {
+        const auto at = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
+        picked.push_back(live[at]);
+        live.erase(live.begin() + static_cast<ptrdiff_t>(at));
+      }
+      return picked;
+    };
+    const int64_t commits = rng.UniformInt(4, 30);
+    for (int64_t c = 0; c < commits; ++c) {
+      clock_.AdvanceTo(clock_.Now() + rng.UniformInt(1, 3) * kHour);
+      auto txn = table.NewTransaction();
+      ASSERT_TRUE(txn.ok());
+      const int64_t op = live.empty() ? 0 : rng.UniformInt(0, 3);
+      std::vector<DataFile> added;
+      const int64_t outputs = rng.UniformInt(op == 0 ? 1 : 0, 4);
+      for (int64_t k = 0; k < outputs; ++k) added.push_back(new_file());
+      Status staged;
+      if (op == 0) {
+        staged = txn->Append(added);
+      } else if (op == 1) {
+        staged = txn->RewriteFiles(pick_live(), added);
+      } else if (op == 2) {
+        staged = txn->Overwrite(pick_live(), added);
+      } else {
+        added.clear();
+        staged = txn->DeleteFiles(pick_live());
+      }
+      ASSERT_TRUE(staged.ok()) << staged;
+      ASSERT_TRUE(txn->Commit().ok());
+      for (const DataFile& f : added) live.push_back(f.path);
+      filters += op == 0 ? 0 : 1;
+    }
+    for (int round = 0; round < 2; ++round) {
+      if (round == 0 && rng.Bernoulli(0.4)) {
+        // Roll the current snapshot back to an earlier one.
+        auto head = store_.LoadTable(name);
+        ASSERT_TRUE(head.ok());
+        const std::vector<Snapshot>& snapshots = (*head)->snapshots();
+        const auto k = static_cast<size_t>(rng.UniformInt(
+            0, static_cast<int64_t>(snapshots.size()) - 2));
+        TableMetadata::Builder rollback(**head);
+        rollback.AddSnapshot(snapshots[k]);
+        rollback.SetSnapshots(snapshots);
+        auto next = rollback.Build();
+        ASSERT_TRUE(next.ok());
+        ASSERT_NE((*next)->current_snapshot_id(),
+                  (*next)->snapshots().back().snapshot_id);
+        ASSERT_TRUE(store_.CommitTable(name, (*head)->version(), *next).ok());
+        ++rollbacks;
+      }
+      auto meta = store_.LoadTable(name);
+      ASSERT_TRUE(meta.ok());
+      for (const Snapshot& s : (*meta)->snapshots()) {
+        for (const ManifestPtr& m : s.manifests) {
+          const std::set<int64_t> by(m->added_snapshot_column().begin(),
+                                     m->added_snapshot_column().end());
+          merges += by.size() > 1 ? 1 : 0;
+        }
+      }
+      const SimTime older_than = rng.UniformInt(0, clock_.Now() + kHour);
+      const int keep_last = static_cast<int>(rng.UniformInt(0, 5));
+      long_tails += keep_last > 1 ? 1 : 0;
+      int64_t want_expired = 0;
+      const std::vector<std::string> want =
+          ReferenceOrphans(**meta, older_than, keep_last, &want_expired);
+      auto got = ExpireSnapshots(&store_, name, &clock_, older_than,
+                                 keep_last);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(got->orphaned_paths, want)
+          << "seed " << seed << " round " << round;
+      EXPECT_EQ(got->expired_snapshots, want_expired)
+          << "seed " << seed << " round " << round;
+      orphans += static_cast<int64_t>(want.size());
+      expired_snapshots += want_expired;
+    }
+  }
+  // The histories exercised what the shortcut must get right.
+  EXPECT_GT(merges, 0);
+  EXPECT_GT(filters, 0);
+  EXPECT_GT(rollbacks, 0);
+  EXPECT_GT(orphans, 0);
+  EXPECT_GT(expired_snapshots, 0);
+  EXPECT_GT(long_tails, 0);
+}
+
 // --------------------------------------------------------- Table / scans
 
 TEST_F(TransactionTest, PlanScanWholeTableAndPartition) {
@@ -936,6 +1154,18 @@ TEST_F(TransactionTest, FilesAddedAfterSupportsSnapshotScope) {
 
 // -------------------------------------------------------------- Manifest
 
+/// A manifest of `entries`, in order, in `builder`'s lineage.
+ManifestPtr WriteManifest(TableMetadata::Builder* builder,
+                          const std::vector<DataFile>& entries) {
+  size_t name_bytes = 0;
+  for (const DataFile& f : entries) {
+    name_bytes += PathRef::Split(f.path).name.size();
+  }
+  ManifestWriter writer = builder->NewManifest(entries.size(), name_bytes);
+  for (const DataFile& f : entries) writer.Add(f.view());
+  return writer.Finish();
+}
+
 /// DataFile::operator== compares paths only, so a field-by-field check.
 void ExpectSameFile(const DataFile& want, const DataFileRef& got) {
   EXPECT_EQ(got.path, want.path);
@@ -973,19 +1203,21 @@ TEST(ManifestTest, EveryFieldSurvivesTheColumns) {
   EXPECT_EQ(manifest.manifest_id(), 42);
   ASSERT_EQ(manifest.file_count(), static_cast<int64_t>(files.size()));
   int64_t total_bytes = 0;
-  size_t path_bytes = 0;
+  size_t name_bytes = 0;
   for (size_t i = 0; i < files.size(); ++i) {
     ExpectSameFile(files[i], manifest.file(i));
     EXPECT_EQ(manifest.path(i), files[i].path);
     EXPECT_EQ(manifest.sequence_number_column()[i], files[i].sequence_number);
     total_bytes += files[i].file_size_bytes;
-    path_bytes += files[i].path.size();
+    name_bytes += PathRef::Split(files[i].path).name.size();
   }
   size_t visited = 0;
   for (const DataFileRef& f : manifest) ExpectSameFile(files[visited++], f);
   EXPECT_EQ(visited, files.size());
   EXPECT_EQ(manifest.total_bytes(), total_bytes);
-  EXPECT_EQ(manifest.path_bytes(), path_bytes);
+  EXPECT_EQ(manifest.name_bytes(), name_bytes);
+  // "/data/db/t/" and "/data/db/t/m=01/".
+  EXPECT_EQ(manifest.directory_count(), 2u);
 
   EXPECT_EQ(manifest.partition_count(), 3);
   EXPECT_TRUE(manifest.ContainsPartition(""));
@@ -994,7 +1226,7 @@ TEST(ManifestTest, EveryFieldSurvivesTheColumns) {
   std::vector<std::string> in_partition;
   EXPECT_TRUE(manifest.ForEachFile(files[1].partition,
                                    [&](const DataFileRef& f) {
-                                     in_partition.emplace_back(f.path);
+                                     in_partition.push_back(f.path.str());
                                    }));
   EXPECT_EQ(in_partition,
             (std::vector<std::string>{files[1].path, files[4].path}));
@@ -1033,11 +1265,7 @@ TEST(ManifestTest, MergeOutputIsTheConcatenationOfItsInputs) {
   TableMetadata::Builder builder("db.t", "/data/db/t", schema,
                                  PartitionSpec::Unpartitioned());
   const auto write = [&builder](const std::vector<DataFile>& entries) {
-    size_t path_bytes = 0;
-    for (const DataFile& f : entries) path_bytes += f.path.size();
-    ManifestWriter writer = builder.NewManifest(entries.size(), path_bytes);
-    for (const DataFile& f : entries) writer.Add(f.view());
-    return writer.Finish();
+    return WriteManifest(&builder, entries);
   };
   // File counts grow with the ids, so the merge's smallest-first order
   // is the input order.
@@ -1062,6 +1290,127 @@ TEST(ManifestTest, MergeOutputIsTheConcatenationOfItsInputs) {
   EXPECT_EQ(partial[0], inputs[2]);
   ASSERT_EQ(partial[1]->file_count(), 3);
   for (size_t i = 0; i < 3; ++i) ExpectSameFile(files[i], partial[1]->file(i));
+}
+
+TEST(ManifestTest, PathsSplitAtTheLastSlash) {
+  Schema schema(0, {{1, "a", FieldType::kInt64, true}});
+  TableMetadata::Builder builder("db.t", "/data/db/t", schema,
+                                 PartitionSpec::Unpartitioned());
+  const std::string long_path =
+      "/data/db/t/" + std::string(150, 'd') + "/" + std::string(138, 'n');
+  ASSERT_EQ(long_path.size(), 300u);
+  std::vector<DataFile> files;
+  for (const std::string& path :
+       {std::string("bare-name"), std::string("/f"), long_path,
+        std::string("/x/a/1"), std::string("/x/b/1"), std::string("/x/a/2"),
+        std::string("/x/c/1"), std::string("/x/b/2"), std::string("/x/a/3")}) {
+    files.push_back(MakeFile(path, "p" + std::to_string(files.size() % 2), 10));
+  }
+  const ManifestPtr lineage = WriteManifest(&builder, files);
+  // A private interner, as a hand-built snapshot may carry.
+  const ManifestPtr standalone = std::make_shared<const Manifest>(7, files);
+  for (const Manifest* m : {lineage.get(), standalone.get()}) {
+    ASSERT_EQ(m->file_count(), static_cast<int64_t>(files.size()));
+    size_t name_bytes = 0;
+    for (size_t i = 0; i < files.size(); ++i) {
+      EXPECT_EQ(m->path(i), files[i].path);
+      EXPECT_EQ(m->file(i).path.str(), files[i].path);
+      name_bytes += PathRef::Split(files[i].path).name.size();
+    }
+    EXPECT_EQ(m->name_bytes(), name_bytes);
+    EXPECT_EQ(m->path(0).dir, "");
+    EXPECT_EQ(m->path(0).name, "bare-name");
+    EXPECT_EQ(m->path(1).dir, "/");
+    EXPECT_EQ(m->path(1).name, "f");
+    EXPECT_EQ(m->path(2).name, std::string(138, 'n'));
+    // "", "/", the long one and the three interleaved ones, each once.
+    EXPECT_EQ(m->directory_count(), 6u);
+    EXPECT_EQ(m->path(3).dir.data(), m->path(5).dir.data());
+    EXPECT_EQ(m->path(3).dir.data(), m->path(8).dir.data());
+    EXPECT_EQ(m->path(4).dir.data(), m->path(7).dir.data());
+    EXPECT_NE(m->path(3).dir.data(), m->path(4).dir.data());
+  }
+  // Merged into the lineage, the standalone manifest's entries are
+  // re-interned there: same paths and partitions, the lineage's views.
+  const ManifestList merged =
+      MaybeMergeManifests({lineage, standalone}, 1, &builder);
+  ASSERT_EQ(merged.size(), 1u);
+  ASSERT_EQ(merged[0]->file_count(), 2 * lineage->file_count());
+  for (size_t i = 0; i < 2 * files.size(); ++i) {
+    const DataFile& want = files[i % files.size()];
+    ExpectSameFile(want, merged[0]->file(i));
+    EXPECT_EQ(merged[0]->path(i).dir.data(),
+              lineage->path(i % files.size()).dir.data());
+  }
+  EXPECT_EQ(merged[0]->directory_count(), 6u);
+}
+
+TEST_F(TransactionTest, FiltersAndMergesKeepDirectoryViewsPointerEqual) {
+  {
+    auto meta = store_.LoadTable("db.t");
+    TableMetadata::Builder builder(**meta);
+    builder.SetProperty(kPropMaxManifests, "2");
+    auto next = builder.Build();
+    ASSERT_TRUE(next.ok());
+    ASSERT_TRUE(store_.CommitTable("db.t", (*meta)->version(), *next).ok());
+  }
+  const std::string t = "/data/db/t/";
+  ASSERT_TRUE(AppendFiles({MakeFile(t + "m=01/a1", "m=01", 1),
+                           MakeFile(t + "m=02/b1", "m=02", 1),
+                           MakeFile(t + "m=01/a2", "m=01", 1)})
+                  .ok());
+  ASSERT_TRUE(AppendFiles({MakeFile(t + "m=02/b2", "m=02", 1),
+                           MakeFile(t + "m=03/c1", "m=03", 1)})
+                  .ok());
+  // The lineage's one view of each directory.
+  std::map<std::string, const char*> view_of;
+  auto before = store_.LoadTable("db.t");
+  ASSERT_TRUE(before.ok());
+  for (const ManifestPtr& m : (*before)->current_snapshot()->manifests) {
+    for (size_t i = 0; i < static_cast<size_t>(m->file_count()); ++i) {
+      const PathRef path = m->path(i);
+      const auto [it, inserted] =
+          view_of.emplace(std::string(path.dir), path.dir.data());
+      EXPECT_EQ(it->second, path.dir.data()) << path.str();
+    }
+  }
+  ASSERT_EQ(view_of.size(), 3u);
+  // A third manifest forces a merge; the rewrite then filters the merged
+  // manifest or the one it left.
+  ASSERT_TRUE(AppendFiles({MakeFile(t + "m=01/a3", "m=01", 1)}).ok());
+  {
+    Table table = MakeTable();
+    auto txn = table.NewTransaction();
+    ASSERT_TRUE(txn->RewriteFiles({t + "m=01/a1", t + "m=02/b2"},
+                                  {MakeFile(t + "m=01/c-1", "m=01", 2)})
+                    .ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  auto meta = store_.LoadTable("db.t");
+  ASSERT_TRUE(meta.ok());
+  const Snapshot& head = *(*meta)->current_snapshot();
+  ASSERT_LE(head.manifests.size(), 2u);
+  int64_t live = 0;
+  bool merged = false;
+  for (const ManifestPtr& m : head.manifests) {
+    size_t name_bytes = 0;
+    std::set<int64_t> added_by;
+    for (size_t i = 0; i < static_cast<size_t>(m->file_count()); ++i) {
+      const PathRef path = m->path(i);
+      ASSERT_EQ(view_of.count(std::string(path.dir)), 1u) << path.str();
+      EXPECT_EQ(path.dir.data(), view_of[std::string(path.dir)])
+          << path.str();
+      name_bytes += path.name.size();
+      added_by.insert(m->added_snapshot_column()[i]);
+      ++live;
+    }
+    EXPECT_EQ(m->name_bytes(), name_bytes);
+    merged = merged || added_by.size() > 1;
+  }
+  EXPECT_TRUE(merged);
+  EXPECT_EQ(live, 5);
+  EXPECT_FALSE((*meta)->IsLive(t + "m=01/a1"));
+  EXPECT_TRUE((*meta)->IsLive(t + "m=01/c-1"));
 }
 
 // ----------------------------------------------------- Metadata builder

@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <set>
+
 #include "sim/driver.h"
 #include "sim/environment.h"
 #include "sim/metrics.h"
 #include "sim/presets.h"
 #include "workload/cab.h"
+#include "workload/fleet.h"
 #include "workload/tpch.h"
 
 namespace autocomp::sim {
@@ -189,6 +193,90 @@ TEST(PresetTest, TableScopePresetCompacts) {
   EXPECT_GT(report->committed_count(), 0);
 }
 
+
+// ------------------------------------------------ manifest path footprint
+
+/// What the distinct manifests of `catalog` (every retained snapshot of
+/// every table) spend on paths: file names plus a 4-byte name end and a
+/// 4-byte directory index per entry, and a 16-byte view per
+/// directory-table entry. `full_paths` gets the same entries stored as
+/// whole paths with a 4-byte end each.
+int64_t ManifestPathBytes(catalog::Catalog& catalog, int64_t* full_paths) {
+  std::set<const lst::Manifest*> seen;
+  int64_t bytes = 0;
+  *full_paths = 0;
+  for (const std::string& name : catalog.ListAllTables()) {
+    auto meta = catalog.LoadTable(name);
+    EXPECT_TRUE(meta.ok()) << name;
+    if (!meta.ok()) continue;
+    for (const lst::Snapshot& s : (*meta)->snapshots()) {
+      for (const lst::ManifestPtr& m : s.manifests) {
+        if (!seen.insert(m.get()).second) continue;
+        bytes += static_cast<int64_t>(m->name_bytes()) +
+                 8 * m->file_count() +
+                 16 * static_cast<int64_t>(m->directory_count());
+        for (size_t i = 0; i < static_cast<size_t>(m->file_count()); ++i) {
+          *full_paths += static_cast<int64_t>(m->path(i).size()) + 4;
+        }
+      }
+    }
+  }
+  return bytes;
+}
+
+// The perfbench control_loop catalog at smoke scale (4 databases of 10
+// tables, one day, hourly Table-10 MOOP with synchronous act), sub-seed
+// 7000, after its fragmented initial load and after the day. The bytes
+// are a pure function of simulated state, so a regression in how
+// manifests store paths fails here on any host. Stored as whole paths
+// (before directories were interned), the same entries took 605,799 and
+// 18,686 bytes.
+constexpr int64_t kLoadedCatalogManifestPathBytes = 286'354;
+constexpr int64_t kReplayedCatalogManifestPathBytes = 13'765;
+
+TEST(ManifestFootprintTest, ControlLoopSmokeCatalogStoresEachDirectoryOnce) {
+  SimEnvironment env(EnvironmentOptions{});
+  workload::FleetOptions fleet_options;
+  fleet_options.num_databases = 4;
+  fleet_options.tables_per_db = 10;
+  fleet_options.size_mu = std::log(128.0 * kMiB);
+  fleet_options.size_sigma = 1.2;
+  fleet_options.seed = 7000;
+  workload::FleetWorkload fleet(fleet_options);
+  ASSERT_TRUE(fleet.Setup(&env.catalog(), &env.query_engine(),
+                          &env.control_plane(), 0)
+                  .ok());
+  ASSERT_TRUE(fleet.OnboardNewTables(&env.catalog(), &env.query_engine(), 0,
+                                     env.clock().Now())
+                  .ok());
+  const auto expect_at_most = [&env](int64_t pinned, const char* when) {
+    int64_t full_paths = 0;
+    const int64_t bytes = ManifestPathBytes(env.catalog(), &full_paths);
+    EXPECT_LE(bytes, pinned + pinned / 50)
+        << when << "; whole paths would take " << full_paths;
+    EXPECT_LT(bytes, full_paths) << when;
+  };
+  expect_at_most(kLoadedCatalogManifestPathBytes, "after the initial load");
+  StrategyPreset preset;
+  preset.scope = ScopeStrategy::kTable;
+  preset.k = 10;
+  auto service = MakeMoopService(&env, preset);
+  MetricsRecorder metrics;
+  DriverOptions driver_options;
+  driver_options.sample_interval = 4 * kHour;
+  driver_options.retention_interval = kDay;
+  driver_options.record_host_timings = false;
+  EventDriver driver(&env, &metrics, driver_options);
+  driver.AttachService(service.get());
+  for (const workload::QueryEvent& event : fleet.EventsForDay(0)) {
+    ASSERT_TRUE(driver.AdvanceTo(event.time).ok());
+    (void)driver.Execute(event);  // conflicts are part of the workload
+  }
+  ASSERT_TRUE(driver.AdvanceTo(kDay).ok());
+  driver.FinishRun();
+  ASSERT_GT(service->history().size(), 0u);
+  expect_at_most(kReplayedCatalogManifestPathBytes, "after the day");
+}
 
 // ------------------------------------------------- deferred compaction
 

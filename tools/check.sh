@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full pre-merge check: tier-1 build + tests, then the concurrency-,
-# fault-, policy-, sched- and storage-labelled suites under both
-# sanitizer configurations (ASan+UBSan and TSan). Usage:
+# fault-, policy-, sched-, storage- and metadata-labelled suites under
+# both sanitizer configurations (ASan+UBSan and TSan). Usage:
 #   tools/check.sh [jobs]        - the pre-merge check
 #   tools/check.sh sched [jobs]
 #       Scheduler quick mode: TSan build, then `ctest -L sched` only —
@@ -31,8 +31,8 @@
 #
 # Build trees:
 #   build/       - default RelWithDebInfo, full ctest suite
-#   build-asan/  - -DAUTOCOMP_SANITIZE=address (ASan+UBSan), ctest -L 'concurrency|fault|policy|sched|storage'
-#   build-tsan/  - -DAUTOCOMP_SANITIZE=thread, ctest -L 'concurrency|fault|policy|sched|storage'
+#   build-asan/  - -DAUTOCOMP_SANITIZE=address (ASan+UBSan), ctest -L 'concurrency|fault|policy|sched|storage|metadata'
+#   build-tsan/  - -DAUTOCOMP_SANITIZE=thread, ctest -L 'concurrency|fault|policy|sched|storage|metadata'
 #   build-cov/   - -DAUTOCOMP_COVERAGE=ON (coverage mode only)
 
 set -euo pipefail
@@ -176,16 +176,16 @@ run cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 run cmake --build build -j "${JOBS}"
 run ctest --test-dir build --output-on-failure -j "${JOBS}"
 
-# --- Concurrency + fault + policy + sched + storage suites under ASan+UBSan.
+# --- Concurrency + fault + policy + sched + storage + metadata suites under ASan+UBSan.
 run cmake -B build-asan -S . -DAUTOCOMP_SANITIZE=address \
     -DAUTOCOMP_BUILD_BENCHMARKS=OFF -DAUTOCOMP_BUILD_EXAMPLES=OFF
 run cmake --build build-asan -j "${JOBS}"
-run ctest --test-dir build-asan --output-on-failure -j "${JOBS}" -L 'concurrency|fault|policy|sched|storage'
+run ctest --test-dir build-asan --output-on-failure -j "${JOBS}" -L 'concurrency|fault|policy|sched|storage|metadata'
 
-# --- Concurrency + fault + policy + sched + storage suites under TSan.
+# --- Concurrency + fault + policy + sched + storage + metadata suites under TSan.
 run cmake -B build-tsan -S . -DAUTOCOMP_SANITIZE=thread \
     -DAUTOCOMP_BUILD_BENCHMARKS=OFF -DAUTOCOMP_BUILD_EXAMPLES=OFF
 run cmake --build build-tsan -j "${JOBS}"
-run ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" -L 'concurrency|fault|policy|sched|storage'
+run ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" -L 'concurrency|fault|policy|sched|storage|metadata'
 
 echo "All checks passed."
