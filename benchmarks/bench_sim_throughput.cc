@@ -1,72 +1,49 @@
 /// \file bench_sim_throughput.cc
-/// \brief Data-plane replay throughput: the shard-parallel fleet driver
-/// (sim::FleetSimulation) against the sequential reference, at shard
-/// counts {1, 2, 4, 8}, over a ~2000-table fleet.
-///
-/// Every configuration must be **bit-identical** to the sequential run
-/// (NFR2): the merged MetricsRecorder is compared series for series,
-/// sample for sample, and the run aborts on any divergence. Timings are
-/// best-of-N host wall-clock; on hosts with few hardware threads the
-/// sharded runs still execute (the equality check is the point) but
-/// their speedups measure oversubscription, not parallelism — the JSON
-/// records hardware_concurrency so readers can judge.
+/// \brief Data-plane replay throughput of the shard-parallel fleet driver
+/// (sim::FleetSimulation): the north-star replay numbers — events/sec of
+/// a ~2000-table fleet, and events/sec and peak RSS of a cold-fleet
+/// scale tier — each with the parity checks of its own configs.
 ///
 /// Each tier is stated as options (BaseOptions, SchedOptions or
 /// ScaleOptions, plus a variant's edits) and checks; the timing, pairing
-/// and forking discipline is benchmarks/harness.h's.
+/// and forking discipline is benchmarks/harness.h's. Contracts that
+/// tier-1 checks exactly are not re-run here: bit-identity at every
+/// shard/pool geometry and against the eager lane mode
+/// (FleetSimulationTest), idle fault and trace hooks (IdleHookTest,
+/// FaultFuzzTest, TraceGoldenTest) and eviction across geometries
+/// (FleetEvictionTest).
 ///
-/// Two fault-injection configs run after the shard sweep: "seq-armed"
-/// (enabled injector, empty profile — must be bit-identical to seq; its
-/// wall-clock delta is the zero-fault overhead, budgeted at <2% on quiet
-/// hosts) and "seq-chaos" (the chaos preset, pricing sustained failures
-/// plus the retry/backoff machinery). The armed overhead is the median
-/// per-pair ratio against a plain-seq baseline *interleaved rep by rep*
-/// with the armed runs (bench::RunPaired), not a delta against the shard
-/// sweep's seq block — the budget is smaller than the host's
-/// minute-scale throughput drift.
-///
-/// Two tracing configs follow the same pattern: "seq-traceoff" (per-lane
-/// recorders installed but TraceLevel::kOff — every emission site pays
-/// its pointer+level guard and nothing else; must be bit-identical to
-/// seq, with the wall-clock delta budgeted at <2% against its own
-/// interleaved baseline) and "seq-traced" (TraceLevel::kFull — tracing
-/// must be a pure observer, so metrics still equal seq exactly; the
-/// digest is reported for reference).
-///
-/// Timing hygiene: every config gets one untimed warmup replay before
-/// its best-of-N timed runs, so allocator/page-cache warmup lands on no
-/// config in particular (previously the first-measured config paid it,
-/// producing *negative* overhead percentages for later configs). Pool
-/// configs wider than hardware_concurrency are skipped (their "speedup"
-/// measures oversubscription, not parallelism) unless
-/// AUTOCOMP_BENCH_FORCE_POOLS=1.
-///
-/// A "seq-eager" run (LaneMode::kAdvanceAll) prices the lazy driver
-/// against the historical hydrate-everything/advance-everything path at
-/// the 2000-table tier, and must be bit-identical to seq.
+/// The **2000-table tier** replays 40 tenant databases x 50 tables as
+/// "seq" (the sequential reference; CI floors its events/sec) and
+/// "shard4" (four shards on a pool of min(4, hardware_concurrency)
+/// workers), which must be **bit-identical** to seq (NFR2): the merged
+/// MetricsRecorder is compared series for series, sample for sample,
+/// and the run aborts on any divergence. Every config gets one untimed
+/// warmup replay, so allocator and page-cache warmup lands on no config
+/// in particular, then the best of AUTOCOMP_BENCH_SIM_RUNS timed reps.
 ///
 /// The **scheduler tier** reruns the fleet with a deferred compaction
 /// preset (the only path the maintenance scheduler dispatches on):
 /// "seq-sched" (preemption-armed but inert fifo — bit-identical to the
-/// default-knob fifo baseline "sched-fifo", arming cost budgeted at
-/// <2% against its own interleaved baseline) and "seq-drr"
-/// (deficit-round-robin + per-tenant budget, SLO recording on — its
-/// overhead vs the fifo leg carries the same budget, and its per-tenant
-/// p99 query latency / time-to-compact / budget-debt rows land in
-/// BENCH_sim.json under "sched_tenant_slo"). Both gates read
-/// AUTOCOMP_BENCH_SCHED_MAX_OVERHEAD_PCT.
+/// default-knob fifo baseline "sched-fifo", its arming cost reported)
+/// and "seq-drr" (deficit-round-robin + per-tenant budget, SLO
+/// recording on — its overhead vs the fifo leg is budgeted at <2% under
+/// AUTOCOMP_BENCH_SCHED_MAX_OVERHEAD_PCT, and its per-tenant p99 query
+/// latency / time-to-compact / budget-debt rows land in BENCH_sim.json
+/// under "sched_tenant_slo"). No exact count stands in for a
+/// discipline's host cost yet, so this budget stays on the clock.
 ///
 /// The **scale tier** then replays a cold-fleet configuration —
 /// AUTOCOMP_BENCH_SCALE_TABLES one-table tenant databases (default
 /// 20000) for AUTOCOMP_BENCH_SCALE_DAYS days (default 7; 50000 x 30 is
 /// the supported upper shape) with *absolute* daily activity held
-/// constant, the paper's hot-subset skew — as seq vs shard{1,2,4,8} x
-/// pool{0,2,4}. Every config runs in a forked child so getrusage
-/// ru_maxrss gives a clean per-config peak RSS; results are compared
-/// across processes via MetricsRecorder::ContentHash and must match seq
-/// exactly. A half-scale seq run (same activity, half the lanes)
-/// documents the sublinear-footprint claim: lanes_hydrated and peak RSS
-/// track activity, not fleet size.
+/// constant, the paper's hot-subset skew — as "seq" and "shard4-pool2".
+/// Every config runs in a forked child so getrusage ru_maxrss gives a
+/// clean per-config peak RSS; results are compared across processes via
+/// MetricsRecorder::ContentHash and must match seq exactly. A half-scale
+/// "seq-half" run (same activity, half the lanes) documents the
+/// sublinear-footprint claim: lanes_hydrated and peak RSS track
+/// activity, not fleet size.
 ///
 /// The **eviction tier** (AUTOCOMP_BENCH_SCALE_EVICT_LANES; 0 skips)
 /// reruns the scale fleet under a hard resident-lane budget + idle rule
@@ -74,37 +51,30 @@
 /// their next due event. Unset, the budget is half the peak residency of
 /// a sequential probe that runs the idle rule alone (the rule's early
 /// retirement already holds residency far below the unbounded run's).
-/// Both a sequential and a shard4-pool2 eviction config must evict and
-/// must hash-equal the unbounded seq run;
-/// the JSON records peak RSS vs unbounded, the wall-clock penalty, and
-/// the eviction/restore/checkpoint-bytes accounting. CI gates the
-/// evicting footprint under AUTOCOMP_BENCH_SCALE_EVICT_MAX_RSS_MB.
+/// Both a sequential and a shard4-pool2 eviction config must evict, must
+/// stay within the documented residency bound and must hash-equal the
+/// unbounded seq run; the JSON records peak RSS vs unbounded, the
+/// wall-clock penalty, and the eviction/restore/checkpoint-bytes
+/// accounting. CI gates the evicting footprint under
+/// AUTOCOMP_BENCH_SCALE_EVICT_MAX_RSS_MB.
 ///
 /// Results land in BENCH_sim.json:
 ///   {"fleet_tables": N, "days": D, "hardware_concurrency": H,
-///    "force_pools": B, "runs": [
+///    "events_per_sec": ..., "runs": [
 ///      {"name": "seq", "shards": 0, "pool_workers": 0, "wall_ms": ...,
 ///       "events": ..., "events_per_sec": ..., "speedup_vs_seq": 1.0,
-///       "metrics_equal": true}, ...],
-///    "lazy_speedup_vs_eager": ...,
-///    "fault_runs": [{"name": "seq-armed", "faults_injected": 0,
-///       "overhead_pct": ..., "metrics_equal_to_seq": true}, ...],
-///    "fault_armed_overhead_pct": ...,
-///    "fault_armed_overhead_target_pct": 2.0,
-///    "trace_runs": [{"name": "seq-traceoff", "trace_events": 0,
-///       "overhead_pct": ..., "metrics_equal_to_seq": true}, ...],
-///    "trace_off_overhead_pct": ...,
-///    "trace_off_overhead_target_pct": 2.0,
-///    "scale": {"tables": N, "days": D, "configs": [...],
+///       "metrics_equal": true}, {"name": "shard4", ...}],
+///    "sched_runs": [...], "sched_fifo_overhead_pct": ...,
+///    "sched_drr_overhead_pct": ..., "sched_overhead_target_pct": 2.0,
+///    "sched_tenant_slo": [...],
+///    "scale": {"tables": N, "days": D, "configs": [seq, shard4-pool2],
 ///       "events_per_sec": ..., "peak_rss_mb": ...,
 ///       "wall_ms_per_event": ..., "base_wall_ms_per_event": ...,
-///       "half_scale": {...}, "identical": true}}
+///       "half_scale": {...}, "evict": {...}, "identical": true}}
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -116,8 +86,6 @@
 #include "common/json.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
-#include "fault/fault_injector.h"
-#include "obs/trace.h"
 #include "sched/scheduler.h"
 #include "sim/fleet_driver.h"
 #include "sim/metrics.h"
@@ -130,10 +98,9 @@ namespace {
 // ~2000 tables: 40 tenant databases x 50 tables, the scale the
 // acceptance bar names. One simulated day keeps the default turnaround
 // tolerable on small hosts; each config takes the best of three timed
-// reps (after an untimed warmup) because the overhead comparisons gate
-// on low-single-digit percentages that a single noisy rep cannot
-// resolve. AUTOCOMP_BENCH_SIM_DAYS and AUTOCOMP_BENCH_SIM_RUNS scale
-// the horizon / rep count for hardware at either extreme.
+// reps (after an untimed warmup). AUTOCOMP_BENCH_SIM_DAYS and
+// AUTOCOMP_BENCH_SIM_RUNS scale the horizon / rep count for hardware at
+// either extreme.
 constexpr int kDatabases = 40;
 constexpr int kTablesPerDb = 50;
 const int kDays = bench::EnvInt("AUTOCOMP_BENCH_SIM_DAYS", 1, 1);
@@ -154,10 +121,6 @@ const int kScaleEvictLanes =
     bench::EnvInt("AUTOCOMP_BENCH_SCALE_EVICT_LANES", -1, 0);
 const int kScaleEvictIdleHours =
     bench::EnvInt("AUTOCOMP_BENCH_SCALE_EVICT_IDLE_HOURS", 36, 0);
-// MATRIX=0 drops the shard{1,2,4,8} x pool{0,2,4} identity sweep and
-// keeps only seq + half + eviction configs — for iterating on the
-// eviction tier without paying for the full 13-config matrix.
-const int kScaleMatrix = bench::EnvInt("AUTOCOMP_BENCH_SCALE_MATRIX", 1, 0);
 // Absolute daily activity, held constant as the fleet grows: this is the
 // paper's fleet shape (a small, Zipf-skewed hot subset doing nearly all
 // the writing while the long tail sits cold), and it is what makes the
@@ -199,54 +162,28 @@ sim::FleetSimOptions BaseOptions() {
   return Sharded(std::move(options), 0, nullptr);
 }
 
-/// Enabled fault injector. `profile` nullptr is the zero-fault parity
-/// configuration (nothing to inject): its cost is the pure overhead of
-/// having the Arm() calls in every hot path. "chaos" arms every site to
-/// price the retry/backoff machinery under sustained failures.
-sim::FleetSimOptions WithFaults(sim::FleetSimOptions options,
-                                const char* profile) {
-  options.env.fault.enabled = true;
-  options.env.fault.seed = 0x5eedfa;
-  if (profile != nullptr) {
-    auto named = fault::FaultProfileByName(profile);
-    AUTOCOMP_CHECK(named.ok()) << named.status();
-    options.env.fault.profile = *std::move(named);
-  }
-  return options;
-}
-
-/// Per-lane trace recorders at `level`. At kOff they are installed but
-/// record nothing — every emission site pays its pointer+level guard,
-/// the disabled-tracing overhead the <2% budget covers. kFull records
-/// everything (tracing must still be a pure observer).
-sim::FleetSimOptions WithTracing(sim::FleetSimOptions options,
-                                 obs::TraceLevel level) {
-  options.trace_armed = level == obs::TraceLevel::kOff;
-  options.trace_level = level;
-  return options;
-}
-
 // ---- scheduler tier --------------------------------------------------
 // The maintenance scheduler only dispatches on the deferred-execution
 // path (it sits between decide and the deferred executor, DESIGN.md
-// §12), which the base matrix never takes — BaseOptions has no preset,
-// so those replays never compact. The scheduler tier therefore runs its
-// own preset-enabled fleet: every config plans top-5 table compactions
-// each hour and executes them on the timeline. Three configurations:
+// §12), which the 2000-table tier never takes — BaseOptions has no
+// preset, so those replays never compact. The scheduler tier therefore
+// runs its own preset-enabled fleet: every config plans top-5 table
+// compactions each hour and executes them on the timeline. Three
+// configurations:
 //   sched-fifo    SchedOptions(), the default knobs: plain fifo
 //                 (baseline);
 //   seq-sched     ArmedFifo: preemption-armed but inert fifo (no faults,
 //                 no spike threshold, SLO recording off) — the
 //                 preemption fault site is armed per started unit but no
 //                 dispatch decision changes, so it must stay
-//                 bit-identical to sched-fifo and its wall-clock delta
-//                 is the pure arming cost, budgeted at <2%;
+//                 bit-identical to sched-fifo; its wall-clock delta is
+//                 reported;
 //   seq-drr       Drr: deficit-round-robin with a (loose) per-tenant
 //                 GBHr budget — admission control and SLO recording on;
 //                 per-tenant p99 query latency / time-to-compact /
 //                 budget-debt rows land in BENCH_sim.json. Its overhead
 //                 vs the seq-sched leg prices the DRR queue walk and the
-//                 SLO series appends, same <2% budget.
+//                 SLO series appends, budgeted at <2%.
 sim::FleetSimOptions SchedOptions() {
   sim::FleetSimOptions options = BaseOptions();
   options.driver.deferred_compaction = true;
@@ -263,17 +200,17 @@ sim::FleetSimOptions SchedOptions() {
 }
 
 sim::FleetSimOptions ArmedFifo(sim::FleetSimOptions options) {
-  options.preset->scheduler.preemption = true;
-  options.preset->scheduler.record_slo = false;
+  options.driver.scheduler.preemption = true;
+  options.driver.scheduler.record_slo = false;
   return options;
 }
 
 sim::FleetSimOptions Drr(sim::FleetSimOptions options) {
-  options.preset->scheduler.policy = sched::SchedulerPolicy::kDrr;
-  options.preset->scheduler.quantum_gb_hours = 0.5;
+  options.driver.scheduler.policy = sched::SchedulerPolicy::kDrr;
+  options.driver.scheduler.quantum_gb_hours = 0.5;
   // Loose budget: admission control runs on every plan but rarely
   // binds, so the leg prices the machinery, not a throttled fleet.
-  options.preset->scheduler.tenant_budget_gb_hours = 50.0;
+  options.driver.scheduler.tenant_budget_gb_hours = 50.0;
   return options;
 }
 
@@ -334,12 +271,6 @@ struct Outcome {
   bool identical = true;
   /// Wall-clock cost over the tier's baseline, in percent.
   double overhead_pct = 0;
-  /// Why the config did not run (pool wider than the host); empty when
-  /// it ran. Skipped configs are excluded from the parity sweep and from
-  /// any speedup claim, and annotated in the JSON.
-  std::string skip_reason;
-
-  bool skipped() const { return !skip_reason.empty(); }
 
   double events_per_sec() const {
     return wall_ms > 0 ? result.events_executed / (wall_ms / 1e3) : 0;
@@ -469,22 +400,16 @@ void CheckParity(const Outcome& ref, Outcome* run, const std::string& what) {
 int main() {
   std::setvbuf(stdout, nullptr, _IOLBF, 0);  // live progress when piped
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  const char* force_env = std::getenv("AUTOCOMP_BENCH_FORCE_POOLS");
-  const bool force_pools =
-      force_env != nullptr && std::strcmp(force_env, "0") != 0 &&
-      force_env[0] != '\0';
-  std::printf("hardware_concurrency = %d%s\n", hw,
-              force_pools ? " (AUTOCOMP_BENCH_FORCE_POOLS set)" : "");
+  std::printf("hardware_concurrency = %d\n", hw);
 
   // --- Scale tier replays run FIRST, while this process is still small:
   // each config forks a child whose wait4 ru_maxrss is that replay's own
   // peak RSS. Forking after the 2000-table tier would hand every child
-  // a ~300 MB inherited high-water mark and flatten the comparison. The
-  // full seq vs shard{1,2,4,8} x pool{0,2,4} matrix runs regardless of
-  // hardware_concurrency — cross-process bit-identity (ContentHash) is
-  // the point here, and no speedup is claimed from these runs. A
-  // half-fleet seq run with the same absolute activity documents the
-  // sublinear wall/footprint claim.
+  // a ~300 MB inherited high-water mark and flatten the comparison.
+  // Cross-process bit-identity (ContentHash) of the sharded config is
+  // checked here; no speedup is claimed from these runs. A half-fleet
+  // seq run with the same absolute activity documents the sublinear
+  // wall/footprint claim.
   const bool scale_enabled = kScaleTables > 0;
   const bool evict_enabled = scale_enabled && kScaleEvictLanes != 0;
   std::vector<Outcome> scale_runs;
@@ -500,23 +425,14 @@ int main() {
         kScaleTables, kScaleDays, kScaleDailyWrites, kScaleDailyReads);
     const sim::FleetSimOptions scale = ScaleOptions(kScaleTables);
     scale_runs.push_back(ScaleReplay("seq", scale, 0, 0));
-    if (kScaleMatrix > 0) {
-      for (const int shards : {1, 2, 4, 8}) {
-        for (const int workers : {0, 2, 4}) {
-          const std::string name = "shard" + std::to_string(shards) + "-pool" +
-                                   std::to_string(workers);
-          scale_runs.push_back(ScaleReplay(name, scale, shards, workers));
-        }
-      }
-    } else {
-      std::printf("scale matrix: skipped (AUTOCOMP_BENCH_SCALE_MATRIX=0)\n");
-    }
+    scale_runs.push_back(ScaleReplay("shard4-pool2", scale, 4, 2));
     const Outcome& sseq = scale_runs.front();
     const auto check_scale = [&](Outcome& r) {
       CheckParity(sseq, &r,
                   "scale config " + r.name + " diverged from scale seq");
       scale_identical = scale_identical && r.identical;
     };
+    check_scale(scale_runs.back());
     // Bounded-residency configs: the evictor dehydrates cold lanes into
     // checkpoints under a budget + idle rule; metrics must still
     // hash-equal the unbounded seq run while peak RSS drops. One
@@ -543,7 +459,6 @@ int main() {
       evict_runs.push_back(
           ScaleReplay("shard4-pool2-evict", evicting, 4, 2));
     }
-    for (size_t i = 1; i < scale_runs.size(); ++i) check_scale(scale_runs[i]);
     // The documented residency bound (DESIGN.md §10): budget + one wave
     // (capped at the budget) + the lanes the day's onboarding restored.
     // Wrap-up's one transient lane per shard sits on a post-sweep
@@ -571,180 +486,47 @@ int main() {
       kDatabases * kTablesPerDb, kDays, kRunsPerConfig);
   std::vector<Outcome> runs;
   runs.push_back(Replay("seq", BaseOptions()));
-  for (const int shards : {1, 2, 4, 8}) {
-    const std::string name = "shard" + std::to_string(shards);
-    // A pool wider than the host measures oversubscription, not
-    // parallelism (shard8 reported 0.81x on a 1-vCPU container) — skip
-    // it and say so, unless the caller forces the full sweep (CI does,
-    // to keep the NFR2 equality check exercised at every width).
-    if (!force_pools && shards > hw) {
-      Outcome& skipped = runs.emplace_back();
-      skipped.name = name;
-      skipped.shards = skipped.pool_workers = shards;
-      skipped.skip_reason = "pool_workers " + std::to_string(shards) +
-                            " > hardware_concurrency " + std::to_string(hw);
-      std::printf("  %s: skipped (%s; AUTOCOMP_BENCH_FORCE_POOLS=1 to run)\n",
-                  name.c_str(), skipped.skip_reason.c_str());
-      continue;
-    }
-    ThreadPool pool(shards);
-    runs.push_back(Replay(name, Sharded(BaseOptions(), shards, &pool)));
+  {
+    ThreadPool pool(std::clamp(hw, 1, 4));
+    runs.push_back(Replay("shard4", Sharded(BaseOptions(), 4, &pool)));
   }
   const Outcome& seq = runs.front();
-
-  // NFR2: every sharded configuration reproduces the sequential run
+  // NFR2: the sharded configuration reproduces the sequential run
   // exactly — same merged metrics, same fleet end state.
-  for (Outcome& r : runs) {
-    if (r.shards == 0 || r.skipped()) continue;
-    CheckParity(seq, &r, "sharded run " + r.name +
-                             " diverged from the sequential driver");
-  }
-
-  // The lazy driver (kActive, what every config above runs) against the
-  // historical hydrate-everything/advance-everything path on the same
-  // fleet. Must be bit-identical; the wall-clock ratio is the lazy
-  // scheduling win at a tier where *every* lane has daily work.
-  sim::FleetSimOptions eager_options = BaseOptions();
-  eager_options.lane_mode = sim::LaneMode::kAdvanceAll;
-  Outcome eager = Replay("seq-eager", eager_options);
-  CheckParity(seq, &eager, "lazy driver diverged from the eager reference");
-  const double lazy_speedup_vs_eager =
-      seq.wall_ms > 0 ? eager.wall_ms / seq.wall_ms : 0;
+  CheckParity(seq, &runs.back(),
+              "sharded run shard4 diverged from the sequential driver");
 
   sim::TablePrinter table({"config", "shards", "pool", "wall ms", "events",
                            "events/s", "speedup", "files", "opens",
                            "identical"});
   JsonValue json_runs = JsonValue::Array();
-  auto add_run_row = [&](const Outcome& r) {
+  for (const Outcome& r : runs) {
     const sim::FleetSimTotals& s = r.result;
     const double speedup = r.wall_ms > 0 ? seq.wall_ms / r.wall_ms : 0;
-    if (r.skipped()) {
-      table.AddRow({r.name, std::to_string(r.shards),
-                    std::to_string(r.pool_workers), "skipped", "-", "-", "-",
-                    "-", "-", "n/a"});
-    } else {
-      table.AddRow({r.name, std::to_string(r.shards),
-                    std::to_string(r.pool_workers), sim::Fmt(r.wall_ms, 1),
-                    std::to_string(s.events_executed),
-                    sim::Fmt(r.events_per_sec(), 0),
-                    sim::Fmt(speedup, 2), std::to_string(s.total_files),
-                    std::to_string(s.open_calls), r.identical ? "yes" : "NO"});
-    }
+    table.AddRow({r.name, std::to_string(r.shards),
+                  std::to_string(r.pool_workers), sim::Fmt(r.wall_ms, 1),
+                  std::to_string(s.events_executed),
+                  sim::Fmt(r.events_per_sec(), 0), sim::Fmt(speedup, 2),
+                  std::to_string(s.total_files), std::to_string(s.open_calls),
+                  r.identical ? "yes" : "NO"});
     JsonValue entry = JsonValue::Object();
     entry.Set("name", r.name);
     entry.Set("shards", r.shards);
     entry.Set("pool_workers", r.pool_workers);
-    if (r.skipped()) {
-      entry.Set("skipped", true);
-      entry.Set("skip_reason", r.skip_reason);
-    } else {
-      entry.Set("wall_ms", r.wall_ms);
-      entry.Set("events", s.events_executed);
-      entry.Set("events_per_sec", r.events_per_sec());
-      entry.Set("speedup_vs_seq", speedup);
-      entry.Set("metrics_equal", r.identical);
-    }
+    entry.Set("wall_ms", r.wall_ms);
+    entry.Set("events", s.events_executed);
+    entry.Set("events_per_sec", r.events_per_sec());
+    entry.Set("speedup_vs_seq", speedup);
+    entry.Set("metrics_equal", r.identical);
     json_runs.Append(std::move(entry));
-  };
-  for (const Outcome& r : runs) add_run_row(r);
-  add_run_row(eager);
+  }
   std::printf("%s", table.ToString().c_str());
-  std::printf("lazy (active-lane) speedup vs eager advance-all: %.2fx\n",
-              lazy_speedup_vs_eager);
-
-  // --- Fault-injection overhead: the zero-fault parity config (armed
-  // injector, empty profile) must be bit-identical to seq, and its cost
-  // is budgeted at <2% wall-clock — measured against a paired baseline
-  // (bench::RunPaired) because the budget is smaller than the host's
-  // minute-scale drift. The chaos config prices sustained failures +
-  // retries and is reported for reference only.
-  Outcome armed = Paired("seq", "seq-armed", BaseOptions(),
-                         WithFaults(BaseOptions(), nullptr))
-                      .second;
-  CheckParity(seq, &armed,
-              "armed-but-empty injector perturbed the simulation");
-  AUTOCOMP_CHECK(armed.result.faults_injected == 0);
-  Outcome chaos = Replay("seq-chaos", WithFaults(BaseOptions(), "chaos"));
-  AUTOCOMP_CHECK(chaos.result.faults_injected > 0)
-      << "chaos profile injected nothing";
-  constexpr double kArmedOverheadTargetPct = 2.0;
-  const auto overhead_vs_seq = [&](const Outcome& r) {
-    return seq.wall_ms > 0
-               ? (r.wall_ms - seq.wall_ms) / seq.wall_ms * 100.0
-               : 0.0;
-  };
-  chaos.overhead_pct = overhead_vs_seq(chaos);
-  sim::TablePrinter fault_table(
-      {"config", "wall ms", "events", "faults", "overhead %", "identical"});
-  JsonValue fault_runs = JsonValue::Array();
-  for (const Outcome* r : {&armed, &chaos}) {
-    const bool is_armed = r == &armed;
-    fault_table.AddRow({r->name, sim::Fmt(r->wall_ms, 1),
-                        std::to_string(r->result.events_executed),
-                        std::to_string(r->result.faults_injected),
-                        sim::Fmt(r->overhead_pct, 2),
-                        is_armed ? (r->identical ? "yes" : "NO") : "n/a"});
-    JsonValue entry = JsonValue::Object();
-    entry.Set("name", r->name);
-    entry.Set("wall_ms", r->wall_ms);
-    entry.Set("events", r->result.events_executed);
-    entry.Set("faults_injected", r->result.faults_injected);
-    entry.Set("overhead_pct", r->overhead_pct);
-    entry.Set("metrics_equal_to_seq", is_armed);
-    fault_runs.Append(std::move(entry));
-  }
-  std::printf("%s", fault_table.ToString().c_str());
-  std::printf("armed (zero-fault) overhead: %.2f%% (target < %.0f%%)\n",
-              armed.overhead_pct, kArmedOverheadTargetPct);
-
-  // --- Tracing overhead: armed-but-off recorders must be bit-identical
-  // to seq with <2% wall-clock cost (the disabled-tracing budget),
-  // measured against a paired baseline like the fault hooks; a
-  // full-detail trace must also be a pure observer — metrics still equal
-  // seq exactly — and its cost is reported for reference only.
-  Outcome traceoff = Paired("seq", "seq-traceoff", BaseOptions(),
-                            WithTracing(BaseOptions(), obs::TraceLevel::kOff))
-                         .second;
-  Outcome traced = Replay("seq-traced",
-                          WithTracing(BaseOptions(), obs::TraceLevel::kFull));
-  for (Outcome* r : {&traceoff, &traced}) {
-    CheckParity(seq, r, r->name + " perturbed the simulation");
-  }
-  AUTOCOMP_CHECK(traceoff.result.trace_digest.events == 0)
-      << "armed-but-off recorders recorded "
-      << traceoff.result.trace_digest.events << " events";
-  AUTOCOMP_CHECK(traced.result.trace_digest.events > 0)
-      << "full-detail trace recorded nothing";
-  constexpr double kTraceOffOverheadTargetPct = 2.0;
-  traced.overhead_pct = overhead_vs_seq(traced);
-  sim::TablePrinter trace_table({"config", "wall ms", "trace events",
-                                 "overhead %", "digest", "identical"});
-  JsonValue trace_runs = JsonValue::Array();
-  for (const Outcome* r : {&traceoff, &traced}) {
-    const obs::TraceDigest& digest = r->result.trace_digest;
-    trace_table.AddRow({r->name, sim::Fmt(r->wall_ms, 1),
-                        std::to_string(digest.events),
-                        sim::Fmt(r->overhead_pct, 2),
-                        r == &traceoff ? "-" : digest.ToString(),
-                        r->identical ? "yes" : "NO"});
-    JsonValue entry = JsonValue::Object();
-    entry.Set("name", r->name);
-    entry.Set("wall_ms", r->wall_ms);
-    entry.Set("events", r->result.events_executed);
-    entry.Set("trace_events", digest.events);
-    entry.Set("trace_digest", digest.ToString());
-    entry.Set("overhead_pct", r->overhead_pct);
-    entry.Set("metrics_equal_to_seq", r->identical);
-    trace_runs.Append(std::move(entry));
-  }
-  std::printf("%s", trace_table.ToString().c_str());
-  std::printf("trace-off (armed, level=off) overhead: %.2f%% (target < %.0f%%)\n",
-              traceoff.overhead_pct, kTraceOffOverheadTargetPct);
 
   // --- Scheduler tier: preemption-armed but inert fifo must be
-  // bit-identical to default-knob fifo with <2% wall-clock cost; the DRR
-  // config prices fair-share dispatch + SLO recording against the fifo
-  // leg under the same budget and emits the per-tenant SLO rows.
+  // bit-identical to default-knob fifo (its wall-clock delta is
+  // reported); the DRR config prices fair-share dispatch + SLO recording
+  // against the fifo leg under a <2% budget and emits the per-tenant SLO
+  // rows.
   std::printf(
       "scheduler tier: top-5 deferred compactions per cycle, %d day(s)...\n",
       kDays);
@@ -794,8 +576,8 @@ int main() {
   }
   std::printf("%s", sched_table.ToString().c_str());
   std::printf(
-      "scheduler overhead: fifo (inert) %.2f%%, drr vs fifo %.2f%% "
-      "(target < %.0f%% each)\n",
+      "scheduler overhead: fifo (inert) %.2f%% (reported), drr vs fifo "
+      "%.2f%% (target < %.0f%%)\n",
       sched_fifo.overhead_pct, sched_drr.overhead_pct,
       kSchedOverheadTargetPct);
 
@@ -870,9 +652,7 @@ int main() {
            identical});
     };
     for (const Outcome& r : scale_runs) {
-      add_scale_row(r, &r == &scale_runs.front()
-                           ? "ref"
-                           : (r.identical ? "yes" : "NO"));
+      add_scale_row(r, &r == &sseq ? "ref" : (r.identical ? "yes" : "NO"));
     }
     if (evict_probe) add_scale_row(*evict_probe, "yes");
     for (const Outcome& r : evict_runs) {
@@ -924,13 +704,13 @@ int main() {
     };
     JsonValue scale_configs = JsonValue::Array();
     for (const Outcome& r : scale_runs) {
-      scale_configs.Append(scale_entry(r, &r == &scale_runs.front()));
+      scale_configs.Append(scale_entry(r, &r == &sseq));
     }
     scale_json.Set("tables", kScaleTables);
     scale_json.Set("days", kScaleDays);
     scale_json.Set("daily_writes", kScaleDailyWrites);
     scale_json.Set("daily_reads", kScaleDailyReads);
-    scale_json.Set("per_config_rss", scale_runs.front().forked);
+    scale_json.Set("per_config_rss", sseq.forked);
     scale_json.Set("configs", std::move(scale_configs));
     scale_json.Set("half_scale", scale_entry(half, true));
     scale_json.Set("events_per_sec", sseq.events_per_sec());
@@ -997,20 +777,12 @@ int main() {
   baseline.Set("seq_wall_ms", 45976.1);
   baseline.Set("seq_events", static_cast<int64_t>(901));
   baseline.Set("seq_events_per_sec", 19.6);
-  baseline.Set("fault_armed_overhead_pct", 13.2);
 
   JsonValue doc = JsonValue::Object();
   doc.Set("baseline", std::move(baseline));
   doc.Set("events_per_sec", seq.events_per_sec());
   doc.Set("speedup_vs_baseline", seq.events_per_sec() / 19.6);
-  doc.Set("lazy_speedup_vs_eager", lazy_speedup_vs_eager);
   doc.Set("scale", std::move(scale_json));
-  doc.Set("fault_runs", std::move(fault_runs));
-  doc.Set("fault_armed_overhead_pct", armed.overhead_pct);
-  doc.Set("fault_armed_overhead_target_pct", kArmedOverheadTargetPct);
-  doc.Set("trace_runs", std::move(trace_runs));
-  doc.Set("trace_off_overhead_pct", traceoff.overhead_pct);
-  doc.Set("trace_off_overhead_target_pct", kTraceOffOverheadTargetPct);
   doc.Set("sched_runs", std::move(sched_runs));
   doc.Set("sched_fifo_overhead_pct", sched_fifo.overhead_pct);
   doc.Set("sched_drr_overhead_pct", sched_drr.overhead_pct);
@@ -1019,19 +791,18 @@ int main() {
   doc.Set("fleet_tables", kDatabases * kTablesPerDb);
   doc.Set("days", kDays);
   doc.Set("hardware_concurrency", hw);
-  doc.Set("force_pools", force_pools);
   doc.Set("runs", std::move(json_runs));
   bench::WriteJson("BENCH_sim.json", doc);
 
   // --- Perf gates (CI perf-smoke, perf-scale, perf-scale-evict).
-  // Throughput may only regress to the checked-in floor, the armed fault
-  // / disabled-tracing hooks and the DRR discipline must stay inside
-  // their budgets, and the scale footprints under their ceilings. The
-  // inert-fifo scheduler leg is report-only: its contract is the
-  // bit-identity check above, and its wall-clock delta (a few percent of
-  // queue indirection) sits inside 1-vCPU pair jitter, so gating it
-  // would only flap. The eviction ceiling is the bounded-memory contract
-  // of DESIGN.md §10, not just a regression guard.
+  // Throughput may only regress to the checked-in floor, the DRR
+  // discipline must stay inside its budget, and the scale footprints
+  // under their ceilings. The inert-fifo scheduler leg is report-only:
+  // its contract is the bit-identity check above, and its wall-clock
+  // delta (a few percent of queue indirection) sits inside 1-vCPU pair
+  // jitter, so gating it would only flap. The eviction ceiling is the
+  // bounded-memory contract of DESIGN.md §10, not just a regression
+  // guard.
   const Outcome* sscale = scale_enabled ? &scale_runs.front() : nullptr;
   const std::string evict_note =
       " (" + sim::Fmt(evict_rss_vs_unbounded * 100.0, 0) +
@@ -1042,10 +813,6 @@ int main() {
   const Gate gates[] = {
       {Gate::kFloor, "seq events/s", seq.events_per_sec(),
        limit("AUTOCOMP_BENCH_MIN_EVENTS_PER_SEC")},
-      {Gate::kBudgetPct, "armed fault overhead", armed.overhead_pct,
-       limit("AUTOCOMP_BENCH_MAX_OVERHEAD_PCT")},
-      {Gate::kBudgetPct, "trace-off overhead", traceoff.overhead_pct,
-       limit("AUTOCOMP_BENCH_MAX_OVERHEAD_PCT")},
       {Gate::kBudgetPct, "scheduler drr overhead", sched_drr.overhead_pct,
        limit("AUTOCOMP_BENCH_SCHED_MAX_OVERHEAD_PCT")},
       {Gate::kFloor, "scale events/s", sscale ? sscale->events_per_sec() : 0,
@@ -1064,13 +831,12 @@ int main() {
     any_limit = any_limit || gate.limit > 0;
   }
   if (any_limit) {
-    // Each knob once, in list order (one overhead budget gates two legs).
-    std::printf("perf gates: %s (floor %.0f ev/s, overhead budget %.2f%%, "
-                "sched overhead budget %.2f%%, scale floor %.0f ev/s, scale "
-                "rss ceiling %.1f MB, evict rss ceiling %.1f MB)\n",
+    std::printf("perf gates: %s (floor %.0f ev/s, sched overhead budget "
+                "%.2f%%, scale floor %.0f ev/s, scale rss ceiling %.1f MB, "
+                "evict rss ceiling %.1f MB)\n",
                 gate_failures == 0 ? "PASS" : "FAIL", gates[0].limit,
-                gates[1].limit, gates[3].limit, gates[4].limit,
-                gates[5].limit, gates[6].limit);
+                gates[1].limit, gates[2].limit, gates[3].limit,
+                gates[4].limit);
   }
   return gate_failures == 0 ? 0 : 1;
 }

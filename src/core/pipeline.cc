@@ -89,7 +89,7 @@ Result<PipelineRunReport> AutoCompPipeline::RunOnce() {
   }
   AUTOCOMP_ASSIGN_OR_RETURN(std::vector<Candidate> pool,
                             stages_.generator->Generate(catalog_));
-  if (trace != nullptr) {
+  if (gen_span != 0) {
     trace->EndSpan(gen_span, clock_->Now(),
                    static_cast<double>(pool.size()),
                    "candidates=" + std::to_string(pool.size()));
@@ -136,7 +136,7 @@ Result<PipelineRunReport> AutoCompPipeline::Run(std::vector<Candidate> pool,
   report.stats_index_hits = stages_.collector->index_hits() - index_hits_before;
   report.stats_index_fallbacks =
       stages_.collector->index_fallbacks() - index_fallbacks_before;
-  if (trace != nullptr) {
+  if (phase_span != 0) {
     // The zero cache counters stay in the detail: the golden trace
     // digest hashes these bytes.
     trace->EndSpan(phase_span, report.started_at,
@@ -180,7 +180,7 @@ Result<PipelineRunReport> AutoCompPipeline::Run(std::vector<Candidate> pool,
     traited = std::move(kept);
   }
   report.timings.orient_ms = MsSince(phase_start);
-  if (trace != nullptr) {
+  if (phase_span != 0) {
     trace->EndSpan(phase_span, report.started_at,
                    static_cast<double>(traited.size()),
                    "traited=" + std::to_string(traited.size()) +
@@ -230,7 +230,7 @@ Result<PipelineRunReport> AutoCompPipeline::Run(std::vector<Candidate> pool,
                      sc.score);
     }
   }
-  if (trace != nullptr) {
+  if (phase_span != 0) {
     trace->EndSpan(phase_span, report.started_at,
                    static_cast<double>(report.ranked.size()),
                    "ranked=" + std::to_string(report.ranked.size()) +
@@ -251,7 +251,7 @@ Result<PipelineRunReport> AutoCompPipeline::Run(std::vector<Candidate> pool,
                                   report.started_at));
   }
   report.timings.act_ms = MsSince(phase_start);
-  if (trace != nullptr) {
+  if (phase_span != 0) {
     trace->EndSpan(phase_span, report.started_at,
                    static_cast<double>(report.executed.size()),
                    "executed=" + std::to_string(report.executed.size()));
@@ -280,7 +280,7 @@ Result<PipelineRunReport> AutoCompPipeline::Run(std::vector<Candidate> pool,
     entry.actual_gb_hours = unit.result.gb_hours;
     report.feedback.push_back(std::move(entry));
   }
-  if (trace != nullptr) {
+  if (run_span != 0) {
     trace->EndSpan(run_span, report.started_at,
                    static_cast<double>(report.committed_count()),
                    "ranked=" + std::to_string(report.ranked.size()) +

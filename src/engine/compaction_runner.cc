@@ -117,7 +117,7 @@ Result<PendingCompaction> CompactionRunner::Prepare(
   }
   if (inputs.size() + delete_inputs.size() < 2 || inputs.empty()) {
     // attempted=false: nothing worth rewriting.
-    if (trace_ != nullptr) {
+    if (trace_span != 0) {
       trace_->EndSpan(trace_span, submit_time, 0, "outcome=skipped");
     }
     return PendingCompaction{request, std::move(txn), {}, std::move(result)};
@@ -257,7 +257,7 @@ Result<PendingCompaction> CompactionRunner::Prepare(
         result.abandoned = true;
         result.bytes_produced = 0;
         ++total_abandoned_;
-        if (trace_ != nullptr) {
+        if (trace_span != 0) {
           trace_->EndSpan(trace_span, submit_time, 0,
                           "outcome=abandoned;reason=create_failed");
         }
@@ -284,7 +284,7 @@ Result<PendingCompaction> CompactionRunner::Prepare(
       result.attempted = false;
       result.abandoned = true;
       ++total_abandoned_;
-      if (trace_ != nullptr) {
+      if (trace_span != 0) {
         trace_->EndSpan(trace_span, submit_time, 0,
                         "outcome=abandoned;reason=crash_retries_exhausted");
       }
@@ -312,7 +312,7 @@ Result<PendingCompaction> CompactionRunner::Prepare(
   if (!staged.ok()) {
     result.status = staged;
     result.attempted = false;
-    if (trace_ != nullptr) {
+    if (trace_span != 0) {
       trace_->EndSpan(trace_span, submit_time, 0, "outcome=stage_failed");
     }
     return PendingCompaction{request, std::move(txn), {}, std::move(result)};
@@ -367,7 +367,7 @@ CompactionResult CompactionRunner::Finalize(PendingCompaction&& pending) {
       result.committed = true;
       result.snapshot_id = committed->snapshot_id;
       ++total_committed_;
-      if (trace_ != nullptr) {
+      if (pending.trace_span != 0) {
         trace_->EndSpan(pending.trace_span, result.end_time, result.gb_hours,
                         "outcome=committed;snapshot=" +
                             std::to_string(result.snapshot_id));
@@ -425,7 +425,7 @@ CompactionResult CompactionRunner::Finalize(PendingCompaction&& pending) {
   result.abandoned = true;
   ++total_abandoned_;
   if (result.conflict) ++total_conflicts_;
-  if (trace_ != nullptr) {
+  if (pending.trace_span != 0) {
     std::string outcome =
         result.conflict ? std::string("outcome=conflict;kind=") +
                               lst::ConflictKindName(txn.last_conflict().kind)
@@ -451,7 +451,7 @@ CompactionResult CompactionRunner::Abandon(PendingCompaction&& pending,
   result.end_time = at;
   result.status = Status::Cancelled("compaction preempted");
   ++total_abandoned_;
-  if (trace_ != nullptr) {
+  if (pending.trace_span != 0) {
     trace_->EndSpan(pending.trace_span, at, result.gb_hours,
                     "outcome=preempted");
   }

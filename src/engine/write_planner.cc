@@ -25,6 +25,59 @@ WriterProfile UntunedUserJobProfile() {
   return p;
 }
 
+namespace {
+
+/// The files one partition's share of a write becomes: `count` files of
+/// `logical_per_file` logical bytes, then one of `tail_bytes` when it is
+/// positive.
+struct PartitionLayout {
+  int64_t count = 0;
+  int64_t logical_per_file = 0;
+  int64_t tail_bytes = 0;
+};
+
+/// The one file-count rule, shared by PlanWriteFiles and
+/// PlannedFileCount: the layout of each of `partitions` (>= 1)
+/// partitions that split a write of `logical_bytes` evenly. `first` says
+/// the write has emitted no file yet.
+PartitionLayout LayoutPartition(int64_t logical_bytes, size_t partitions,
+                                bool first, const WriterProfile& profile,
+                                const format::ColumnarFileModel& format) {
+  const int64_t bytes = std::max<int64_t>(
+      1, logical_bytes / static_cast<int64_t>(partitions));
+  PartitionLayout layout;
+  if (profile.coalesce_output) {
+    // Tuned writers roll files at the target stored size: full files at
+    // the target, plus one remainder (Spark's rolling file writer).
+    layout.logical_per_file = std::max<int64_t>(
+        1, format.LogicalBytesForStored(profile.target_file_bytes));
+    layout.count = bytes / layout.logical_per_file;
+    const int64_t remaining = bytes - layout.count * layout.logical_per_file;
+    // Tiny remainders (<5% of a file) are folded into the last file in
+    // practice; emit only meaningful leftovers, or the write's only file.
+    if (remaining > layout.logical_per_file / 20 ||
+        (first && layout.count == 0)) {
+      layout.tail_bytes = remaining > 0 ? remaining : 1;
+    }
+    return layout;
+  }
+  // Untuned writers: every task holding rows flushes its own file;
+  // tasks are capped by the number of row "chunks" available. Many
+  // tasks ⇒ many small files.
+  const int64_t packed_stored = format.StoredBytesFor(bytes);
+  const int64_t by_target = std::max<int64_t>(
+      1, (packed_stored + profile.target_file_bytes - 1) /
+             profile.target_file_bytes);
+  const int64_t min_chunk = 256 * kKiB;
+  const int64_t max_chunks = std::max<int64_t>(1, bytes / min_chunk);
+  const int64_t by_tasks = std::min<int64_t>(profile.write_tasks, max_chunks);
+  layout.count = std::max(by_target, by_tasks);
+  layout.logical_per_file = std::max<int64_t>(1, bytes / layout.count);
+  return layout;
+}
+
+}  // namespace
+
 std::vector<PlannedFile> PlanWriteFiles(
     int64_t logical_bytes, const std::vector<std::string>& partitions,
     const WriterProfile& profile, const format::ColumnarFileModel& format,
@@ -35,8 +88,6 @@ std::vector<PlannedFile> PlanWriteFiles(
 
   const std::vector<std::string> parts =
       partitions.empty() ? std::vector<std::string>{""} : partitions;
-  const int64_t bytes_per_partition =
-      std::max<int64_t>(1, logical_bytes / static_cast<int64_t>(parts.size()));
 
   auto emit = [&](const std::string& partition, int64_t logical) {
     double jitter = 1.0;
@@ -57,41 +108,12 @@ std::vector<PlannedFile> PlanWriteFiles(
   };
 
   for (const std::string& partition : parts) {
-    if (profile.coalesce_output) {
-      // Tuned writers roll files at the target stored size: full files at
-      // the target, plus one remainder (Spark's rolling file writer).
-      const int64_t logical_per_full = std::max<int64_t>(
-          1, format.LogicalBytesForStored(profile.target_file_bytes));
-      int64_t remaining = bytes_per_partition;
-      while (remaining >= logical_per_full) {
-        emit(partition, logical_per_full);
-        remaining -= logical_per_full;
-      }
-      // Tiny remainders (<5% of a file) are folded into the last file in
-      // practice; emit only meaningful leftovers.
-      if (remaining > logical_per_full / 20 || out.empty()) {
-        emit(partition, remaining > 0 ? remaining : 1);
-      }
-      continue;
+    const PartitionLayout layout = LayoutPartition(
+        logical_bytes, parts.size(), out.empty(), profile, format);
+    for (int64_t i = 0; i < layout.count; ++i) {
+      emit(partition, layout.logical_per_file);
     }
-    // Untuned writers: every task holding rows flushes its own file;
-    // tasks are capped by the number of row "chunks" available. Many
-    // tasks ⇒ many small files.
-    const int64_t packed_stored = format.StoredBytesFor(bytes_per_partition);
-    const int64_t by_target = std::max<int64_t>(
-        1, (packed_stored + profile.target_file_bytes - 1) /
-               profile.target_file_bytes);
-    const int64_t min_chunk = 256 * kKiB;
-    const int64_t max_chunks =
-        std::max<int64_t>(1, bytes_per_partition / min_chunk);
-    const int64_t by_tasks =
-        std::min<int64_t>(profile.write_tasks, max_chunks);
-    const int64_t num_files = std::max(by_target, by_tasks);
-    const int64_t logical_per_file =
-        std::max<int64_t>(1, bytes_per_partition / num_files);
-    for (int64_t i = 0; i < num_files; ++i) {
-      emit(partition, logical_per_file);
-    }
+    if (layout.tail_bytes > 0) emit(partition, layout.tail_bytes);
   }
   return out;
 }
@@ -100,36 +122,12 @@ int64_t PlannedFileCount(int64_t logical_bytes, size_t num_partitions,
                          const WriterProfile& profile,
                          const format::ColumnarFileModel& format) {
   if (logical_bytes <= 0) return 0;
-  // Mirrors PlanWriteFiles step for step; `count` stands in for
-  // out.size(), including the cross-partition out.empty() in the
-  // coalesce remainder rule. Any drift between the two is caught by the
-  // randomized equivalence test and the fleet driver's debug assert.
-  const int64_t parts =
-      std::max<int64_t>(1, static_cast<int64_t>(num_partitions));
-  const int64_t bytes_per_partition =
-      std::max<int64_t>(1, logical_bytes / parts);
+  const size_t parts = std::max<size_t>(1, num_partitions);
   int64_t count = 0;
-  for (int64_t p = 0; p < parts; ++p) {
-    if (profile.coalesce_output) {
-      const int64_t logical_per_full = std::max<int64_t>(
-          1, format.LogicalBytesForStored(profile.target_file_bytes));
-      const int64_t full = bytes_per_partition / logical_per_full;
-      const int64_t remaining =
-          bytes_per_partition - full * logical_per_full;
-      count += full;
-      if (remaining > logical_per_full / 20 || count == 0) ++count;
-      continue;
-    }
-    const int64_t packed_stored = format.StoredBytesFor(bytes_per_partition);
-    const int64_t by_target = std::max<int64_t>(
-        1, (packed_stored + profile.target_file_bytes - 1) /
-               profile.target_file_bytes);
-    const int64_t min_chunk = 256 * kKiB;
-    const int64_t max_chunks =
-        std::max<int64_t>(1, bytes_per_partition / min_chunk);
-    const int64_t by_tasks =
-        std::min<int64_t>(profile.write_tasks, max_chunks);
-    count += std::max(by_target, by_tasks);
+  for (size_t p = 0; p < parts; ++p) {
+    const PartitionLayout layout =
+        LayoutPartition(logical_bytes, parts, count == 0, profile, format);
+    count += layout.count + (layout.tail_bytes > 0 ? 1 : 0);
   }
   return count;
 }

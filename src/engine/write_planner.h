@@ -67,7 +67,8 @@ std::vector<PlannedFile> PlanWriteFiles(
 /// \brief Exact number of files PlanWriteFiles would emit, without
 /// drawing from any rng. The planner's rng only jitters file *sizes*;
 /// the count is pure arithmetic in (logical_bytes, partition count,
-/// profile, format). The lazy fleet driver uses this to publish an
+/// profile, format), and both functions take it from one per-partition
+/// layout rule. The lazy fleet driver uses this to publish an
 /// unhydrated lane's NameNode CreateFile contribution into the epoch
 /// barrier before the lane's environment exists.
 int64_t PlannedFileCount(int64_t logical_bytes, size_t num_partitions,

@@ -16,10 +16,11 @@
 ///  * a FaultProfile draws failures with per-site probabilities, the
 ///    workhorse of the fuzz suite and the CLI's --fault-profile knob.
 ///
-/// The disabled injector costs one predictable branch per site hit, so
-/// production-shaped runs keep their fault hooks compiled in (the bench
-/// guard in bench_sim_throughput tracks the armed-but-idle overhead
-/// against a <2% target).
+/// The disabled injector costs one predictable branch per site hit, and
+/// an enabled one with nothing configured at a site returns before its
+/// lock and counters, so production-shaped runs keep their fault hooks
+/// compiled in (IdleHookTest.EmptyInjectorCountsNoHit checks that an
+/// armed-but-idle injector counts no hit).
 
 #pragma once
 
@@ -141,7 +142,7 @@ class FaultInjector {
   /// RNG or string work. Unconfigured sites therefore do not appear in
   /// Counters() and do not advance total_hits(); a site's hit stream is
   /// only observable when something could actually fire on it, which is
-  /// also what keeps the armed-but-idle overhead inside its <2% budget.
+  /// also what keeps the armed-but-idle injector's cost to one branch.
   FaultKind Arm(std::string_view site, std::string_view resource);
 
   /// Canonical error Status for an armed kind (e.g. kTimeout maps to

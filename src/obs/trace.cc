@@ -84,7 +84,10 @@ uint64_t TraceRecorder::NextSpanId(uint64_t start_tick) {
 uint64_t TraceRecorder::BeginSpan(TraceLevel need, SpanCategory category,
                                   const char* name, SimTime now,
                                   std::string detail) {
-  if (!enabled(need)) return 0;
+  if (!enabled(need)) {
+    ++unguarded_calls_;
+    return 0;
+  }
   OpenSpan span;
   span.category = category;
   span.name = name;
@@ -106,7 +109,10 @@ uint64_t TraceRecorder::BeginSpan(TraceLevel need, SpanCategory category,
 
 void TraceRecorder::EndSpan(uint64_t handle, SimTime at, double value,
                             std::string outcome) {
-  if (handle == 0) return;
+  if (handle == 0) {
+    ++unguarded_calls_;
+    return;
+  }
   const size_t slot = static_cast<size_t>(handle - 1);
   if (slot >= open_.size() || !open_[slot].active) return;
   OpenSpan span = std::move(open_[slot]);
@@ -131,7 +137,10 @@ void TraceRecorder::EndSpan(uint64_t handle, SimTime at, double value,
 void TraceRecorder::Instant(TraceLevel need, SpanCategory category,
                             const char* name, SimTime now, std::string detail,
                             double value) {
-  if (!enabled(need)) return;
+  if (!enabled(need)) {
+    ++unguarded_calls_;
+    return;
+  }
   TraceEvent event;
   event.category = category;
   event.name = name;

@@ -33,8 +33,11 @@
 ///    and merges across lanes like MetricsRecorder::Merge.
 ///
 /// Disabled path: a null recorder pointer or TraceLevel::kOff costs one
-/// predictable branch per site (call sites guard with
-/// `trace != nullptr && trace->enabled(level)`). Compiling with
+/// predictable branch per site. Call sites guard BeginSpan and Instant
+/// with `trace != nullptr && trace->enabled(level)`, and EndSpan with
+/// `handle != 0`, so a recorder below a site's level is never called
+/// and no detail string is built for it (unguarded_calls() counts the
+/// calls that slip through). Compiling with
 /// -DAUTOCOMP_DISABLE_TRACING=ON folds enabled() to a constant false,
 /// dead-coding every emission call site out of the binary entirely.
 
@@ -159,8 +162,9 @@ class TraceRecorder {
 #endif
 
   /// Opens a span at simulated time `now`. Returns an opaque handle for
-  /// EndSpan (0 when not recording — EndSpan(0, ...) is a no-op, so
-  /// call sites need no second guard).
+  /// EndSpan: slot + 1 while the span records, 0 when not recording.
+  /// EndSpan(0, ...) is a no-op; call sites skip it on a zero handle, so
+  /// a span's outcome string is only built when the span records.
   uint64_t BeginSpan(TraceLevel need, SpanCategory category, const char* name,
                      SimTime now, std::string detail = {});
 
@@ -186,6 +190,13 @@ class TraceRecorder {
   }
   /// Events that fell out of the ring (emitted - retained).
   int64_t events_dropped() const;
+
+  /// Calls that could record nothing: BeginSpan and Instant below the
+  /// recorder's level, and EndSpan(0, ...). Guarded call sites never
+  /// make them, so this stays 0 at every level; a nonzero count means
+  /// some site paid for a call (and its detail string) the recorder
+  /// threw away.
+  int64_t unguarded_calls() const { return unguarded_calls_; }
 
   const std::string& lane() const { return options_.lane; }
   TraceLevel level() const { return options_.level; }
@@ -216,6 +227,7 @@ class TraceRecorder {
   uint64_t lane_key_ = 0;
   uint64_t last_tick_ = 0;
   uint64_t sequence_ = 0;
+  int64_t unguarded_calls_ = 0;
   std::vector<OpenSpan> open_;
   std::vector<size_t> free_slots_;
   /// Ring storage, lazily sized to capacity on first emission.

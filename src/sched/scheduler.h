@@ -120,8 +120,7 @@ struct SchedulerOptions {
   std::map<std::string, int> tenant_priorities;
 
   /// True when any knob departs from plain fifo. The CLI uses it to
-  /// reject scheduler knobs outside deferred mode, and the fleet driver
-  /// to let a preset's knobs override the driver's.
+  /// reject scheduler knobs outside deferred mode.
   bool Engaged() const {
     return policy != SchedulerPolicy::kFifo || preemption ||
            tenant_budget_gb_hours > 0;

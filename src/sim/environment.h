@@ -49,7 +49,8 @@ struct EnvironmentOptions {
   /// the environment). When set, it is wired onto the NameNode, the
   /// catalog commit path, the compaction runner, and the fault
   /// injector — regardless of its level, so a level-kOff recorder
-  /// measures the armed-but-disabled overhead (the bench parity guard).
+  /// exercises every site's guard (IdleHookTest counts that it is never
+  /// called).
   obs::TraceRecorder* trace = nullptr;
 
   EnvironmentOptions() {

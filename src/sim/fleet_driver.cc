@@ -153,7 +153,7 @@ void FleetSimulation::BuildLane(Lane* lane) {
   lane->env->dfs().SetEpochLoadView(&epoch_load_);
   lane->driver = std::make_unique<EventDriver>(lane->env.get(),
                                                &lane->metrics,
-                                               LaneDriverOptions());
+                                               options_.driver);
 }
 
 void FleetSimulation::DropLane(Lane* lane) {
@@ -199,23 +199,12 @@ EnvironmentOptions FleetSimulation::LaneEnvironmentOptions(Lane* lane) const {
   return env;
 }
 
-DriverOptions FleetSimulation::LaneDriverOptions() const {
-  DriverOptions driver_options = options_.driver;
-  if (options_.preset && options_.preset->scheduler.Engaged()) {
-    // The preset's scheduler knobs win over FleetSimOptions::driver —
-    // presets are the per-experiment surface, and an un-engaged preset
-    // scheduler must not clobber knobs set directly on the driver.
-    driver_options.scheduler = options_.preset->scheduler;
-  }
-  return driver_options;
-}
-
 void FleetSimulation::HydrateLane(Lane* lane) {
   if (lane->hydrated) return;
   lane->hydrated = true;
 
   // Lane recorder: built even at level kOff when armed, so every
-  // emission site pays its guard (the bench parity configuration).
+  // emission site runs its guard (TraceGoldenTest's armed-off replay).
   const bool tracing =
       options_.trace_armed || options_.trace_level != obs::TraceLevel::kOff;
   if (tracing) {

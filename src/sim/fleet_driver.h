@@ -80,8 +80,9 @@ enum class LaneMode {
   /// touches only lanes with due work. The default.
   kActive,
   /// Hydrate every lane at setup and advance every lane every epoch —
-  /// the historical behaviour, kept as the reference the bit-identity
-  /// tests compare kActive against.
+  /// the historical behaviour, kept only as the reference that
+  /// FleetSimulationTest.LazyMatchesEagerReferenceAcrossSeedsShardsAndPools
+  /// and the eviction tests compare kActive against (no bench times it).
   kAdvanceAll,
 };
 
@@ -128,8 +129,10 @@ struct FleetSimOptions {
   /// `trace_armed`, no recorders are even constructed).
   obs::TraceLevel trace_level = obs::TraceLevel::kOff;
   /// Install per-lane recorders even at kOff, so every emission site
-  /// pays its pointer+level check — the bench harness measures exactly
-  /// this armed-but-disabled overhead against the <2% target.
+  /// runs its guard against a live recorder.
+  /// TraceGoldenTest.TracingIsAPureObserver replays this armed-but-off
+  /// configuration; IdleHookTest counts, over a single-deployment
+  /// replay, that such a recorder is never called.
   bool trace_armed = false;
   /// Per-lane ring capacity (events retained for export; the digest
   /// covers everything regardless).
@@ -258,11 +261,6 @@ class FleetSimulation {
   /// same construction whether the lane hydrates fresh or restores from
   /// a checkpoint (restores must rebuild an *identical* deployment).
   EnvironmentOptions LaneEnvironmentOptions(Lane* lane) const;
-
-  /// Per-lane driver options: the configured options, with an engaged
-  /// preset scheduler in place of the driver's. Same at hydrate and
-  /// restore (restored lanes must rebuild an identical driver).
-  DriverOptions LaneDriverOptions() const;
 
   /// Hydrates `lane`: constructs its environment/driver/service, creates
   /// its database, and replays its pending table ops in plan order (with

@@ -13,7 +13,6 @@
 #include "core/pipeline.h"
 #include "core/policy.h"
 #include "core/triggers.h"
-#include "sched/scheduler.h"
 #include "sim/environment.h"
 
 namespace autocomp::sim {
@@ -66,12 +65,6 @@ struct StrategyPreset {
   /// Default() leaves the preset byte-identical to the pre-decomposition
   /// pipeline (tests/policy_diff_test.cc pins this).
   std::optional<core::PolicySpec> policy;
-  /// Fleet-level maintenance scheduler knobs (DESIGN.md §12). Copied
-  /// into every lane's DriverOptions only when a knob departs from the
-  /// plain defaults (SchedulerOptions::Engaged()); requires
-  /// `deferred_act` — the scheduler sits between decide and the
-  /// deferred executor, so synchronous runs never consult it.
-  sched::SchedulerOptions scheduler;
 };
 
 /// \brief Builds the full pipeline + periodic service over `env`'s

@@ -174,9 +174,11 @@ TEST(FaultFuzzTest, RandomSchedulesHoldInvariants) {
 }
 
 TEST(FaultFuzzTest, ArmedButEmptyInjectorMatchesDisabledRun) {
-  // The zero-fault parity contract the bench overhead guard relies on:
-  // an enabled injector with no profile and no schedule must not perturb
-  // the simulation in any observable way.
+  // The zero-fault parity contract: an enabled injector with no profile
+  // and no schedule must not perturb the simulation in any observable
+  // way. Its cost is checked exactly, not timed:
+  // IdleHookTest.EmptyInjectorCountsNoHit holds it to zero hits at every
+  // site.
   FleetSimOptions off = SmallFaultyFleet(7);
   off.sharded = false;
   off.env.fault.enabled = false;

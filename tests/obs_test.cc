@@ -76,6 +76,8 @@ TEST(TraceRecorderTest, OffRecorderRecordsNothing) {
   off.Instant(TraceLevel::kFull, SpanCategory::kFault, "y", kHour);
   EXPECT_EQ(off.digest().events, 0);
   EXPECT_TRUE(off.Events().empty());
+  // All three calls recorded nothing; guarded call sites never make them.
+  EXPECT_EQ(off.unguarded_calls(), 3);
 }
 
 TEST(TraceRecorderTest, UnderLevelEventsAreDropped) {
@@ -89,6 +91,7 @@ TEST(TraceRecorderTest, UnderLevelEventsAreDropped) {
   EXPECT_EQ(phases.digest().events, 0);
   phases.Instant(TraceLevel::kPhases, SpanCategory::kPhase, "kept", kHour);
   EXPECT_EQ(phases.digest().events, 1);
+  EXPECT_EQ(phases.unguarded_calls(), 2);
 }
 
 // -------------------------------------------------------- Ticks / spans

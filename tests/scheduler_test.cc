@@ -458,7 +458,7 @@ TEST(SchedulerDiffTest, PreemptionArmedFifoBitIdenticalAcrossGeometries) {
       std::unique_ptr<ThreadPool> pool;
       if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
       sim::FleetSimOptions options = SchedFleet(7);
-      options.preset->scheduler.preemption = true;  // armed, inert
+      options.driver.scheduler.preemption = true;  // armed, inert
       options.sharded = true;
       options.shards = shards;
       options.pool = pool.get();
@@ -488,7 +488,7 @@ TEST(SchedulerDiffTest, NonDefaultDisciplinesDeterministicAcrossGeometries) {
     sched_options.tenant_budget_gb_hours = 50.0;  // loose; SLO debt rows on
 
     sim::FleetSimOptions seq_options = SchedFleet(7);
-    seq_options.preset->scheduler = sched_options;
+    seq_options.driver.scheduler = sched_options;
     seq_options.sharded = false;
     const sim::FleetSimResult seq = RunFleet(std::move(seq_options));
     ASSERT_GT(seq.events_executed, 0);
@@ -499,7 +499,7 @@ TEST(SchedulerDiffTest, NonDefaultDisciplinesDeterministicAcrossGeometries) {
         std::unique_ptr<ThreadPool> pool;
         if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
         sim::FleetSimOptions options = SchedFleet(7);
-        options.preset->scheduler = sched_options;
+        options.driver.scheduler = sched_options;
         options.sharded = true;
         options.shards = shards;
         options.pool = pool.get();
@@ -522,7 +522,7 @@ TEST(SchedulerDiffTest, TightBudgetActuallyChangesBehavior) {
   const sim::FleetSimResult plain = RunFleet(std::move(plain_options));
 
   sim::FleetSimOptions tight_options = SchedFleet(7);
-  tight_options.preset->scheduler.tenant_budget_gb_hours = 1e-6;
+  tight_options.driver.scheduler.tenant_budget_gb_hours = 1e-6;
   tight_options.sharded = false;
   const sim::FleetSimResult tight = RunFleet(std::move(tight_options));
 

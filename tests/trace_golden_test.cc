@@ -9,8 +9,9 @@
 // which pins the shard-parallel driver to the sequential reference.
 //
 // A second pin covers the north-star scenario: bench_sim_throughput's
-// 2000-table traced tier, the repository's headline "same behaviour"
-// check for performance work.
+// 2000-table fleet traced at kFull, the repository's headline "same
+// behaviour" check for performance work. Its sharded replay must also
+// equal the sequential one metric for metric.
 //
 // When a change *intentionally* alters behaviour, regenerate the goldens
 // (see CONTRIBUTING.md):
@@ -85,8 +86,7 @@ FleetSimOptions NorthStarOptions() {
 /// Replays `options` as `shards` shards on a pool of `pool_workers`
 /// threads (0 = no pool, shards advance inline). shards == 0 is the
 /// sequential reference: one unsharded lane set on the calling thread.
-obs::TraceDigest Replay(FleetSimOptions options, int shards,
-                        int pool_workers) {
+FleetSimResult Replay(FleetSimOptions options, int shards, int pool_workers) {
   std::unique_ptr<ThreadPool> pool;
   if (pool_workers > 0) pool = std::make_unique<ThreadPool>(pool_workers);
   options.sharded = shards > 0;
@@ -95,13 +95,13 @@ obs::TraceDigest Replay(FleetSimOptions options, int shards,
   FleetSimulation simulation(std::move(options));
   auto result = simulation.Run();
   EXPECT_TRUE(result.ok()) << result.status();
-  return result.ok() ? result->trace_digest : obs::TraceDigest{};
+  return result.ok() ? *std::move(result) : FleetSimResult{};
 }
 
 /// Sequential-reference digest, computed once per process.
 const obs::TraceDigest& SeqDigest() {
   static const obs::TraceDigest digest =
-      Replay(GoldenOptions(), /*shards=*/1, /*pool_workers=*/0);
+      Replay(GoldenOptions(), /*shards=*/1, /*pool_workers=*/0).trace_digest;
   return digest;
 }
 
@@ -171,14 +171,24 @@ TEST(TraceGoldenTest, DigestMatchesCheckedInGolden) {
 }
 
 /// The north-star digest, pinned sequentially and as four shards on a
-/// two-worker pool.
+/// two-worker pool. The sharded replay must also reproduce the
+/// sequential one exactly: merged metrics, events, files and opens.
 TEST(TraceGoldenTest, NorthStarDigestMatchesCheckedInGolden) {
   if (TracingCompiledOut()) GTEST_SKIP() << "tracing compiled out";
-  ExpectGolden(Replay(NorthStarOptions(), /*shards=*/0, /*pool_workers=*/0),
-               kNorthStarGolden);
+  const FleetSimResult seq =
+      Replay(NorthStarOptions(), /*shards=*/0, /*pool_workers=*/0);
+  ExpectGolden(seq.trace_digest, kNorthStarGolden);
   if (g_update_golden) return;
-  ExpectGolden(Replay(NorthStarOptions(), /*shards=*/4, /*pool_workers=*/2),
-               kNorthStarGolden);
+  const FleetSimResult sharded =
+      Replay(NorthStarOptions(), /*shards=*/4, /*pool_workers=*/2);
+  ExpectGolden(sharded.trace_digest, kNorthStarGolden);
+  ASSERT_GT(seq.events_executed, 0);
+  std::string why;
+  EXPECT_TRUE(seq.metrics.Equals(sharded.metrics, &why)) << why;
+  EXPECT_EQ(sharded.metrics.ContentHash(), seq.metrics.ContentHash());
+  EXPECT_EQ(sharded.events_executed, seq.events_executed);
+  EXPECT_EQ(sharded.total_files, seq.total_files);
+  EXPECT_EQ(sharded.open_calls, seq.open_calls);
 }
 
 /// Tracing is a pure observer: the golden scenario replayed untraced,
@@ -227,7 +237,8 @@ TEST(TraceGoldenTest, DigestInvariantAcrossShardsAndPools) {
   } configs[] = {{1, 2}, {4, 0}, {4, 2}, {8, 4}};
   for (const auto& config : configs) {
     const obs::TraceDigest digest =
-        Replay(GoldenOptions(), config.shards, config.pool_workers);
+        Replay(GoldenOptions(), config.shards, config.pool_workers)
+            .trace_digest;
     EXPECT_EQ(digest, seq)
         << "digest diverged at shards=" << config.shards
         << " pool=" << config.pool_workers << ": " << digest.ToString()

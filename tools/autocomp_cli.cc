@@ -758,7 +758,6 @@ int RunFleetSim(const Flags& flags) {
     preset.first_trigger = kDay;
     preset.deferred_act = flags.deferred;
     preset.cross_check_stats_index = flags.cross_check_stats_index;
-    preset.scheduler = *sched_options;
     options.driver.deferred_compaction = flags.deferred;
     options.preset = preset;
   }
