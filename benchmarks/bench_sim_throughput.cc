@@ -8,10 +8,10 @@
 /// ScaleOptions, plus a variant's edits) and checks; the timing, pairing
 /// and forking discipline is benchmarks/harness.h's. Contracts that
 /// tier-1 checks exactly are not re-run here: bit-identity at every
-/// shard/pool geometry and against the eager lane mode
-/// (FleetSimulationTest), idle fault and trace hooks (IdleHookTest,
-/// FaultFuzzTest, TraceGoldenTest) and eviction across geometries
-/// (FleetEvictionTest).
+/// shard/pool geometry and against the eager reference replay of
+/// tests/fleet_reference.h (FleetSimulationTest), idle fault and trace
+/// hooks (IdleHookTest, FaultFuzzTest, TraceGoldenTest) and eviction
+/// across geometries (FleetEvictionTest).
 ///
 /// The **2000-table tier** replays 40 tenant databases x 50 tables as
 /// "seq" (the sequential reference; CI floors its events/sec) and

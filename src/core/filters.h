@@ -61,20 +61,19 @@ class MinSizeFilter final : public CandidateFilter {
   int64_t min_total_bytes_;
 };
 
-/// \brief Drops candidates with fewer than `min_small_files` files below
-/// the target size — there is nothing to gain from compacting them.
+/// \brief Drops candidates with fewer than `min_count` files below the
+/// target size — there is nothing to gain from compacting them.
 class MinSmallFilesFilter final : public CandidateFilter {
  public:
-  explicit MinSmallFilesFilter(int64_t min_small_files)
-      : min_small_files_(min_small_files) {}
+  explicit MinSmallFilesFilter(int64_t min_count) : min_count_(min_count) {}
   std::string name() const override { return "min-small-files"; }
   bool ShouldKeep(const ObservedCandidate& candidate,
                   SimTime) const override {
-    return candidate.stats.small_file_count() >= min_small_files_;
+    return candidate.stats.small_file_count() >= min_count_;
   }
 
  private:
-  int64_t min_small_files_;
+  int64_t min_count_;
 };
 
 /// \brief Drops candidates written within the last `quiesce_window` to

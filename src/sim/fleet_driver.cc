@@ -211,7 +211,6 @@ void FleetSimulation::HydrateLane(Lane* lane) {
     obs::TraceRecorder::Options trace_options;
     trace_options.level = options_.trace_level;
     trace_options.lane = lane->db;
-    trace_options.capacity = options_.trace_capacity;
     lane->trace = std::make_unique<obs::TraceRecorder>(trace_options);
   }
   BuildLane(lane);
@@ -227,9 +226,9 @@ void FleetSimulation::HydrateLane(Lane* lane) {
   // Replay the planned loads: database first, then ops in plan order,
   // each at its original time (AdvanceTo replays any deferred sample /
   // retention ticks on the way — a dozing lane's state cannot change, so
-  // the deferred ticks reproduce exactly what eager ticking recorded).
-  // The injector stays disarmed through the loads, as the eager path's
-  // serial-load sections were.
+  // the deferred ticks reproduce exactly what hourly ticking records).
+  // The injector stays disarmed through the loads: table loads draw no
+  // faults.
   lane->env->fault_injector().set_armed(false);
   Status st = lane->env->catalog().CreateDatabase(
       lane->db, options_.fleet.quota_objects_per_db);
@@ -504,14 +503,12 @@ Result<FleetSimResult> FleetSimulation::Run() {
   ran_ = true;
   const auto host_start = std::chrono::steady_clock::now();
 
-  const bool active = options_.lane_mode == LaneMode::kActive;
   // A Chrome export needs one track per lane, so every lane hydrates up
   // front; active scheduling (and its delta barriers) still applies.
-  const bool hydrate_all = !active || !options_.trace_out.empty();
-  // Eviction needs active scheduling and no per-lane service: a preset
-  // wakes every lane at the trigger cadence anyway, so dehydration would
-  // thrash.
-  const bool evictor_on = active && !options_.preset &&
+  const bool hydrate_all = !options_.trace_out.empty();
+  // Eviction needs no per-lane service: a preset wakes every lane at the
+  // trigger cadence anyway, so dehydration would thrash.
+  const bool evictor_on = !options_.preset &&
                           (options_.max_resident_lanes > 0 ||
                            options_.evict_after_idle_hours > 0);
 
@@ -591,20 +588,18 @@ Result<FleetSimResult> FleetSimulation::Run() {
   for (const auto& lane : lanes_) {
     if (lane->hydrated) lane->env->fault_injector().set_armed(true);
   }
-  if (active) {
-    // Initial wake-ups: the control loop (when present) must observe
-    // every lane at the trigger cadence; hydrated lanes also wake for
-    // retention / service / compaction boundaries. Unhydrated lanes are
-    // otherwise passive until their first event — their queued loads
-    // feed the barriers through the planned estimates, and their
-    // deferred retention runs are no-ops (single-snapshot tables expire
-    // nothing), so nothing can happen on them before an event does.
-    for (const auto& lane : lanes_) {
-      if (options_.preset) MaybeArm(lane.get(), options_.preset->first_trigger);
-      if (lane->hydrated) {
-        if (const auto bound = lane->driver->NextActivityBound()) {
-          MaybeArm(lane.get(), *bound);
-        }
+  // Initial wake-ups: the control loop (when present) must observe
+  // every lane at the trigger cadence; hydrated lanes also wake for
+  // retention / service / compaction boundaries. Unhydrated lanes are
+  // otherwise passive until their first event — their queued loads feed
+  // the barriers through the planned estimates, and their deferred
+  // retention runs are no-ops (single-snapshot tables expire nothing),
+  // so nothing can happen on them before an event does.
+  for (const auto& lane : lanes_) {
+    if (options_.preset) MaybeArm(lane.get(), options_.preset->first_trigger);
+    if (lane->hydrated) {
+      if (const auto bound = lane->driver->NextActivityBound()) {
+        MaybeArm(lane.get(), *bound);
       }
     }
   }
@@ -641,10 +636,10 @@ Result<FleetSimResult> FleetSimulation::Run() {
             RestoreLane(lane);
             AUTOCOMP_RETURN_NOT_OK(lane->status);
           }
-          // Materialize immediately (serial section), injector paused as
-          // the eager path's onboarding sections were. The catch-up
-          // advance runs the lane's clock to the boundary first, so
-          // creation timestamps match the eager replay exactly.
+          // Materialize immediately (serial section), injector paused
+          // as for every table load. The catch-up advance runs the
+          // lane's clock to the boundary first, so creation timestamps
+          // match a lane that was advanced every hour.
           lane->env->fault_injector().set_armed(false);
           Status st = lane->driver->AdvanceTo(epoch);
           if (st.ok()) {
@@ -654,9 +649,8 @@ Result<FleetSimResult> FleetSimulation::Run() {
           lane->env->fault_injector().set_armed(fault_armed_);
           AUTOCOMP_RETURN_NOT_OK(st);
           // The load's RPCs just landed in this epoch's bucket; make the
-          // lane due now so the barrier publishes them this hour, as the
-          // eager tally did.
-          if (active) MaybeArm(lane, epoch);
+          // lane due now so the barrier publishes them this hour.
+          MaybeArm(lane, epoch);
         } else {
           queue_op(std::move(op));
         }
@@ -676,47 +670,41 @@ Result<FleetSimResult> FleetSimulation::Run() {
       for (const auto& lane : lanes_) {
         if (lane->day_events.empty()) continue;
         lane->ever_had_events = true;
-        if (active) MaybeArm(lane.get(), lane->day_events.front().time);
+        MaybeArm(lane.get(), lane->day_events.front().time);
       }
     }
 
-    // Collect this epoch's due lanes. kActive: pop the fleet wake queue
-    // (dropping stale tombstones). kAdvanceAll: everything is due, every
-    // epoch.
+    // Collect this epoch's due lanes: pop the fleet wake queue, dropping
+    // stale tombstones. The cutoff is *inclusive* of epoch_end: a lane
+    // advanced every hour processes boundaries landing exactly on the
+    // epoch edge in AdvanceTo(epoch_end), before this hour's barrier
+    // publishes — so a lane armed right on the edge must advance now, not
+    // next epoch (its timeout draws would see a newer load view). An
+    // *event* exactly on the edge still executes next epoch (AdvanceLane
+    // only runs events strictly before epoch_end); the lane just re-arms
+    // at the same time and wakes again.
     const SimTime epoch_end = epoch + kHour;
     due.clear();
-    if (active) {
-      // The cutoff is *inclusive* of epoch_end: the eager reference's
-      // AdvanceTo(epoch_end) processes boundaries landing exactly on the
-      // epoch edge within this epoch — before this hour's barrier
-      // publishes — so a lane armed right on the edge must advance now,
-      // not next epoch (its timeout draws would see a newer load view).
-      // An *event* exactly on the edge still executes next epoch
-      // (AdvanceLane only runs events strictly before epoch_end); the
-      // lane just re-arms at the same time and wakes again.
-      while (const auto entry = wake_queue_.PopCompactionDue(epoch_end)) {
-        Lane* lane = lanes_[static_cast<size_t>(entry->table)].get();
-        if (lane->next_wake != entry->time) continue;  // superseded
-        lane->next_wake = -1;
-        lane->awaiting_advance = true;
-        due.push_back(lane->index);
-      }
-      // Same-instant wakes pop off the wheel in bucket-insertion order,
-      // which depends on arming history (evict/restore cycles re-insert
-      // entries). Sort by database *name*, not lane index: index order
-      // tracks enumeration order, which diverges from name order past
-      // 1000 lanes ("tenant1000" < "tenant101" lexicographically), and
-      // the advance order of same-instant lanes must be a pure function
-      // of fleet membership. Barrier folds are additive, so this pins
-      // only the observable orderings (residency callbacks, hydration
-      // sequence), never the published tallies.
-      std::sort(due.begin(), due.end(), [&](int a, int b) {
-        return lanes_[static_cast<size_t>(a)]->db <
-               lanes_[static_cast<size_t>(b)]->db;
-      });
-    } else {
-      for (const auto& lane : lanes_) due.push_back(lane->index);
+    while (const auto entry = wake_queue_.PopCompactionDue(epoch_end)) {
+      Lane* lane = lanes_[static_cast<size_t>(entry->table)].get();
+      if (lane->next_wake != entry->time) continue;  // superseded
+      lane->next_wake = -1;
+      lane->awaiting_advance = true;
+      due.push_back(lane->index);
     }
+    // Same-instant wakes pop off the wheel in bucket-insertion order,
+    // which depends on arming history (evict/restore cycles re-insert
+    // entries). Sort by database *name*, not lane index: index order
+    // tracks enumeration order, which diverges from name order past 1000
+    // lanes ("tenant1000" < "tenant101" lexicographically), and the
+    // advance order of same-instant lanes must be a pure function of
+    // fleet membership. Barrier folds are additive, so this pins only the
+    // observable orderings (residency callbacks, hydration sequence),
+    // never the published tallies.
+    std::sort(due.begin(), due.end(), [&](int a, int b) {
+      return lanes_[static_cast<size_t>(a)]->db <
+             lanes_[static_cast<size_t>(b)]->db;
+    });
 
     // Advance the due lanes to the end of the epoch, sharded. Lanes are
     // mutually independent here: the epoch load view is frozen, and each
@@ -786,32 +774,29 @@ Result<FleetSimResult> FleetSimulation::Run() {
         if (tally != 0 || !lane->driver->Quiescent()) {
           lane->last_active = epoch_end;
         }
-        if (active) {
-          // The horizon gates first: they are plain compares and rule
-          // out every lane with workload left or a known future blocking
-          // tick, so the catalog scan inside TryRetireLane only runs for
-          // genuine retire candidates.
-          // The blocking-tick compare is *inclusive* of epoch_end for
-          // the same reason the wake cutoff is: a tick landing exactly
-          // on the epoch edge has already executed by now.
-          if (evictor_on && lane->last_event_time < epoch_end &&
-              lane->retire_blocked_until <= epoch_end &&
-              lane->driver->Quiescent()) {
-            SimTime next = -1;
-            if (TryRetireLane(lane, epoch_end, end_time, &next)) {
-              continue;  // finalized: nothing left to arm
-            }
-            lane->retire_blocked_until = next;
-          }
+        // The horizon gates first: they are plain compares and rule out
+        // every lane with workload left or a known future blocking tick,
+        // so the catalog scan inside TryRetireLane only runs for genuine
+        // retire candidates. The blocking-tick compare is *inclusive* of
+        // epoch_end for the same reason the wake cutoff is: a tick
+        // landing exactly on the epoch edge has already executed by now.
+        if (evictor_on && lane->last_event_time < epoch_end &&
+            lane->retire_blocked_until <= epoch_end &&
+            lane->driver->Quiescent()) {
           SimTime next = -1;
-          if (lane->next_event < lane->day_events.size()) {
-            next = lane->day_events[lane->next_event].time;
+          if (TryRetireLane(lane, epoch_end, end_time, &next)) {
+            continue;  // finalized: nothing left to arm
           }
-          if (const auto bound = lane->driver->NextActivityBound()) {
-            if (next < 0 || *bound < next) next = *bound;
-          }
-          if (next >= 0 && next < end_time) MaybeArm(lane, next);
+          lane->retire_blocked_until = next;
         }
+        SimTime next = -1;
+        if (lane->next_event < lane->day_events.size()) {
+          next = lane->day_events[lane->next_event].time;
+        }
+        if (const auto bound = lane->driver->NextActivityBound()) {
+          if (next < 0 || *bound < next) next = *bound;
+        }
+        if (next >= 0 && next < end_time) MaybeArm(lane, next);
       }
     }
     int64_t planned_this_hour = 0;
@@ -860,7 +845,7 @@ Result<FleetSimResult> FleetSimulation::Run() {
   // identical to each of theirs by construction. Ghosting is disabled
   // under a preset: the control loop gives even empty lanes per-lane
   // pipeline telemetry.
-  const bool can_ghost = active && !options_.preset;
+  const bool can_ghost = !options_.preset;
 
   // Cold-lane replay sharing: a never-touched lane's finalization replay
   // is a pure function of its planned loads' (hour, CreateFile count,
@@ -952,9 +937,9 @@ Result<FleetSimResult> FleetSimulation::Run() {
   lanes_hydrated_ += transient_hydrations;
 
   // Ghost replay: one empty environment advanced over the whole horizon.
-  // Its recorder stands in for every idle lane in the merge — the eager
-  // path's idle lanes record exactly this stream (file-count samples of
-  // an empty deployment), lane for lane.
+  // Its recorder stands in for every idle lane in the merge — each idle
+  // lane, built and advanced on its own, records exactly this stream
+  // (file-count samples of an empty deployment).
   MetricsRecorder ghost_metrics;
   bool ghost_built = false;
   const auto ghost_recorder = [&]() -> const MetricsRecorder* {

@@ -24,8 +24,8 @@
 /// after another) equal those of a parallel run exactly, series for
 /// series, sample for sample.
 ///
-/// Replay cost is proportional to *activity*, not fleet size
-/// (LaneMode::kActive, the default — see DESIGN.md §10):
+/// Replay cost is proportional to *activity*, not fleet size (DESIGN.md
+/// §10):
 ///  * **Lazy hydration** — lanes start as lightweight descriptors; the
 ///    workload's table loads are *planned* (all random draws taken
 ///    up front from the shared sequence) but only *materialised* when a
@@ -44,13 +44,13 @@
 ///    hour with the accumulated deltas plus the planned contribution of
 ///    still-unhydrated lanes; untouched lanes cost nothing.
 ///
-/// The merged result is deterministic and mode-independent: per-lane
-/// recorders are merged in lane order with a stable sort by time
-/// (MetricsRecorder::Merge); lanes that never had any work share one
-/// "ghost" replay of an empty lane (their metric streams are identical
-/// by construction). kAdvanceAll preserves the historical hydrate-
-/// everything / advance-everything behaviour as the bit-identity
-/// reference for tests.
+/// The merged result is deterministic: per-lane recorders are merged in
+/// lane order with a stable sort by time (MetricsRecorder::Merge); lanes
+/// that never had any work share one "ghost" replay of an empty lane
+/// (their metric streams are identical by construction). The tests hold
+/// this lifecycle to an independent eager replay (tests/fleet_reference.h)
+/// that builds every lane at setup, advances every lane every hour and
+/// seals each hour with a full re-sum of the lanes' tallies.
 
 #pragma once
 
@@ -74,18 +74,6 @@
 
 namespace autocomp::sim {
 
-/// \brief Lane lifecycle policy (results are bit-identical either way).
-enum class LaneMode {
-  /// Lazy hydration + active-lane scheduling + delta barriers: an epoch
-  /// touches only lanes with due work. The default.
-  kActive,
-  /// Hydrate every lane at setup and advance every lane every epoch —
-  /// the historical behaviour, kept only as the reference that
-  /// FleetSimulationTest.LazyMatchesEagerReferenceAcrossSeedsShardsAndPools
-  /// and the eviction tests compare kActive against (no bench times it).
-  kAdvanceAll,
-};
-
 /// \brief Configuration for a shard-parallel fleet replay.
 struct FleetSimOptions {
   /// Simulated days to replay.
@@ -108,10 +96,6 @@ struct FleetSimOptions {
   EnvironmentOptions env = {};
   workload::FleetOptions fleet = {};
   DriverOptions driver = {};
-  /// Lane lifecycle (see LaneMode). kActive replays 100×-scale fleets in
-  /// memory and time bounded by *activity*; kAdvanceAll is the eager
-  /// reference.
-  LaneMode lane_mode = LaneMode::kActive;
   /// Run the fault::InvariantChecker over every hydrated lane at every
   /// hour barrier (and over every lane at its finalization); the replay
   /// fails fast with Internal on the first violation. Test-only — a
@@ -122,7 +106,7 @@ struct FleetSimOptions {
   /// trace is overridden per lane). nullopt replays the workload
   /// with no compaction control loop — the pre-tracing behaviour. With a
   /// preset, every lane wakes at the trigger cadence (the control loop
-  /// must observe every lane), so kActive degrades gracefully to
+  /// must observe every lane), so the lifecycle degrades gracefully to
   /// near-eager scheduling while staying bit-identical.
   std::optional<StrategyPreset> preset;
   /// Trace detail recorded per lane. kOff records nothing (and, unless
@@ -134,9 +118,6 @@ struct FleetSimOptions {
   /// configuration; IdleHookTest counts, over a single-deployment
   /// replay, that such a recorder is never called.
   bool trace_armed = false;
-  /// Per-lane ring capacity (events retained for export; the digest
-  /// covers everything regardless).
-  size_t trace_capacity = obs::TraceRecorder::kDefaultCapacity;
   /// When non-empty, the merged Chrome trace-event JSON is written here
   /// at the end of the run (one thread track per lane). Forces every
   /// lane to hydrate (so every lane has a track), but active scheduling
@@ -146,8 +127,8 @@ struct FleetSimOptions {
   /// lanes hydrate, restore, or are evicted during the replay, with the
   /// lane's database, the current number of resident (hydrated) lanes,
   /// and the peak so far. Transient end-of-run finalizations are
-  /// summarized in the result counters instead. Benchmarks use it to
-  /// audit the sublinear-footprint claim without polling the OS.
+  /// summarized in the result counters instead. The eviction and
+  /// wake-order tests observe residency through it.
   std::function<void(const std::string& db, int64_t resident, int64_t peak)>
       on_lane_residency;
   /// Resident-lane budget (DESIGN.md §10): when > 0, before every wave
@@ -160,7 +141,7 @@ struct FleetSimOptions {
   /// restored (plus one transient lane per shard at wrap-up). 0 =
   /// unbounded (the historical monotone ramp). Results are bit-identical
   /// at any budget: an evicted lane restores in O(state) on its next due
-  /// event and replays its deferred no-op ticks exactly. kActive only.
+  /// event and replays its deferred no-op ticks exactly.
   /// No eviction happens with a `preset`: its service wakes every lane
   /// at the trigger cadence and is not checkpointable, so this budget and
   /// `evict_after_idle_hours` are ignored there (`autocomp_cli fleetsim`
@@ -183,13 +164,11 @@ struct FleetSimTotals {
   int64_t open_calls = 0;
   /// Faults injected across all lanes (0 in fault-free runs).
   int64_t faults_injected = 0;
-  /// Host milliseconds spent in setup — descriptor construction and
-  /// workload planning (kActive), or full environment construction
-  /// (kAdvanceAll). The scale tier's "setup must be bounded by
-  /// descriptor construction" gate reads this.
+  /// Host milliseconds spent in setup: lane descriptors and workload
+  /// planning, plus every lane's table loads when `trace_out` hydrates
+  /// all lanes up front.
   double setup_ms = 0;
-  /// Lane-lifecycle accounting (kAdvanceAll hydrates everything at
-  /// setup, so there lanes_hydrated == lanes_total).
+  /// Lanes in the fleet, one per tenant database.
   int64_t lanes_total = 0;
   /// Lanes ever hydrated into a full SimEnvironment.
   int64_t lanes_hydrated = 0;
@@ -224,8 +203,8 @@ struct FleetSimResult : FleetSimTotals {
   MetricsRecorder metrics;
   /// Per-lane trace digests merged (order-insensitive, accumulated
   /// incrementally as lanes finalize). Empty (zero events) when tracing
-  /// was off; bit-identical across shard counts, pool sizes and lane
-  /// modes otherwise — the golden-trace tests' oracle.
+  /// was off; bit-identical across shard counts and pool sizes
+  /// otherwise — the golden-trace tests' oracle.
   obs::TraceDigest trace_digest;
 };
 
@@ -264,9 +243,9 @@ class FleetSimulation {
 
   /// Hydrates `lane`: constructs its environment/driver/service, creates
   /// its database, and replays its pending table ops in plan order (with
-  /// the lane's injector disarmed, as the eager path's serial-load
-  /// sections were). Safe to call from parallel shard sections — all
-  /// shared-map bookkeeping happens before, in PrepareHydration.
+  /// the lane's injector disarmed: table loads draw no faults). Safe to
+  /// call from parallel shard sections — all shared-map bookkeeping
+  /// happens before, in PrepareHydration.
   void HydrateLane(Lane* lane);
   /// Serial pre-hydration bookkeeping: retracts the lane's pending
   /// barrier estimates for hours >= `from_hour` (its actual tallies take
@@ -344,14 +323,14 @@ class FleetSimulation {
   std::vector<std::unique_ptr<Lane>> lanes_;
   /// lane indices grouped by shard
   std::vector<std::vector<int>> shard_lanes_;
-  /// Fleet-level wake queue (kActive): one kCompactionEnd entry per
-  /// armed lane, carrying the lane index. Entries are tombstoned by
-  /// comparing against the lane's authoritative next_wake on pop.
+  /// Fleet-level wake queue: one kCompactionEnd entry per armed lane,
+  /// carrying the lane index. Entries are tombstoned by comparing
+  /// against the lane's authoritative next_wake on pop.
   CalendarQueue wake_queue_;
   /// Planned CreateFile counts of still-pending (unhydrated) table
   /// loads, bucketed by the hour of their `at` — the barrier adds the
   /// bucket for the sealed hour so deferred lanes are indistinguishable
-  /// from eager ones in the load model.
+  /// from hydrated ones in the load model.
   std::map<int64_t, int64_t> pending_rpcs_by_hour_;
   /// Desired injector arming for lanes hydrated mid-run.
   bool fault_armed_ = false;

@@ -59,18 +59,11 @@ std::unique_ptr<core::AutoCompService> MakeMoopService(
   }
 
   stages.collector = std::make_shared<core::IndexedStatsCollector>(
-      &env->catalog(), &env->control_plane(), &env->clock(), index,
-      preset.cross_check_stats_index);
+      &env->catalog(), &env->control_plane(), &env->clock(), index);
   stages.trace = preset.trace;
 
-  if (preset.min_table_age > 0) {
-    stages.pre_orient_filters.push_back(
-        std::make_shared<core::RecentCreationFilter>(preset.min_table_age));
-  }
-  if (preset.min_small_files > 0) {
-    stages.pre_orient_filters.push_back(
-        std::make_shared<core::MinSmallFilesFilter>(preset.min_small_files));
-  }
+  stages.pre_orient_filters.push_back(
+      std::make_shared<core::MinSmallFilesFilter>(2));
   if (has_policy) {
     // Trigger axis: the admission filter deciding when a candidate's
     // debt is worth acting on (nullptr for periodic — every cycle
@@ -92,8 +85,8 @@ std::unique_ptr<core::AutoCompService> MakeMoopService(
 
   stages.ranker = std::make_shared<core::MoopRanker>(
       std::vector<core::MoopRanker::Objective>{
-          {"file_count_reduction", preset.weight_reduction, false},
-          {"compute_cost_gbhr", preset.weight_cost, true}});
+          {"file_count_reduction", 0.7, false},
+          {"compute_cost_gbhr", 0.3, true}});
   if (has_policy) {
     // Picker axis: replaces the decide-phase ranker.
     switch (preset.policy->picker) {

@@ -32,13 +32,8 @@ struct StrategyPreset {
   int64_t k = 10;
   /// When set, dynamic-k budgeted selection (§7, Figure 10b).
   std::optional<double> budget_gb_hours;
-  double weight_reduction = 0.7;
-  double weight_cost = 0.3;
   SimTime trigger_interval = kHour;
   SimTime first_trigger = kHour;
-  /// Filters.
-  SimTime min_table_age = 0;
-  int64_t min_small_files = 2;
   /// When true, the pipeline stops after decide (null executor) and the
   /// EventDriver executes the plan on the timeline — Prepare at unit
   /// start, commit at unit end — so rewrites genuinely overlap user
@@ -48,10 +43,6 @@ struct StrategyPreset {
   /// exists only for perfbench/perf_runner.cc's `preset.pool = nullptr`
   /// and goes with that line in the next change to the benchmark.
   std::nullptr_t pool = nullptr;
-  /// Debug mode for the IncrementalStatsIndex the service observes
-  /// through: on every index hit, also rescan and fail loudly on any
-  /// divergence. Expensive; for tests and ablation studies.
-  bool cross_check_stats_index = false;
   /// Trace recorder for the pipeline's OODA phase spans and decision
   /// instants (not owned; must outlive the service). Usually the same
   /// recorder EnvironmentOptions::trace installs on the lower layers.
@@ -68,8 +59,10 @@ struct StrategyPreset {
 };
 
 /// \brief Builds the full pipeline + periodic service over `env`'s
-/// dedicated compaction cluster. The returned service owns the pipeline;
-/// stage objects are shared into it.
+/// dedicated compaction cluster: tables with fewer than two small files
+/// are filtered out, and the MOOP ranker weighs file-count reduction
+/// 0.7 against compute cost 0.3 (§6.1). The returned service owns the
+/// pipeline; stage objects are shared into it.
 std::unique_ptr<core::AutoCompService> MakeMoopService(
     SimEnvironment* env, const StrategyPreset& preset);
 

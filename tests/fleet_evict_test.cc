@@ -21,6 +21,7 @@
 #include "common/counter_rng.h"
 #include "common/thread_pool.h"
 #include "fault/fault_injector.h"
+#include "fleet_reference.h"
 #include "lst/metadata_blob.h"
 #include "lst/metadata_json.h"
 #include "lst/transaction.h"
@@ -101,13 +102,10 @@ TEST(FleetEvictionTest, AggressiveEvictionIsBitIdenticalAcrossMatrix) {
   }
 }
 
-// The eager hydrate-everything/advance-everything mode is the original
-// bit-identity oracle; the evicting lazy path must match it too.
+// The evicting lazy path must also match the independent eager replay
+// (EagerFleetReplay: every lane built at setup and advanced every hour).
 TEST(FleetEvictionTest, EvictionMatchesEagerReference) {
-  FleetSimOptions eager = EvictableFleet(7);
-  eager.lane_mode = LaneMode::kAdvanceAll;
-  eager.sharded = false;
-  const FleetSimResult reference = RunOrDie(std::move(eager));
+  const FleetSimResult reference = EagerFleetReplay(EvictableFleet(7));
 
   FleetSimOptions options = EvictableFleet(7);
   options.max_resident_lanes = 2;
@@ -196,18 +194,20 @@ TEST(FleetEvictionTest, ResidencyHookObservesDrainToBudget) {
 // must hold inside the epoch, not only after it: residency stays within
 // budget + one wave (waves are capped at the budget) + the day's
 // onboarded lanes, and the replay stays identical to the unbounded one.
-FleetSimOptions ColdFleet() {
+// Fleet-wide: 100 writes and 25 reads a day, 20 onboards a day, and an
+// hourly RPC capacity of one per lane.
+FleetSimOptions ColdFleet(int lanes = 300, int days = 5) {
   FleetSimOptions options;
-  options.days = 5;
+  options.days = days;
   options.seed = 7;
-  options.fleet.num_databases = 300;
+  options.fleet.num_databases = lanes;
   options.fleet.tables_per_db = 1;
   options.fleet.size_mu = std::log(128.0 * kMiB);
   options.fleet.size_sigma = 1.2;
-  options.fleet.daily_write_fraction = 100.0 / 300;
-  options.fleet.daily_reads_per_table = 25.0 / 300;
+  options.fleet.daily_write_fraction = 100.0 / lanes;
+  options.fleet.daily_reads_per_table = 25.0 / lanes;
   options.fleet.new_tables_per_day = 20;
-  options.env.namenode.rpc_capacity_per_hour = 300;
+  options.env.namenode.rpc_capacity_per_hour = lanes;
   options.driver.sample_interval = 12 * kHour;
   options.driver.retention_interval = kDay;
   return options;
@@ -243,6 +243,34 @@ TEST(FleetEvictionTest, BudgetHoldsInsideTheEpoch) {
                   kColdFleetPeakCheckpointBytes / 50)
         << label;
     ExpectSameReplay(reference, bounded, label);
+  }
+}
+
+// fleet_cold's shape at toy scale (perfbench's fleet_cold replays 20,000
+// lanes for 7 days): 400 lanes for 3 days, a 16-lane budget plus the
+// 12 h idle rule, four shards on a three-worker pool. Most lanes are
+// never touched after setup. Every lane owns a table, so each ghosted
+// lane is served by a replay shared with the other lanes of its
+// planned-load signature; the evictor checkpoints and retires the rest.
+// All of it must match the eager reference.
+TEST(FleetEvictionTest, ColdFleetMatchesEagerReference) {
+  ThreadPool pool(3);
+  for (const uint64_t seed : {7000ull, 1009000ull}) {
+    FleetSimOptions base = ColdFleet(/*lanes=*/400, /*days=*/3);
+    base.seed = seed;
+    base.fleet.seed = seed;
+    const FleetSimResult reference = EagerFleetReplay(base);
+    FleetSimOptions options = base;
+    options.shards = 4;
+    options.pool = &pool;
+    options.max_resident_lanes = 16;
+    options.evict_after_idle_hours = 12;
+    const FleetSimResult lazy = RunOrDie(std::move(options));
+    const std::string label = "seed=" + std::to_string(seed);
+    EXPECT_GT(lazy.lanes_ghosted, 0) << label;
+    EXPECT_GT(lazy.lanes_evicted, 0) << label;
+    EXPECT_GT(lazy.lanes_retired, 0) << label;
+    ExpectSameReplay(reference, lazy, label);
   }
 }
 

@@ -63,12 +63,9 @@ struct Flags {
   int databases = 20;
   uint64_t seed = 99;
   bool deferred = true;
-  bool cross_check_stats_index = false;
   /// fleetsim: shard count for the parallel replay driver; the shard
   /// pool gets min(sim_shards, hardware concurrency) workers.
   int sim_shards = 4;
-  /// fleetsim: advance shards concurrently (off = sequential reference).
-  bool sharded_sim = true;
   /// fleetsim: resident-lane budget — before each wave of due lanes and
   /// after each epoch, coldest lanes beyond this count dehydrate into
   /// checkpoints (0 = unbounded).
@@ -121,8 +118,7 @@ void PrintUsage() {
       "                    [--policy=SPEC]\n"
       "                    [--k=N] [--budget=GBHR] [--hours=N] [--days=N]\n"
       "                    [--databases=N] [--seed=N] [--no-deferred]\n"
-      "                    [--cross-check-stats-index]\n"
-      "                    [--sim-shards=K] [--no-sharded-sim]\n"
+      "                    [--sim-shards=K]\n"
       "                    [--max-resident-lanes=N]\n"
       "                    [--evict-after-idle-hours=N]\n"
       "                    [--scheduler=fifo|drr|priority]\n"
@@ -152,10 +148,8 @@ void PrintUsage() {
       "                           databases into K deterministic shards\n"
       "                           advanced concurrently on min(K, cores)\n"
       "                           threads; results are bit-identical at\n"
-      "                           any K (default 4)\n"
-      "  --no-sharded-sim         fleetsim: advance shards one after\n"
-      "                           another on the calling thread (the\n"
-      "                           sequential reference)\n"
+      "                           any K (default 4); K=1 is the\n"
+      "                           sequential run\n"
       "  --max-resident-lanes=N   fleetsim: resident-lane budget — before\n"
       "                           each wave of due lanes and after each\n"
       "                           epoch the coldest lanes over the budget\n"
@@ -171,8 +165,6 @@ void PrintUsage() {
       "  --evict-after-idle-hours=N  fleetsim: also dehydrate any lane\n"
       "                           idle for N simulated hours (0 = off);\n"
       "                           requires --strategy=none\n"
-      "  --cross-check-stats-index  debug: rescan on every index hit and\n"
-      "                           abort the run on any divergence\n"
       "  --scheduler=NAME         fleet maintenance scheduler between\n"
       "                           decide and the deferred executor\n"
       "                           (DESIGN.md §12): fifo (default;\n"
@@ -299,12 +291,8 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->preemption = true;
     } else if (arg == "--check-invariants") {
       flags->check_invariants = true;
-    } else if (arg == "--no-sharded-sim") {
-      flags->sharded_sim = false;
     } else if (arg == "--no-deferred") {
       flags->deferred = false;
-    } else if (arg == "--cross-check-stats-index") {
-      flags->cross_check_stats_index = true;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return false;
@@ -441,7 +429,6 @@ std::unique_ptr<core::AutoCompService> MakeService(sim::SimEnvironment* env,
   preset.trigger_interval = interval;
   preset.first_trigger = interval;
   preset.deferred_act = flags.deferred;
-  preset.cross_check_stats_index = flags.cross_check_stats_index;
   preset.trace = trace;
   return sim::MakeMoopService(env, preset);
 }
@@ -702,20 +689,16 @@ int RunFleet(const Flags& flags) {
 }
 
 int RunFleetSim(const Flags& flags) {
-  // One shard pool worker per shard, capped at the host's cores; the
-  // sequential reference advances shards on this thread.
-  std::unique_ptr<ThreadPool> pool;
-  if (flags.sharded_sim) {
-    const int cores =
-        std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-    pool = std::make_unique<ThreadPool>(std::min(flags.sim_shards, cores));
-  }
+  // One shard pool worker per shard, capped at the host's cores. One
+  // shard is the sequential run: ParallelFor runs a single index inline.
+  const int cores =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  ThreadPool pool(std::min(flags.sim_shards, cores));
   sim::FleetSimOptions options;
   options.days = flags.days;
   options.seed = flags.seed;
   options.shards = flags.sim_shards;
-  options.sharded = flags.sharded_sim;
-  options.pool = pool.get();
+  options.pool = &pool;
   options.fleet.num_databases = flags.databases;
   options.fleet.seed = flags.seed;
   options.driver.sample_interval = 4 * kHour;
@@ -757,16 +740,14 @@ int RunFleetSim(const Flags& flags) {
     preset.trigger_interval = kDay;
     preset.first_trigger = kDay;
     preset.deferred_act = flags.deferred;
-    preset.cross_check_stats_index = flags.cross_check_stats_index;
     options.driver.deferred_compaction = flags.deferred;
     options.preset = preset;
   }
 
   std::printf("replaying %d fleet days across %d tenant databases "
-              "(%s, shards=%d, pool=%d)...\n",
-              flags.days, flags.databases,
-              flags.sharded_sim ? "sharded" : "sequential",
-              flags.sim_shards, pool != nullptr ? pool->worker_count() : 0);
+              "(shards=%d, pool=%d)...\n",
+              flags.days, flags.databases, flags.sim_shards,
+              pool.worker_count());
   sim::FleetSimulation simulation(std::move(options));
   const auto start = std::chrono::steady_clock::now();
   auto result = simulation.Run();
