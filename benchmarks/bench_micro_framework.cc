@@ -6,6 +6,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <map>
+
 #include "core/filters.h"
 #include "core/observe.h"
 #include "core/ranking.h"
@@ -26,16 +28,18 @@ std::vector<core::ObservedCandidate> MakePool(int64_t n, uint64_t seed) {
     oc.candidate.table = "db.t" + std::to_string(i);
     oc.stats.target_file_size_bytes = 512 * kMiB;
     const int files = static_cast<int>(rng.UniformInt(4, 400));
-    core::PartitionSizes by_partition;
+    std::vector<int64_t> sizes;
+    std::map<std::string, std::vector<int64_t>> by_partition;
     for (int f = 0; f < files; ++f) {
       const int64_t size = static_cast<int64_t>(
           rng.LogNormal(std::log(16.0 * kMiB), 1.2));
-      oc.stats.file_sizes.push_back(size);
+      sizes.push_back(size);
       oc.stats.total_bytes += size;
       by_partition["p=" + std::to_string(f % 16)].push_back(size);
     }
-    oc.stats.file_sizes_by_partition =
-        std::make_shared<const core::PartitionSizes>(std::move(by_partition));
+    oc.stats.file_sizes = std::move(sizes);
+    oc.stats.file_sizes_by_partition = std::make_shared<
+        const core::PartitionSizes>(by_partition.begin(), by_partition.end());
     oc.stats.file_count = files;
     pool.push_back(std::move(oc));
   }

@@ -39,44 +39,80 @@ TimedReplay TimeReplay(sim::FleetSimOptions options) {
           *std::move(result)};
 }
 
+namespace {
+
+/// Linear-interpolated quantile `q` of ascending `sorted` (non-empty).
+double Quantile(const std::vector<double>& sorted, double q) {
+  const double at = q * static_cast<double>(sorted.size() - 1);
+  const size_t lo = static_cast<size_t>(at);
+  const size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double weight = at - static_cast<double>(lo);
+  return sorted[lo] + (sorted[hi] - sorted[lo]) * weight;
+}
+
+}  // namespace
+
 PairedRuns RunPaired(const std::string& name, int runs,
                      const sim::FleetSimOptions& base,
                      const sim::FleetSimOptions& variant) {
+  AUTOCOMP_CHECK(base.pool == nullptr && variant.pool == nullptr)
+      << name << ": a forked rep cannot reach the parent's pool threads";
   PairedRuns out;
+  out.base = TimeReplay(base);
+  out.variant = TimeReplay(variant);
+  std::printf("  %s warmup: %.1f ms (paired baseline %.1f ms)\n",
+              name.c_str(), out.variant.ms, out.base.ms);
+  const uint64_t base_hash = out.base.result.metrics.ContentHash();
+  const uint64_t variant_hash = out.variant.result.metrics.ContentHash();
+
+  struct Rep {
+    uint64_t hash;
+    double wall_ms;
+  };
+  // One timed rep of one side, in a forked child.
+  const auto rep = [&](bool is_variant) {
+    const sim::FleetSimOptions& options = is_variant ? variant : base;
+    const ForkedRun<Rep> run = RunForked(name, [&options] {
+      const TimedReplay timed = TimeReplay(options);
+      return Rep{timed.result.metrics.ContentHash(), timed.ms};
+    });
+    const uint64_t expected = is_variant ? variant_hash : base_hash;
+    AUTOCOMP_CHECK(run.value.hash == expected)
+        << name << (is_variant ? " variant" : " baseline") << " rep hash "
+        << run.value.hash << " != warmup hash " << expected
+        << " — the replay is nondeterministic";
+    return run;
+  };
+
   std::vector<double> ratios;
-  uint64_t first_hash = 0;
-  const int pairs = std::max(runs, 5);
-  for (int run = -1; run < pairs; ++run) {
+  const int pairs = std::max(runs, 9);
+  for (int run = 0; run < pairs; ++run) {
     const bool variant_first = run % 2 == 0;
-    TimedReplay first = TimeReplay(variant_first ? variant : base);
-    TimedReplay second = TimeReplay(variant_first ? base : variant);
-    TimedReplay& base_run = variant_first ? second : first;
-    TimedReplay& variant_run = variant_first ? first : second;
-    if (run < 0) {
-      std::printf("  %s warmup: %.1f ms (paired baseline %.1f ms)\n",
-                  name.c_str(), variant_run.ms, base_run.ms);
-      continue;
+    const ForkedRun<Rep> first = rep(variant_first);
+    const ForkedRun<Rep> second = rep(!variant_first);
+    const ForkedRun<Rep>& base_run = variant_first ? second : first;
+    const ForkedRun<Rep>& variant_run = variant_first ? first : second;
+    if (base_run.usage.cpu_ms > 0) {
+      ratios.push_back(variant_run.usage.cpu_ms / base_run.usage.cpu_ms);
     }
-    const uint64_t hash = variant_run.result.metrics.ContentHash();
-    if (run == 0) first_hash = hash;
-    AUTOCOMP_CHECK(hash == first_hash)
-        << name << " rep " << run << " hash " << hash << " != rep 0 hash "
-        << first_hash << " — the replay is nondeterministic";
-    if (base_run.ms > 0) ratios.push_back(variant_run.ms / base_run.ms);
-    const double best = run == 0 ? variant_run.ms : out.best_variant_ms;
-    out.best_variant_ms = std::min(best, variant_run.ms);
-    std::printf("  %s run %d/%d: %.1f ms (paired baseline %.1f ms)\n",
-                name.c_str(), run + 1, pairs, variant_run.ms, base_run.ms);
-    out.base = std::move(base_run);
-    out.variant = std::move(variant_run);
+    const double best = run == 0 ? variant_run.value.wall_ms
+                                 : out.best_variant_ms;
+    out.best_variant_ms = std::min(best, variant_run.value.wall_ms);
+    std::printf("  %s run %d/%d: %.1f ms cpu (paired baseline %.1f ms cpu)\n",
+                name.c_str(), run + 1, pairs, variant_run.usage.cpu_ms,
+                base_run.usage.cpu_ms);
   }
   if (!ratios.empty()) {
     std::sort(ratios.begin(), ratios.end());
-    const size_t n = ratios.size();
-    const double median = n % 2 == 1 ? ratios[n / 2]
-                                     : (ratios[n / 2 - 1] + ratios[n / 2]) / 2;
-    out.overhead_pct = (median - 1.0) * 100.0;
+    out.overhead_pct = (Quantile(ratios, 0.5) - 1.0) * 100.0;
+    out.overhead_iqr_pct =
+        (Quantile(ratios, 0.75) - Quantile(ratios, 0.25)) * 100.0;
+    out.overhead_q1_pct = (Quantile(ratios, 0.25) - 1.0) * 100.0;
   }
+  std::printf("  %s cpu overhead %.2f%% (lower quartile %.2f%%, "
+              "interquartile range %.2f%%)\n",
+              name.c_str(), out.overhead_pct, out.overhead_q1_pct,
+              out.overhead_iqr_pct);
   return out;
 }
 
@@ -90,7 +126,17 @@ bool Breached(const Gate& gate) {
                   {1, " MB", "above ceiling"}};
   const bool breached = gate.kind == Gate::kFloor ? gate.value < gate.limit
                                                   : gate.value > gate.limit;
-  if (gate.limit <= 0 || !gate.applies || !breached) return false;
+  if (gate.limit <= 0 || !gate.applies) return false;
+  if (gate.kind == Gate::kBudgetPct && gate.spread >= gate.limit &&
+      gate.lower_quartile <= gate.limit) {
+    std::printf("PERF GATE UNRESOLVED: %s %.2f%% against budget %.2f%%: "
+                "its pairs' interquartile range %.2f%% is not under the "
+                "budget and their lower quartile %.2f%% is not over it%s\n",
+                gate.what, gate.value, gate.limit, gate.spread,
+                gate.lower_quartile, gate.note);
+    return false;
+  }
+  if (!breached) return false;
   const auto& f = kFormats[gate.kind];
   std::printf("PERF GATE FAIL: %s %.*f%s %s %.*f%s%s\n", gate.what,
               f.precision, gate.value, f.unit, f.relation, f.precision,
@@ -110,7 +156,7 @@ namespace internal {
 
 #if defined(__unix__)
 bool ForkInto(const std::string& what, void* out, size_t size,
-              const std::function<void(void*)>& fill, double* peak_rss_mb) {
+              const std::function<void(void*)>& fill, ChildUsage* usage) {
   int fds[2] = {-1, -1};
   if (pipe(fds) != 0) return false;
   const pid_t pid = fork();
@@ -148,12 +194,17 @@ bool ForkInto(const std::string& what, void* out, size_t size,
   AUTOCOMP_CHECK(got == size)
       << what << " child wrote " << got << " of " << size << " result bytes";
   // Linux reports ru_maxrss in kilobytes.
-  *peak_rss_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;
+  usage->peak_rss_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;
+  const auto ms = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) * 1e3 +
+           static_cast<double>(t.tv_usec) / 1e3;
+  };
+  usage->cpu_ms = ms(ru.ru_utime) + ms(ru.ru_stime);
   return true;
 }
 #else
 bool ForkInto(const std::string&, void*, size_t,
-              const std::function<void(void*)>&, double*) {
+              const std::function<void(void*)>&, ChildUsage*) {
   return false;
 }
 #endif

@@ -38,52 +38,70 @@ TimedReplay TimeReplay(sim::FleetSimOptions options);
 
 /// \brief Outcome of RunPaired.
 struct PairedRuns {
-  /// (median of the per-pair variant/base wall-clock ratios - 1) x 100.
+  /// (median of the per-pair variant/base CPU-time ratios - 1) x 100.
   double overhead_pct = 0;
-  /// Fastest timed variant rep.
+  /// Interquartile range of the per-pair ratios, x 100: the spread the
+  /// median was measured with.
+  double overhead_iqr_pct = 0;
+  /// (lower quartile of the per-pair ratios - 1) x 100.
+  double overhead_q1_pct = 0;
+  /// Fastest timed variant rep, host wall clock of FleetSimulation::Run.
   double best_variant_ms = 0;
-  /// The last pair, for the caller's parity checks.
+  /// The untimed warmup pair, replayed in-process: the results the
+  /// caller's parity checks read. Every timed rep reproduces its hashes.
   TimedReplay base;
   TimedReplay variant;
 };
 
-/// Paired overhead measurement of `variant` against `base`. The host's
-/// throughput drifts on minute scales (frequency scaling, noisy
-/// neighbours), so timing a variant block minutes after the baseline
-/// block buries a 2% effect in several percent of drift. Each pair times
-/// both sides back to back, and the overhead is the *median* of the
-/// per-pair ratios, which a single noisy rep cannot skew. One untimed
-/// warmup pair runs first, then max(runs, 5) timed pairs — the median
-/// needs enough samples to reject the outlier reps a busy host produces.
-/// Which side runs first alternates per pair: under a monotone host
-/// slowdown the second position is systematically slower, which a fixed
-/// order would bill entirely to one side. Every variant rep must
-/// reproduce rep 0's metrics ContentHash (replays are deterministic; a
+/// Paired overhead measurement of `variant` against `base`, in host CPU
+/// time. Each timed rep replays in a forked child, and its cost is the
+/// child's ru_utime + ru_stime from wait4: CPU time does not count the
+/// waits a busy host imposes, which a wall-clock ratio bills to
+/// whichever side they hit. The host's speed still drifts on minute
+/// scales (frequency scaling, cache-sharing neighbours), so each pair
+/// runs both sides back to back, and the overhead is the *median* of the
+/// per-pair ratios, which a single noisy rep cannot skew; the ratios'
+/// spread says how far to trust it (Gate::spread, Gate::lower_quartile). One
+/// untimed in-process warmup pair runs first, then max(runs, 9) timed
+/// pairs: with fewer, the median and the range of a noisy host's ratios
+/// both swing too far to gate on. Which side runs first alternates per
+/// pair: under a monotone host slowdown the second position is
+/// systematically slower, which a fixed order would bill entirely to one
+/// side. Every timed rep must
+/// reproduce its side's warmup ContentHash (replays are deterministic; a
 /// drifting hash is a bug the timing numbers would otherwise hide).
-/// Progress lines are labelled `name`.
+/// Neither side may use a thread pool: a forked child has none of the
+/// parent's threads. Progress lines are labelled `name`.
 PairedRuns RunPaired(const std::string& name, int runs,
                      const sim::FleetSimOptions& base,
                      const sim::FleetSimOptions& variant);
 
 /// \brief A forked run's result and the child's footprint.
+/// \brief What wait4 reports about a forked child.
+struct ChildUsage {
+  /// Peak RSS (ru_maxrss).
+  double peak_rss_mb = 0;
+  /// Host CPU time, user plus system (ru_utime + ru_stime).
+  double cpu_ms = 0;
+};
+
 template <typename T>
 struct ForkedRun {
   T value{};
-  /// The child's peak RSS (wait4's ru_maxrss); 0 when the run fell back
-  /// to in-process.
-  double peak_rss_mb = 0;
+  /// The child's footprint and CPU time; zero when the run fell back to
+  /// in-process.
+  ChildUsage usage;
   bool forked = false;
 };
 
 namespace internal {
 /// Runs `fill(out)` in a forked child and copies the `size` bytes it
-/// leaves at `out` back to the parent's `out` through a pipe;
-/// `*peak_rss_mb` receives the child's ru_maxrss. Returns false, having
-/// run nothing, where the platform cannot fork. A child that exits
-/// non-zero or writes fewer than `size` bytes aborts the bench, naming
-/// `what`.
+/// leaves at `out` back to the parent's `out` through a pipe; `*usage`
+/// receives the child's wait4 figures. Returns false, having run nothing,
+/// where the platform cannot fork. A child that exits non-zero or writes
+/// fewer than `size` bytes aborts the bench, naming `what`.
 bool ForkInto(const std::string& what, void* out, size_t size,
-              const std::function<void(void*)>& fill, double* peak_rss_mb);
+              const std::function<void(void*)>& fill, ChildUsage* usage);
 }  // namespace internal
 
 /// Runs `body` in a forked child, so wait4's ru_maxrss is that run's own
@@ -101,7 +119,7 @@ auto RunForked(const std::string& what, Body body)
   ForkedRun<T> out;
   out.forked = internal::ForkInto(
       what, &out.value, sizeof(T),
-      [&](void* into) { *static_cast<T*>(into) = body(); }, &out.peak_rss_mb);
+      [&](void* into) { *static_cast<T*>(into) = body(); }, &out.usage);
   if (!out.forked) out.value = body();
   return out;
 }
@@ -119,11 +137,19 @@ struct Gate {
   bool applies = true;
   /// Appended to the failure line.
   const char* note = "";
+  /// For a budget over paired runs: the per-pair ratios' interquartile
+  /// range and lower quartile (PairedRuns::overhead_iqr_pct and
+  /// overhead_q1_pct). The budget's verdict is resolved when the range is
+  /// under the budget, or when the lower quartile is over it (three
+  /// quarters of the pairs breach it, however wide the spread).
+  double spread = 0;
+  double lower_quartile = 0;
 };
 
 /// Prints `PERF GATE FAIL: <what> <value> below floor <limit>` (or
 /// `above budget` / `above ceiling`) for a breached gate; returns
-/// whether it was breached.
+/// whether it was breached. A budget whose verdict is not resolved
+/// prints `PERF GATE UNRESOLVED: ...` instead and passes.
 bool Breached(const Gate& gate);
 
 /// Writes `doc` to `path` in the working directory and says so.

@@ -4,11 +4,14 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/config.h"
@@ -56,9 +59,51 @@ struct Candidate {
   }
 };
 
+/// \brief An immutable, shared list of file sizes, sorted ascending.
+///
+/// Copies share one allocation, and nothing changes a list after it is
+/// built: a holder keeps reading the same sizes however the table moves
+/// on. The stats index hands its own lists to every observation of an
+/// unchanged table version this way. Default-constructed lists are
+/// empty.
+class SizeList {
+ public:
+  using value_type = int64_t;
+  using const_iterator = std::vector<int64_t>::const_iterator;
+
+  SizeList() = default;
+  /// Sorts `sizes` unless they are already in ascending order.
+  SizeList(std::vector<int64_t> sizes);  // NOLINT
+  SizeList(std::initializer_list<int64_t> sizes)
+      : SizeList(std::vector<int64_t>(sizes)) {}
+
+  const std::vector<int64_t>& values() const {
+    static const std::vector<int64_t> kEmpty;
+    return sizes_ != nullptr ? *sizes_ : kEmpty;
+  }
+  const_iterator begin() const { return values().begin(); }
+  const_iterator end() const { return values().end(); }
+  size_t size() const { return values().size(); }
+  bool empty() const { return values().empty(); }
+
+  friend bool operator==(const SizeList& a, const SizeList& b) {
+    return a.values() == b.values();
+  }
+
+ private:
+  std::shared_ptr<const std::vector<int64_t>> sizes_;
+};
+
+inline SizeList::SizeList(std::vector<int64_t> sizes) {
+  if (sizes.empty()) return;
+  if (!std::is_sorted(sizes.begin(), sizes.end())) {
+    std::sort(sizes.begin(), sizes.end());
+  }
+  sizes_ = std::make_shared<const std::vector<int64_t>>(std::move(sizes));
+}
+
 /// \brief Sorted live file sizes per partition key.
-using PartitionSizes =
-    std::map<std::string, std::vector<int64_t>, std::less<>>;
+using PartitionSizes = std::map<std::string, SizeList, std::less<>>;
 
 /// \brief Standardized statistics layout produced by the observe phase
 /// (§4.1): generic metrics all platforms can provide, plus a custom bag
@@ -67,7 +112,8 @@ struct CandidateStats {
   /// Generic metrics.
   int64_t file_count = 0;
   int64_t total_bytes = 0;
-  std::vector<int64_t> file_sizes;
+  /// Immutable and shared, like the partition map below.
+  SizeList file_sizes;
   int64_t target_file_size_bytes = 512 * kMiB;
   SimTime table_created_at = 0;
   SimTime last_modified_at = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
+#include <map>
 #include <optional>
 #include <utility>
 
@@ -200,10 +201,11 @@ Result<CandidateStats> StatsCollector::CollectFromMetadata(
   stats.table_created_at = meta->created_at();
   stats.last_modified_at = meta->last_updated_at();
 
-  PartitionSizes by_partition;
-  const auto accumulate = [&stats,
+  std::vector<int64_t> sizes;
+  std::map<std::string, std::vector<int64_t>, std::less<>> by_partition;
+  const auto accumulate = [&stats, &sizes,
                            &by_partition](const lst::DataFileRef& f) {
-    stats.file_sizes.push_back(f.file_size_bytes);
+    sizes.push_back(f.file_size_bytes);
     stats.total_bytes += f.file_size_bytes;
     auto bucket = by_partition.find(f.partition);
     if (bucket == by_partition.end()) {
@@ -220,7 +222,7 @@ Result<CandidateStats> StatsCollector::CollectFromMetadata(
     case CandidateScope::kTable:
       // Visit manifests in place; copying LiveFiles() per candidate was
       // the observe phase's dominant allocation at fleet scale.
-      stats.file_sizes.reserve(meta->live_file_count());
+      sizes.reserve(meta->live_file_count());
       meta->ForEachLiveFile(accumulate);
       break;
     case CandidateScope::kPartition:
@@ -232,17 +234,19 @@ Result<CandidateStats> StatsCollector::CollectFromMetadata(
       break;
     }
   }
-  stats.file_count = static_cast<int64_t>(stats.file_sizes.size());
 
-  // Canonical ordering (see class comment): size vectors are sorted so
+  // Canonical ordering (see class comment): SizeList sorts the sizes, so
   // rescans and the incremental index agree byte for byte — including
   // the float-summation order of the entropy traits.
-  std::sort(stats.file_sizes.begin(), stats.file_sizes.end());
-  for (auto& [_, sizes] : by_partition) {
-    std::sort(sizes.begin(), sizes.end());
+  stats.file_sizes = SizeList(std::move(sizes));
+  stats.file_count = static_cast<int64_t>(stats.file_sizes.size());
+  PartitionSizes frozen;
+  for (auto& [key, partition_sizes] : by_partition) {
+    frozen.emplace_hint(frozen.end(), key,
+                        SizeList(std::move(partition_sizes)));
   }
   stats.file_sizes_by_partition =
-      std::make_shared<const PartitionSizes>(std::move(by_partition));
+      std::make_shared<const PartitionSizes>(std::move(frozen));
 
   RefreshVolatile(candidate, *meta, &stats);
   return stats;

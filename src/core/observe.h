@@ -97,7 +97,7 @@ class SnapshotScopeGenerator final : public CandidateGenerator {
 /// it only reads catalog/control-plane state. Subclasses adding mutable
 /// state must synchronize internally.
 ///
-/// Canonical ordering (NFR2): `file_sizes` and every vector in
+/// Canonical ordering (NFR2): `file_sizes` and every list in
 /// `file_sizes_by_partition` come out sorted ascending. Every collector
 /// implementation must honor this — it is what makes rescans and
 /// incrementally indexed aggregates bit-identical even through

@@ -118,7 +118,7 @@ std::vector<ScoredCandidate> OnlineMergeRanker::Rank(
   out.reserve(candidates.size());
   for (TraitedCandidate& c : candidates) {
     ScoredCandidate sc;
-    sc.score = MergePressureScore(c.observed.stats.file_sizes, k_);
+    sc.score = MergePressureScore(c.observed.stats.file_sizes.values(), k_);
     sc.traited = std::move(c);
     out.push_back(std::move(sc));
   }

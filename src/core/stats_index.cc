@@ -3,54 +3,101 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
+#include <limits>
 #include <utility>
 
 namespace autocomp::core {
 
+namespace {
+
+// One commit's (or one build's) changes to one aggregate: the sizes it
+// loses and gains, and the net change of its counters.
+struct AggregateDelta {
+  std::vector<int64_t> removed;
+  std::vector<int64_t> added;
+  int64_t bytes = 0;
+  int64_t delete_files = 0;
+  int64_t unclustered_bytes = 0;
+
+  void Note(int64_t size, bool is_delete, bool unclustered, bool add) {
+    const int64_t sign = add ? 1 : -1;
+    (add ? added : removed).push_back(size);
+    bytes += sign * size;
+    if (is_delete) delete_files += sign;
+    if (unclustered) unclustered_bytes += sign * size;
+  }
+  void Note(const lst::DataFile& f, bool add) {
+    Note(f.file_size_bytes, f.content == lst::FileContent::kPositionDeletes,
+         !f.clustered, add);
+  }
+};
+
+// Merges sorted `removed` and `added` into sorted `sizes` in one pass, into
+// a new vector of exact capacity. nullopt when a removed size is absent.
+std::optional<std::vector<int64_t>> MergeSorted(
+    const std::vector<int64_t>& sizes, const std::vector<int64_t>& removed,
+    const std::vector<int64_t>& added) {
+  if (removed.size() > sizes.size()) return std::nullopt;
+  std::vector<int64_t> out;
+  out.reserve(sizes.size() - removed.size() + added.size());
+  auto r = removed.begin();
+  auto a = added.begin();
+  for (const int64_t size : sizes) {
+    if (r != removed.end() && *r <= size) {
+      // Both lists ascend, so a removal below `size` matches nothing.
+      if (*r < size) return std::nullopt;
+      ++r;
+      continue;
+    }
+    for (; a != added.end() && *a <= size; ++a) out.push_back(*a);
+    out.push_back(size);
+  }
+  if (r != removed.end()) return std::nullopt;
+  out.insert(out.end(), a, added.end());
+  return out;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
-// Aggregate / ScopeView
+// ScopeDelta
 
-void IncrementalStatsIndex::Aggregate::Add(const lst::DataFile& f) {
-  const auto it =
-      std::upper_bound(sizes.begin(), sizes.end(), f.file_size_bytes);
-  sizes.insert(it, f.file_size_bytes);
-  total_bytes += f.file_size_bytes;
-  if (f.content == lst::FileContent::kPositionDeletes) ++delete_file_count;
-  if (!f.clustered) unclustered_bytes += f.file_size_bytes;
-}
+struct IncrementalStatsIndex::ScopeDelta {
+  AggregateDelta total;
+  std::map<common::PartitionId, AggregateDelta> partitions;
 
-bool IncrementalStatsIndex::Aggregate::Remove(const lst::DataFile& f) {
-  const auto it =
-      std::lower_bound(sizes.begin(), sizes.end(), f.file_size_bytes);
-  if (it == sizes.end() || *it != f.file_size_bytes) return false;
-  sizes.erase(it);
-  total_bytes -= f.file_size_bytes;
-  if (f.content == lst::FileContent::kPositionDeletes) --delete_file_count;
-  if (!f.clustered) unclustered_bytes -= f.file_size_bytes;
-  return true;
-}
+  void Note(common::PartitionId pid, const lst::DataFile& f, bool add) {
+    total.Note(f, add);
+    partitions[pid].Note(f, add);
+  }
 
-void IncrementalStatsIndex::ScopeView::Add(common::PartitionId pid,
-                                           const lst::DataFile& f) {
-  total.Add(f);
-  partitions[pid].Add(f);
-}
+  // Swaps a merged list into every aggregate the delta touches; false
+  // when the delta does not reconcile with `view`.
+  bool ApplyTo(ScopeView* view) {
+    if (!Merge(&total, &view->total)) return false;
+    for (auto& [pid, delta] : partitions) {
+      const auto it = view->partitions.try_emplace(pid).first;
+      if (!Merge(&delta, &it->second)) return false;
+      // Empty partitions disappear so the partition key set always equals
+      // TableMetadata::LivePartitions() of the same version.
+      if (it->second.sizes.empty()) view->partitions.erase(it);
+    }
+    return true;
+  }
 
-bool IncrementalStatsIndex::ScopeView::Remove(common::PartitionId pid,
-                                              const lst::DataFile& f) {
-  if (!total.Remove(f)) return false;
-  const auto it = partitions.find(pid);
-  if (it == partitions.end() || !it->second.Remove(f)) return false;
-  // Empty partitions disappear so the partition key set always equals
-  // TableMetadata::LivePartitions() of the same version.
-  if (it->second.empty()) partitions.erase(it);
-  return true;
-}
-
-void IncrementalStatsIndex::ScopeView::Clear() {
-  total = Aggregate{};
-  partitions.clear();
-}
+  static bool Merge(AggregateDelta* delta, Aggregate* agg) {
+    std::sort(delta->removed.begin(), delta->removed.end());
+    std::sort(delta->added.begin(), delta->added.end());
+    std::optional<std::vector<int64_t>> merged =
+        MergeSorted(agg->sizes.values(), delta->removed, delta->added);
+    if (!merged.has_value()) return false;
+    agg->sizes = SizeList(std::move(*merged));
+    agg->total_bytes += delta->bytes;
+    agg->delete_file_count += delta->delete_files;
+    agg->unclustered_bytes += delta->unclustered_bytes;
+    return true;
+  }
+};
 
 // ---------------------------------------------------------------------------
 // IncrementalStatsIndex
@@ -71,11 +118,50 @@ IncrementalStatsIndex::Shard& IncrementalStatsIndex::ShardFor(
   return shards_[static_cast<size_t>(table) % kShardCount];
 }
 
+IncrementalStatsIndex::ScopeView IncrementalStatsIndex::BuildView(
+    const lst::TableMetadata& meta, int64_t after_snapshot_id,
+    common::StringInterner* partition_names) {
+  // A build is a delta that only adds, applied to an empty view. One
+  // manifest walk over the SoA columns gathers each aggregate's sizes
+  // (each list is then sorted once, cheaper than per-file sorted
+  // insertion for a bulk load). Partition keys are translated once per
+  // (manifest, partition) into the entry's id arena, so the per-file loop
+  // reads four numeric columns and never touches a string.
+  ScopeDelta delta;
+  const lst::Snapshot* snap = meta.current_snapshot();
+  if (snap != nullptr) {
+    std::vector<AggregateDelta*> translate;
+    for (const lst::ManifestPtr& m : snap->manifests) {
+      const common::StringInterner& names = m->partition_interner();
+      translate.assign(static_cast<size_t>(names.size()), nullptr);
+      for (const common::PartitionId mpid : m->partition_ids()) {
+        translate[static_cast<size_t>(mpid)] =
+            &delta.partitions[partition_names->Intern(names.NameOf(mpid))];
+      }
+      const auto& sizes = m->size_column();
+      const auto& flags = m->flag_column();
+      const auto& added = m->added_snapshot_column();
+      const auto& pcol = m->partition_column();
+      for (size_t i = 0; i < sizes.size(); ++i) {
+        if (added[i] <= after_snapshot_id) continue;
+        const bool is_delete =
+            (flags[i] & lst::Manifest::kFlagPositionDeletes) != 0;
+        const bool unclustered =
+            (flags[i] & lst::Manifest::kFlagUnclustered) != 0;
+        delta.total.Note(sizes[i], is_delete, unclustered, /*add=*/true);
+        translate[static_cast<size_t>(pcol[i])]->Note(
+            sizes[i], is_delete, unclustered, /*add=*/true);
+      }
+    }
+  }
+  ScopeView view;
+  [[maybe_unused]] const bool applied = delta.ApplyTo(&view);
+  assert(applied);  // nothing to remove, so nothing to reconcile
+  return view;
+}
+
 void IncrementalStatsIndex::RebuildLocked(
     TableEntry* entry, const lst::TableMetadata& meta) const {
-  entry->live.Clear();
-  entry->fresh.Clear();
-
   int64_t last_replace = 0;
   for (const lst::Snapshot& s : meta.snapshots()) {
     if (s.operation == lst::SnapshotOperation::kReplace) {
@@ -83,70 +169,9 @@ void IncrementalStatsIndex::RebuildLocked(
     }
   }
   entry->last_replace_snapshot_id = last_replace;
-
-  // One manifest walk over the SoA columns; vectors fill unsorted and
-  // are sorted once at the end (cheaper than per-file sorted insertion
-  // for a bulk load). Partition keys are translated once per (manifest,
-  // partition) into this entry's id arena, so the per-file loop reads
-  // four numeric columns and never touches a string.
-  const lst::Snapshot* snap = meta.current_snapshot();
-  std::vector<common::PartitionId> translate;
-  if (snap != nullptr) {
-    for (const lst::ManifestPtr& m : snap->manifests) {
-      const common::StringInterner& names = m->partition_interner();
-      translate.assign(static_cast<size_t>(names.size()),
-                       common::StringInterner::kInvalidId);
-      for (const common::PartitionId mpid : m->partition_ids()) {
-        translate[static_cast<size_t>(mpid)] =
-            entry->partition_names.Intern(names.NameOf(mpid));
-      }
-      const auto& sizes = m->size_column();
-      const auto& flags = m->flag_column();
-      const auto& added = m->added_snapshot_column();
-      const auto& pcol = m->partition_column();
-      for (size_t i = 0; i < sizes.size(); ++i) {
-        const int64_t size = sizes[i];
-        const bool is_delete =
-            (flags[i] & lst::Manifest::kFlagPositionDeletes) != 0;
-        const bool unclustered =
-            (flags[i] & lst::Manifest::kFlagUnclustered) != 0;
-        const common::PartitionId pid =
-            translate[static_cast<size_t>(pcol[i])];
-
-        entry->live.total.sizes.push_back(size);
-        entry->live.total.total_bytes += size;
-        if (is_delete) ++entry->live.total.delete_file_count;
-        if (unclustered) entry->live.total.unclustered_bytes += size;
-        Aggregate& part = entry->live.partitions[pid];
-        part.sizes.push_back(size);
-        part.total_bytes += size;
-        if (is_delete) ++part.delete_file_count;
-        if (unclustered) part.unclustered_bytes += size;
-
-        if (added[i] > last_replace) {
-          entry->fresh.total.sizes.push_back(size);
-          entry->fresh.total.total_bytes += size;
-          if (is_delete) ++entry->fresh.total.delete_file_count;
-          if (unclustered) entry->fresh.total.unclustered_bytes += size;
-          Aggregate& fresh_part = entry->fresh.partitions[pid];
-          fresh_part.sizes.push_back(size);
-          fresh_part.total_bytes += size;
-          if (is_delete) ++fresh_part.delete_file_count;
-          if (unclustered) fresh_part.unclustered_bytes += size;
-        }
-      }
-    }
-  }
-
-  std::sort(entry->live.total.sizes.begin(), entry->live.total.sizes.end());
-  for (auto& [_, part] : entry->live.partitions) {
-    std::sort(part.sizes.begin(), part.sizes.end());
-  }
-  std::sort(entry->fresh.total.sizes.begin(), entry->fresh.total.sizes.end());
-  for (auto& [_, part] : entry->fresh.partitions) {
-    std::sort(part.sizes.begin(), part.sizes.end());
-  }
-
+  entry->live = BuildView(meta, std::numeric_limits<int64_t>::min(),
+                          &entry->partition_names);
+  entry->fresh.reset();
   entry->version = meta.version();
   entry->shared = {};
 }
@@ -154,42 +179,47 @@ void IncrementalStatsIndex::RebuildLocked(
 void IncrementalStatsIndex::ApplyDeltaLocked(
     TableEntry* entry, const lst::TableMetadata& meta,
     const lst::CommitDelta& delta) const {
-  // Removals first, judged against the OLD watermark: a removed file was
+  // A replace commit advances the watermark, and nothing live was added
+  // after it (its own outputs carry added_snapshot_id == the watermark):
+  // the fresh population starts over, so its removals skip that view.
+  const bool replace = delta.operation == lst::SnapshotOperation::kReplace;
+  const bool track_fresh = entry->fresh.has_value();
+  ScopeDelta live;
+  ScopeDelta fresh;
+  // Removals are judged against the OLD watermark: a removed file was
   // fresh iff it was added after the replace snapshot that preceded this
   // commit.
   for (const lst::DataFile& f : delta.removed) {
     const common::PartitionId pid =
         entry->partition_names.Intern(f.partition);
-    const bool was_fresh =
-        f.added_snapshot_id > entry->last_replace_snapshot_id;
-    if (!entry->live.Remove(pid, f) ||
-        (was_fresh && !entry->fresh.Remove(pid, f))) {
-      // The delta does not reconcile with the aggregates (should not
-      // happen; defensive against future commit paths) — rebuild.
-      rebuilds_.fetch_add(1);
-      RebuildLocked(entry, meta);
-      return;
+    live.Note(pid, f, /*add=*/false);
+    if (track_fresh && !replace &&
+        f.added_snapshot_id > entry->last_replace_snapshot_id) {
+      fresh.Note(pid, f, /*add=*/false);
     }
   }
-
-  // A replace commit advances the watermark: nothing live was added
-  // after it (its own outputs carry added_snapshot_id == the watermark),
-  // so the fresh population resets.
-  if (delta.operation == lst::SnapshotOperation::kReplace) {
+  if (replace) {
     entry->last_replace_snapshot_id =
         std::max(entry->last_replace_snapshot_id, delta.snapshot_id);
-    entry->fresh.Clear();
+    if (track_fresh) entry->fresh.emplace();
   }
-
   for (const lst::DataFile& f : delta.added) {
     const common::PartitionId pid =
         entry->partition_names.Intern(f.partition);
-    entry->live.Add(pid, f);
-    if (f.added_snapshot_id > entry->last_replace_snapshot_id) {
-      entry->fresh.Add(pid, f);
+    live.Note(pid, f, /*add=*/true);
+    if (track_fresh && f.added_snapshot_id > entry->last_replace_snapshot_id) {
+      fresh.Note(pid, f, /*add=*/true);
     }
   }
 
+  if (!live.ApplyTo(&entry->live) ||
+      (track_fresh && !fresh.ApplyTo(&*entry->fresh))) {
+    // The delta does not reconcile with the aggregates (should not
+    // happen; defensive against future commit paths) — rebuild.
+    rebuilds_.fetch_add(1);
+    RebuildLocked(entry, meta);
+    return;
+  }
   entry->version = meta.version();
   entry->shared = {};
   deltas_applied_.fetch_add(1);
@@ -255,10 +285,30 @@ std::optional<CandidateStats> IncrementalStatsIndex::TryCollect(
   TableEntry* entry = EnsureLocked(shard, table_id, *meta);
   if (entry == nullptr) return std::nullopt;
 
-  const ScopeView* view = nullptr;
+  // A whole-table view's name-keyed partition map, built once per version.
+  // The id-keyed map iterates in id (arrival) order; inserting into the
+  // name-keyed output map restores lexicographic order (NFR2).
+  const auto shared_map = [entry](const ScopeView& view,
+                                  std::shared_ptr<const PartitionSizes>* map) {
+    if (*map == nullptr) {
+      PartitionSizes by_name;
+      for (const auto& [pid, agg] : view.partitions) {
+        by_name.emplace(entry->partition_names.NameOf(pid), agg.sizes);
+      }
+      *map = std::make_shared<const PartitionSizes>(std::move(by_name));
+    }
+    return *map;
+  };
+
+  CandidateStats stats;
+  stats.table_created_at = meta->created_at();
+  stats.last_modified_at = meta->last_updated_at();
+  const Aggregate* agg = nullptr;
   switch (candidate.scope) {
     case CandidateScope::kTable:
-      view = &entry->live;
+      agg = &entry->live.total;
+      stats.file_sizes_by_partition =
+          shared_map(entry->live, &entry->shared.live);
       break;
     case CandidateScope::kSnapshot:
       // Serve only the watermark the index maintains; any other
@@ -266,58 +316,45 @@ std::optional<CandidateStats> IncrementalStatsIndex::TryCollect(
       if (candidate.after_snapshot_id != entry->last_replace_snapshot_id) {
         return std::nullopt;
       }
-      view = &entry->fresh;
+      if (!entry->fresh.has_value()) {
+        // The entry is at the pinned version, so the pinned metadata
+        // builds the view; deltas keep it current from here on.
+        entry->fresh = BuildView(*meta, entry->last_replace_snapshot_id,
+                                 &entry->partition_names);
+        fresh_view_builds_.fetch_add(1);
+      }
+      agg = &entry->fresh->total;
+      stats.file_sizes_by_partition =
+          shared_map(*entry->fresh, &entry->shared.fresh);
       break;
-    case CandidateScope::kPartition:
-      break;  // handled below
-  }
-
-  CandidateStats stats;
-  stats.table_created_at = meta->created_at();
-  stats.last_modified_at = meta->last_updated_at();
-
-  if (candidate.scope == CandidateScope::kPartition) {
-    // Reporting edge: resolve the candidate's partition key against the
-    // entry's arena; an unknown key means no live files (same result a
-    // rescan restricted to it would produce).
-    const common::PartitionId pid =
-        candidate.partition.has_value()
-            ? entry->partition_names.Lookup(*candidate.partition)
-            : common::StringInterner::kInvalidId;
-    const auto part = pid != common::StringInterner::kInvalidId
-                          ? entry->live.partitions.find(pid)
-                          : entry->live.partitions.end();
-    if (part != entry->live.partitions.end()) {
-      const Aggregate& agg = part->second;
-      stats.file_sizes = agg.sizes;
-      stats.total_bytes = agg.total_bytes;
-      stats.delete_file_count = agg.delete_file_count;
-      stats.unclustered_bytes = agg.unclustered_bytes;
-      std::shared_ptr<const PartitionSizes>& shared =
+    case CandidateScope::kPartition: {
+      // Reporting edge: resolve the candidate's partition key against the
+      // entry's arena; an unknown key means no live files (same result a
+      // rescan restricted to it would produce).
+      const common::PartitionId pid =
+          candidate.partition.has_value()
+              ? entry->partition_names.Lookup(*candidate.partition)
+              : common::StringInterner::kInvalidId;
+      const auto part = pid != common::StringInterner::kInvalidId
+                            ? entry->live.partitions.find(pid)
+                            : entry->live.partitions.end();
+      if (part == entry->live.partitions.end()) break;
+      agg = &part->second;
+      std::shared_ptr<const PartitionSizes>& map =
           entry->shared.partitions[pid];
-      if (shared == nullptr) {
-        shared = std::make_shared<const PartitionSizes>(
-            PartitionSizes{{*candidate.partition, agg.sizes}});
+      if (map == nullptr) {
+        map = std::make_shared<const PartitionSizes>(
+            PartitionSizes{{*candidate.partition, agg->sizes}});
       }
-      stats.file_sizes_by_partition = shared;
+      stats.file_sizes_by_partition = map;
+      break;
     }
-  } else {
-    stats.file_sizes = view->total.sizes;
-    stats.total_bytes = view->total.total_bytes;
-    stats.delete_file_count = view->total.delete_file_count;
-    stats.unclustered_bytes = view->total.unclustered_bytes;
-    std::shared_ptr<const PartitionSizes>& shared =
-        view == &entry->live ? entry->shared.live : entry->shared.fresh;
-    if (shared == nullptr) {
-      // The id-keyed map iterates in id (arrival) order; inserting into
-      // the name-keyed output map restores lexicographic order (NFR2).
-      PartitionSizes by_name;
-      for (const auto& [pid, agg] : view->partitions) {
-        by_name.emplace(entry->partition_names.NameOf(pid), agg.sizes);
-      }
-      shared = std::make_shared<const PartitionSizes>(std::move(by_name));
-    }
-    stats.file_sizes_by_partition = shared;
+  }
+  if (agg != nullptr) {
+    stats.file_sizes = agg->sizes;
+    stats.total_bytes = agg->total_bytes;
+    stats.delete_file_count = agg->delete_file_count;
+    stats.unclustered_bytes = agg->unclustered_bytes;
   }
   stats.file_count = static_cast<int64_t>(stats.file_sizes.size());
   return stats;

@@ -9,25 +9,35 @@
 /// path. IncrementalStatsIndex subscribes to Catalog commit listeners and
 /// keeps, per table and per partition:
 ///
-///  * exact sorted live file-size vectors (whole table, per partition,
-///    and the "fresh" subset added after the last replace snapshot),
+///  * exact sorted live file-size lists (whole table and per partition),
 ///  * live byte totals, MoR delete-file counts, unclustered bytes,
 ///  * the last replace (compaction) snapshot id — the snapshot-scope
-///    generator's watermark.
+///    generator's watermark,
+///  * the same aggregates over the "fresh" files added after that
+///    watermark, built only once a snapshot-scope query asks for them.
 ///
-/// Commits carrying a lst::CommitDelta apply O(delta) updates under
-/// sharded locks; delta-less commits (snapshot expiry, rollback) and
-/// out-of-order listener delivery degrade to a full single-table rebuild
-/// from the event's metadata. Entries build lazily on first query.
+/// Size lists are immutable SizeLists (core/candidate.h). Queries hand out
+/// the index's own lists, never copies, and the per-version partition maps
+/// point at the same lists. A commit never edits a list in place: its delta
+/// is grouped by the aggregate it touches, each group is sorted once and
+/// merged with the old list in one pass into a new list of exact capacity,
+/// which replaces the old one under the shard lock. A list a caller still
+/// holds stays valid and keeps its contents.
+///
+/// Delta-less commits (snapshot expiry, rollback) and out-of-order listener
+/// delivery degrade to a full single-table rebuild of the live view from
+/// the event's metadata; the rebuild drops the fresh view, and the next
+/// snapshot-scope query builds it again from its pinned metadata. Entries
+/// build lazily on first query.
 ///
 /// Hot-path representation: tables and partitions are keyed by interned
-/// ids (common::StringInterner), and rebuilds stream the manifests' SoA
-/// columns (sizes, flags, added-snapshot ids, partition ids) — a rebuild
+/// ids (common::StringInterner), and builds stream the manifests' SoA
+/// columns (sizes, flags, added-snapshot ids, partition ids) — a build
 /// never touches a path string.
 ///
 /// NFR2 (determinism): every query pins a metadata version; the index
 /// answers only when its entry matches that exact version, otherwise the
-/// caller falls back to the rescan path. Size vectors are kept in the
+/// caller falls back to the rescan path. Size lists are kept in the
 /// canonical sorted-ascending order StatsCollector produces, so indexed
 /// stats are bit-identical to a rescan — including float-summation order
 /// in the entropy traits. IndexedStatsCollector's cross-check mode and
@@ -77,8 +87,9 @@ class IncrementalStatsIndex {
   /// Metadata-derived candidate stats (canonical sorted order). Volatile
   /// fields (target size, quota, access telemetry) are NOT filled; the
   /// collector layers them on via RefreshVolatile. The returned
-  /// file_sizes_by_partition is the same pointer for every call on the
-  /// same table version and scope (and partition, for partition scope).
+  /// file_sizes and file_sizes_by_partition are the same objects for every
+  /// call on the same table version and scope (and partition, for
+  /// partition scope).
   std::optional<CandidateStats> TryCollect(
       const Candidate& candidate, const lst::TableMetadataPtr& meta) const;
 
@@ -96,38 +107,35 @@ class IncrementalStatsIndex {
   /// @{
   int64_t deltas_applied() const { return deltas_applied_.load(); }
   int64_t rebuilds() const { return rebuilds_.load(); }
+  /// Fresh (snapshot-scope) views built from pinned metadata; 0 for an
+  /// index nobody asks for snapshot scope.
+  int64_t fresh_view_builds() const { return fresh_view_builds_.load(); }
   /// @}
 
   static constexpr int kShardCount = 16;
 
  private:
-  /// Sorted-size aggregate for one scope (whole table, one partition, or
-  /// the fresh-files subset).
+  /// Sorted-size aggregate for one scope (whole table or one partition).
   struct Aggregate {
-    std::vector<int64_t> sizes;  // canonical: sorted ascending
+    SizeList sizes;
     int64_t total_bytes = 0;
     int64_t delete_file_count = 0;
     int64_t unclustered_bytes = 0;
-
-    bool empty() const { return sizes.empty(); }
-    void Add(const lst::DataFile& f);
-    /// Removes one occurrence of the file; false when its size is absent
-    /// (aggregate out of sync — caller escalates to a rebuild).
-    bool Remove(const lst::DataFile& f);
   };
 
   /// Table-level + per-partition aggregates over one file population.
   /// Partitions are keyed by ids interned in the owning TableEntry —
   /// strings appear only at the reporting edge (TryCollect /
-  /// LivePartitions re-establish name-lexicographic order there).
+  /// LivePartitions re-establish name-lexicographic order there). A
+  /// partition without files has no aggregate.
   struct ScopeView {
     Aggregate total;
     std::map<common::PartitionId, Aggregate> partitions;
-
-    void Add(common::PartitionId pid, const lst::DataFile& f);
-    bool Remove(common::PartitionId pid, const lst::DataFile& f);
-    void Clear();
   };
+
+  /// Changes to a ScopeView grouped by the aggregate they touch: one
+  /// commit's delta, or the files of a build (stats_index.cc).
+  struct ScopeDelta;
 
   struct TableEntry {
     /// Metadata version the aggregates describe; the staleness key.
@@ -138,12 +146,14 @@ class IncrementalStatsIndex {
     common::StringInterner partition_names;
     /// All live files.
     ScopeView live;
-    /// Live files with added_snapshot_id > last_replace_snapshot_id
-    /// (the snapshot-scope candidate population).
-    ScopeView fresh;
+    /// Live files with added_snapshot_id > last_replace_snapshot_id (the
+    /// snapshot-scope candidate population). Built by the first
+    /// snapshot-scope query, kept current by deltas, dropped by a rebuild.
+    std::optional<ScopeView> fresh;
     /// Name-keyed partition-size maps TryCollect hands out: each is built
     /// on first use at `version` and shared by every caller until the
-    /// version moves. Immutable, so callers keep them past the lock.
+    /// version moves. They point at the views' lists; immutable, so
+    /// callers keep them past the lock.
     struct SharedMaps {
       std::shared_ptr<const PartitionSizes> live;
       std::shared_ptr<const PartitionSizes> fresh;
@@ -161,11 +171,18 @@ class IncrementalStatsIndex {
 
   Shard& ShardFor(common::TableId table) const;
 
-  /// Repopulates `entry` from a full walk of `meta`'s live files.
+  /// Builds the view of `meta`'s live files added after
+  /// `after_snapshot_id`, interning partition keys into `partition_names`.
+  static ScopeView BuildView(const lst::TableMetadata& meta,
+                             int64_t after_snapshot_id,
+                             common::StringInterner* partition_names);
+  /// Repopulates `entry`'s live view from a full walk of `meta`'s live
+  /// files and drops its fresh view.
   void RebuildLocked(TableEntry* entry, const lst::TableMetadata& meta) const;
   /// Applies one commit's delta on top of `entry` (which must be at
-  /// exactly the parent version). Falls back to RebuildLocked if the
-  /// delta does not reconcile with the aggregates.
+  /// exactly the parent version), swapping in new lists for the
+  /// aggregates it touches. Falls back to RebuildLocked if the delta does
+  /// not reconcile with the aggregates.
   void ApplyDeltaLocked(TableEntry* entry, const lst::TableMetadata& meta,
                         const lst::CommitDelta& delta) const;
 
@@ -188,6 +205,7 @@ class IncrementalStatsIndex {
 
   mutable std::atomic<int64_t> deltas_applied_{0};
   mutable std::atomic<int64_t> rebuilds_{0};
+  mutable std::atomic<int64_t> fresh_view_builds_{0};
 };
 
 /// \brief StatsCollector that answers from the IncrementalStatsIndex and
@@ -207,6 +225,8 @@ class IndexedStatsCollector final : public StatsCollector {
 
   int64_t index_hits() const override { return index_hits_.load(); }
   int64_t index_fallbacks() const override { return index_fallbacks_.load(); }
+
+  const IncrementalStatsIndex& index() const { return *index_; }
 
  private:
   std::shared_ptr<const IncrementalStatsIndex> index_;

@@ -105,9 +105,9 @@ std::vector<TraitedCandidate> ComputeTraits(
   std::vector<std::string> names;
   names.reserve(traits.size());
   for (const auto& trait : traits) names.push_back(trait->name());
-  // The pool is consumed: each candidate's stats (size vectors, partition
-  // map, custom bag) move into their slot instead of being deep-copied —
-  // at fleet scale the copies dominated the orient phase.
+  // The pool is consumed: each candidate's stats move into their slot
+  // instead of being copied (size lists and the partition map are
+  // shared; the custom bag is not).
   for (size_t i = 0; i < candidates.size(); ++i) {
     TraitedCandidate& tc = out[i];
     tc.observed = std::move(candidates[i]);

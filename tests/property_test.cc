@@ -124,18 +124,24 @@ TEST_P(EstimatorPropertyTest, PartitionAwareNeverExceedsNaive) {
   core::ObservedCandidate oc;
   oc.stats.target_file_size_bytes = 1000;
   const int partitions = static_cast<int>(rng.UniformInt(1, 20));
+  std::vector<int64_t> sizes;
   core::PartitionSizes by_partition;
   for (int p = 0; p < partitions; ++p) {
     const std::string key = "p=" + std::to_string(p);
     const int files = static_cast<int>(rng.UniformInt(0, 50));
+    std::vector<int64_t> partition_sizes;
     for (int f = 0; f < files; ++f) {
       const int64_t size = rng.UniformInt(1, 2000);
-      oc.stats.file_sizes.push_back(size);
-      by_partition[key].push_back(size);
+      sizes.push_back(size);
+      partition_sizes.push_back(size);
       ++oc.stats.file_count;
       oc.stats.total_bytes += size;
     }
+    if (!partition_sizes.empty()) {
+      by_partition.emplace(key, std::move(partition_sizes));
+    }
   }
+  oc.stats.file_sizes = std::move(sizes);
   oc.stats.file_sizes_by_partition =
       std::make_shared<const core::PartitionSizes>(std::move(by_partition));
   const double naive = core::FileCountReductionTrait().Compute(oc);

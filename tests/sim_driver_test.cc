@@ -418,20 +418,26 @@ TEST(FleetSimulationTest, LazyMatchesEagerWithControlLoop) {
 // The footprint claim behind 100×-scale replays: lanes that never have
 // any work are never hydrated into environments — they share one ghost
 // replay — and the results still match the eager reference exactly.
-// This fleet's two onboarded tables are never read, so no timeout draw
-// consults the load model: barrier bugs show in the other comparisons.
+// The onboarded tables are written and read within the same hours, at an
+// RPC capacity their opens overrun, so timeout draws consult the epoch
+// load model and a barrier that seals the wrong hour changes the replay.
 TEST(FleetSimulationTest, IdleLanesAreNeverHydrated) {
   const auto sparse_fleet = [] {
     FleetSimOptions options = SmallFleet(7);
     options.fleet.num_databases = 8;
     options.fleet.tables_per_db = 0;  // all activity comes from onboards
     options.fleet.new_tables_per_day = 1;
+    options.fleet.daily_write_fraction = 4;  // 4 writes per table a day
+    options.fleet.daily_reads_per_table = 8;
+    options.env.namenode.rpc_capacity_per_hour = 50;
     return options;
   };
   const FleetSimResult eager = EagerFleetReplay(sparse_fleet());
   EXPECT_EQ(eager.lanes_hydrated, 8);
+  EXPECT_GT(eager.metrics.TotalCount("open_timeouts"), 0);
 
   const FleetSimResult lazy = RunFleetFull(sparse_fleet());
+  EXPECT_GT(lazy.metrics.TotalCount("open_timeouts"), 0);
   // One onboarded table per day for two days: at most two databases ever
   // see work.
   EXPECT_LE(lazy.lanes_hydrated, 2);

@@ -7,11 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <set>
+#include <stop_token>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -25,7 +29,12 @@
 #include "core/traits.h"
 #include "lst/table.h"
 #include "lst/transaction.h"
+#include "sim/driver.h"
+#include "sim/environment.h"
+#include "sim/metrics.h"
+#include "sim/presets.h"
 #include "storage/namenode.h"
+#include "workload/tpch.h"
 
 namespace autocomp {
 namespace {
@@ -180,6 +189,70 @@ TEST(StatsIndexTest, ScriptedOperationsMatchRescanAfterEveryCommit) {
     ASSERT_TRUE(txn->Commit().ok());
   }
   h.ExpectAllScopesAgree("db.t");
+  // The first snapshot-scope query (after the rewrite) built the fresh
+  // view; the append's delta kept it current.
+  EXPECT_EQ(h.index->fresh_view_builds(), 1);
+
+  // Overwrite a fresh file with one of equal size in the same partition:
+  // both views lose and gain the same size in one merge.
+  {
+    auto meta = table->Metadata();
+    ASSERT_TRUE(meta.ok());
+    const auto files = (*meta)->LiveFiles(std::string("m=2024-03"));
+    ASSERT_EQ(files.size(), 1u);
+    auto txn = table->NewTransaction();
+    ASSERT_TRUE(txn.ok());
+    ASSERT_TRUE(
+        txn->Overwrite({files.front().path},
+                       {MakeFile("/data/db/t", &counter, "m=2024-03",
+                                 files.front().file_size_bytes)})
+            .ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  h.ExpectAllScopesAgree("db.t");
+
+  // A second rewrite: the fresh view built above lives through a replace
+  // commit (the delta empties it; no rebuild, no second build).
+  {
+    auto meta = table->Metadata();
+    ASSERT_TRUE(meta.ok());
+    std::vector<std::string> inputs;
+    for (const lst::DataFile& f : (*meta)->LiveFiles(std::string("m=2024-02"))) {
+      inputs.push_back(f.path);
+    }
+    ASSERT_EQ(inputs.size(), 2u);
+    const int64_t rebuilds_before = h.index->rebuilds();
+    auto txn = table->NewTransaction();
+    ASSERT_TRUE(txn.ok());
+    ASSERT_TRUE(
+        txn->RewriteFiles(inputs,
+                          {MakeFile("/data/db/t", &counter, "m=2024-02", 67)})
+            .ok());
+    ASSERT_TRUE(txn->Commit().ok());
+    h.ExpectAllScopesAgree("db.t");
+    EXPECT_EQ(h.index->rebuilds(), rebuilds_before);
+    EXPECT_EQ(h.index->fresh_view_builds(), 1);
+  }
+
+  // One commit empties a partition and writes to it again.
+  {
+    h.clock.Advance(kMinute);
+    auto meta = table->Metadata();
+    ASSERT_TRUE(meta.ok());
+    std::vector<std::string> victims;
+    for (const lst::DataFile& f : (*meta)->LiveFiles(std::string("m=2024-01"))) {
+      victims.push_back(f.path);
+    }
+    ASSERT_FALSE(victims.empty());
+    auto txn = table->NewTransaction();
+    ASSERT_TRUE(txn.ok());
+    ASSERT_TRUE(
+        txn->Overwrite(victims,
+                       {MakeFile("/data/db/t", &counter, "m=2024-01", 4)})
+            .ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  h.ExpectAllScopesAgree("db.t");
 
   // Delete files (a partition may disappear entirely).
   {
@@ -193,6 +266,20 @@ TEST(StatsIndexTest, ScriptedOperationsMatchRescanAfterEveryCommit) {
     ASSERT_TRUE(txn.ok());
     ASSERT_TRUE(txn->DeleteFiles(victims).ok());
     ASSERT_TRUE(txn->Commit().ok());
+    auto after = table->Metadata();
+    ASSERT_TRUE(after.ok());
+    EXPECT_TRUE((*after)->LiveFiles(std::string("m=2024-03")).empty());
+  }
+  h.ExpectAllScopesAgree("db.t");
+
+  // The emptied partition is written to again.
+  {
+    auto txn = table->NewTransaction();
+    ASSERT_TRUE(txn.ok());
+    ASSERT_TRUE(txn->Append({MakeFile("/data/db/t", &counter, "m=2024-03", 8),
+                             MakeFile("/data/db/t", &counter, "m=2024-03", 1)})
+                    .ok());
+    ASSERT_TRUE(txn->Commit().ok());
   }
   h.ExpectAllScopesAgree("db.t");
 
@@ -201,12 +288,25 @@ TEST(StatsIndexTest, ScriptedOperationsMatchRescanAfterEveryCommit) {
   {
     h.clock.Advance(kDay);
     const int64_t rebuilds_before = h.index->rebuilds();
+    const int64_t builds_before = h.index->fresh_view_builds();
     auto expired = lst::ExpireSnapshots(&h.catalog, "db.t", &h.clock,
                                         h.clock.Now() - kHour, 1);
     ASSERT_TRUE(expired.ok()) << expired.status();
     ASSERT_GT(expired->expired_snapshots, 0);
     h.ExpectAllScopesAgree("db.t");
     EXPECT_GT(h.index->rebuilds(), rebuilds_before);
+    // The rebuild dropped the fresh view; the next snapshot-scope query
+    // built it again from its pinned metadata, once.
+    auto meta = h.catalog.LoadTable("db.t");
+    ASSERT_TRUE(meta.ok());
+    const auto watermark = h.index->LastReplaceSnapshotId("db.t", *meta);
+    ASSERT_TRUE(watermark.has_value());
+    core::Candidate fresh;
+    fresh.table = "db.t";
+    fresh.scope = core::CandidateScope::kSnapshot;
+    fresh.after_snapshot_id = *watermark;
+    h.ExpectAgreement(fresh);
+    EXPECT_EQ(h.index->fresh_view_builds(), builds_before + 1);
   }
 
   // Steady state: repeated collections are index hits, not fallbacks.
@@ -399,6 +499,38 @@ TEST(StatsIndexTest, PartitionMapsAreSharedUntilTheTableVersionMoves) {
   EXPECT_EQ(collect(fresh).file_sizes_by_partition,
             fresh1.file_sizes_by_partition);
 
+  // The same holds for the size lists, at every scope, and the partition
+  // maps point at the partition lists instead of copying them.
+  const auto same_list = [](const core::SizeList& a, const core::SizeList& b) {
+    return &a.values() == &b.values();
+  };
+  EXPECT_TRUE(same_list(collect(whole).file_sizes, whole1.file_sizes));
+  EXPECT_TRUE(same_list(collect(part).file_sizes, part1.file_sizes));
+  EXPECT_TRUE(same_list(collect(fresh).file_sizes, fresh1.file_sizes));
+  EXPECT_TRUE(same_list(whole1.partition_sizes().at("m=2024-01"),
+                        part1.file_sizes));
+
+  // A reader keeps walking the lists it holds while the table takes an
+  // append, an overwrite and a replace commit below: the index never
+  // edits a list in place, so the reader sees the same sizes throughout.
+  const std::vector<std::pair<const core::SizeList*, std::vector<int64_t>>>
+      held = {{&whole1.file_sizes, {5, 9, 64}},
+              {&part1.file_sizes, {5, 9}},
+              {&fresh1.file_sizes, {5, 9, 64}}};
+  std::atomic<bool> reader_saw_change{false};
+  std::atomic<int64_t> reader_passes{0};
+  std::jthread reader([&](std::stop_token stop) {
+    do {
+      for (const auto& [list, sizes] : held) {
+        if (!std::equal(list->begin(), list->end(), sizes.begin(),
+                        sizes.end())) {
+          reader_saw_change = true;
+        }
+      }
+      reader_passes.fetch_add(1);
+    } while (!stop.stop_requested());
+  });
+
   // A commit to a sibling table leaves this table's maps alone.
   commit_append(&*sibling, "/data/db/u", "m=2024-02", 4);
   EXPECT_EQ(collect(whole).file_sizes_by_partition,
@@ -417,6 +549,26 @@ TEST(StatsIndexTest, PartitionMapsAreSharedUntilTheTableVersionMoves) {
   // The maps handed out earlier are immutable: still the old version.
   EXPECT_EQ(part1.partition_sizes().at("m=2024-01"),
             (std::vector<int64_t>{5, 9}));
+  EXPECT_FALSE(same_list(whole2.file_sizes, whole1.file_sizes));
+  EXPECT_FALSE(same_list(part2.file_sizes, part1.file_sizes));
+
+  // An overwrite moves the version again.
+  {
+    auto meta = h.catalog.LoadTable("db.t");
+    ASSERT_TRUE(meta.ok());
+    const auto victims = (*meta)->LiveFiles(std::string("m=2024-02"));
+    ASSERT_EQ(victims.size(), 1u);
+    auto txn = table->NewTransaction();
+    ASSERT_TRUE(txn.ok());
+    ASSERT_TRUE(
+        txn->Overwrite({victims.front().path},
+                       {MakeFile("/data/db/t", &counter, "m=2024-02", 65)})
+            .ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  const core::CandidateStats whole3 = collect(whole);
+  EXPECT_EQ(whole3.file_sizes, (std::vector<int64_t>{5, 7, 9, 65}));
+  EXPECT_TRUE(same_list(collect(whole).file_sizes, whole3.file_sizes));
 
   // A replace commit moves the watermark; the snapshot-scope candidate
   // at the new watermark sees the new (empty, then refilled) fresh map.
@@ -450,7 +602,64 @@ TEST(StatsIndexTest, PartitionMapsAreSharedUntilTheTableVersionMoves) {
             (core::PartitionSizes{{"m=2024-03", {2}}}));
   EXPECT_EQ(collect(fresh).file_sizes_by_partition,
             fresh3.file_sizes_by_partition);
+  EXPECT_TRUE(same_list(collect(fresh).file_sizes, fresh3.file_sizes));
   EXPECT_EQ(fresh1.partition_sizes().size(), 2u);
+
+  reader.request_stop();
+  reader.join();
+  EXPECT_GT(reader_passes.load(), 0);
+  EXPECT_FALSE(reader_saw_change.load());
+  for (const auto& [list, sizes] : held) EXPECT_EQ(list->values(), sizes);
+}
+
+// ------------------------------------------ Fresh views only on demand
+
+// Hourly MOOP services over one TPC-H database, with appends between the
+// cycles: only a snapshot-scope service asks for the fresh view, so only
+// its index ever builds one.
+TEST(StatsIndexTest, OnlySnapshotScopeServicesBuildFreshViews) {
+  for (const sim::ScopeStrategy scope :
+       {sim::ScopeStrategy::kTable, sim::ScopeStrategy::kHybrid,
+        sim::ScopeStrategy::kSnapshot}) {
+    SCOPED_TRACE(static_cast<int>(scope));
+    sim::SimEnvironment env;
+    ASSERT_TRUE(workload::SetupTpchDatabase(
+                    &env.catalog(), &env.query_engine(), "db", kGiB,
+                    engine::UntunedUserJobProfile(), 0)
+                    .ok());
+    const std::vector<std::string> tables = env.catalog().ListAllTables();
+    ASSERT_FALSE(tables.empty());
+    std::vector<workload::QueryEvent> writes;
+    for (SimTime t = 10 * kMinute; t < 4 * kHour; t += 10 * kMinute) {
+      workload::QueryEvent write;
+      write.time = t;
+      write.is_write = true;
+      write.write.table = tables[writes.size() % tables.size()];
+      write.write.logical_bytes = 4 * kMiB;
+      writes.push_back(std::move(write));
+    }
+    sim::StrategyPreset preset;
+    preset.scope = scope;
+    preset.k = 5;
+    auto service = sim::MakeMoopService(&env, preset);
+    sim::MetricsRecorder metrics;
+    sim::EventDriver driver(&env, &metrics);
+    driver.AttachService(service.get());
+    ASSERT_TRUE(driver.Run(writes, 4 * kHour).ok());
+
+    const auto* collector = dynamic_cast<const core::IndexedStatsCollector*>(
+        service->pipeline()->stages().collector.get());
+    ASSERT_NE(collector, nullptr);
+    const core::IncrementalStatsIndex& index = collector->index();
+    EXPECT_GE(service->history().size(), 3u);
+    EXPECT_GT(collector->index_hits(), 0);
+    EXPECT_GT(index.deltas_applied(), 0);
+    if (scope == sim::ScopeStrategy::kSnapshot) {
+      EXPECT_GT(index.fresh_view_builds(), 0);
+    } else {
+      EXPECT_EQ(index.fresh_view_builds(), 0);
+    }
+  }
 }
 
 // ------------------------------------------- Randomized concurrent suite
